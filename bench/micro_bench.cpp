@@ -244,39 +244,27 @@ void BM_SweepThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepThroughput)
     ->Arg(1)
+    ->Arg(2)
     ->Arg(4)
-    ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// City-scale kernel scaling: the metro preset (500 nodes / 3 km²) on four
-// column shards, staged by `range(0)` worker threads; arg 0 is the serial
-// (unsharded) reference row.  Throughput is kernel events per wall-clock
-// second (UseRealTime), the cores-vs-throughput axis of the sharded-kernel
-// scaling table in BENCH_scale.json.  The metrics of every row are
-// identical by construction — only the wall clock moves — so the rows
-// double as a determinism smoke at bench scale.
-void BM_CityScaleKernel(benchmark::State& state) {
-  const auto threads = static_cast<unsigned>(state.range(0));
+// The metro end-to-end row: half a second of the metro preset (500 nodes /
+// 3 km², RICA) on the serial kernel.  Throughput is kernel events per
+// wall-clock second; cores are spent across runs (BM_SweepThroughput), never
+// inside one.
+void BM_FullStackMetro(benchmark::State& state) {
   std::uint64_t events = 0;
   for (auto _ : state) {
     harness::ScenarioConfig cfg = harness::preset_config("metro");
     cfg.sim_s = 0.5;
-    cfg.shards = threads == 0 ? 1 : 4;
-    cfg.threads = threads == 0 ? 1 : threads;
     const auto r = harness::run_scenario(cfg);
     events += r.events_executed;
     benchmark::DoNotOptimize(r.delivered);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_CityScaleKernel)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_FullStackMetro)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -25,13 +25,7 @@
 // JSONL at exit — or at the first anomaly when `--watchdogs` arms the
 // drop-spike / discovery-storm / stalled-flow / queue-backlog monitors.
 // All sim-time stamped: rerunning the same seed reproduces every output
-// byte for byte.
-//
-// Scale: `--preset large-scale --shards 8 --threads 4` runs the 10k-node
-// city on the sharded parallel kernel.  The metrics — and the stream hash —
-// are identical for any --threads/--shards value, because the kernel
-// commits events in global (time, sequence) order regardless of how the
-// staging work is split (see DESIGN.md, "Sharded parallel kernel").
+// byte for byte.  An unknown flag is an error, not a silent no-op.
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -46,6 +40,12 @@ int main(int argc, char** argv) {
   using namespace rica;
   try {
     const harness::Flags flags(argc, argv);
+    flags.require_known(
+        {"preset", "protocol", "mean-speed", "rate", "sim-time", "warmup",
+         "mobility", "traffic", "seed", "trace-out", "trace-filter",
+         "span-trace", "perfetto-out", "series-out", "sample-dt",
+         "flight-recorder", "flight-dump", "watchdogs", "record-trace",
+         "trace-dt", "verbose"});
     harness::ScenarioConfig cfg;
     if (flags.has("preset")) {
       cfg = harness::preset_config(flags.get("preset", std::string{"paper"}));
@@ -59,8 +59,6 @@ int main(int argc, char** argv) {
     cfg.mobility = flags.get("mobility", cfg.mobility);
     cfg.traffic = flags.get("traffic", cfg.traffic);
     cfg.seed = flags.get("seed", static_cast<std::uint64_t>(1));
-    cfg.threads = static_cast<unsigned>(flags.get("threads", 1));
-    cfg.shards = static_cast<std::uint32_t>(flags.get("shards", 1));
     cfg.trace_out = flags.get("trace-out", std::string{});
     cfg.trace_filter = flags.get("trace-filter", cfg.trace_filter);
     if (flags.has("span-trace") &&
@@ -87,10 +85,8 @@ int main(int argc, char** argv) {
     std::printf("flows=%zu x %.0f pkt/s x %u B, sim time=%.0f s, seed=%llu\n",
                 cfg.num_pairs, cfg.pkts_per_s, cfg.packet_bytes, cfg.sim_s,
                 static_cast<unsigned long long>(cfg.seed));
-    std::printf("mobility=%s  traffic=%s  warmup=%.0f s\n",
+    std::printf("mobility=%s  traffic=%s  warmup=%.0f s\n\n",
                 cfg.mobility.c_str(), cfg.traffic.c_str(), cfg.warmup_s);
-    std::printf("kernel: %u shard(s), %u staging thread(s)\n\n", cfg.shards,
-                cfg.threads);
 
     if (flags.has("record-trace")) {
       // Rebuild the run's mobility realization (same seed -> same named RNG
@@ -133,17 +129,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.drops[2]),
                 static_cast<unsigned long long>(r.drops[3]),
                 static_cast<unsigned long long>(r.drops[4]));
-    if (cfg.shards > 1) {
-      const auto stat = [&r](const char* name) {
-        const auto it = r.stats.find(name);
-        return it == r.stats.end() ? 0.0 : it->second.value;
-      };
-      std::printf("sharded kernel        : %.0f windows, %.0f staged, "
-                  "%.0f cross-shard sends (%.0f sync crossings)\n",
-                  stat("kernel.windows"), stat("kernel.staged_events"),
-                  stat("kernel.cross_shard_sends"),
-                  stat("kernel.sync_crossings"));
-    }
     if (!cfg.trace_out.empty()) {
       std::printf("structured trace      : %s\n", cfg.trace_out.c_str());
     }

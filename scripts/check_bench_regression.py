@@ -18,8 +18,9 @@ Two context checks run first:
   a debug library only skews timings slightly, so it just warns (distro
   libbenchmark packages are routinely debug builds).
 
-Baseline numbers were recorded on a 1-core container; CI runners differ, so
-the threshold is deliberately loose (catching 1.5x cliffs, not 5% drift).
+Baseline numbers were recorded on a 4-CPU host (its context block says which);
+CI runners differ, so the threshold is deliberately loose (catching 1.5x
+cliffs, not 5% drift).
 
 Usage: check_bench_regression.py <fresh.json> [baseline.json]
                                  [--filter REGEX]

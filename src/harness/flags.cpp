@@ -31,6 +31,15 @@ Flags::Flags(int argc, const char* const* argv) {
   }
 }
 
+void Flags::require_known(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      throw std::invalid_argument("unknown flag --" + name);
+    }
+  }
+}
+
 bool Flags::has(const std::string& name) const {
   return values_.count(name) > 0;
 }

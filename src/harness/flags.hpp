@@ -1,12 +1,15 @@
 // A tiny command-line flag parser for the bench and example binaries.
 //
-// Supported forms: --name value and --name=value.  Unknown flags abort with
-// a usage message so typos never silently run the wrong experiment.
+// Supported forms: --name value and --name=value.  A binary that lists its
+// flags with require_known() rejects unknown ones, so typos never silently
+// run the wrong experiment.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rica::harness {
@@ -28,6 +31,10 @@ class Flags {
   /// Comma-separated list of doubles (e.g. --speeds 0,18,36).
   [[nodiscard]] std::vector<double> get_list(
       const std::string& name, const std::vector<double>& fallback) const;
+
+  /// Throws std::invalid_argument("unknown flag --NAME") for the first flag
+  /// on the command line that is not in `known`.
+  void require_known(std::initializer_list<std::string_view> known) const;
 
   /// Names seen on the command line (for validation by the binary).
   [[nodiscard]] const std::map<std::string, std::string>& all() const {

@@ -22,7 +22,6 @@
 #include "routing/bgca/bgca.hpp"
 #include "routing/linkstate/linkstate.hpp"
 #include "sim/random.hpp"
-#include "sim/sharding.hpp"
 #include "traffic/traffic_model.hpp"
 
 namespace rica::harness {
@@ -72,8 +71,8 @@ const std::vector<ScenarioPreset>& scenario_presets() {
        1414.2, 5, 30.0},
       {"metro", "500 nodes / 3 km²: stress the scale-out path", 500, 1732.1,
        100, 30.0},
-      {"large-scale", "10000 nodes / 200 km²: city-scale, needs the sharded "
-       "kernel", 10000, 14142.1, 2000, 30.0},
+      {"large-scale", "10000 nodes / 200 km²: city-scale", 10000, 14142.1,
+       2000, 30.0},
   };
   return presets;
 }
@@ -116,8 +115,6 @@ net::NetworkConfig to_network_config(const ScenarioConfig& cfg) {
   net.mobility = scenario_mobility_config(cfg);
   net.channel.range_m = cfg.radio_range_m;
   net.seed = cfg.seed;
-  net.kernel.threads = cfg.threads;
-  net.kernel.shards = cfg.shards;
   return net;
 }
 
@@ -249,22 +246,6 @@ void validate_scenario(const ScenarioConfig& cfg) {
         " exceeds the 2^24 node-id limit (routing history keys pack the "
         "origin id into 24 bits)");
   }
-  if (cfg.shards > sim::Simulator::kMaxShards) {
-    throw std::invalid_argument(
-        "shards = " + std::to_string(cfg.shards) + " exceeds the kernel's " +
-        std::to_string(sim::Simulator::kMaxShards) +
-        "-shard limit (shard ids ride in the top EventId bits)");
-  }
-  if (cfg.shards > 1) {
-    const std::size_t cols = sim::grid_columns(cfg.field_m, cfg.radio_range_m);
-    if (cfg.shards > cols) {
-      throw std::invalid_argument(
-          "shards = " + std::to_string(cfg.shards) + " exceeds the " +
-          std::to_string(cols) + " grid column(s) a " + fmt_m(cfg.field_m) +
-          " m field holds at " + fmt_m(cfg.radio_range_m) +
-          " m range (shards stripe whole columns)");
-    }
-  }
   if (cfg.warmup_s < 0.0) {
     throw std::invalid_argument("warmup must be >= 0 seconds");
   }
@@ -282,7 +263,7 @@ void validate_scenario(const ScenarioConfig& cfg) {
 }
 
 ScenarioResult run_scenario(const ScenarioConfig& cfg) {
-  // Validate population/shard/warmup bounds and parse the traffic spec
+  // Validate population/warmup bounds and parse the traffic spec
   // before any expensive construction, so a typo fails with a named value,
   // not mid-build.
   validate_scenario(cfg);
@@ -418,8 +399,8 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   for (auto& s : network.registry().snapshot()) {
     summary.stats.emplace(s.name, std::move(s));
   }
-  // Registered distributions (e.g. the sharded kernel's staged-per-window
-  // histogram) join the collector's always-on ones in the summary.
+  // Registered distributions join the collector's always-on ones in the
+  // summary.
   for (const auto& [name, h] : network.registry().histogram_snapshot()) {
     summary.histograms.insert_or_assign(name, h);
   }

@@ -56,8 +56,8 @@ sim::Time CommonChannelMac::airtime(std::uint16_t size_bytes) const {
 void CommonChannelMac::send(net::NodeId from, net::ControlPacket pkt) {
   assert(from < nodes_.size());
   // Airtime is charged from size_bytes, so it must be the frame's exact
-  // encoded size (make_control stamps it; anything smaller than the codec
-  // floor would also break the sharded kernel's lookahead soundness).
+  // encoded size (make_control stamps it; no encodable frame is smaller
+  // than the codec floor, the airtime floor checked at startup).
   assert(pkt.size_bytes >= net::wire::kMinControlBytes &&
          pkt.size_bytes == net::wire::encoded_control_size(pkt.payload) &&
          "control frames must carry their exact encoded size");
@@ -176,13 +176,7 @@ void CommonChannelMac::end_of_tx(net::NodeId id) {
       continue;
     }
     unicast_ok = true;
-    if (rst.handler) {
-      // The reception executes as the receiver's shard: protocol reactions
-      // (timers, forwards, replies) land in r's wheel, and a boundary hop
-      // is counted as zero-latency cross-shard channel traffic.
-      sim::ShardScope scope(sim_, sim_.shard_of_node(r));
-      rst.handler(pkt, id);
-    }
+    if (rst.handler) rst.handler(pkt, id);
   }
 
   // CSMA/CA acknowledges unicast frames; a missing ACK triggers a

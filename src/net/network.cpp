@@ -4,47 +4,24 @@
 #include <stdexcept>
 #include <string>
 
-#include "channel/lookahead.hpp"
 #include "net/packet.hpp"
 #include "net/wire.hpp"
-#include "sim/sharding.hpp"
 
 namespace rica::net {
 
 namespace {
 // Runs before any heavy member construction: cfg_ is the first member, so
-// validating inside its initializer rejects oversized populations (and
-// malformed shard requests) before mobility/channel state is allocated.
+// validating inside its initializer rejects oversized populations before
+// mobility/channel state is allocated.
 const NetworkConfig& validate(const NetworkConfig& cfg) {
-  // The wire layout constants back both airtime accounting and the sharded
-  // lookahead floor; refuse to build any network if they drifted from the
-  // live encoders.
+  // The wire layout constants back airtime accounting; refuse to build any
+  // network if they drifted from the live encoders.
   wire::check_wire_invariants();
   if (cfg.num_nodes > kMaxNodes) {
     throw std::invalid_argument(
         "NetworkConfig.num_nodes = " + std::to_string(cfg.num_nodes) +
         " exceeds the 2^24 node-id limit (routing history keys pack the "
         "origin id into 24 bits)");
-  }
-  if (cfg.kernel.shards > sim::Simulator::kMaxShards) {
-    throw std::invalid_argument(
-        "NetworkConfig.kernel.shards = " + std::to_string(cfg.kernel.shards) +
-        " exceeds the kernel's " +
-        std::to_string(sim::Simulator::kMaxShards) +
-        "-shard limit (shard ids ride in the top EventId bits)");
-  }
-  if (cfg.kernel.shards > 1) {
-    const std::size_t cols =
-        sim::grid_columns(cfg.mobility.field.width, cfg.channel.range_m);
-    if (cfg.kernel.shards > cols) {
-      throw std::invalid_argument(
-          "NetworkConfig.kernel.shards = " +
-          std::to_string(cfg.kernel.shards) + " exceeds the " +
-          std::to_string(cols) + " grid column(s) a " +
-          std::to_string(cfg.mobility.field.width) + " m field holds at " +
-          std::to_string(cfg.channel.range_m) +
-          " m range (shards stripe whole columns)");
-    }
   }
   return cfg;
 }
@@ -56,29 +33,6 @@ Network::Network(const NetworkConfig& cfg)
       mobility_(cfg.num_nodes, cfg.mobility, rng_),
       channel_(cfg.channel, mobility_, rng_),
       common_mac_(sim_, channel_, rng_, metrics_, cfg.common_mac) {
-  // Shard the kernel before anything can schedule: stripe the arena along
-  // the neighbor grid's columns from the t = 0 positions, and derive the
-  // conservative window from the channel/MAC minimum turnaround unless the
-  // caller pinned one.  shards <= 1 keeps the serial engine bit-for-bit.
-  if (cfg.kernel.shards > 1) {
-    std::vector<double> xs(cfg.num_nodes, 0.0);
-    {
-      std::vector<mobility::Vec2> pos;
-      mobility_.snapshot(sim::Time::zero(), pos);
-      for (std::size_t i = 0; i < pos.size(); ++i) xs[i] = pos[i].x;
-    }
-    sim::Time window = cfg.kernel.window;
-    if (window <= sim::Time::zero()) {
-      window = channel::conservative_lookahead(
-                   cfg.common_mac.rate_bps, cfg.common_mac.backoff_min,
-                   wire::kMinControlBytes, mobility_.max_speed_mps())
-                   .window;
-    }
-    sim_.configure_shards(
-        sim::stripe_shards(xs, cfg.mobility.field.width, cfg.channel.range_m,
-                           cfg.kernel.shards),
-        cfg.kernel.shards, window, cfg.kernel.threads);
-  }
   nodes_.reserve(cfg.num_nodes);
   for (std::size_t i = 0; i < cfg.num_nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>(
@@ -127,54 +81,6 @@ Network::Network(const NetworkConfig& cfg)
     for (const auto& n : nodes_) bits += n->data_header_bits();
     return static_cast<double>(bits) / 8.0;
   });
-  // Sharded-kernel telemetry: all zero on the serial engine, and the
-  // per-shard counters only exist when the kernel is actually sharded (so
-  // serial snapshots keep their pre-sharding shape).
-  registry_.counter_fn("kernel.windows", [this] {
-    return static_cast<double>(sim_.windows());
-  });
-  registry_.counter_fn("kernel.staged_events", [this] {
-    return static_cast<double>(sim_.staged_events());
-  });
-  registry_.counter_fn("kernel.cross_shard_sends", [this] {
-    return static_cast<double>(sim_.cross_shard_sends());
-  });
-  registry_.counter_fn("kernel.sync_crossings", [this] {
-    return static_cast<double>(sim_.sync_crossings());
-  });
-  if (sim_.sharded()) {
-    registry_.gauge_fn("kernel.shards", [this] {
-      return static_cast<double>(sim_.num_shards());
-    });
-    for (std::uint32_t s = 0; s < sim_.num_shards(); ++s) {
-      registry_.counter_fn("kernel.shard" + std::to_string(s) + ".events",
-                           [this, s] {
-                             return static_cast<double>(sim_.shard_events(s));
-                           });
-      // Staging utilization: the share of all fired events that this
-      // shard fired — balanced sharding reads ~1/num_shards per shard.
-      registry_.gauge_fn(
-          "kernel.shard" + std::to_string(s) + ".staging_util", [this, s] {
-            const auto total = sim_.events_executed();
-            return total == 0 ? 0.0 :
-                                static_cast<double>(sim_.shard_events(s)) /
-                                    static_cast<double>(total);
-          });
-    }
-    // Lookahead efficiency: events the parallel staging phase pre-sorted
-    // per conservative window — the payoff of the lookahead horizon.
-    registry_.gauge_fn("kernel.lookahead_efficiency", [this] {
-      const auto w = sim_.windows();
-      return w == 0 ? 0.0 : static_cast<double>(sim_.staged_events()) /
-                                static_cast<double>(w);
-    });
-    // Per-window staged-event distribution, fed from the kernel's window
-    // hook (a plain callback: the kernel stays obs-free).
-    auto& staged_hist = registry_.histogram("kernel.staged_per_window");
-    sim_.set_window_hook([&staged_hist](std::uint64_t staged) {
-      staged_hist.record(static_cast<std::int64_t>(staged));
-    });
-  }
 }
 
 std::size_t Network::pool_high_water() const {
@@ -196,14 +102,7 @@ std::uint64_t Network::buffered_packets() const {
 }
 
 void Network::start() {
-  for (auto& node : nodes_) {
-    // Seed each node's protocol timer chain into its home shard: periodic
-    // beacons/updates re-arm from their own callbacks, so the whole chain
-    // inherits the shard it starts in.
-    sim::ShardScope scope(sim_, sim_.shard_of_node(node->id()),
-                          sim::ShardScope::Kind::kHoming);
-    node->start();
-  }
+  for (auto& node : nodes_) node->start();
 }
 
 void Network::set_delivery_observer(Node::DeliveryObserverFn fn) {

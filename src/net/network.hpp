@@ -26,12 +26,6 @@ struct NetworkConfig {
   mac::CommonChannelConfig common_mac{};
   mac::LinkConfig link{};
   std::uint64_t seed = 1;
-  /// Sharded-kernel knobs.  shards > 1 splits the arena into grid-column
-  /// stripes (from the t = 0 positions) with one event wheel each, staged
-  /// on `threads` workers behind the channel-derived conservative window
-  /// (kernel.window zero derives it; see channel/lookahead.hpp).  The
-  /// defaults keep the serial engine — and its golden hashes — untouched.
-  sim::KernelConfig kernel{};
 };
 
 // kMaxNodes (the 24-bit node-id ceiling this constructor enforces) lives in

@@ -487,7 +487,7 @@ void check_wire_invariants() {
     throw std::logic_error(
         "wire: smallest encodable control frame is " +
         std::to_string(min_seen) + " bytes but kMinControlBytes — the "
-        "sharded kernel's lookahead floor — is " +
+        "airtime floor — is " +
         std::to_string(kMinControlBytes));
   }
   std::vector<std::uint8_t> buf;

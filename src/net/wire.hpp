@@ -27,11 +27,12 @@
 // (an LsuMsg whose row would overflow the u16 size field throws instead of
 // truncating, the bug the old Sizer hid behind a debug-only assert).
 //
-// The sharded kernel's conservative-lookahead floor is derived *here*:
-// `kMinControlBytes` is the minimum over every codec's smallest frame,
-// checked against the live encoders by check_wire_invariants() at network
-// construction, so the floor can never drift from what the codecs emit
-// (it used to be a hand-synced constant in packet.hpp).
+// The smallest encodable frame is derived *here*: `kMinControlBytes` is the
+// minimum over every codec's smallest frame — the floor on any control
+// frame's airtime — checked against the live encoders by
+// check_wire_invariants() at network construction, so it can never drift
+// from what the codecs emit (it used to be a hand-synced constant in
+// packet.hpp).
 #pragma once
 
 #include <array>
@@ -181,7 +182,7 @@ inline constexpr std::uint16_t kLsuLinkBytes = 5;
 /// Fixed body bytes of each ControlPayload alternative, indexed by variant
 /// index (the LsuMsg entry is its zero-link body: origin, seq, link count).
 /// The serializers in wire.cpp are the source of truth; these constants
-/// exist so the lookahead floor below is a compile-time value, and
+/// exist so the frame-size floor below is a compile-time value, and
 /// check_wire_invariants() proves they match the live encoders.
 inline constexpr std::array<std::uint16_t, 17> kControlBodyBytes = {
     22,  // RreqMsg:        src, dst, bid, csi_hops f64, topo_hops u16
@@ -214,13 +215,11 @@ namespace detail {
 }  // namespace detail
 
 /// Smallest control frame any codec emits (the ABR beacon: header + u32
-/// origin).  This is the sharded kernel's lookahead floor — no transmission
-/// can complete, and therefore no cross-shard causal effect can land, in
-/// less than this frame's airtime plus the MAC's minimum backoff
-/// (channel/lookahead.hpp).  Derived from the codec table above and
-/// cross-checked against the live encoders by check_wire_invariants(), so
-/// a codec change that shrinks any frame is a build/startup error, never a
-/// silently unsound lookahead window.
+/// origin), and therefore the floor on any control frame's airtime: the MAC
+/// asserts every frame it sends is at least this long.  Derived from the
+/// codec table above and cross-checked against the live encoders by
+/// check_wire_invariants(), so a codec change that shrinks any frame is a
+/// build/startup error, never a silently stale constant.
 inline constexpr std::uint16_t kMinControlBytes =
     kControlHeaderBytes + detail::min_body_bytes();
 static_assert(kMinControlBytes == 9, "ABR beacon: 5-byte header + u32 origin");
@@ -279,7 +278,7 @@ std::size_t encode_data_header(const DataPacket& pkt,
 /// exactly kControlHeaderBytes + kControlBodyBytes[index] bytes, the
 /// minimum over them must equal kMinControlBytes, and the data header must
 /// encode to kDataHeaderBytes.  Throws std::logic_error naming the
-/// offending type on any drift — the lookahead floor and airtime
+/// offending type on any drift — the frame-size floor and airtime
 /// accounting both lean on these constants.  Called by the Network
 /// constructor, so no simulation can run with a drifted table.
 void check_wire_invariants();

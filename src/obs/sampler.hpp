@@ -74,9 +74,8 @@ class KernelProbe final : public sim::KernelObserver {
       : tracer_(tracer), perfetto_(perfetto) {}
 
   void on_kernel_window(sim::Time now, std::uint64_t events_executed,
-                        std::uint64_t batched_fires, std::size_t pending,
-                        const std::size_t* shard_pending,
-                        std::size_t num_shards) override;
+                        std::uint64_t batched_fires,
+                        std::size_t pending) override;
 
  private:
   Tracer* tracer_;

@@ -156,7 +156,7 @@ bool EventEngine::cancel(EventId id) {
 
 bool EventEngine::pending(EventId id) const { return decode(id) != kNil; }
 
-bool EventEngine::wheel_step(std::uint64_t max_tick, bool append) {
+bool EventEngine::wheel_step() {
   // Rung 0: harvest the earliest occupied bucket *whole* into the flat
   // batch and sort it once by (at, seq) — every event in it then fires
   // off the cursor with no per-event heap churn.  Every event in the
@@ -168,20 +168,12 @@ bool EventEngine::wheel_step(std::uint64_t max_tick, bool append) {
       if (bm[w] == 0) continue;
       const auto bidx =
           (w << 6) + static_cast<std::uint32_t>(std::countr_zero(bm[w]));
-      const std::uint64_t btick =
-          (cur_tick_ & ~static_cast<std::uint64_t>(0xFF)) | bidx;
-      if (btick > max_tick) return false;
-      cur_tick_ = btick;
+      cur_tick_ = (cur_tick_ & ~static_cast<std::uint64_t>(0xFF)) | bidx;
       std::uint32_t it = wheel_[0][bidx];
       wheel_[0][bidx] = kNil;
       occupied_[0][w] &= ~(1ull << (bidx & 63));
-      if (!append) {
-        batch_.clear();  // fully consumed: only stale entries could remain
-        batch_pos_ = 0;
-      }
-      // When appending (staging), harvested ticks strictly increase, so
-      // sorting just the appended range keeps the whole batch ordered.
-      const auto first = static_cast<std::ptrdiff_t>(batch_.size());
+      batch_.clear();  // fully consumed: only stale entries could remain
+      batch_pos_ = 0;
       while (it != kNil) {
         Slot& s = slot(it);
         const std::uint32_t next = s.next;
@@ -189,7 +181,7 @@ bool EventEngine::wheel_step(std::uint64_t max_tick, bool append) {
         batch_.push_back(ReadyEntry{s.at, s.seq, it, s.gen});
         it = next;
       }
-      std::sort(batch_.begin() + first, batch_.end(),
+      std::sort(batch_.begin(), batch_.end(),
                 [](const ReadyEntry& a, const ReadyEntry& b) {
                   if (a.at != b.at) return a.at < b.at;
                   return a.seq < b.seq;
@@ -200,8 +192,7 @@ bool EventEngine::wheel_step(std::uint64_t max_tick, bool append) {
   // Upper rungs: advance the clock to the earliest occupied bucket's
   // start and cascade its events down one (or more) rungs.  Rungs nest —
   // every rung r+1 event's tick is beyond every rung-r bucket — so the
-  // first occupied bucket found rung-upward is the global next work, and a
-  // bucket start past max_tick means everything left is past it too.
+  // first occupied bucket found rung-upward is the global next work.
   for (int rung = 1; rung < kRungs; ++rung) {
     const auto& bm = occupied_[static_cast<std::size_t>(rung)];
     for (std::uint32_t w = 0; w < 4; ++w) {
@@ -211,10 +202,8 @@ bool EventEngine::wheel_step(std::uint64_t max_tick, bool append) {
       const int shift = rung * kRungBits;
       const std::uint64_t span_mask =
           (static_cast<std::uint64_t>(1) << (shift + kRungBits)) - 1;
-      const std::uint64_t start = (cur_tick_ & ~span_mask) |
-                                  (static_cast<std::uint64_t>(bidx) << shift);
-      if (start > max_tick) return false;
-      cur_tick_ = start;
+      cur_tick_ = (cur_tick_ & ~span_mask) |
+                  (static_cast<std::uint64_t>(bidx) << shift);
       std::uint32_t it = wheel_[static_cast<std::size_t>(rung)][bidx];
       wheel_[static_cast<std::size_t>(rung)][bidx] = kNil;
       occupied_[static_cast<std::size_t>(rung)][w] &= ~(1ull << (bidx & 63));
@@ -234,7 +223,6 @@ bool EventEngine::wheel_step(std::uint64_t max_tick, bool append) {
        it = slot(it).next) {
     min_tick = std::min(min_tick, ticks(slot(it).at));
   }
-  if (min_tick > max_tick) return false;
   const std::uint64_t top_mask =
       (static_cast<std::uint64_t>(1) << (kRungBits * kRungs)) - 1;
   cur_tick_ = min_tick & ~top_mask;
@@ -254,27 +242,9 @@ void EventEngine::advance_wheel() {
     // bucket-start tick, which files them into the spill heap — that
     // already is the progress this function owes its caller.
     if (batch_pos_ < batch_.size() || !spill_.empty()) return;
-    const bool progressed =
-        wheel_step(~std::uint64_t{0}, /*append=*/false);
-    (void)progressed;
+    [[maybe_unused]] const bool progressed = wheel_step();
     assert(progressed && "advance_wheel() with no events");
   }
-}
-
-void EventEngine::stage_until(Time horizon) {
-  if (size_ == 0) return;
-  // Compact the consumed prefix so multi-window batches stay bounded; the
-  // live tail keeps its (at, seq) order.
-  if (batch_pos_ > 0) {
-    batch_.erase(batch_.begin(),
-                 batch_.begin() + static_cast<std::ptrdiff_t>(batch_pos_));
-    batch_pos_ = 0;
-  }
-  const std::uint64_t htick = ticks(horizon);
-  const std::size_t before = batch_.size();
-  while (wheel_step(htick, /*append=*/true)) {
-  }
-  staged_events_ += batch_.size() - before;
 }
 
 void EventEngine::ensure_ready() {
@@ -313,13 +283,6 @@ Time EventEngine::next_time() {
   assert(!empty() && "next_time() on empty EventEngine");
   ensure_ready();
   return peek_min().at;
-}
-
-std::pair<Time, std::uint64_t> EventEngine::next_key() {
-  assert(!empty() && "next_key() on empty EventEngine");
-  ensure_ready();
-  const ReadyEntry& e = peek_min();
-  return {e.at, e.seq};
 }
 
 EventEngine::Fired EventEngine::fire_next() {

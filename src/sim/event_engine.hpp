@@ -74,15 +74,6 @@ class EventEngine {
   EventEngine(const EventEngine&) = delete;
   EventEngine& operator=(const EventEngine&) = delete;
 
-  /// Points the engine's schedule-sequence source at a counter shared with
-  /// other engines (the sharded kernel's global tie-break).  Must be called
-  /// before the first schedule(); the engine never contends on the counter —
-  /// the sharded Simulator only schedules from its serial commit phase.
-  void use_shared_seq(std::uint64_t* counter) {
-    assert(size_ == 0 && next_seq_ == 0 && "use_shared_seq after schedule");
-    seq_counter_ = counter;
-  }
-
   /// Schedules `fn` at absolute time `at`. Returns a handle for cancel().
   template <typename F>
   EventId schedule(Time at, F&& fn) {
@@ -90,7 +81,7 @@ class EventEngine {
     const std::uint32_t idx = alloc_slot();
     Slot& s = slot(idx);
     s.at = at;
-    s.seq = (*seq_counter_)++;
+    s.seq = next_seq_++;
     if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(s.storage)) D(std::forward<F>(fn));
       s.ops = &InlineOps<D>::kOps;
@@ -122,21 +113,6 @@ class EventEngine {
   /// Time of the earliest pending event. Requires !empty().
   [[nodiscard]] Time next_time();
 
-  /// (time, seq) of the earliest pending event — the sharded kernel's
-  /// cross-engine merge key. Requires !empty().
-  [[nodiscard]] std::pair<Time, std::uint64_t> next_key();
-
-  /// Pre-sorts every pending event whose wheel tick starts at or before
-  /// `horizon` into the flat batch (harvesting rung-0 buckets and cascading
-  /// upper rungs as needed), without firing anything.  This is the sharded
-  /// kernel's parallel phase: it touches only engine-local state, so
-  /// distinct engines may stage concurrently while no thread fires.
-  /// Multiple buckets accumulate in the batch — ticks strictly increase
-  /// across harvests, so per-bucket sorts keep the whole batch ordered by
-  /// (at, seq) — and the consumed prefix is compacted first so batches
-  /// stay bounded across windows.
-  void stage_until(Time horizon);
-
   /// A fired event's identity (the callback has already been invoked).
   struct Fired {
     Time at;
@@ -148,12 +124,6 @@ class EventEngine {
   Fired fire_next();
 
   // -- diagnostics ----------------------------------------------------------
-  /// Total events ever scheduled (global across engines when the sequence
-  /// counter is shared).
-  [[nodiscard]] std::uint64_t total_scheduled() const { return *seq_counter_; }
-  /// Events pre-sorted into the batch by stage_until() (the work the
-  /// sharded kernel moved off the serial commit path).
-  [[nodiscard]] std::uint64_t staged_events() const { return staged_events_; }
   /// Slab high-water mark: maximum event records ever in use at once (the
   /// Simulator tracks peak *pending* events itself, across both backends).
   [[nodiscard]] std::size_t slab_high_water() const { return slab_high_water_; }
@@ -267,12 +237,10 @@ class EventEngine {
   void ensure_ready();
   /// Harvests or cascades the next occupied wheel/overflow bucket.
   void advance_wheel();
-  /// One wheel advancement step, gated at `max_tick`: harvests the next
-  /// rung-0 bucket (appending to the batch when `append`, replacing the
-  /// consumed batch otherwise), cascades an upper rung, or re-files the
-  /// overflow list.  Returns false when every remaining event lies beyond
-  /// `max_tick` (or the wheel is empty).
-  bool wheel_step(std::uint64_t max_tick, bool append);
+  /// One wheel advancement step: harvests the next rung-0 bucket into the
+  /// (fully consumed) batch, cascades an upper rung, or re-files the
+  /// overflow list.  Returns false when the wheel and overflow are empty.
+  bool wheel_step();
   /// The live entry with the smallest (at, seq): the batch cursor or the
   /// spill top.  Requires ensure_ready() to have just run.
   [[nodiscard]] const ReadyEntry& peek_min() const;
@@ -295,13 +263,9 @@ class EventEngine {
   std::uint64_t cur_tick_ = 0;  ///< tick of the last harvested bucket
   Time fired_floor_ = Time::zero();  ///< guards the exact-order precondition
   std::uint64_t next_seq_ = 0;
-  /// Sequence source: the engine's own counter, or a counter shared across
-  /// the sharded kernel's engines (see use_shared_seq()).
-  std::uint64_t* seq_counter_ = &next_seq_;
   std::size_t size_ = 0;
   std::uint64_t heap_fallbacks_ = 0;
   std::uint64_t batched_fires_ = 0;
-  std::uint64_t staged_events_ = 0;
 };
 
 }  // namespace rica::sim

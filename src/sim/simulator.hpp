@@ -7,32 +7,13 @@
 // The event core is the slab-backed timing wheel (EventEngine), which pops
 // in exact (timestamp, schedule-seq) order — runs are bit-identical for a
 // fixed seed, and the golden test suite pins full-stack stream hashes
-// against captured references.
-//
-// -- sharded mode ------------------------------------------------------------
-// configure_shards() splits the kernel into one EventEngine wheel per
-// spatial shard (see sim/sharding.hpp), all drawing schedule sequence
-// numbers from one shared counter.  The run loop then proceeds in
-// conservative windows: it picks the global minimum timestamp tmin, sizes a
-// horizon tmin + window (the channel-derived lookahead), lets worker
-// threads *stage* every shard concurrently up to the horizon (wheel
-// cascades, bucket harvests, batch sorts — engine-local work), and then
-// *commits* serially, firing events across all shards in exact global
-// (at, seq) order.  Because the commit order and the shared sequence
-// counter reproduce the single-engine order event for event, every RNG
-// draw, channel query, and metrics fold happens in the identical order —
-// the stream hash is byte-identical for ANY thread or shard count, and the
-// lookahead window only shapes how much sorting work the parallel phase
-// can absorb, never correctness.  The serial engine (1 shard) remains the
-// golden reference and keeps its exact pre-sharding behavior.
+// against captured references.  The kernel is single-threaded; cores are
+// spent on independent runs (harness::run_speed_sweep), never inside one.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "sim/event_engine.hpp"
 #include "sim/time.hpp"
@@ -49,111 +30,45 @@ class KernelObserver {
   /// Called after a fired event once at least the configured interval of
   /// sim time has elapsed since the previous call (and after the first
   /// fired event).  `pending` is the queue size after the fire.
-  /// `shard_pending` points at `num_shards` per-shard queue sizes when the
-  /// kernel is sharded (nullptr / 0 on the serial engine).
   virtual void on_kernel_window(Time now, std::uint64_t events_executed,
                                 std::uint64_t batched_fires,
-                                std::size_t pending,
-                                const std::size_t* shard_pending,
-                                std::size_t num_shards) = 0;
+                                std::size_t pending) = 0;
 };
 
-/// Kernel parallelism knobs, wired from the harness (--threads/--shards).
-struct KernelConfig {
-  unsigned threads = 1;     ///< staging worker threads; <=1 stages inline
-  std::uint32_t shards = 1; ///< per-shard wheels; 1 = the serial engine
-  Time window = Time::zero();  ///< conservative lookahead window per barrier
-};
-
-/// Discrete-event simulation kernel: clock + event core(s) + run loop.
+/// Discrete-event simulation kernel: clock + event core + run loop.
 class Simulator {
  public:
-  /// Shard ids ride in the top 6 bits of an EventId (the slab index below
-  /// never reaches 2^26 slots), so shard 0 handles are bit-identical to the
-  /// serial engine's.
-  static constexpr std::uint32_t kMaxShards = 64;
-  static constexpr int kShardShift = 58;
-
-  Simulator();
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  /// Splits the kernel into `num_shards` wheels with `node_shard` mapping
-  /// each node id to its home shard, synchronizing on `window` of
-  /// lookahead, staging on `threads` workers.  Must be called before any
-  /// event is scheduled; with num_shards == 1 the kernel stays serial.
-  void configure_shards(std::vector<std::uint32_t> node_shard,
-                        std::uint32_t num_shards, Time window,
-                        unsigned threads);
-
-  [[nodiscard]] bool sharded() const { return engines_.size() > 1; }
-  [[nodiscard]] std::uint32_t num_shards() const {
-    return static_cast<std::uint32_t>(engines_.size());
-  }
-  /// Home shard of a node (0 for every node on the serial engine).
-  [[nodiscard]] std::uint32_t shard_of_node(std::uint32_t node) const {
-    return node < node_shard_.size() ? node_shard_[node] : 0;
-  }
-  /// The shard whose event is currently executing (the ambient shard new
-  /// events land in); 0 outside the run loop and on the serial engine.
-  [[nodiscard]] std::uint32_t current_shard() const { return ambient_; }
 
   /// Current simulation time.
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Schedules `fn` at absolute time `when` (must not precede now()) in
-  /// the ambient shard.
+  /// Schedules `fn` at absolute time `when` (must not precede now()).
   template <typename F>
   EventId at(Time when, F&& fn) {
-    return at_shard(ambient_, when, std::forward<F>(fn));
+    assert(when >= now_ && "cannot schedule in the past");
+    const EventId id = engine_.schedule(when, std::forward<F>(fn));
+    if (engine_.size() > peak_pending_) peak_pending_ = engine_.size();
+    return id;
   }
 
-  /// Schedules `fn` after a non-negative relative `delay` in the ambient
-  /// shard.
+  /// Schedules `fn` after a non-negative relative `delay`.
   template <typename F>
   EventId after(Time delay, F&& fn) {
     assert(delay >= Time::zero() && "negative delay");
-    return at_shard(ambient_, now_ + delay, std::forward<F>(fn));
-  }
-
-  /// Schedules `fn` at `when` in node `owner`'s home shard, counting a
-  /// cross-shard channel send when that differs from the ambient shard.
-  template <typename F>
-  EventId at_node(std::uint32_t owner, Time when, F&& fn) {
-    const std::uint32_t tgt = shard_of_node(owner);
-    if (tgt != ambient_) note_channel_send(tgt, when);
-    return at_shard(tgt, when, std::forward<F>(fn));
-  }
-
-  /// Schedules `fn` after `delay` in node `owner`'s home shard.
-  template <typename F>
-  EventId after_node(std::uint32_t owner, Time delay, F&& fn) {
-    assert(delay >= Time::zero() && "negative delay");
-    return at_node(owner, now_ + delay, std::forward<F>(fn));
+    return at(now_ + delay, std::forward<F>(fn));
   }
 
   /// Cancels a pending event; no-op if it already fired.
-  bool cancel(EventId id) {
-    const std::uint32_t s = shard_of_id(id);
-    if (s >= engines_.size()) return false;
-    const bool live = engines_[s]->cancel(untag(id));
-    if (live) --live_;
-    return live;
-  }
+  bool cancel(EventId id) { return engine_.cancel(id); }
 
   /// True while `id` refers to a still-pending event.
-  [[nodiscard]] bool pending(EventId id) const {
-    const std::uint32_t s = shard_of_id(id);
-    return s < engines_.size() && engines_[s]->pending(untag(id));
-  }
+  [[nodiscard]] bool pending(EventId id) const { return engine_.pending(id); }
 
   /// Runs events with timestamp <= `end`, then sets the clock to `end`.
   void run_until(Time end);
-
-  /// Runs until the event queue is empty (use with care: timer chains that
-  /// re-arm themselves never drain; prefer run_until()).
-  void run_all();
 
   // -- kernel observability ---------------------------------------------------
   /// Number of events executed so far.
@@ -162,78 +77,29 @@ class Simulator {
   }
 
   /// Number of pending events (for tests/diagnostics).
-  [[nodiscard]] std::size_t pending_events() const { return live_; }
+  [[nodiscard]] std::size_t pending_events() const { return engine_.size(); }
 
   /// Maximum simultaneously pending events seen so far.
   [[nodiscard]] std::size_t peak_pending_events() const {
     return peak_pending_;
   }
 
-  /// Event-record memory high-water mark (slab slots in use at once,
-  /// summed over shards).
+  /// Event-record memory high-water mark (slab slots in use at once).
   [[nodiscard]] std::size_t slab_high_water() const {
-    std::size_t hw = 0;
-    for (const auto& e : engines_) hw += e->slab_high_water();
-    return hw;
+    return engine_.slab_high_water();
   }
 
   /// Closures that outgrew the engine's inline callback buffer and spilled
   /// to a heap cell.
   [[nodiscard]] std::uint64_t heap_fallbacks() const {
-    std::uint64_t n = 0;
-    for (const auto& e : engines_) n += e->heap_fallbacks();
-    return n;
+    return engine_.heap_fallbacks();
   }
 
   /// Events fired straight off the engine's sorted flat batch (the rest
   /// went through the spill heap).
   [[nodiscard]] std::uint64_t batched_fires() const {
-    std::uint64_t n = 0;
-    for (const auto& e : engines_) n += e->batched_fires();
-    return n;
+    return engine_.batched_fires();
   }
-
-  // -- sharded-kernel telemetry ----------------------------------------------
-  /// Conservative windows committed (0 on the serial engine).
-  [[nodiscard]] std::uint64_t windows() const { return windows_; }
-  /// Events pre-sorted by the parallel staging phase.
-  [[nodiscard]] std::uint64_t staged_events() const {
-    std::uint64_t n = 0;
-    for (const auto& e : engines_) n += e->staged_events();
-    return n;
-  }
-  /// Scheduled sends that crossed a shard boundary (at_node/after_node
-  /// with an owner outside the ambient shard).
-  [[nodiscard]] std::uint64_t cross_shard_sends() const {
-    return cross_shard_sends_;
-  }
-  /// Zero-latency deliveries into another shard's state (ShardScope
-  /// delivery entries: MAC receptions and link handoffs across a
-  /// boundary).
-  [[nodiscard]] std::uint64_t sync_crossings() const {
-    return sync_crossings_;
-  }
-  /// Events fired from shard `s`.
-  [[nodiscard]] std::uint64_t shard_events(std::uint32_t s) const {
-    return s < shard_events_.size() ? shard_events_[s] : 0;
-  }
-  /// Pending events in shard `s`.
-  [[nodiscard]] std::size_t shard_pending(std::uint32_t s) const {
-    return s < engines_.size() ? engines_[s]->size() : 0;
-  }
-  /// Total traffic of the (from, to) cross-shard channel: scheduled sends
-  /// plus zero-latency deliveries.  Requires both shards in range.
-  [[nodiscard]] std::uint64_t channel_traffic(std::uint32_t from,
-                                              std::uint32_t to) const {
-    return channel_counts_[from * num_shards() + to];
-  }
-
-  /// Test hook observing every cross-shard handoff: (from, to, at, sync).
-  /// `sync` marks a zero-latency ShardScope delivery; scheduled channel
-  /// sends report the event's timestamp.  Keep unset in production runs.
-  using ChannelHook =
-      std::function<void(std::uint32_t, std::uint32_t, Time, bool)>;
-  void set_channel_hook(ChannelHook hook) { channel_hook_ = std::move(hook); }
 
   /// Installs (or removes, with nullptr) a kernel observer.  The observer
   /// is invoked from the run loop at most once per `min_interval` of sim
@@ -244,111 +110,15 @@ class Simulator {
     next_observation_ = Time::zero();
   }
 
-  /// Per-window staging telemetry: called after each conservative window's
-  /// staging phase with the number of events that phase pre-sorted.  A
-  /// plain callback (like KernelObserver, the kernel stays free of any
-  /// observability dependency); never fires on the serial engine.  The
-  /// hook runs between windows — it must not schedule or cancel events.
-  using WindowHook = std::function<void(std::uint64_t staged_delta)>;
-  void set_window_hook(WindowHook hook) { window_hook_ = std::move(hook); }
-
  private:
-  friend class ShardScope;
-
-  static constexpr EventId kRawIdMask =
-      (EventId{1} << kShardShift) - 1;
-
-  static constexpr std::uint32_t shard_of_id(EventId id) {
-    return static_cast<std::uint32_t>(id >> kShardShift);
-  }
-  static constexpr EventId untag(EventId id) { return id & kRawIdMask; }
-
-  template <typename F>
-  EventId at_shard(std::uint32_t shard, Time when, F&& fn) {
-    assert(when >= now_ && "cannot schedule in the past");
-    const EventId raw = engines_[shard]->schedule(when, std::forward<F>(fn));
-    assert((raw & ~kRawIdMask) == 0 && "slab index overflows the shard tag");
-    note_scheduled();
-    return raw | (static_cast<EventId>(shard) << kShardShift);
-  }
-
-  void note_scheduled() {
-    const std::size_t n = ++live_;
-    if (n > peak_pending_) peak_pending_ = n;
-  }
-
-  void note_channel_send(std::uint32_t to, Time when) {
-    ++cross_shard_sends_;
-    ++channel_counts_[ambient_ * num_shards() + to];
-    if (channel_hook_) channel_hook_(ambient_, to, when, false);
-  }
-
-  void note_sync_crossing(std::uint32_t from, std::uint32_t to) {
-    ++sync_crossings_;
-    ++channel_counts_[from * num_shards() + to];
-    if (channel_hook_) channel_hook_(from, to, now_, true);
-  }
-
-  void observe_fire();
-  /// The conservative stage/commit window loop; `bound_clock` replicates
-  /// run_until()'s trailing clock advance to `end`.
-  void run_windows(Time end, bool bound_clock);
-  /// Stages every shard up to `horizon` — on the worker pool when one is
-  /// running, inline otherwise.
-  void stage_all(Time horizon);
-
-  struct StagePool;
-
-  std::vector<std::unique_ptr<EventEngine>> engines_;
-  std::vector<std::uint32_t> node_shard_;
-  std::uint64_t shared_seq_ = 0;
-  Time window_ = Time::zero();
-  std::uint32_t ambient_ = 0;
-  std::unique_ptr<StagePool> pool_;
-
+  EventEngine engine_;
   Time now_ = Time::zero();
   std::uint64_t events_executed_ = 0;
-  std::size_t live_ = 0;
   std::size_t peak_pending_ = 0;
-
-  std::uint64_t windows_ = 0;
-  std::uint64_t cross_shard_sends_ = 0;
-  std::uint64_t sync_crossings_ = 0;
-  std::vector<std::uint64_t> shard_events_;
-  std::vector<std::uint64_t> channel_counts_;
-  std::vector<std::size_t> shard_pending_scratch_;
-  ChannelHook channel_hook_;
-  WindowHook window_hook_;
 
   KernelObserver* observer_ = nullptr;
   Time observer_interval_ = Time::zero();
   Time next_observation_ = Time::zero();
-};
-
-/// RAII ambient-shard switch: executes the enclosed scope as shard
-/// `shard`, so events the scope schedules land in that shard's wheel.
-/// Delivery entries (the default) crossing a boundary are counted as
-/// zero-latency channel traffic — the MAC's same-instant receptions and
-/// the link layer's handoffs; homing entries (seeding a component's timer
-/// chain into its owner's shard) switch silently.
-class ShardScope {
- public:
-  enum class Kind { kDelivery, kHoming };
-
-  ShardScope(Simulator& sim, std::uint32_t shard, Kind kind = Kind::kDelivery)
-      : sim_(sim), saved_(sim.ambient_) {
-    if (shard != saved_ && kind == Kind::kDelivery) {
-      sim_.note_sync_crossing(saved_, shard);
-    }
-    sim_.ambient_ = shard;
-  }
-  ~ShardScope() { sim_.ambient_ = saved_; }
-  ShardScope(const ShardScope&) = delete;
-  ShardScope& operator=(const ShardScope&) = delete;
-
- private:
-  Simulator& sim_;
-  std::uint32_t saved_;
 };
 
 }  // namespace rica::sim

@@ -1,23 +1,8 @@
 #include "stats/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace rica::stats {
-
-namespace {
-
-/// Nearest-rank lookup in an already-sorted sample.
-double sorted_percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank =
-      std::ceil(q / 100.0 * static_cast<double>(sorted.size()));
-  const auto idx = static_cast<std::size_t>(
-      std::clamp(rank - 1.0, 0.0, static_cast<double>(sorted.size() - 1)));
-  return sorted[idx];
-}
-
-}  // namespace
 
 void ThroughputSeries::add_bits(sim::Time at, double bits) {
   const auto idx = static_cast<std::size_t>(at.nanos() / bucket_.nanos());
@@ -185,11 +170,6 @@ double stddev(const std::vector<double>& xs) {
   double acc = 0.0;
   for (const double x : xs) acc += (x - m) * (x - m);
   return std::sqrt(acc / static_cast<double>(xs.size() - 1));
-}
-
-double percentile(std::vector<double> xs, double q) {
-  std::sort(xs.begin(), xs.end());
-  return sorted_percentile(xs, q);
 }
 
 double jain_index(const std::vector<double>& xs) {

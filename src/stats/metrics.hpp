@@ -141,10 +141,9 @@ struct MetricsSummary {
   std::map<std::string, obs::Sample> stats;
   /// Bounded log-bucketed distributions, keyed by name: always-on
   /// "delay_ns" / "queue_depth" / "airtime_ns" from the collector plus any
-  /// histogram registered in the obs::Registry (e.g. the sharded kernel's
-  /// "kernel.staged_per_window").  Across trials, average() merges by name
-  /// — LogHistogram::merge is exact and associative, so pooled percentiles
-  /// are identical no matter how trials are grouped.
+  /// histogram registered in the obs::Registry.  Across trials, average()
+  /// merges by name — LogHistogram::merge is exact and associative, so
+  /// pooled percentiles are identical no matter how trials are grouped.
   std::map<std::string, obs::LogHistogram> histograms;
 };
 
@@ -291,9 +290,6 @@ class MetricsCollector {
 [[nodiscard]] double mean(const std::vector<double>& xs);
 /// Sample standard deviation (0 for fewer than two values).
 [[nodiscard]] double stddev(const std::vector<double>& xs);
-/// Nearest-rank percentile (q in [0, 100]) of an unsorted sample; 0 when
-/// empty.  Copies and sorts, so callers keep their sample order.
-[[nodiscard]] double percentile(std::vector<double> xs, double q);
 /// Jain's fairness index (sum x)^2 / (n * sum x^2) over per-flow shares:
 /// 1 when every flow gets an equal share, 1/n when one flow takes all.
 /// Conventions: 0 for an empty set; 1 when every share is zero (uniformly

@@ -331,12 +331,6 @@ void OpenLoopTraffic::schedule_next(std::size_t flow_idx) {
   const double gap_s = next_gap_s(flow_idx);
   const sim::Time at = network_.simulator().now() + sim::seconds_f(gap_s);
   if (at >= stop_) return;
-  // Home the flow's timer chain in its source node's shard so arrivals and
-  // the MAC/link work they trigger stage in parallel with other shards.
-  sim::ShardScope scope(network_.simulator(),
-                        network_.simulator().shard_of_node(
-                            flows_[flow_idx].src),
-                        sim::ShardScope::Kind::kHoming);
   timers_[flow_idx].arm_at(network_.simulator(), at, [this, flow_idx] {
     const Flow& f = flows_[flow_idx];
     emit(flow_idx, f.src, f.dst, next_packet_bytes(flow_idx));

@@ -201,79 +201,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(harness::to_string(info.param));
     });
 
-// ---------------------------------------------------------------------------
-// Sharded-kernel parallel variants: the kernel commits in global (at, seq)
-// order off one shared sequence counter, so the metrics stream — and its
-// pinned hash — must be byte-identical for ANY shard/thread count.  Only
-// the kernel's *internal* work accounting may differ: staging pre-sorts
-// events into the flat batch (inflating batched_fires) and each shard owns
-// its own slab (summed slab_high_water exceeds the serial single-slab
-// peak), so those two fields are exempt; everything semantic is not.
-// ---------------------------------------------------------------------------
-
-void expect_parallel_identical(const harness::ScenarioResult& serial,
-                               const harness::ScenarioResult& sharded) {
-  EXPECT_EQ(serial.stream_hash, sharded.stream_hash);
-  EXPECT_EQ(serial.generated, sharded.generated);
-  EXPECT_EQ(serial.delivered, sharded.delivered);
-  EXPECT_EQ(serial.delivery_pct, sharded.delivery_pct);
-  EXPECT_EQ(serial.avg_delay_ms, sharded.avg_delay_ms);
-  EXPECT_EQ(serial.overhead_kbps, sharded.overhead_kbps);
-  EXPECT_EQ(serial.avg_link_tput_kbps, sharded.avg_link_tput_kbps);
-  EXPECT_EQ(serial.avg_hops, sharded.avg_hops);
-  EXPECT_EQ(serial.drops, sharded.drops);
-  EXPECT_EQ(serial.control_transmissions, sharded.control_transmissions);
-  EXPECT_EQ(serial.control_collisions, sharded.control_collisions);
-  EXPECT_EQ(serial.tput_kbps_series, sharded.tput_kbps_series);
-  EXPECT_EQ(serial.counters, sharded.counters);
-  EXPECT_EQ(serial.delay_p50_ms, sharded.delay_p50_ms);
-  EXPECT_EQ(serial.delay_p95_ms, sharded.delay_p95_ms);
-  EXPECT_EQ(serial.delay_p99_ms, sharded.delay_p99_ms);
-  EXPECT_EQ(serial.jain_fairness, sharded.jain_fairness);
-  EXPECT_EQ(serial.events_executed, sharded.events_executed);
-  EXPECT_EQ(serial.peak_pending_events, sharded.peak_pending_events);
-  EXPECT_EQ(serial.heap_fallbacks, sharded.heap_fallbacks);
-  EXPECT_EQ(serial.pool_high_water, sharded.pool_high_water);
-  EXPECT_EQ(serial.table_load, sharded.table_load);
-}
-
-class GoldenParallel : public ::testing::TestWithParam<harness::ProtocolKind> {
-};
-
-TEST_P(GoldenParallel, ShardedKernelMatchesSerialAndCapture) {
-  const auto cfg = golden_config(GetParam());
-  const auto serial = harness::run_scenario(cfg);
-  // The golden field (1 km at 250 m range) holds 4 grid columns, so 2 and
-  // 4 shards are the legal parallel points; threads sweep past the shard
-  // count to cover the worker-pool idle-slot path.
-  for (const auto [shards, threads] :
-       {std::pair<std::uint32_t, unsigned>{2, 1}, {2, 2}, {4, 8}}) {
-    auto par = cfg;
-    par.shards = shards;
-    par.threads = threads;
-    const auto result = harness::run_scenario(par);
-    SCOPED_TRACE("shards=" + std::to_string(shards) +
-                 " threads=" + std::to_string(threads));
-    expect_parallel_identical(serial, result);
-    // The parallel digest must also equal the *pinned* capture, not just
-    // this binary's serial run — the same key the serial suite checks.
-    GoldenRegistry::instance().check(
-        "run:" + std::string(harness::to_string(GetParam())),
-        result.stream_hash);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllProtocols, GoldenParallel,
-    ::testing::Values(harness::ProtocolKind::kRica,
-                      harness::ProtocolKind::kBgca,
-                      harness::ProtocolKind::kAbr,
-                      harness::ProtocolKind::kAodv,
-                      harness::ProtocolKind::kLinkState),
-    [](const ::testing::TestParamInfo<harness::ProtocolKind>& info) {
-      return std::string(harness::to_string(info.param));
-    });
-
 TEST(GoldenWarmup, WarmupWindowMatchesCapture) {
   // The epoch-reset event must not disturb determinism: the warmed-up
   // digest covers only the post-transient stream and is pinned like the

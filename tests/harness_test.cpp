@@ -66,6 +66,17 @@ TEST(Flags, PositionalArgumentRejected) {
   EXPECT_THROW(parse({"oops"}), std::invalid_argument);
 }
 
+TEST(Flags, RequireKnownAcceptsListedAndRejectsOthers) {
+  EXPECT_NO_THROW(parse({"--sim-time", "5", "--verbose"})
+                      .require_known({"sim-time", "verbose", "seed"}));
+  try {
+    parse({"--sim-tme", "5"}).require_known({"sim-time"});
+    FAIL() << "a misspelled flag must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --sim-tme");
+  }
+}
+
 TEST(Flags, DefaultsWhenAbsent) {
   const auto f = parse({});
   EXPECT_EQ(f.get("trials", 5), 5);
@@ -545,9 +556,9 @@ TEST(AdaptiveChecks, StillDeliversUnderMobility) {
 }
 
 // ---------------------------------------------------------------------------
-// validate_scenario: one thrown pass for population, shard, and warmup
-// bounds, with messages naming the offending value (satellite of the
-// sharded-kernel work; run_scenario calls this before any construction).
+// validate_scenario: one thrown pass for population and warmup bounds, with
+// messages naming the offending value (run_scenario calls this before any
+// construction).
 // ---------------------------------------------------------------------------
 
 // Captures the exception message so tests can pin its content.
@@ -577,29 +588,6 @@ TEST(ValidateScenario, RejectsEmptyAndOversizedPopulations) {
   EXPECT_NE(msg.find("2^24"), std::string::npos) << msg;
   cfg.num_nodes = std::size_t{1} << 24;  // the limit itself is legal
   EXPECT_NO_THROW(validate_scenario(cfg));
-}
-
-TEST(ValidateScenario, RejectsMoreShardsThanTheKernelSupports) {
-  ScenarioConfig cfg;
-  cfg.field_m = 100000.0;  // plenty of columns; the shard-id cap must fire
-  cfg.shards = 65;
-  const auto msg = validation_error(cfg);
-  EXPECT_NE(msg.find("shards = 65"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("64-shard limit"), std::string::npos) << msg;
-}
-
-TEST(ValidateScenario, RejectsMoreShardsThanGridColumns) {
-  ScenarioConfig cfg;  // 1000 m field at 250 m range: 4 columns
-  cfg.shards = 5;
-  const auto msg = validation_error(cfg);
-  EXPECT_NE(msg.find("shards = 5"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("4 grid column"), std::string::npos) << msg;
-  cfg.shards = 4;
-  EXPECT_NO_THROW(validate_scenario(cfg));
-  // run_scenario front-loads the same check before building a network.
-  cfg.shards = 5;
-  EXPECT_THROW({ auto r = run_scenario(cfg); (void)r; },
-               std::invalid_argument);
 }
 
 TEST(ValidateScenario, RejectsWarmupOutsideTheRun) {

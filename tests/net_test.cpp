@@ -30,7 +30,7 @@ TEST(ControlSizes, AllTypesHavePositiveSize) {
 
 TEST(ControlSizes, BeaconIsSmallest) {
   // Beacons dominate ABR's idle overhead; they must be the cheapest packet
-  // (they are also the sharded kernel's lookahead floor, wire.hpp).
+  // (they are also the smallest encodable frame, wire.hpp).
   const auto beacon = wire::encoded_control_size(AbrBeaconMsg{});
   EXPECT_EQ(beacon, wire::kMinControlBytes);
   EXPECT_LT(beacon, wire::encoded_control_size(RreqMsg{}));

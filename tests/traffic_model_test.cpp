@@ -489,16 +489,6 @@ TEST(FairnessMetrics, JainIndexBoundaryCases) {
   EXPECT_NEAR(stats::jain_index({4.0, 2.0}), 0.9, 1e-12);
 }
 
-TEST(FairnessMetrics, NearestRankPercentiles) {
-  EXPECT_DOUBLE_EQ(stats::percentile({}, 50.0), 0.0);
-  const std::vector<double> xs{5.0, 1.0, 4.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(stats::percentile(xs, 50.0), 3.0);
-  EXPECT_DOUBLE_EQ(stats::percentile(xs, 95.0), 5.0);
-  EXPECT_DOUBLE_EQ(stats::percentile(xs, 100.0), 5.0);
-  EXPECT_DOUBLE_EQ(stats::percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(stats::percentile({7.0}, 99.0), 7.0);
-}
-
 TEST(FairnessMetrics, SummaryCarriesPerFlowPercentilesAndFairness) {
   stats::MetricsCollector m;
   net::DataPacket p;

@@ -2,7 +2,7 @@
 // message type, decoder rejection of malformed frames (truncation at every
 // prefix, bad type tags, trailing bytes, out-of-range node ids, bad CSI
 // classes, inconsistent LSU counts), and the layout-invariant cross-checks
-// the lookahead floor leans on.
+// the airtime floor leans on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -337,10 +337,10 @@ TEST(WireInvariants, StartupCheckPasses) {
   EXPECT_NO_THROW(wire::check_wire_invariants());
 }
 
-TEST(WireInvariants, LookaheadFloorIsTheSmallestEncodableFrame) {
-  // The sharded kernel's conservative window is derived from
-  // wire::kMinControlBytes; it must equal the smallest frame the codecs
-  // can actually emit (the ABR beacon).
+TEST(WireInvariants, MinControlBytesIsTheSmallestEncodableFrame) {
+  // wire::kMinControlBytes is the airtime floor the MAC asserts on every
+  // send; it must equal the smallest frame the codecs can actually emit
+  // (the ABR beacon).
   std::vector<std::uint8_t> buf;
   const std::size_t n =
       wire::encode_control(make_control(kBroadcastId, AbrBeaconMsg{}), buf);
