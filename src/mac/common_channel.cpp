@@ -1,6 +1,5 @@
 #include "mac/common_channel.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -8,11 +7,6 @@
 #include "obs/perfetto.hpp"
 
 namespace rica::mac {
-
-namespace {
-/// Intervals older than this are irrelevant to any in-flight reception.
-constexpr sim::Time kHeardHorizon = sim::milliseconds(50);
-}  // namespace
 
 CommonChannelMac::CommonChannelMac(sim::Simulator& sim,
                                    channel::ChannelModel& channel,
@@ -82,25 +76,31 @@ sim::Time CommonChannelMac::random_backoff(NodeState& st) {
   return sim::Time{static_cast<std::int64_t>(st.rng.uniform(lo, hi))};
 }
 
-void CommonChannelMac::prune_heard(NodeState& st, sim::Time now) const {
-  const sim::Time horizon = now - kHeardHorizon;
-  std::erase_if(st.heard,
-                [horizon](const Interval& iv) { return iv.end < horizon; });
+bool CommonChannelMac::on_air(NodeState& st, sim::Time now) {
+  std::erase_if(st.active, [now](const ActiveRx& a) { return a.end <= now; });
+  return !st.active.empty();
 }
 
-bool CommonChannelMac::medium_busy(const NodeState& st, sim::Time now) const {
-  if (st.transmitting) return true;
-  return std::any_of(st.heard.begin(), st.heard.end(),
-                     [now](const Interval& iv) {
-                       return iv.start <= now && now < iv.end;
-                     });
+bool CommonChannelMac::medium_busy(NodeState& st, sim::Time now) {
+  return st.transmitting || on_air(st, now);
+}
+
+bool CommonChannelMac::land(NodeState& st, ActiveRx rx, sim::Time now) {
+  // Every entry that survives the expiry started at or before `now` and ends
+  // after it, while the new frame starts at `now` and ends later: a strict
+  // overlap.  Frames that merely touch (end == now) have been dropped.
+  const bool collided = on_air(st, now);
+  for (const ActiveRx& a : st.active) {
+    if (a.slot != kOwnSlot) nodes_[a.sender].rx_collided[a.slot] = true;
+  }
+  st.active.push_back(rx);
+  return collided;
 }
 
 void CommonChannelMac::attempt(net::NodeId id) {
   auto& st = nodes_[id];
   if (st.transmitting) return;  // a tx started meanwhile; re-pumped at its end
   if (st.queue.empty()) return;
-  prune_heard(st, sim_.now());
   if (medium_busy(st, sim_.now())) {
     schedule_attempt(id, random_backoff(st));
     return;
@@ -116,7 +116,6 @@ void CommonChannelMac::start_tx(net::NodeId id) {
   st.transmitting = true;
   st.tx_start = sim_.now();
   st.tx_end = st.tx_start + airtime(st.in_flight.pkt.size_bytes);
-  st.tx_id = next_tx_id_++;
 
   // Coverage is evaluated at transmission start; node motion within a few
   // milliseconds of airtime is negligible at the paper's speeds.  This is
@@ -124,12 +123,14 @@ void CommonChannelMac::start_tx(net::NodeId id) {
   // the channel's spatial neighbor index rather than an O(N) scan, into a
   // receiver buffer reused across this node's transmissions.
   channel_.neighbors_of(id, st.tx_start, st.tx_receivers);
-  for (const auto r : st.tx_receivers) {
-    nodes_[r].heard.push_back(Interval{st.tx_start, st.tx_end, st.tx_id});
+  st.rx_collided.resize(st.tx_receivers.size());
+  for (std::uint32_t i = 0; i < st.tx_receivers.size(); ++i) {
+    st.rx_collided[i] = land(nodes_[st.tx_receivers[i]],
+                             ActiveRx{st.tx_end, id, i}, st.tx_start);
   }
-  // Record our own airtime too: it is what makes a half-duplex node deaf to
+  // Land our own airtime too: it is what makes a half-duplex node deaf to
   // transmissions that overlap its own.
-  st.heard.push_back(Interval{st.tx_start, st.tx_end, st.tx_id});
+  land(st, ActiveRx{st.tx_end, id, kOwnSlot}, st.tx_start);
   metrics_.on_control_tx(st.in_flight.pkt.size_bytes * 8u);
   trace_control("control_tx", id, st.in_flight.pkt);
   if (auto* writer = metrics_.tracer().perfetto()) {
@@ -153,23 +154,17 @@ void CommonChannelMac::end_of_tx(net::NodeId id) {
   auto& sender = nodes_[id];
   sender.transmitting = false;
   const net::ControlPacket& pkt = sender.in_flight.pkt;
-  const sim::Time start = sender.tx_start;
-  const sim::Time end = sender.tx_end;
-  const std::uint64_t tx_id = sender.tx_id;
 
   bool unicast_ok = false;
-  for (const auto r : sender.tx_receivers) {
+  for (std::size_t i = 0; i < sender.tx_receivers.size(); ++i) {
+    const auto r = sender.tx_receivers[i];
     if (pkt.to != net::kBroadcastId && pkt.to != r) continue;
     auto& rst = nodes_[r];
-    // Half duplex: a node that transmitted during our airtime missed us.
-    // Collision: any other transmission covering r overlapping [start,end].
-    const bool collided =
-        std::any_of(rst.heard.begin(), rst.heard.end(),
-                    [&](const Interval& iv) {
-                      return iv.tx_id != tx_id && iv.start < end &&
-                             start < iv.end;
-                    }) ||
-        rst.transmitting;
+    // Collision: another frame covering r overlapped ours (r's own airtime
+    // included: half duplex).  `transmitting` also catches a tx r started at
+    // exactly our end, before this event fired: it touches ours without
+    // overlapping it, yet r is already deaf.
+    const bool collided = sender.rx_collided[i] || rst.transmitting;
     if (collided) {
       metrics_.on_control_collision();
       trace_control("control_lost", r, pkt);

@@ -12,6 +12,15 @@
 //   * bounded per-node control queue: drop-tail under overload — this is the
 //     mechanism behind the paper's link-state congestion collapse.
 //
+// Both collision and carrier-sense state are kept per node as the short list
+// of frames covering it right now (`active`, the node's own transmission
+// included).  When a frame lands on a node, entries that ended by then are
+// dropped; if any remain, they and the new frame strictly overlap, so every
+// one of them is marked collided.  Each in-flight transmission holds one
+// `rx_collided` flag per receiver, which end-of-tx reads instead of scanning
+// the node's history.  DESIGN.md §13 shows why this equals the interval
+// overlap rule; tests/mac_diff_test.cpp checks it against the old scan.
+//
 // Each transmission is charged size*8 bits of routing overhead exactly once
 // (per §III-A: "each time the common channel is used ... counted as one
 // transmission"), regardless of how many neighbours hear it.
@@ -73,11 +82,15 @@ class CommonChannelMac {
   [[nodiscard]] std::size_t pool_high_water() const;
 
  private:
-  struct Interval {
-    sim::Time start;
+  /// A frame covering a node: its sender's transmission until `end`.
+  /// `slot` indexes the sender's tx_receivers (and rx_collided); a node's
+  /// own transmission uses kOwnSlot, since there is no reception to mark.
+  struct ActiveRx {
     sim::Time end;
-    std::uint64_t tx_id = 0;
+    net::NodeId sender = 0;
+    std::uint32_t slot = 0;
   };
+  static constexpr std::uint32_t kOwnSlot = UINT32_MAX;
   struct QueuedControl {
     net::ControlPacket pkt;
     int attempts = 0;
@@ -93,16 +106,19 @@ class CommonChannelMac {
     /// attempt is scheduled (its armed() state replaces the old
     /// attempt_pending flag).
     sim::Timer attempt_timer;
-    std::vector<Interval> heard;  ///< transmissions covering this node
+    /// Frames covering this node that had not ended at its last landing or
+    /// carrier sense; entries with end <= now are dropped lazily.
+    std::vector<ActiveRx> active;
     // In-flight transmission state, valid while `transmitting` (half duplex:
     // one tx at a time).  Keeping it here — not in the end-of-tx closure —
     // is what lets that closure capture just [this, id], and `tx_receivers`
     // keeps its capacity across transmissions (no per-tx allocation).
     QueuedControl in_flight;
     std::vector<net::NodeId> tx_receivers;
+    /// rx_collided[i]: another frame overlapped this one at tx_receivers[i].
+    std::vector<bool> rx_collided;
     sim::Time tx_start;
     sim::Time tx_end;
-    std::uint64_t tx_id = 0;
   };
 
   void schedule_attempt(net::NodeId id, sim::Time delay);
@@ -113,8 +129,13 @@ class CommonChannelMac {
                      const net::ControlPacket& pkt);
   void start_tx(net::NodeId id);
   void end_of_tx(net::NodeId id);
-  [[nodiscard]] bool medium_busy(const NodeState& st, sim::Time now) const;
-  void prune_heard(NodeState& st, sim::Time now) const;
+  /// Drops the frames covering `st` that ended by `now`; true if any remain.
+  static bool on_air(NodeState& st, sim::Time now);
+  /// Carrier sense: transmitting, or a frame covering the node on the air.
+  [[nodiscard]] static bool medium_busy(NodeState& st, sim::Time now);
+  /// A frame lands on `st` at `now`: any frame still covering it collides
+  /// with the new one, both ways.  Returns whether the new frame collided.
+  bool land(NodeState& st, ActiveRx rx, sim::Time now);
   [[nodiscard]] sim::Time random_backoff(NodeState& st);
 
   sim::Simulator& sim_;
@@ -124,7 +145,6 @@ class CommonChannelMac {
   /// Shared control-queue node pool; must outlive nodes_ (declared first).
   util::FreeListPool<QueuedControl> ctrl_pool_;
   std::vector<NodeState> nodes_;
-  std::uint64_t next_tx_id_ = 1;
 };
 
 }  // namespace rica::mac

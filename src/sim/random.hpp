@@ -42,9 +42,13 @@ class RandomStream {
     return std::exponential_distribution<double>{1.0 / mean}(engine_);
   }
 
-  /// Standard normal scaled to (mean, stddev).
+  /// Standard normal scaled to (mean, stddev); stddev == 0 returns `mean`.
+  /// Scaling a unit normal by hand (rather than constructing the
+  /// distribution with `stddev`, which requires stddev > 0) draws the same
+  /// engine values and computes the same `z * stddev + mean` as libstdc++.
   double normal(double mean, double stddev) {
-    return std::normal_distribution<double>{mean, stddev}(engine_);
+    return std::normal_distribution<double>{0.0, 1.0}(engine_) * stddev +
+           mean;
   }
 
   /// Bernoulli trial with probability p of true.

@@ -1,15 +1,18 @@
 // MAC layer: common-channel CSMA/CA (airtime, broadcast delivery, carrier
-// sense, hidden-terminal collisions, queue bound, unicast retransmission)
+// sense, queue bound, unicast retransmission, and the collision model on
+// pinned positions: hidden terminals, half duplex, touching frames, deferral)
 // and the per-link CDMA data transmitter (rate by class, ACK accounting,
 // buffer bound, residency expiry, retry-then-break).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "mac/common_channel.hpp"
 #include "mac/link_transmitter.hpp"
 #include "mobility/mobility_model.hpp"
 #include "net/packet.hpp"
+#include "net/wire.hpp"
 
 namespace rica::mac {
 namespace {
@@ -151,6 +154,154 @@ TEST(CommonChannel, UnicastRetransmitsUntilDelivered) {
   EXPECT_EQ(w.metrics.counter("mac.unicast_fail"), 1u);
   const auto s = w.metrics.finalize(sim::seconds(1));
   EXPECT_EQ(s.control_transmissions, 3u);  // all attempts hit the air
+}
+
+// ---------------------------------------------------------------------------
+// Collision model, on positions pinned by tests/data/mac_collision.bonnmotion:
+// nodes 0-1-2 on a line 200 m apart (0 and 2 hidden from each other), node 3
+// alone, node 4 entering node 3's range at t = 0.5 s.
+// ---------------------------------------------------------------------------
+
+struct Reception {
+  sim::Time at;
+  net::NodeId receiver;
+  net::NodeId sender;
+  std::uint16_t size_bytes;
+  friend bool operator==(const Reception&, const Reception&) = default;
+};
+
+struct PinnedWorld {
+  PinnedWorld()
+      : rng(3),
+        mobility(5, config(), rng),
+        channel(channel::ChannelConfig{}, mobility, rng),
+        mac(sim, channel, rng, metrics, {}) {
+    for (net::NodeId id = 0; id < 5; ++id) {
+      mac.register_node(id, [this, id](const net::ControlPacket& pkt,
+                                       net::NodeId from) {
+        log.push_back(Reception{sim.now(), id, from, pkt.size_bytes});
+      });
+    }
+  }
+
+  // The handlers capture `this`.
+  PinnedWorld(const PinnedWorld&) = delete;
+  PinnedWorld& operator=(const PinnedWorld&) = delete;
+
+  static mobility::MobilityConfig config() {
+    mobility::MobilityConfig base;
+    base.field = mobility::Field{2000.0, 1000.0};
+    return mobility::parse_mobility_spec(
+        "trace:file=" RICA_TEST_DATA_DIR "/mac_collision.bonnmotion", base);
+  }
+
+  void send_at(sim::Time t, net::NodeId from, std::uint16_t size_bytes) {
+    sim.at(t, [this, from, size_bytes] {
+      mac.send(from, frame(size_bytes));
+    });
+  }
+
+  /// A broadcast of exactly `size_bytes`: a 9 B ABR beacon, or an LSU row
+  /// (15 B + 5 B per link).
+  static net::ControlPacket frame(std::uint16_t size_bytes) {
+    if (size_bytes == net::wire::kMinControlBytes) return broadcast_pkt();
+    net::LsuMsg lsu;
+    lsu.links.resize((size_bytes - 15u) / 5u);
+    auto pkt = net::make_control(net::kBroadcastId, std::move(lsu));
+    EXPECT_EQ(pkt.size_bytes, size_bytes);
+    return pkt;
+  }
+
+  [[nodiscard]] stats::MetricsSummary summary() const {
+    return metrics.finalize(sim::seconds(1));
+  }
+
+  sim::RngManager rng;
+  mobility::MobilityManager mobility;
+  channel::ChannelModel channel;
+  sim::Simulator sim;
+  stats::MetricsCollector metrics;
+  CommonChannelMac mac;
+  std::vector<Reception> log;
+};
+
+TEST(CommonChannelCollision, HiddenTerminalsLoseBothAtTheMiddle) {
+  PinnedWorld w;
+  w.send_at(sim::Time::zero(), 0, 1500);
+  w.send_at(sim::milliseconds(1), 2, 9);  // node 2 cannot sense node 0
+  w.sim.run_until(sim::seconds(1));
+  EXPECT_TRUE(w.log.empty());
+  const auto s = w.summary();
+  EXPECT_EQ(s.control_transmissions, 2u);
+  EXPECT_EQ(s.control_collisions, 2u);  // both frames lost at node 1
+}
+
+TEST(CommonChannelCollision, TransmittingNodeMissesOverlappingFrame) {
+  PinnedWorld w;
+  // At 0.48 s node 4 is 250.4 m from node 3, so node 3's 48 ms frame does
+  // not reach it and node 4 senses an idle channel at 0.51 s (249.8 m).
+  w.send_at(sim::milliseconds(480), 3, 1500);
+  w.send_at(sim::milliseconds(510), 4, 9);
+  // Once node 3 is silent again it hears node 4 fine.
+  w.send_at(sim::milliseconds(600), 4, 9);
+  w.sim.run_until(sim::seconds(1));
+  const sim::Time beacon = w.mac.airtime(9);
+  EXPECT_EQ(w.log, (std::vector<Reception>{
+                       {sim::milliseconds(600) + beacon, 3, 4, 9}}));
+  const auto s = w.summary();
+  EXPECT_EQ(s.control_transmissions, 3u);
+  EXPECT_EQ(s.control_collisions, 1u);
+}
+
+TEST(CommonChannelCollision, BackToBackFramesAreBothReceived) {
+  PinnedWorld w;
+  const sim::Time first_end = w.mac.airtime(1500);
+  w.send_at(sim::Time::zero(), 0, 1500);
+  w.send_at(first_end, 2, 9);  // starts exactly as node 0's frame ends
+  w.sim.run_until(sim::seconds(1));
+  EXPECT_EQ(w.log, (std::vector<Reception>{
+                       {first_end, 1, 0, 1500},
+                       {first_end + w.mac.airtime(9), 1, 2, 9}}));
+  EXPECT_EQ(w.summary().control_collisions, 0u);
+}
+
+TEST(CommonChannelCollision, CarrierSenseDefersUntilFrameEnds) {
+  PinnedWorld w;
+  const sim::Time first_end = w.mac.airtime(1500);
+  w.send_at(sim::Time::zero(), 0, 1500);
+  w.send_at(sim::milliseconds(1), 1, 9);  // node 1 hears node 0: defers
+  w.sim.run_until(sim::seconds(1));
+  ASSERT_EQ(w.log.size(), 3u);
+  EXPECT_EQ(w.log[0], (Reception{first_end, 1, 0, 1500}));
+  // Node 1 sends on its first backoff expiry after node 0's frame ends,
+  // and both its neighbours receive it.
+  const sim::Time earliest = first_end + w.mac.airtime(9);
+  const sim::Time end = w.log[1].at;
+  EXPECT_GE(end, earliest);
+  EXPECT_LT(end, earliest + w.mac.config().backoff_max);
+  EXPECT_EQ(w.log[1], (Reception{end, 0, 1, 9}));
+  EXPECT_EQ(w.log[2], (Reception{end, 2, 1, 9}));
+  EXPECT_EQ(w.summary().control_collisions, 0u);
+}
+
+TEST(CommonChannelCollision, LongFrameHitNearItsStartIsLost) {
+  // A 2000 B LSU has 64 ms of airtime.  The beacon that hits it ends at
+  // 1.288 ms; node 1 then contends for its own frame from 55 ms on.  A
+  // collision holds for the frame's whole airtime, however long after the
+  // hit the receiver contends.
+  PinnedWorld w;
+  const sim::Time lsu_end = w.mac.airtime(2000);
+  w.send_at(sim::Time::zero(), 0, 2000);
+  w.send_at(sim::milliseconds(1), 2, 9);
+  w.send_at(sim::milliseconds(55), 1, 9);
+  w.sim.run_until(sim::seconds(1));
+  ASSERT_EQ(w.log.size(), 2u);  // only node 1's own beacon gets through
+  EXPECT_EQ(w.log[0].sender, 1u);
+  EXPECT_EQ(w.log[1].sender, 1u);
+  EXPECT_GE(w.log[0].at, lsu_end);
+  const auto s = w.summary();
+  EXPECT_EQ(s.control_transmissions, 3u);
+  EXPECT_EQ(s.control_collisions, 2u);
 }
 
 // ---------------------------------------------------------------------------
