@@ -159,8 +159,9 @@ void BM_NeighborScan(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborScan);
 
-// Neighbor query scaling: the spatial grid index vs the brute-force O(N)
-// scan, at 50/200/500 nodes (paper / dense-urban / large-scale densities).
+// Neighbor query scaling: the per-epoch neighbor lists vs the brute-force
+// O(N) scan, at 50/200/500 nodes (paper / dense-urban / large-scale
+// densities).
 // The scale-out acceptance bar is >=5x at 500 nodes (BENCH_scale.json).
 void neighbor_query_bench(benchmark::State& state, bool use_index) {
   const std::int64_t n = state.range(0);

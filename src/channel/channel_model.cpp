@@ -35,6 +35,7 @@ bool ChannelModel::in_range(std::uint32_t a, std::uint32_t b, sim::Time t) {
 ChannelModel::PairProcess& ChannelModel::process_for(std::uint32_t lo,
                                                      std::uint32_t hi) {
   const auto key = pair_key(lo, hi);
+  // Find first: building the stream seeds a whole mt19937_64 state.
   auto it = pairs_.find(key);
   if (it == pairs_.end()) {
     it = pairs_.emplace(key, PairProcess{rng_.stream("channel", lo, hi)})
@@ -129,19 +130,24 @@ void ChannelModel::neighbors_of(std::uint32_t node, sim::Time t,
     return;
   }
   index_.ensure_fresh(t);
-  const auto pos = mobility_.position(node, t);
-  candidates_.clear();
-  index_.candidates_near(pos, candidates_);
-  out.reserve(candidates_.size());
-  for (const auto other : candidates_) {
-    if (other == node) continue;
-    if (mobility::distance(pos, mobility_.position(other, t)) <= cfg_.range_m) {
+  const auto near = index_.near(node);
+  out.reserve(near.size());
+  // Sure entries are in range throughout the epoch; only the band between
+  // the sure and reach radii pays the exact mobility distance.  Skipping
+  // position queries is safe: positions are a pure function of time.
+  std::optional<mobility::Vec2> pos;
+  for (const auto entry : near) {
+    const auto other = entry & NeighborIndex::kIdMask;
+    if (entry & NeighborIndex::kSure) {
+      out.push_back(other);
+      continue;
+    }
+    if (!pos) pos = mobility_.position(node, t);
+    if (mobility::distance(*pos, mobility_.position(other, t)) <=
+        cfg_.range_m) {
       out.push_back(other);
     }
   }
-  // Grid cells are visited row-major, so restore the ascending-id order the
-  // brute-force scan produces; downstream event ordering depends on it.
-  std::sort(out.begin(), out.end());
 }
 
 std::vector<std::uint32_t> ChannelModel::neighbors_of_bruteforce(

@@ -14,11 +14,12 @@
 //    at zero mobility and collapse under motion, as the paper reports.
 //  * Pair processes are evaluated lazily at query time (AR(1) steps over the
 //    elapsed gap), so channel cost scales with traffic.
+//  * Range queries go through the NeighborIndex: per-node lists built once
+//    per snapshot epoch, bit-identical to the O(N) scan (DESIGN.md §2).
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "channel/csi.hpp"
@@ -26,6 +27,7 @@
 #include "mobility/mobility_model.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
+#include "util/flat_table.hpp"
 
 namespace rica::channel {
 
@@ -87,7 +89,8 @@ class ChannelModel {
   std::optional<CsiClass> csi(std::uint32_t a, std::uint32_t b, sim::Time t);
 
   /// All nodes within range of `node` at time t, ascending by id.  Served
-  /// from the spatial grid index (amortized O(degree)) unless
+  /// from the node's per-epoch NeighborIndex list (O(degree), with an exact
+  /// distance check only for entries not flagged sure) unless
   /// `use_neighbor_index` is off.
   [[nodiscard]] std::vector<std::uint32_t> neighbors_of(std::uint32_t node,
                                                         sim::Time t);
@@ -132,8 +135,9 @@ class ChannelModel {
   mobility::MobilityManager& mobility_;
   sim::RngManager rng_;
   NeighborIndex index_;
-  std::vector<std::uint32_t> candidates_;  ///< scratch for grid queries
-  std::unordered_map<std::uint64_t, PairProcess> pairs_;
+  /// Keyed by lo << 32 | hi.  Never iterated, so its layout cannot reach
+  /// the event stream.
+  util::FlatMap64<PairProcess> pairs_;
 };
 
 }  // namespace rica::channel

@@ -11,7 +11,12 @@ NeighborIndex::NeighborIndex(mobility::MobilityManager& mobility,
       cfg_(cfg),
       cell_m_(std::max(cfg.range_m, 1.0)),
       slack_m_(mobility.max_speed_mps() *
-               std::max(0.0, cfg.rebuild_epoch.seconds())) {}
+               std::max(0.0, cfg.rebuild_epoch.seconds())),
+      reach_m_(cfg.range_m + 2.0 * slack_m_ + kEpsilonM),
+      static_(mobility.max_speed_mps() == 0.0) {
+  const double sure_m = cfg.range_m - 2.0 * slack_m_ - kEpsilonM;
+  sure_sq_ = sure_m > 0.0 ? sure_m * sure_m : -1.0;
+}
 
 int NeighborIndex::cell_x(double x) const {
   const int c = static_cast<int>(std::floor((x - min_x_) / cell_m_));
@@ -24,7 +29,7 @@ int NeighborIndex::cell_y(double y) const {
 }
 
 void NeighborIndex::ensure_fresh(sim::Time t) {
-  if (built_ && t - snap_time_ <= cfg_.rebuild_epoch) return;
+  if (built_ && (static_ || t - snap_time_ <= cfg_.rebuild_epoch)) return;
   rebuild(t);
 }
 
@@ -33,8 +38,10 @@ void NeighborIndex::rebuild(sim::Time t) {
   snap_time_ = t;
   built_ = true;
   ++rebuilds_;
+  entries_.clear();
 
   const auto n = static_cast<std::uint32_t>(positions_.size());
+  lists_.resize(n);
   if (n == 0) {
     min_x_ = min_y_ = 0.0;
     cols_ = rows_ = 1;
@@ -57,8 +64,7 @@ void NeighborIndex::rebuild(sim::Time t) {
   cols_ = static_cast<int>(std::floor((max_x - min_x_) / cell_m_)) + 1;
   rows_ = static_cast<int>(std::floor((max_y - min_y_) / cell_m_)) + 1;
 
-  // Counting sort into CSR buckets; node ids stay ascending within a cell,
-  // which keeps downstream neighbor lists deterministic.
+  // Counting sort into CSR buckets.
   const std::size_t num_cells =
       static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_);
   cell_start_.assign(num_cells + 1, 0);
@@ -81,38 +87,52 @@ void NeighborIndex::rebuild(sim::Time t) {
   }
 }
 
-void NeighborIndex::candidates_near(mobility::Vec2 center,
-                                    std::vector<std::uint32_t>& out) const {
-  if (cell_ids_.empty()) return;
-  const double reach = cfg_.range_m + slack_m_;
-  const double reach_sq = reach * reach;
-  const int x0 = cell_x(center.x - reach);
-  const int x1 = cell_x(center.x + reach);
-  const int y0 = cell_y(center.y - reach);
-  const int y1 = cell_y(center.y + reach);
+std::span<const std::uint32_t> NeighborIndex::near(std::uint32_t node) {
+  if (lists_[node].epoch != rebuilds_) build_list(node);
+  const List& list = lists_[node];
+  return {entries_.data() + list.begin, list.size};
+}
+
+void NeighborIndex::build_list(std::uint32_t node) {
+  const auto center = positions_[node];
+  const double reach_sq = reach_m_ * reach_m_;
+  const int x0 = cell_x(center.x - reach_m_);
+  const int x1 = cell_x(center.x + reach_m_);
+  const int y0 = cell_y(center.y - reach_m_);
+  const int y1 = cell_y(center.y + reach_m_);
+  const auto begin = static_cast<std::uint32_t>(entries_.size());
   for (int cy = y0; cy <= y1; ++cy) {
     for (int cx = x0; cx <= x1; ++cx) {
       const std::size_t cell =
           static_cast<std::size_t>(cy) * cols_ + static_cast<std::size_t>(cx);
       for (std::uint32_t i = cell_start_[cell]; i < cell_start_[cell + 1];
            ++i) {
-        // Reject cell-corner nodes on the snapshot distance before the
-        // caller pays a (lazy, leg-advancing) mobility evaluation.  A node
-        // within range_m now is within reach of its snapshot position, so
-        // this never drops a true neighbor.
         const auto id = cell_ids_[i];
+        if (id == node) continue;
         const double dx = positions_[id].x - center.x;
         const double dy = positions_[id].y - center.y;
-        if (dx * dx + dy * dy <= reach_sq) out.push_back(id);
+        const double d_sq = dx * dx + dy * dy;
+        if (d_sq <= sure_sq_) {
+          entries_.push_back(id | kSure);
+        } else if (d_sq <= reach_sq) {
+          entries_.push_back(id);
+        }
       }
     }
   }
+  // Cells are visited row-major; restore the ascending-id order of the
+  // brute-force scan, which downstream event ordering depends on.
+  std::sort(entries_.begin() + begin, entries_.end(),
+            [](std::uint32_t a, std::uint32_t b) {
+              return (a & kIdMask) < (b & kIdMask);
+            });
+  lists_[node] = List{rebuilds_, begin,
+                      static_cast<std::uint32_t>(entries_.size() - begin)};
 }
 
 bool NeighborIndex::possibly_in_range(std::uint32_t a, std::uint32_t b) const {
   // Each endpoint can have drifted up to slack_m_ since the snapshot.
-  return mobility::distance(positions_[a], positions_[b]) <=
-         cfg_.range_m + 2.0 * slack_m_;
+  return mobility::distance(positions_[a], positions_[b]) <= reach_m_;
 }
 
 }  // namespace rica::channel

@@ -4,9 +4,12 @@
 // determinism (including the mobility axis).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <numeric>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -70,32 +73,63 @@ struct IndexCase {
 };
 
 /// The core index == brute-force property, shared by the parameterized
-/// synthetic-model cases and the runtime-generated trace-replay case.
+/// synthetic-model cases and the trace-replay cases.
+///
+/// The indexed channel and the brute-force reference run on two managers
+/// over one seed, so the position queries the index skips (sure entries)
+/// cannot hide behind the reference's queries.  Each window opens a fresh
+/// snapshot, then queries at several instants inside that one epoch — up to
+/// exactly one epoch after the snapshot, where drift is widest — with the
+/// odd nodes first queried mid-epoch and a different node order every time,
+/// so each per-node list is reused across queries.
 void check_index_equivalence(const IndexCase& p) {
   mobility::MobilityConfig wcfg = mobility::parse_mobility_spec(p.mobility);
   wcfg.field = mobility::Field{p.field_m, p.field_m};
   wcfg.max_speed_mps = p.max_speed_mps;
   sim::RngManager rng(p.seed);
-  mobility::MobilityManager mgr(p.num_nodes, wcfg, rng);
+  mobility::MobilityManager indexed_mgr(p.num_nodes, wcfg, rng);
+  mobility::MobilityManager brute_mgr(p.num_nodes, wcfg, rng);
 
   channel::ChannelConfig ccfg;
   ccfg.range_m = p.range_m;
   ASSERT_TRUE(ccfg.use_neighbor_index);
-  channel::ChannelModel channel(ccfg, mgr, rng);
+  channel::ChannelModel indexed(ccfg, indexed_mgr, rng);
+  channel::ChannelModel brute(ccfg, brute_mgr, rng);
+  const auto& index = indexed.neighbor_index();
+  const bool moving = indexed_mgr.max_speed_mps() > 0.0;
 
-  for (int step = 0; step <= 60; ++step) {
-    const auto t = sim::seconds_f(0.5 * step);  // crosses many rebuild epochs
-    for (std::uint32_t node = 0; node < p.num_nodes; ++node) {
-      const auto indexed = channel.neighbors_of(node, t);
-      const auto brute = channel.neighbors_of_bruteforce(node, t);
-      ASSERT_EQ(indexed, brute)
-          << "node " << node << " at t=" << t.seconds() << " (seed " << p.seed
-          << ", n=" << p.num_nodes << ", field=" << p.field_m << ", mobility="
-          << p.mobility << ")";
+  const auto epoch = sim::seconds_f(ccfg.index_epoch_s);
+  const std::vector<sim::Time> offsets{
+      sim::Time::zero(), sim::milliseconds(40), sim::milliseconds(131),
+      epoch - sim::nanoseconds(1), epoch};
+  std::vector<std::uint32_t> order(p.num_nodes);
+  std::iota(order.begin(), order.end(), 0u);
+  std::mt19937_64 shuffle_rng(p.seed);
+
+  for (int window = 0; window < 60; ++window) {
+    // Windows start more than an epoch apart, so each one re-snapshots.
+    const auto t0 = sim::milliseconds(370) * window;
+    for (std::size_t k = 0; k < offsets.size(); ++k) {
+      const auto t = t0 + offsets[k];
+      std::shuffle(order.begin(), order.end(), shuffle_rng);
+      for (const auto node : order) {
+        if (k == 0 && node % 2 == 1) continue;  // first seen mid-epoch
+        ASSERT_EQ(indexed.neighbors_of(node, t),
+                  brute.neighbors_of_bruteforce(node, t))
+            << "node " << node << " at t=" << t.seconds() << " (seed "
+            << p.seed << ", n=" << p.num_nodes << ", field=" << p.field_m
+            << ", mobility=" << p.mobility << ")";
+      }
+      if (moving) {
+        ASSERT_EQ(index.snapshot_time(), t0);
+      }
     }
   }
-  EXPECT_GE(channel.neighbor_index().rebuild_count(), 2u)
-      << "the sweep should have crossed rebuild epochs";
+  if (moving) {
+    EXPECT_EQ(index.rebuild_count(), 60u) << "one snapshot per window";
+  } else {
+    EXPECT_EQ(index.rebuild_count(), 1u) << "a static network snapshots once";
+  }
 }
 
 class NeighborIndexEquivalence : public ::testing::TestWithParam<IndexCase> {};
@@ -123,6 +157,30 @@ TEST(TraceNeighborIndex, GridMatchesBruteForceOverTime) {
   check_index_equivalence(
       IndexCase{67, 60, 1000.0, 25.0, 250.0, "trace:file=" + path});
   std::remove(path.c_str());
+}
+
+TEST(TraceNeighborIndex, BandEdgePairsMatchBruteForce) {
+  // Static pairs at exactly range_m, at range_m +- 1e-7, and where hypot()
+  // and the squared distance round to opposite sides of range_m.  The slack
+  // is zero, so only the index's epsilon margin keeps its squared-distance
+  // sure/band/out split consistent with the exact hypot() check.
+  const std::string spec =
+      "trace:file=" RICA_TEST_DATA_DIR "/neighbor_band_edge.bonnmotion";
+  check_index_equivalence(IndexCase{71, 17, 3000.0, 0.0, 250.0, spec});
+
+  // The fixture's premises, read through the indexed path.
+  mobility::MobilityConfig wcfg = mobility::parse_mobility_spec(spec);
+  wcfg.field = mobility::Field{3000.0, 3000.0};
+  const sim::RngManager rng(71);
+  mobility::MobilityManager mgr(17, wcfg, rng);
+  channel::ChannelModel channel(channel::ChannelConfig{}, mgr, rng);
+  const auto t = sim::seconds(5);
+  using Ids = std::vector<std::uint32_t>;
+  EXPECT_EQ(channel.neighbors_of(0, t), (Ids{1, 16}));  // exactly 250 m
+  EXPECT_EQ(channel.neighbors_of(3, t), (Ids{2}));      // 3-4-5 diagonal
+  EXPECT_EQ(channel.neighbors_of(5, t), Ids{});         // 250 m + 1e-7
+  EXPECT_EQ(channel.neighbors_of(6, t), (Ids{7}));      // 250 m - 1e-7
+  EXPECT_EQ(channel.neighbor_index().slack_m(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
