@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
         "Figure 7(d): kernel events executed (millions, all trials) by"
         " mobility model" + point,
         [](const harness::ScenarioResult& r) {
-          return static_cast<double>(r.events_executed) * 1e-6;
+          return r.stat("kernel.events_executed") * 1e-6;
         },
         2);
     print_mobility_figure(
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
         "Figure 7(e): peak pending events (worst trial) by mobility model" +
             point,
         [](const harness::ScenarioResult& r) {
-          return static_cast<double>(r.peak_pending_events);
+          return r.stat("kernel.peak_pending");
         },
         0);
     print_mobility_figure(
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
         "Figure 7(f): event closures spilled past the 128 B inline buffer"
         " (heap_fallbacks, all trials) by mobility model" + point,
         [](const harness::ScenarioResult& r) {
-          return static_cast<double>(r.heap_fallbacks);
+          return r.stat("kernel.heap_fallbacks");
         },
         0);
     std::cout << "Reading guide: waypoint is the paper's setting; group\n"

@@ -260,7 +260,7 @@ void BM_FullStackMetro(benchmark::State& state) {
     harness::ScenarioConfig cfg = harness::preset_config("metro");
     cfg.sim_s = 0.5;
     const auto r = harness::run_scenario(cfg);
-    events += r.events_executed;
+    events += static_cast<std::uint64_t>(r.stat("kernel.events_executed"));
     benchmark::DoNotOptimize(r.delivered);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));

@@ -17,9 +17,10 @@
 // its end-to-end delay; reconstruct chains with scripts/trace_query.py.
 // `--perfetto-out run.json` writes a Chrome trace_event profile — open
 // chrome://tracing (or https://ui.perfetto.dev) and load the file to see
-// per-link data transmissions, per-node control traffic, and kernel
-// counters on a shared timeline; `--series-out run.csv --sample-dt 0.5`
-// samples queue depth / delivery rate / control overhead every 0.5 s.
+// per-link data transmissions, per-node control traffic, and one counter
+// track per registry stat on a shared timeline; `--series-out run.csv
+// --sample-dt 0.5` samples every registry stat (queue depth, deliveries,
+// control bytes, ...) every 0.5 s as `t_s,stat,value` rows.
 // `--flight-recorder[=N]` keeps the last N trace records (default 65536)
 // in a ring cheap enough to leave on; `--flight-dump FILE` writes them as
 // JSONL at exit — or at the first anomaly when `--watchdogs` arms the
@@ -141,14 +142,12 @@ int main(int argc, char** argv) {
       std::printf("time series           : %s\n", cfg.series_out.c_str());
     }
     if (cfg.watchdogs) {
-      const auto stat = [&r](const char* name) {
-        const auto it = r.stats.find(name);
-        return it == r.stats.end() ? 0.0 : it->second.value;
-      };
       std::printf("watchdogs             : drop_spike=%.0f"
                   " discovery_storm=%.0f stalled=%.0f backlog=%.0f\n",
-                  stat("anomaly.drop_spike"), stat("anomaly.discovery_storm"),
-                  stat("anomaly.stalled_flows"), stat("anomaly.queue_backlog"));
+                  r.stat("anomaly.drop_spike"),
+                  r.stat("anomaly.discovery_storm"),
+                  r.stat("anomaly.stalled_flows"),
+                  r.stat("anomaly.queue_backlog"));
     }
     if (!cfg.flight_dump.empty()) {
       std::printf("flight dump           : %s\n", cfg.flight_dump.c_str());
@@ -161,11 +160,6 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(fs.delivered),
                     static_cast<unsigned long long>(fs.dropped), fs.tput_kbps,
                     fs.delay_p95_ms);
-      }
-      std::printf("\ncounters:\n");
-      for (const auto& [name, value] : r.counters) {
-        std::printf("  %-28s %llu\n", name.c_str(),
-                    static_cast<unsigned long long>(value));
       }
       std::printf("\nregistry (c=counter, g=gauge):\n");
       for (const auto& [name, s] : r.stats) {

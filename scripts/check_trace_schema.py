@@ -11,9 +11,12 @@ and every nonzero `parent` must reference a span id that appears somewhere
 in the file — spans are emitted when they *close*, so a parent legally
 appears after its children.
 
-Optionally also validates a `--perfetto` trace_event JSON (it must parse and
-contain the metadata/slice/counter phases chrome://tracing needs), a
-`--series` CSV (header + fixed column count per row), and a `--flight`
+Optionally also validates a `--perfetto` trace_event JSON (it must parse,
+contain the metadata/slice/counter phases chrome://tracing needs, and carry
+the registry's `kernel.events_executed` counter track), a `--series` CSV in
+long format (`t_s,stat,value`: 3 cells per row, `t_s` non-decreasing, stat
+names strictly ascending within one timestamp, finite values, and the
+`SERIES_REQUIRED` stats at every timestamp), and a `--flight`
 flight-recorder dump (one `type:flight` header line whose `retained` count
 matches the record lines that follow, which are themselves schema-checked).
 
@@ -25,6 +28,7 @@ Usage: check_trace_schema.py TRACE.jsonl [--perfetto FILE] [--series FILE]
 
 import argparse
 import json
+import math
 import sys
 
 SCHEMAS = {
@@ -56,6 +60,11 @@ SCHEMAS = {
                   "airtime", "discovery", "repair"},
     },
 }
+
+# Registry stats every series sample must carry (registered at network
+# construction, so present from the first sample on).
+SERIES_REQUIRED = ("kernel.events_executed", "net.delivered",
+                   "stack.buffered_packets")
 
 # Span kinds that are roots (parent == 0, span == trace).
 ROOT_KINDS = {"packet", "discovery", "repair"}
@@ -218,6 +227,9 @@ def check_perfetto(path):
         if e.get("ph") in ("X", "C") and "ts" not in e:
             errors.append(f"{path}: event missing ts: {e}")
             break
+    if not any(e.get("ph") == "C" and e.get("name") ==
+               "kernel.events_executed" for e in events):
+        errors.append(f"{path}: no ph='C' kernel.events_executed track")
     print(f"{path}: {len(events)} trace events, phases "
           + ",".join(sorted(p for p in phases if p)))
     return errors
@@ -225,23 +237,44 @@ def check_perfetto(path):
 
 def check_series(path):
     errors = []
+    samples = {}  # t_s -> stat names, in file order
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
-        want = ("t_s,pending_events,events_executed,buffered_packets,"
-                "delivered,delivery_rate_pps,control_kbps")
+        want = "t_s,stat,value"
         if header != want:
             errors.append(f"{path}: header {header!r} != {want!r}")
-        ncols = len(want.split(","))
-        rows = 0
+        last_t = None
+        last_name = None
         for num, line in enumerate(fh, 2):
+            where = f"{path}:{num}"
             cells = line.rstrip("\n").split(",")
-            if len(cells) != ncols:
-                errors.append(f"{path}:{num}: {len(cells)} columns, "
-                              f"expected {ncols}")
-            rows += 1
-        if rows == 0:
-            errors.append(f"{path}: no sample rows")
-    print(f"{path}: {rows} sample rows")
+            if len(cells) != 3:
+                errors.append(f"{where}: {len(cells)} cells, expected 3")
+                continue
+            t_s, name, value = cells
+            try:
+                t = float(t_s)
+                v = float(value)
+            except ValueError:
+                errors.append(f"{where}: non-numeric t_s or value")
+                continue
+            if not math.isfinite(v):
+                errors.append(f"{where}: non-finite value {value!r}")
+            if last_t is not None and t < last_t:
+                errors.append(f"{where}: t_s {t_s} went backwards")
+            elif t == last_t and name <= last_name:
+                errors.append(f"{where}: {name!r} not after {last_name!r} "
+                              f"within t_s {t_s}")
+            last_t, last_name = t, name
+            samples.setdefault(t_s, []).append(name)
+    if not samples:
+        errors.append(f"{path}: no sample rows")
+    for t_s, names in samples.items():
+        for needed in SERIES_REQUIRED:
+            if needed not in names:
+                errors.append(f"{path}: t_s {t_s} lacks {needed}")
+    print(f"{path}: {len(samples)} samples, "
+          f"{sum(len(n) for n in samples.values())} rows")
     return errors
 
 

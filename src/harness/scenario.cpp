@@ -307,7 +307,8 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
       return network.metrics().dropped_total();
     };
     sources.discovery_failures = [&network] {
-      return network.metrics().discovery_failures();
+      return static_cast<std::uint64_t>(
+          network.registry().read("routing.discovery_failed"));
     };
     sources.buffered_packets = [&network] {
       return static_cast<std::uint64_t>(network.buffered_packets());
@@ -336,7 +337,8 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     tracer.set_perfetto(perfetto.get());
   }
   if (perfetto != nullptr || obs::has(filter, obs::TraceFilter::kKernel)) {
-    probe = std::make_unique<obs::KernelProbe>(&tracer, perfetto.get());
+    probe = std::make_unique<obs::KernelProbe>(&tracer, perfetto.get(),
+                                               network.registry());
     // ~200 observation windows per run keeps the kernel series readable at
     // any simulated duration (the observer throttles to this interval).
     network.simulator().set_kernel_observer(
@@ -346,16 +348,8 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     throw std::invalid_argument("--sample-dt requires --series-out FILE");
   }
   if (!cfg.series_out.empty()) {
-    obs::SeriesSource source;
-    source.delivered = [&network] { return network.metrics().delivered(); };
-    source.control_bits = [&network] {
-      return network.metrics().control_bits();
-    };
-    source.buffered_packets = [&network] {
-      return network.buffered_packets();
-    };
-    sampler =
-        std::make_unique<obs::SeriesSampler>(cfg.series_out, std::move(source));
+    sampler = std::make_unique<obs::SeriesSampler>(cfg.series_out,
+                                                   network.registry());
     const double dt_s = cfg.sample_dt_s > 0.0 ? cfg.sample_dt_s : 1.0;
     sampler->start(network.simulator(), sim::seconds_f(dt_s),
                    sim::seconds_f(cfg.sim_s));
@@ -392,36 +386,6 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   }
   auto summary = network.metrics().finalize(sim::seconds_f(cfg.sim_s));
 
-  // Every scalar statistic flows through the registry snapshot: one
-  // registration in Network's constructor is the whole plumbing for a new
-  // entry.  The legacy typed fields below are views into the snapshot kept
-  // for existing callers (the golden suite pins them against the hashes).
-  for (auto& s : network.registry().snapshot()) {
-    summary.stats.emplace(s.name, std::move(s));
-  }
-  // Registered distributions join the collector's always-on ones in the
-  // summary.
-  for (const auto& [name, h] : network.registry().histogram_snapshot()) {
-    summary.histograms.insert_or_assign(name, h);
-  }
-  const auto stat = [&summary](const char* name) {
-    const auto it = summary.stats.find(name);
-    return it == summary.stats.end() ? 0.0 : it->second.value;
-  };
-  summary.events_executed =
-      static_cast<std::uint64_t>(stat("kernel.events_executed"));
-  summary.batched_fires =
-      static_cast<std::uint64_t>(stat("kernel.batched_fires"));
-  summary.heap_fallbacks =
-      static_cast<std::uint64_t>(stat("kernel.heap_fallbacks"));
-  summary.peak_pending_events =
-      static_cast<std::uint64_t>(stat("kernel.peak_pending"));
-  summary.slab_high_water =
-      static_cast<std::uint64_t>(stat("kernel.slab_high_water"));
-  summary.pool_high_water =
-      static_cast<std::uint64_t>(stat("stack.pool_high_water"));
-  summary.table_load = stat("stack.table_load");
-
   // Detach before the sinks (declared after the network) are destroyed, so
   // nothing emitted during teardown can reach a dead sink.
   tracer.attach(nullptr, obs::TraceFilter::kNone);
@@ -451,21 +415,13 @@ ScenarioResult average(const std::vector<ScenarioResult>& runs) {
     avg.delay_p95_ms += r.delay_p95_ms / n;
     avg.delay_p99_ms += r.delay_p99_ms / n;
     avg.jain_fairness += r.jain_fairness / n;
-    avg.events_executed += r.events_executed;
-    avg.heap_fallbacks += r.heap_fallbacks;
-    avg.batched_fires += r.batched_fires;
-    avg.peak_pending_events =
-        std::max(avg.peak_pending_events, r.peak_pending_events);
-    avg.slab_high_water = std::max(avg.slab_high_water, r.slab_high_water);
-    avg.pool_high_water = std::max(avg.pool_high_water, r.pool_high_water);
-    avg.table_load = std::max(avg.table_load, r.table_load);
     for (std::size_t i = 0; i < stats::kNumDropReasons; ++i) {
       avg.drops[i] += r.drops[i];
     }
     avg.dropped += r.dropped;
     // Registry samples fold by their own kind — counters sum, gauges keep
-    // the max — so a newly registered statistic aggregates correctly with
-    // no edit here.
+    // the max — so every registered statistic (kernel work, diagnostics,
+    // anomaly counts) aggregates with no edit here.
     obs::fold_samples(avg.stats, r.stats);
     // Histograms pool exactly: merge() is an element-wise count add,
     // associative and order-independent, so the aggregate distribution is

@@ -64,7 +64,7 @@ struct ScenarioConfig {
   // stream feeding the metrics hash, so an instrumented run replays the
   // exact seeds — and golden hashes — of an uninstrumented one.  (A run
   // with sampling enabled does execute extra sampler events, moving
-  // events_executed; the stream hash never sees them.)
+  // kernel.events_executed; the stream hash never sees them.)
   std::string trace_out;    ///< JSONL structured-trace path ("" = off)
   std::string trace_filter = "all";  ///< packet|route|kernel|span|all list
   std::string perfetto_out;  ///< Chrome trace_event JSON path ("" = off)

@@ -107,33 +107,30 @@ std::vector<SweepPoint> run_speed_sweep(
       // occupancy — the knobs that tell whether the event core and the flat
       // memory layout, not the protocols, are the bottleneck at this grid
       // point.
+      const ScenarioResult& r = cell.result;
       const std::scoped_lock lock(log_mu);
       std::fprintf(stderr,
-                   "[sweep]   done %-9s %-12s %-12s speed=%5.1f: events=%llu"
-                   " batched=%llu peak_pending=%llu slab_hw=%llu heap_fb=%llu"
-                   " pool_hw=%llu table_load=%.2f\n"
+                   "[sweep]   done %-9s %-12s %-12s speed=%5.1f: events=%.0f"
+                   " batched=%.0f peak_pending=%.0f slab_hw=%.0f heap_fb=%.0f"
+                   " pool_hw=%.0f table_load=%.2f\n"
                    "[sweep]        drops=%llu (overflow=%llu expired=%llu"
                    " no_route=%llu link_break=%llu loop_cap=%llu)\n",
                    std::string(to_string(cell.protocol)).c_str(),
                    cell.mobility.c_str(), cell.traffic.c_str(),
                    cell.mean_speed_kmh,
-                   static_cast<unsigned long long>(cell.result.events_executed),
-                   static_cast<unsigned long long>(cell.result.batched_fires),
-                   static_cast<unsigned long long>(
-                       cell.result.peak_pending_events),
-                   static_cast<unsigned long long>(
-                       cell.result.slab_high_water),
-                   static_cast<unsigned long long>(
-                       cell.result.heap_fallbacks),
-                   static_cast<unsigned long long>(
-                       cell.result.pool_high_water),
-                   cell.result.table_load,
-                   static_cast<unsigned long long>(cell.result.dropped),
-                   static_cast<unsigned long long>(cell.result.drops[0]),
-                   static_cast<unsigned long long>(cell.result.drops[1]),
-                   static_cast<unsigned long long>(cell.result.drops[2]),
-                   static_cast<unsigned long long>(cell.result.drops[3]),
-                   static_cast<unsigned long long>(cell.result.drops[4]));
+                   r.stat("kernel.events_executed"),
+                   r.stat("kernel.batched_fires"),
+                   r.stat("kernel.peak_pending"),
+                   r.stat("kernel.slab_high_water"),
+                   r.stat("kernel.heap_fallbacks"),
+                   r.stat("stack.pool_high_water"),
+                   r.stat("stack.table_load"),
+                   static_cast<unsigned long long>(r.dropped),
+                   static_cast<unsigned long long>(r.drops[0]),
+                   static_cast<unsigned long long>(r.drops[1]),
+                   static_cast<unsigned long long>(r.drops[2]),
+                   static_cast<unsigned long long>(r.drops[3]),
+                   static_cast<unsigned long long>(r.drops[4]));
     }
   };
 

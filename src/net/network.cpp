@@ -45,38 +45,39 @@ Network::Network(const NetworkConfig& cfg)
     });
   }
 
-  // One registration per statistic: the harness snapshots this registry
-  // into MetricsSummary::stats, which is where the summary's typed kernel
-  // fields and the sweep's fold rules read from.  Counters sum across
-  // trials; gauges keep the per-trial maximum.
-  registry_.counter_fn("kernel.events_executed", [this] {
+  // One registration per statistic; finalize() snapshots the registry into
+  // MetricsSummary::stats.  Counters sum across trials; gauges keep the
+  // per-trial maximum.  These read their owners for the whole run (a
+  // warmup reset does not zero them).
+  obs::Registry& reg = registry();
+  reg.counter_fn("kernel.events_executed", [this] {
     return static_cast<double>(sim_.events_executed());
   });
-  registry_.counter_fn("kernel.batched_fires", [this] {
+  reg.counter_fn("kernel.batched_fires", [this] {
     return static_cast<double>(sim_.batched_fires());
   });
-  registry_.counter_fn("kernel.heap_fallbacks", [this] {
+  reg.counter_fn("kernel.heap_fallbacks", [this] {
     return static_cast<double>(sim_.heap_fallbacks());
   });
-  registry_.gauge_fn("kernel.peak_pending", [this] {
+  reg.gauge_fn("kernel.pending", [this] {
+    return static_cast<double>(sim_.pending_events());
+  });
+  reg.gauge_fn("kernel.peak_pending", [this] {
     return static_cast<double>(sim_.peak_pending_events());
   });
-  registry_.gauge_fn("kernel.slab_high_water", [this] {
+  reg.gauge_fn("kernel.slab_high_water", [this] {
     return static_cast<double>(sim_.slab_high_water());
   });
-  registry_.gauge_fn("stack.pool_high_water", [this] {
+  reg.gauge_fn("stack.pool_high_water", [this] {
     return static_cast<double>(pool_high_water());
   });
-  registry_.gauge_fn("stack.table_load", [this] { return table_load(); });
-  registry_.gauge_fn("stack.buffered_packets", [this] {
+  reg.gauge_fn("stack.table_load", [this] { return table_load(); });
+  reg.gauge_fn("stack.buffered_packets", [this] {
     return static_cast<double>(buffered_packets());
   });
-  // Byte-exact overhead accounting (net/wire.hpp): control frames as
-  // bytes-on-air (what fig. 4 compares), and the encoded data-frame header
-  // bytes charged on top of every data payload.
-  registry_.counter_fn("net.control_bytes_on_air",
-                       [this] { return metrics_.control_bits() / 8.0; });
-  registry_.counter_fn("net.data_header_bytes", [this] {
+  // Encoded data-frame header bytes charged on top of every data payload
+  // (net/wire.hpp).
+  reg.counter_fn("net.data_header_bytes", [this] {
     std::uint64_t bits = 0;
     for (const auto& n : nodes_) bits += n->data_header_bits();
     return static_cast<double>(bits) / 8.0;

@@ -55,8 +55,8 @@ class Network {
   void start();
 
   /// Peak live pooled entries across the whole stack: the control-queue
-  /// pool of the common MAC and every node's data-queue pool (the gauge
-  /// behind MetricsSummary::pool_high_water).
+  /// pool of the common MAC and every node's data-queue pool (the
+  /// stack.pool_high_water gauge).
   [[nodiscard]] std::size_t pool_high_water() const;
 
   /// Max open-addressing table occupancy across all nodes (routing tables,
@@ -64,15 +64,14 @@ class Network {
   [[nodiscard]] double table_load() const;
 
   /// Data packets currently buffered across every node's link queues (the
-  /// sampler's queue-occupancy column).
+  /// stack.buffered_packets gauge).
   [[nodiscard]] std::uint64_t buffered_packets() const;
 
-  /// The run's metrics registry.  The network registers every kernel and
-  /// stack statistic here at construction; the harness snapshots it into
-  /// MetricsSummary::stats after the run.  Adding a statistic means adding
-  /// one registration here — the summary, sweep folding, and serialized
-  /// output all pick it up from the snapshot.
-  [[nodiscard]] obs::Registry& registry() { return registry_; }
+  /// The run's metrics registry (owned by metrics()).  The network
+  /// registers every kernel and stack statistic here at construction.
+  /// Adding a statistic means one registration — the summary, trial
+  /// folding, series CSV and Perfetto tracks all read the registry.
+  [[nodiscard]] obs::Registry& registry() { return metrics_.registry(); }
 
   /// Installs one network-wide observer of final packet deliveries (the
   /// feedback path closed-loop traffic models ride on).  Called after
@@ -89,7 +88,6 @@ class Network {
   stats::MetricsCollector metrics_;
   mac::CommonChannelMac common_mac_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  obs::Registry registry_;
 };
 
 }  // namespace rica::net

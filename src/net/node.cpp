@@ -106,7 +106,7 @@ void Node::trace_route(std::string_view stage, NodeId src, NodeId dst,
   // funnels through here, so the discovery-storm watchdog needs no
   // per-protocol counter.  Counted before the trace gate — the watchdog
   // works with tracing off.
-  if (stage == "discovery_failed") metrics_.count_discovery_failure();
+  if (stage == "discovery_failed") metrics_.inc("routing.discovery_failed");
   auto& tracer = metrics_.tracer();
   if (!tracer.route_on()) return;
   tracer.route(obs::RouteTrace{stage, sim_.now(), id_, src, dst, bid, metric,

@@ -105,13 +105,13 @@ void PerfettoWriter::slice(std::uint32_t pid, std::uint32_t tid,
 }
 
 void PerfettoWriter::counter(std::uint32_t pid, std::string_view name,
-                             sim::Time at, std::uint64_t value) {
+                             sim::Time at, double value) {
   if (closed_) return;
   comma();
   std::fprintf(file_,
                "{\"ph\":\"C\",\"pid\":%" PRIu32
                ",\"tid\":0,\"name\":\"%.*s\",\"ts\":%s,\"args\":{\"value\":"
-               "%" PRIu64 "}}",
+               "%.15g}}",
                pid, static_cast<int>(name.size()), name.data(),
                Micros(at).buf, value);
 }

@@ -3,9 +3,9 @@
 //
 // Track layout (chosen so no track ever holds overlapping "X" slices):
 //
-//   pid 0 "kernel"          — counter tracks only: pending events and
-//                             per-window fired/batched counts from the
-//                             Simulator's KernelObserver.
+//   pid 0 "kernel"          — counter tracks only: one per registered
+//                             obs::Registry scalar, sampled at each
+//                             Simulator KernelObserver window.
 //   pid 1 "control-channel" — one thread per terminal; the common channel
 //                             is half-duplex per node, so a node's control
 //                             transmissions never overlap.
@@ -49,9 +49,10 @@ class PerfettoWriter {
   void slice(std::uint32_t pid, std::uint32_t tid, std::string_view category,
              std::string_view name, sim::Time start, sim::Time dur);
 
-  /// A counter ("C") sample named `name` on `pid` at `at`.
+  /// A counter ("C") sample named `name` on `pid` at `at`; `value` prints
+  /// as "%.15g" (integers below 10^15 exactly, byte-stable across runs).
   void counter(std::uint32_t pid, std::string_view name, sim::Time at,
-               std::uint64_t value);
+               double value);
 
   /// Names the thread track (pid, tid) in the UI; idempotent.
   void name_thread(std::uint32_t pid, std::uint32_t tid,

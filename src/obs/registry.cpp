@@ -8,24 +8,26 @@ namespace rica::obs {
 
 Counter& Registry::counter(const std::string& name) {
   auto& e = entries_[name];
-  e = Entry{};
-  e.kind = StatKind::kCounter;
-  e.counter = std::make_unique<Counter>();
+  if (!e.counter) {
+    e = Entry{};
+    e.counter = std::make_unique<Counter>();
+  }
   return *e.counter;
 }
 
 Gauge& Registry::gauge(const std::string& name) {
   auto& e = entries_[name];
-  e = Entry{};
-  e.kind = StatKind::kGauge;
-  e.gauge = std::make_unique<Gauge>();
+  if (!e.gauge) {
+    e = Entry{};
+    e.kind = StatKind::kGauge;
+    e.gauge = std::make_unique<Gauge>();
+  }
   return *e.gauge;
 }
 
 void Registry::counter_fn(const std::string& name, std::function<double()> fn) {
   auto& e = entries_[name];
   e = Entry{};
-  e.kind = StatKind::kCounter;
   e.fn = std::move(fn);
 }
 
@@ -38,8 +40,15 @@ void Registry::gauge_fn(const std::string& name, std::function<double()> fn) {
 
 LogHistogram& Registry::histogram(const std::string& name) {
   auto& slot = histograms_[name];
-  slot = std::make_unique<LogHistogram>();
+  if (!slot) slot = std::make_unique<LogHistogram>();
   return *slot;
+}
+
+void Registry::reset() {
+  for (auto& [name, e] : entries_) {
+    if (e.counter) e.counter->reset();
+  }
+  for (auto& [name, h] : histograms_) *h = LogHistogram{};
 }
 
 std::map<std::string, LogHistogram> Registry::histogram_snapshot() const {
@@ -48,31 +57,24 @@ std::map<std::string, LogHistogram> Registry::histogram_snapshot() const {
   return out;
 }
 
+double Registry::Entry::value() const {
+  if (counter) return static_cast<double>(counter->value());
+  if (gauge) return gauge->value();
+  return fn ? fn() : 0.0;
+}
+
 std::vector<Sample> Registry::snapshot() const {
   std::vector<Sample> out;
   out.reserve(entries_.size());
   for (const auto& [name, e] : entries_) {
-    double v = 0.0;
-    if (e.counter) {
-      v = static_cast<double>(e.counter->value());
-    } else if (e.gauge) {
-      v = e.gauge->value();
-    } else if (e.fn) {
-      v = e.fn();
-    }
-    out.push_back(Sample{name, e.kind, v});
+    out.push_back(Sample{name, e.kind, e.value()});
   }
   return out;  // std::map iteration is already name-sorted
 }
 
 double Registry::read(const std::string& name) const {
   const auto it = entries_.find(name);
-  if (it == entries_.end()) return 0.0;
-  const auto& e = it->second;
-  if (e.counter) return static_cast<double>(e.counter->value());
-  if (e.gauge) return e.gauge->value();
-  if (e.fn) return e.fn();
-  return 0.0;
+  return it == entries_.end() ? 0.0 : it->second.value();
 }
 
 namespace {

@@ -1,23 +1,23 @@
-// Typed metrics registry: the single place a run's scalar observability
-// lives.
+// Typed metrics registry: the one home of a run's non-paper statistics.
 //
-// Before this layer, every kernel/pool/table statistic was plumbed by hand
-// through four files (accessor on the owning object → copy in run_scenario
-// → field in MetricsSummary → fold rule in average()).  The registry
-// collapses that to one registration: a layer registers a counter or a
-// gauge (eagerly owned, or lazily via a sampling callback), and the harness
-// snapshots the whole registry into the summary with the fold semantics
-// carried alongside the value:
+// Each run owns one Registry (inside stats::MetricsCollector).  A layer
+// adds a statistic with one registration — an owned counter, gauge or
+// histogram, or a function read at snapshot time — and every consumer
+// iterates the registry instead of naming stats: the run summary
+// (MetricsSummary::stats / histograms), the multi-trial fold, the series
+// CSV and the Perfetto counter tracks.  Each scalar carries its fold kind:
 //
-//   * kCounter — additive work (events executed, batch fires, drops); trial
+//   * kCounter — additive work (events executed, diagnostics, drops); trial
 //     aggregation sums.
 //   * kGauge   — level / high-water readings (pending events, pool
 //     occupancy, table load); trial aggregation takes the maximum.
 //
-// Values are doubles so one snapshot type covers both integer counters and
-// fractional gauges; integer counters in the simulated ranges (< 2^53) are
-// exact.  Registration order is irrelevant — snapshot() returns samples
-// sorted by name, so serialized output is stable.
+// Epoch rule: reset() zeroes every owned counter and histogram (a warmup
+// reset calls it); gauges and function-backed entries keep reading their
+// owners.  Values are doubles so one snapshot type covers integer counters
+// and fractional gauges; integer counters in the simulated ranges
+// (< 2^53) are exact.  snapshot() is sorted by name, so serialized output
+// is stable.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +45,7 @@ struct Sample {
   friend bool operator==(const Sample&, const Sample&) = default;
 };
 
-/// An eagerly owned monotonic counter.
+/// An owned monotonic counter.
 class Counter {
  public:
   void add(std::uint64_t by = 1) { value_ += by; }
@@ -56,7 +56,7 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
-/// An eagerly owned level gauge that can also track its own high water.
+/// An owned level gauge: holds the last value set.
 class Gauge {
  public:
   void set(double v) { value_ = v; }
@@ -68,27 +68,31 @@ class Gauge {
 
 class Registry {
  public:
-  /// Registers an owned counter under `name` and returns it; stable address
-  /// for the registry's lifetime.  Re-registering a name replaces the
-  /// previous entry (last writer wins).
+  /// Returns the owned counter under `name`, registering it on first use;
+  /// the address is stable for the registry's lifetime, so every holder of
+  /// the name shares one counter.  A name held by another kind of entry is
+  /// replaced.
   Counter& counter(const std::string& name);
-  /// Registers an owned gauge under `name` and returns it.
+  /// Returns the owned gauge under `name`, registering it on first use.
   Gauge& gauge(const std::string& name);
 
-  /// Registers a counter whose value is read lazily at snapshot time —
-  /// for statistics an existing object already tracks (e.g. the
-  /// Simulator's events_executed).
+  /// Registers a counter whose value is read at snapshot time — for
+  /// statistics an existing object already tracks (e.g. the Simulator's
+  /// events_executed).  Replaces any entry under `name`.
   void counter_fn(const std::string& name, std::function<double()> fn);
-  /// Registers a lazily read gauge.
+  /// Registers a gauge read at snapshot time.
   void gauge_fn(const std::string& name, std::function<double()> fn);
 
-  /// Registers an owned log-bucketed histogram under `name` and returns
-  /// it; stable address for the registry's lifetime.  Histograms live in
-  /// their own namespace (a name may be both a scalar and a histogram) and
-  /// are snapshotted separately — trial aggregation merges them exactly
-  /// (see LogHistogram::merge), so cross-trial percentiles come from the
-  /// pooled distribution rather than a mean of per-trial points.
+  /// Returns the owned log-bucketed histogram under `name`, registering it
+  /// on first use; stable address.  Histograms live in their own namespace
+  /// (a name may be both a scalar and a histogram) and are snapshotted
+  /// separately — trial aggregation merges them exactly (see
+  /// LogHistogram::merge), so cross-trial percentiles come from the pooled
+  /// distribution rather than a mean of per-trial points.
   LogHistogram& histogram(const std::string& name);
+
+  /// Zeroes every owned counter and histogram (the epoch rule above).
+  void reset();
 
   /// Copies every registered histogram (sorted by name — std::map order).
   [[nodiscard]] std::map<std::string, LogHistogram> histogram_snapshot()
@@ -107,6 +111,8 @@ class Registry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::function<double()> fn;
+
+    [[nodiscard]] double value() const;
   };
   std::map<std::string, Entry> entries_;  // sorted: stable snapshots
   // unique_ptr keeps histogram addresses stable across registrations.

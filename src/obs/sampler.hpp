@@ -1,46 +1,38 @@
 // Time-series sampling and the kernel profiling probe.
 //
-// `SeriesSampler` dumps a periodic per-run CSV (`--sample-dt S`): simulated
-// time, pending kernel events, cumulative work, buffered data packets
-// across every link queue, instantaneous delivery rate, and control
-// overhead rate.  It reads its columns through caller-supplied thunks, so
-// the observability layer stays decoupled from the network stack; the
-// harness wires the thunks to the MetricsCollector and Network.  The
-// sampler schedules *real* simulation events — a run with sampling enabled
-// executes more kernel events than one without (events_executed moves) but
-// never touches the metrics stream hash, because the sample callback only
-// reads.
+// `SeriesSampler` dumps a periodic per-run CSV (`--sample-dt S`) in long
+// format, `t_s,stat,value`: at each sample, one row per registered
+// obs::Registry scalar, in name order.  A new registration adds its rows
+// with no edit here.  Rates are deltas between samples (e.g. delivery rate
+// from `net.delivered`, control overhead from `net.control_bytes_on_air`).
+// The sampler schedules *real* simulation events — a run with sampling
+// enabled executes more kernel events than one without
+// (kernel.events_executed moves) but never touches the metrics stream
+// hash, because the sample callback only reads.
 //
 // `KernelProbe` adapts the Simulator's `sim::KernelObserver` hook to the
-// trace layer: each observation window becomes a JSONL kernel record and a
-// set of Perfetto counter samples (pending events; fired / batched / spill
-// counts per window) on the "kernel" process track.
+// trace layer: each observation window becomes a JSONL kernel record and
+// one Perfetto counter sample per registered scalar on the "kernel"
+// process track.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
 
 #include "obs/perfetto.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 
 namespace rica::obs {
 
-/// Column providers for SeriesSampler, wired by the harness.
-struct SeriesSource {
-  std::function<std::uint64_t()> delivered;         ///< cumulative packets
-  std::function<double()> control_bits;             ///< cumulative bits on air
-  std::function<std::uint64_t()> buffered_packets;  ///< live link-queue total
-};
-
 class SeriesSampler {
  public:
-  /// Opens `path` and writes the CSV header.  Throws std::runtime_error
-  /// when the file cannot be opened.
-  SeriesSampler(const std::string& path, SeriesSource source);
+  /// Opens `path` and writes the CSV header; `registry` must outlive the
+  /// sampler.  Throws std::runtime_error when the file cannot be opened.
+  SeriesSampler(const std::string& path, const Registry& registry);
   ~SeriesSampler();
   SeriesSampler(const SeriesSampler&) = delete;
   SeriesSampler& operator=(const SeriesSampler&) = delete;
@@ -53,16 +45,14 @@ class SeriesSampler {
   void flush();
 
  private:
-  void sample(sim::Simulator& sim);
+  void sample(sim::Time now);
   void arm(sim::Simulator& sim);
 
   std::FILE* file_ = nullptr;
-  SeriesSource source_;
+  const Registry& registry_;
   sim::Timer timer_;
   sim::Time dt_{};
   sim::Time end_{};
-  std::uint64_t last_delivered_ = 0;
-  double last_control_bits_ = 0.0;
 };
 
 /// Bridges sim::KernelObserver into the trace layer.  Install with
@@ -70,8 +60,11 @@ class SeriesSampler {
 class KernelProbe final : public sim::KernelObserver {
  public:
   /// Either sink may be null; the probe feeds whichever are present.
-  KernelProbe(Tracer* tracer, PerfettoWriter* perfetto)
-      : tracer_(tracer), perfetto_(perfetto) {}
+  /// `registry` supplies the Perfetto counter tracks and must outlive the
+  /// probe.
+  KernelProbe(Tracer* tracer, PerfettoWriter* perfetto,
+              const Registry& registry)
+      : tracer_(tracer), perfetto_(perfetto), registry_(registry) {}
 
   void on_kernel_window(sim::Time now, std::uint64_t events_executed,
                         std::uint64_t batched_fires,
@@ -80,8 +73,7 @@ class KernelProbe final : public sim::KernelObserver {
  private:
   Tracer* tracer_;
   PerfettoWriter* perfetto_;
-  std::uint64_t last_executed_ = 0;
-  std::uint64_t last_batched_ = 0;
+  const Registry& registry_;
 };
 
 }  // namespace rica::obs

@@ -1,6 +1,7 @@
 #include "stats/metrics.hpp"
 
 #include <cmath>
+#include <utility>
 
 namespace rica::stats {
 
@@ -16,6 +17,20 @@ std::vector<double> ThroughputSeries::kbps() const {
   const double secs = bucket_.seconds();
   for (const double b : bits_) out.push_back(b / secs / 1e3);
   return out;
+}
+
+MetricsCollector::MetricsCollector() {
+  // Running epoch totals, so the series CSV and Perfetto tracks carry them;
+  // control bytes-on-air is the byte-exact fig. 4 overhead (net/wire.hpp).
+  registry_.counter_fn("net.generated",
+                       [this] { return static_cast<double>(generated_); });
+  registry_.counter_fn("net.delivered",
+                       [this] { return static_cast<double>(delivered_); });
+  registry_.counter_fn("net.dropped", [this] {
+    return static_cast<double>(dropped_total());
+  });
+  registry_.counter_fn("net.control_bytes_on_air",
+                       [this] { return control_bits_ / 8.0; });
 }
 
 void MetricsCollector::on_generated(const net::DataPacket& pkt) {
@@ -84,23 +99,15 @@ void MetricsCollector::reset_epoch(sim::Time now) {
   collision_count_ = 0;
   drops_.fill(0);
   series_.clear();
-  counters_.clear();
   flows_.clear();
-  delay_ns_ = obs::LogHistogram{};
-  queue_depth_ = obs::LogHistogram{};
-  airtime_ns_ = obs::LogHistogram{};
-  discovery_failures_ = 0;
+  registry_.reset();
   stream_hash_ = kFnvOffsetBasis;
   epoch_start_ = now;
 }
 
-void MetricsCollector::inc(const std::string& name, std::uint64_t by) {
-  counters_[name] += by;
-}
-
-std::uint64_t MetricsCollector::counter(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
+double MetricsSummary::stat(const std::string& name) const {
+  const auto it = stats.find(name);
+  return it == stats.end() ? 0.0 : it->second.value;
 }
 
 MetricsSummary MetricsCollector::finalize(sim::Time sim_duration) const {
@@ -124,7 +131,6 @@ MetricsSummary MetricsCollector::finalize(sim::Time sim_duration) const {
   s.control_transmissions = control_tx_count_;
   s.control_collisions = collision_count_;
   s.tput_kbps_series = series_.kbps();
-  s.counters = counters_;
   s.stream_hash = stream_hash_;
   s.measure_start = epoch_start_;
 
@@ -151,9 +157,10 @@ MetricsSummary MetricsCollector::finalize(sim::Time sim_duration) const {
   s.delay_p50_ms = delay_ns_.percentile(50.0) / 1e6;
   s.delay_p95_ms = delay_ns_.percentile(95.0) / 1e6;
   s.delay_p99_ms = delay_ns_.percentile(99.0) / 1e6;
-  s.histograms.emplace("delay_ns", delay_ns_);
-  s.histograms.emplace("queue_depth", queue_depth_);
-  s.histograms.emplace("airtime_ns", airtime_ns_);
+  for (auto& sample : registry_.snapshot()) {
+    s.stats.emplace(sample.name, std::move(sample));
+  }
+  s.histograms = registry_.histogram_snapshot();
   return s;
 }
 

@@ -93,7 +93,6 @@ struct MetricsSummary {
   std::uint64_t control_transmissions = 0;
   std::uint64_t control_collisions = 0;
   std::vector<double> tput_kbps_series;
-  std::map<std::string, std::uint64_t> counters;  ///< protocol diagnostics
   // Workload-axis metrics: delay percentiles pooled over every delivered
   // packet, Jain's fairness index over per-flow delivered throughput, and
   // the per-flow table backing both.  The run-level percentiles come from
@@ -112,39 +111,21 @@ struct MetricsSummary {
   std::uint64_t stream_hash = 0;
   /// Start of the measurement window (0 without warmup; see reset_epoch).
   sim::Time measure_start{};
-  // Kernel observability, filled by the harness from the Simulator after the
-  // run.  Across trials, events_executed accumulates (total kernel work) and
-  // the two high-water marks keep the per-trial maximum.
-  std::uint64_t events_executed = 0;       ///< events fired by the kernel
-  std::uint64_t peak_pending_events = 0;   ///< max simultaneously pending
-  std::uint64_t slab_high_water = 0;       ///< max event records in use
-  /// Closures that outgrew the engine's inline buffer
-  /// (sim::EventEngine::kInlineBytes) and spilled to a heap cell — the data
-  /// behind the inline-buffer sizing decision; the golden suite pins it to
-  /// zero.  Accumulates across trials like events_executed.
-  std::uint64_t heap_fallbacks = 0;
-  /// Events fired off the engine's sorted same-tick batch (vs. the spill
-  /// heap); near events_executed when batching is effective.  Accumulates
-  /// across trials.
-  std::uint64_t batched_fires = 0;
-  /// Peak live entries across the stack's free-list pools (MAC control
-  /// queues + per-node data queues); per-trial maximum across trials.
-  std::uint64_t pool_high_water = 0;
-  /// Max open-addressing table occupancy observed at run end (routing /
-  /// history / link tables); per-trial maximum across trials.
-  double table_load = 0.0;
-  /// Every registered observability statistic, keyed by name, with its fold
-  /// kind attached (see obs::Registry).  The typed kernel fields above are
-  /// populated from this map by the harness; new statistics only need a
-  /// registration, not a summary field.  Across trials, average() folds by
-  /// kind: counters sum, gauges keep the maximum.
+  /// Every registry statistic, keyed by name, with its fold kind attached
+  /// (see obs::Registry): kernel and stack stats, the collector's running
+  /// net.* totals, protocol diagnostics and anomaly counts.  A new
+  /// statistic needs only a registration.  Across trials, average() folds
+  /// by kind: counters sum, gauges keep the maximum.
   std::map<std::string, obs::Sample> stats;
-  /// Bounded log-bucketed distributions, keyed by name: always-on
-  /// "delay_ns" / "queue_depth" / "airtime_ns" from the collector plus any
-  /// histogram registered in the obs::Registry.  Across trials, average()
+  /// Bounded log-bucketed distributions, keyed by name: every histogram in
+  /// the registry, including the collector's always-on "delay_ns" /
+  /// "queue_depth" / "airtime_ns".  Across trials, average()
   /// merges by name — LogHistogram::merge is exact and associative, so
   /// pooled percentiles are identical no matter how trials are grouped.
   std::map<std::string, obs::LogHistogram> histograms;
+
+  /// Value of stats entry `name`; 0.0 when absent.
+  [[nodiscard]] double stat(const std::string& name) const;
 };
 
 /// FNV-1a running hash (64-bit), folded one event record at a time.  Used
@@ -163,7 +144,10 @@ inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
 /// Event sink wired into the node/MAC layers.  One collector per run.
 class MetricsCollector {
  public:
-  MetricsCollector() = default;
+  MetricsCollector();
+  // Registry entries read this collector through `this`.
+  MetricsCollector(const MetricsCollector&) = delete;
+  MetricsCollector& operator=(const MetricsCollector&) = delete;
 
   // -- data plane -----------------------------------------------------------
   void on_generated(const net::DataPacket& pkt);
@@ -192,20 +176,17 @@ class MetricsCollector {
     airtime_ns_.record(airtime.nanos());
   }
 
-  /// Central discovery-failure tally (fed by Node::trace_route, the one
-  /// place every protocol's "discovery_failed" record funnels through);
-  /// source for the discovery-storm watchdog.
-  void count_discovery_failure() { ++discovery_failures_; }
-  [[nodiscard]] std::uint64_t discovery_failures() const {
-    return discovery_failures_;
+  /// Adds `by` to the registry counter `name` (registered on first use):
+  /// protocol diagnostics and tests.
+  void inc(const std::string& name, std::uint64_t by = 1) {
+    registry_.counter(name).add(by);
   }
 
-  /// Free-form named counters for protocol diagnostics and tests.
-  void inc(const std::string& name, std::uint64_t by = 1);
-  [[nodiscard]] std::uint64_t counter(const std::string& name) const;
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& counters() const {
-    return counters_;
-  }
+  /// The run's statistics registry (see obs::Registry).  The collector
+  /// registers its net.* totals and distributions here; the network adds
+  /// kernel and stack stats; finalize() snapshots all of it.
+  [[nodiscard]] obs::Registry& registry() { return registry_; }
+  [[nodiscard]] const obs::Registry& registry() const { return registry_; }
 
   /// Per-flow tallies (keyed by the traffic generator's flow id).
   struct FlowStats {
@@ -227,11 +208,14 @@ class MetricsCollector {
 
   // -- measurement window ---------------------------------------------------
   /// Opens a fresh measurement epoch at `now`: every accumulator (counts,
-  /// sums, drops, series, flow tallies, diagnostics, stream hash) restarts
-  /// from zero and finalize() reports rates over (now, sim_duration].  This
-  /// is the whole warmup implementation — one reset event at the end of the
-  /// transient instead of an is-warm branch on every counter update — so a
-  /// warmed-up run executes the exact same event stream as a cold one.
+  /// sums, drops, series, flow tallies, stream hash) and every owned
+  /// registry counter and histogram restarts from zero, and finalize()
+  /// reports rates over (now, sim_duration].  Function-backed registry
+  /// stats (kernel.*, stack.*) keep reading their owners for the whole run.
+  /// This is the whole warmup implementation — one reset event at the end
+  /// of the transient instead of an is-warm branch on every counter update
+  /// — so a warmed-up run executes the exact same event stream as a cold
+  /// one.
   void reset_epoch(sim::Time now);
   [[nodiscard]] sim::Time epoch_start() const { return epoch_start_; }
 
@@ -251,8 +235,6 @@ class MetricsCollector {
     for (const auto d : drops_) sum += d;
     return sum;
   }
-  /// Cumulative control bits on air this epoch (series sampling).
-  [[nodiscard]] double control_bits() const { return control_bits_; }
 
   /// The structured-trace switchboard.  The collector is the one object
   /// already threaded through every emitting layer (nodes, both MACs, the
@@ -275,12 +257,12 @@ class MetricsCollector {
   std::uint64_t collision_count_ = 0;
   std::array<std::uint64_t, kNumDropReasons> drops_{};
   ThroughputSeries series_{};
-  std::map<std::string, std::uint64_t> counters_;
   std::map<std::uint32_t, FlowStats> flows_;
-  obs::LogHistogram delay_ns_;     ///< pooled end-to-end delay
-  obs::LogHistogram queue_depth_;  ///< link-queue depth at enqueue
-  obs::LogHistogram airtime_ns_;   ///< per-attempt data airtime
-  std::uint64_t discovery_failures_ = 0;
+  obs::Registry registry_;
+  // Registry-owned, so reset_epoch and finalize reach them with the rest.
+  obs::LogHistogram& delay_ns_ = registry_.histogram("delay_ns");
+  obs::LogHistogram& queue_depth_ = registry_.histogram("queue_depth");
+  obs::LogHistogram& airtime_ns_ = registry_.histogram("airtime_ns");
   std::uint64_t stream_hash_ = kFnvOffsetBasis;
   sim::Time epoch_start_ = sim::Time::zero();
   obs::Tracer tracer_;

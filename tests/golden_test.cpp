@@ -134,20 +134,15 @@ void expect_identical(const harness::ScenarioResult& a,
   EXPECT_EQ(a.control_transmissions, b.control_transmissions);
   EXPECT_EQ(a.control_collisions, b.control_collisions);
   EXPECT_EQ(a.tput_kbps_series, b.tput_kbps_series);
-  EXPECT_EQ(a.counters, b.counters);
   EXPECT_EQ(a.measure_start, b.measure_start);
   EXPECT_EQ(a.delay_p50_ms, b.delay_p50_ms);
   EXPECT_EQ(a.delay_p95_ms, b.delay_p95_ms);
   EXPECT_EQ(a.delay_p99_ms, b.delay_p99_ms);
   EXPECT_EQ(a.jain_fairness, b.jain_fairness);
-  // Kernel observability must replay bit-identically too: any drift here
+  // Every registry stat must replay bit-identically too — kernel and pool
+  // high-water marks, protocol diagnostics, anomaly counts: any drift here
   // means the engine or the pooled/flat memory layout behaved differently.
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.batched_fires, b.batched_fires);
-  EXPECT_EQ(a.peak_pending_events, b.peak_pending_events);
-  EXPECT_EQ(a.slab_high_water, b.slab_high_water);
-  EXPECT_EQ(a.pool_high_water, b.pool_high_water);
-  EXPECT_EQ(a.table_load, b.table_load);
+  EXPECT_EQ(a.stats, b.stats);
   ASSERT_EQ(a.flow_summaries.size(), b.flow_summaries.size());
   for (std::size_t i = 0; i < a.flow_summaries.size(); ++i) {
     EXPECT_EQ(a.flow_summaries[i].flow, b.flow_summaries[i].flow);
@@ -171,13 +166,13 @@ void run_and_check(const harness::ScenarioConfig& cfg, const std::string& key) {
   // Every closure the stack schedules must fit the engine's inline buffer;
   // an oversized one silently costs a heap cell per event, so pin it to
   // zero across the whole protocol x traffic matrix.
-  EXPECT_EQ(first.heap_fallbacks, 0u)
+  EXPECT_EQ(first.stat("kernel.heap_fallbacks"), 0.0)
       << "an event closure outgrew EventEngine::kInlineBytes";
   // A real scenario always has same-tick bursts and queued packets: the
   // batch path and the pools must actually be exercised, not just present.
-  EXPECT_GT(first.batched_fires, 0u);
-  EXPECT_GT(first.pool_high_water, 0u);
-  EXPECT_GT(first.table_load, 0.0);
+  EXPECT_GT(first.stat("kernel.batched_fires"), 0.0);
+  EXPECT_GT(first.stat("stack.pool_high_water"), 0.0);
+  EXPECT_GT(first.stat("stack.table_load"), 0.0);
   GoldenRegistry::instance().check(key, first.stream_hash);
   std::printf("[golden] %-36s stream_hash=%016llx\n", key.c_str(),
               static_cast<unsigned long long>(first.stream_hash));

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -240,41 +241,81 @@ TEST(Warmup, CountersEqualPostWindowDeltasOfColdRun) {
   // protocol events are generated lazily), so the cold run's counter deltas
   // over (w, T] are recoverable from two finalizations — and a warmed-up
   // run must reproduce them exactly, because the epoch reset only zeroes
-  // accumulators without touching the event stream.
-  ScenarioConfig base;
-  base.protocol = ProtocolKind::kRica;
-  base.mean_speed_kmh = 36.0;
-  base.seed = 5;
+  // accumulators without touching the event stream.  Seed 6 adds a window
+  // with discovery failures, which seed 5 lacks.
+  std::set<std::string> moved;  // owned counters with a nonzero window
+  for (const std::uint64_t seed : {5u, 6u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ScenarioConfig base;
+    base.protocol = ProtocolKind::kRica;
+    base.mean_speed_kmh = 36.0;
+    base.seed = seed;
 
-  ScenarioConfig prefix = base;
-  prefix.sim_s = 8.0;
-  ScenarioConfig total = base;
-  total.sim_s = 20.0;
-  ScenarioConfig warmed = total;
-  warmed.warmup_s = 8.0;
+    ScenarioConfig prefix = base;
+    prefix.sim_s = 8.0;
+    ScenarioConfig total = base;
+    total.sim_s = 20.0;
+    ScenarioConfig warmed = total;
+    warmed.warmup_s = 8.0;
 
-  const auto rp = run_scenario(prefix);
-  const auto rt = run_scenario(total);
-  const auto rw = run_scenario(warmed);
+    const auto rp = run_scenario(prefix);
+    const auto rt = run_scenario(total);
+    const auto rw = run_scenario(warmed);
 
-  EXPECT_EQ(rw.measure_start, sim::seconds(8));
-  EXPECT_EQ(rw.generated, rt.generated - rp.generated);
-  EXPECT_EQ(rw.delivered, rt.delivered - rp.delivered);
-  EXPECT_EQ(rw.control_transmissions,
-            rt.control_transmissions - rp.control_transmissions);
-  EXPECT_EQ(rw.control_collisions,
-            rt.control_collisions - rp.control_collisions);
-  for (std::size_t i = 0; i < stats::kNumDropReasons; ++i) {
-    EXPECT_EQ(rw.drops[i], rt.drops[i] - rp.drops[i]) << "drop reason " << i;
+    EXPECT_EQ(rw.measure_start, sim::seconds(8));
+    EXPECT_EQ(rw.generated, rt.generated - rp.generated);
+    EXPECT_EQ(rw.delivered, rt.delivered - rp.delivered);
+    EXPECT_EQ(rw.control_transmissions,
+              rt.control_transmissions - rp.control_transmissions);
+    EXPECT_EQ(rw.control_collisions,
+              rt.control_collisions - rp.control_collisions);
+    for (std::size_t i = 0; i < stats::kNumDropReasons; ++i) {
+      EXPECT_EQ(rw.drops[i], rt.drops[i] - rp.drops[i]) << "drop reason " << i;
+    }
+    // Every owned registry counter is window-scoped as well: protocol
+    // diagnostics, MAC failures and the discovery-failure tally all equal
+    // the cold run's post-window delta.
+    for (const auto& [name, sample] : rt.stats) {
+      if (!name.starts_with("rica.") && !name.starts_with("mac.") &&
+          name != "routing.discovery_failed") {
+        continue;
+      }
+      EXPECT_EQ(rw.stat(name), sample.value - rp.stat(name)) << name;
+      if (rw.stat(name) > 0.0) moved.insert(name);
+    }
+    // Function-backed kernel stats read the kernel for the whole run: the
+    // whole warmup machinery is a single extra event.
+    EXPECT_EQ(rw.stat("kernel.events_executed"),
+              rt.stat("kernel.events_executed") + 1);
+    // Overhead is the delta of control+ACK bits over the 12 s window (kbps
+    // * seconds = kbits; reconstructed, so compare with a rounding
+    // tolerance).
+    const double window_kbits =
+        rt.overhead_kbps * total.sim_s - rp.overhead_kbps * prefix.sim_s;
+    EXPECT_NEAR(rw.overhead_kbps,
+                window_kbits / (total.sim_s - warmed.warmup_s),
+                1e-9 * (1.0 + rw.overhead_kbps));
   }
-  // The whole warmup machinery is a single extra event.
-  EXPECT_EQ(rw.events_executed, rt.events_executed + 1);
-  // Overhead is the delta of control+ACK bits over the 12 s window (kbps *
-  // seconds = kbits; reconstructed, so compare with a rounding tolerance).
-  const double window_kbits =
-      rt.overhead_kbps * total.sim_s - rp.overhead_kbps * prefix.sim_s;
-  EXPECT_NEAR(rw.overhead_kbps, window_kbits / (total.sim_s - warmed.warmup_s),
-              1e-9 * (1.0 + rw.overhead_kbps));
+  for (const char* name :
+       {"rica.discovery", "mac.unicast_fail", "routing.discovery_failed"}) {
+    EXPECT_TRUE(moved.contains(name)) << name << " never moved in a window";
+  }
+}
+
+TEST(RunTrials, FoldsProtocolDiagnosticsAcrossTrials) {
+  // Diagnostics are registry counters, so the multi-trial fold sums them
+  // like every other counter instead of dropping them.
+  ScenarioConfig cfg;
+  cfg.sim_s = 5.0;
+  double per_trial_sum = 0.0;
+  for (int t = 0; t < 2; ++t) {
+    ScenarioConfig trial = cfg;
+    trial.seed = trial_seed(cfg, t);
+    per_trial_sum += run_scenario(trial).stat("rica.discovery");
+  }
+  const auto folded = run_trials(cfg, 2);
+  EXPECT_GT(folded.stat("rica.discovery"), 0.0);
+  EXPECT_EQ(folded.stat("rica.discovery"), per_trial_sum);
 }
 
 TEST(Warmup, ZeroWarmupIsBitIdenticalToDefaultRun) {
@@ -289,7 +330,7 @@ TEST(Warmup, ZeroWarmupIsBitIdenticalToDefaultRun) {
   EXPECT_EQ(plain.generated, zero.generated);
   EXPECT_EQ(plain.delivered, zero.delivered);
   EXPECT_EQ(plain.overhead_kbps, zero.overhead_kbps);
-  EXPECT_EQ(plain.events_executed, zero.events_executed);
+  EXPECT_EQ(plain.stats, zero.stats);
   EXPECT_EQ(plain.measure_start, sim::Time::zero());
   EXPECT_EQ(zero.measure_start, sim::Time::zero());
 }

@@ -167,8 +167,8 @@ struct Outcome {
   std::vector<Reception> log;
   std::uint64_t transmissions = 0;
   std::uint64_t collisions = 0;
-  std::uint64_t unicast_fail = 0;
-  std::uint64_t queue_drops = 0;
+  double unicast_fail = 0.0;
+  double queue_drops = 0.0;
   std::uint64_t stream_hash = 0;
 };
 
@@ -212,8 +212,8 @@ Outcome run(const Scenario& sc) {
   const auto summary = metrics.finalize(horizon);
   out.transmissions = summary.control_transmissions;
   out.collisions = summary.control_collisions;
-  out.unicast_fail = metrics.counter("mac.unicast_fail");
-  out.queue_drops = metrics.counter("mac.ctrl_queue_drop");
+  out.unicast_fail = summary.stat("mac.unicast_fail");
+  out.queue_drops = summary.stat("mac.ctrl_queue_drop");
   out.stream_hash = summary.stream_hash;
   return out;
 }
@@ -270,8 +270,8 @@ TEST(MacDifferential, MatchesIntervalScanOracle) {
   }
   // The schedules must exercise every path the two MACs could disagree on.
   EXPECT_GT(total.collisions, total.transmissions / 10);
-  EXPECT_GT(total.unicast_fail, 0u);
-  EXPECT_GT(total.queue_drops, 0u);
+  EXPECT_GT(total.unicast_fail, 0.0);
+  EXPECT_GT(total.queue_drops, 0.0);
   EXPECT_GT(touches, 0u);
 }
 

@@ -117,7 +117,7 @@ TEST(CommonChannel, QueueBoundDropsExcess) {
   }
   for (int i = 0; i < 10; ++i) mac.send(0, broadcast_pkt());
   w.sim.run_until(sim::seconds(1));
-  EXPECT_GT(w.metrics.counter("mac.ctrl_queue_drop"), 0u);
+  EXPECT_GT(w.metrics.registry().read("mac.ctrl_queue_drop"), 0.0);
 }
 
 TEST(CommonChannel, CarrierSenseSerializesNeighbors) {
@@ -151,7 +151,7 @@ TEST(CommonChannel, UnicastRetransmitsUntilDelivered) {
   }
   mac.send(0, net::make_control(1, net::AbrBeaconMsg{0}));
   w.sim.run_until(sim::seconds(1));
-  EXPECT_EQ(w.metrics.counter("mac.unicast_fail"), 1u);
+  EXPECT_EQ(w.metrics.registry().read("mac.unicast_fail"), 1.0);
   const auto s = w.metrics.finalize(sim::seconds(1));
   EXPECT_EQ(s.control_transmissions, 3u);  // all attempts hit the air
 }

@@ -5,6 +5,8 @@
 // the null-sink contract (tracing must never move the golden stream hash).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -16,7 +18,10 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "net/network.hpp"
+#include "obs/perfetto.hpp"
 #include "obs/registry.hpp"
+#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "sim/time.hpp"
 #include "stats/metrics.hpp"
@@ -163,6 +168,32 @@ TEST(Registry, OwnedAndLazyEntriesSnapshotSorted) {
   lazy = 11;  // lazy entries re-read at every snapshot
   EXPECT_EQ(reg.read("c.lazy"), 11.0);
   EXPECT_EQ(reg.read("missing"), 0.0);
+}
+
+TEST(Registry, ReRegisteringANameReturnsTheSameEntry) {
+  obs::Registry reg;
+  auto& first = reg.counter("x");
+  auto& second = reg.counter("x");
+  EXPECT_EQ(&first, &second);
+  first.add(2);
+  second.add(3);
+  EXPECT_EQ(reg.read("x"), 5.0);
+  EXPECT_EQ(reg.snapshot().size(), 1u);
+  EXPECT_EQ(&reg.gauge("g"), &reg.gauge("g"));
+  EXPECT_EQ(&reg.histogram("h"), &reg.histogram("h"));
+}
+
+TEST(Registry, ResetZeroesOwnedCountersAndHistogramsOnly) {
+  obs::Registry reg;
+  reg.counter("c").add(4);
+  reg.gauge("g").set(1.5);
+  reg.histogram("h").record(10);
+  reg.counter_fn("f", [] { return 9.0; });
+  reg.reset();
+  EXPECT_EQ(reg.read("c"), 0.0);
+  EXPECT_EQ(reg.read("g"), 1.5);
+  EXPECT_EQ(reg.read("f"), 9.0);
+  EXPECT_EQ(reg.histogram_snapshot().at("h").count(), 0u);
 }
 
 TEST(Registry, FoldSumsCountersAndMaxesGauges) {
@@ -354,7 +385,8 @@ TEST(TraceDeterminism, NullSinkLeavesGoldenStreamUntouched) {
   EXPECT_EQ(bare.drops, instrumented.drops);
   EXPECT_EQ(bare.control_transmissions, instrumented.control_transmissions);
   // Sampler events are real kernel events: work moves, the stream does not.
-  EXPECT_GT(instrumented.events_executed, bare.events_executed);
+  EXPECT_GT(instrumented.stat("kernel.events_executed"),
+            bare.stat("kernel.events_executed"));
 
   // Cross-check against the pinned capture so this suite fails the moment
   // the observability layer would silently re-record the golden hashes.
@@ -375,31 +407,48 @@ TEST(TraceDeterminism, NullSinkLeavesGoldenStreamUntouched) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry <-> summary plumbing
+// Registry <-> every consumer
 // ---------------------------------------------------------------------------
 
-TEST(SummaryStats, TypedFieldsMirrorTheRegistrySnapshot) {
-  const auto r = harness::run_scenario(short_config());
-  ASSERT_FALSE(r.stats.empty());
-  const auto value = [&r](const char* name) {
-    return r.stats.at(name).value;
-  };
-  EXPECT_EQ(static_cast<double>(r.events_executed),
-            value("kernel.events_executed"));
-  EXPECT_EQ(static_cast<double>(r.batched_fires),
-            value("kernel.batched_fires"));
-  EXPECT_EQ(static_cast<double>(r.heap_fallbacks),
-            value("kernel.heap_fallbacks"));
-  EXPECT_EQ(static_cast<double>(r.peak_pending_events),
-            value("kernel.peak_pending"));
-  EXPECT_EQ(static_cast<double>(r.slab_high_water),
-            value("kernel.slab_high_water"));
-  EXPECT_EQ(static_cast<double>(r.pool_high_water),
-            value("stack.pool_high_water"));
-  EXPECT_EQ(r.table_load, value("stack.table_load"));
-  EXPECT_EQ(r.stats.at("kernel.events_executed").kind,
-            obs::StatKind::kCounter);
-  EXPECT_EQ(r.stats.at("stack.table_load").kind, obs::StatKind::kGauge);
+TEST(Registry, OneRegistrationReachesSummarySeriesAndPerfetto) {
+  // Adding a stat is one registration: with no other edit it shows up in
+  // the finalized summary, the series CSV and a Perfetto counter track.
+  net::NetworkConfig ncfg;
+  ncfg.num_nodes = 4;
+  net::Network network(ncfg);
+  obs::Counter& probe_counter = network.registry().counter("test.probe");
+  sim::Simulator& sim = network.simulator();
+  sim.at(sim::seconds(1), [&probe_counter] { probe_counter.add(); });
+
+  TempFile series("one_reg_series");
+  TempFile trace("one_reg_perfetto");
+  const sim::Time end = sim::seconds(2);
+  {
+    obs::SeriesSampler sampler(series.path, network.registry());
+    obs::PerfettoWriter perfetto(trace.path);
+    obs::KernelProbe probe(nullptr, &perfetto, network.registry());
+    sampler.start(sim, sim::seconds_f(0.5), end);
+    sim.set_kernel_observer(&probe, sim::seconds_f(0.5));
+    sim.run_until(end);
+    sim.set_kernel_observer(nullptr, sim::Time::zero());
+  }
+
+  const auto summary = network.metrics().finalize(end);
+  EXPECT_EQ(summary.stat("test.probe"), 1.0);
+  EXPECT_EQ(summary.stats.at("test.probe").kind, obs::StatKind::kCounter);
+
+  const auto csv = slurp(series.path);
+  EXPECT_NE(csv.find("\n0.500000,test.probe,0\n"), std::string::npos) << csv;
+  EXPECT_NE(csv.find("\n1.000000,test.probe,1\n"), std::string::npos) << csv;
+  EXPECT_NE(csv.find("\n2.000000,test.probe,1\n"), std::string::npos) << csv;
+
+  const auto json = slurp(trace.path);
+  EXPECT_TRUE(json_balanced(json));
+  EXPECT_NE(json.find("{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"name\":"
+                      "\"test.probe\",\"ts\":1000000.000,\"args\":{"
+                      "\"value\":1}}"),
+            std::string::npos)
+      << json;
 }
 
 // ---------------------------------------------------------------------------
@@ -422,6 +471,14 @@ TEST(Perfetto, EmitsWellFormedTraceEventJson) {
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(text.find("\"name\":\"process_name\""), std::string::npos);
+  // One counter track per registry scalar.
+  for (const char* name : {"kernel.events_executed", "kernel.pending",
+                           "net.delivered", "rica.discovery"}) {
+    EXPECT_NE(text.find("\"ph\":\"C\",\"pid\":0,\"tid\":0,\"name\":\"" +
+                        std::string(name) + "\""),
+              std::string::npos)
+        << name;
+  }
 
   // Byte-identity holds for the profile too.
   TempFile again("perfetto2");
@@ -441,23 +498,48 @@ TEST(SeriesSampler, WritesOneRowPerPeriodWithStableColumns) {
   cfg.sample_dt_s = 0.5;
   (void)harness::run_scenario(cfg);
 
+  // Long format: one name-sorted row per registry scalar at each sample.
   const auto lines = lines_of(slurp(out.path));
   ASSERT_FALSE(lines.empty());
-  EXPECT_EQ(lines[0],
-            "t_s,pending_events,events_executed,buffered_packets,delivered,"
-            "delivery_rate_pps,control_kbps");
-  // 3 s at 0.5 s per sample: rows at 0.5..3.0 inclusive.
-  EXPECT_EQ(lines.size(), 1u + 6u);
+  EXPECT_EQ(lines[0], "t_s,stat,value");
+  std::map<double, std::vector<std::string>> names_at;  // by t_s
   double prev_t = -1.0;
+  std::string prev_name;
   for (std::size_t i = 1; i < lines.size(); ++i) {
     std::stringstream row(lines[i]);
     std::string cell;
     std::vector<std::string> cells;
     while (std::getline(row, cell, ',')) cells.push_back(cell);
-    ASSERT_EQ(cells.size(), 7u) << lines[i];
+    ASSERT_EQ(cells.size(), 3u) << lines[i];
     const double t = std::stod(cells[0]);
-    EXPECT_GT(t, prev_t);
+    if (t == prev_t) {
+      EXPECT_LT(prev_name, cells[1]) << lines[i];
+    } else {
+      EXPECT_GT(t, prev_t) << lines[i];
+    }
+    EXPECT_TRUE(std::isfinite(std::stod(cells[2]))) << lines[i];
     prev_t = t;
+    prev_name = cells[1];
+    names_at[t].push_back(cells[1]);
+  }
+  // 3 s at 0.5 s per sample: samples at 0.5..3.0 inclusive.  Registered
+  // stats never vanish, so each sample's names contain the previous one's
+  // (diagnostic counters join when first bumped).
+  ASSERT_EQ(names_at.size(), 6u);
+  const std::vector<std::string>* prev = nullptr;
+  for (const auto& [t, names] : names_at) {
+    if (prev != nullptr) {
+      EXPECT_TRUE(std::includes(names.begin(), names.end(), prev->begin(),
+                                prev->end()))
+          << t;
+    }
+    prev = &names;
+  }
+  const auto& first = names_at.begin()->second;
+  for (const char* name :
+       {"kernel.events_executed", "net.delivered", "stack.buffered_packets"}) {
+    EXPECT_NE(std::find(first.begin(), first.end(), name), first.end())
+        << name;
   }
 
   // Rerun is byte-identical (the sampler is part of the determinism

@@ -343,8 +343,10 @@ TEST(ReqRespTrafficTest, ClosesTheLoopAndBothEndpointsOriginate) {
   gen.start();
   net->simulator().run_until(sim::seconds(60));
   const auto& m = net->metrics();
-  const auto completed = m.counter("traffic_reqresp_completed");
-  const auto timeouts = m.counter("traffic_reqresp_timeouts");
+  const auto completed = static_cast<std::uint64_t>(
+      m.registry().read("traffic_reqresp_completed"));
+  const auto timeouts = static_cast<std::uint64_t>(
+      m.registry().read("traffic_reqresp_timeouts"));
   EXPECT_GT(completed, 0u);
   // Closed loop: at most one request outstanding per flow, every request
   // either completes, times out, or is still in flight at the end — and
@@ -378,7 +380,7 @@ TEST(ReqRespTrafficTest, LoadAdaptsToWhatTheNetworkDelivers) {
   // ~1 request per (think + timeout) ~ 45 over 50 s — nowhere near the
   // 500 packets an open-loop 10 pkt/s flow would have pushed.
   EXPECT_LT(net.metrics().generated(), 100u);
-  EXPECT_GT(net.metrics().counter("traffic_reqresp_timeouts"), 10u);
+  EXPECT_GT(net.metrics().registry().read("traffic_reqresp_timeouts"), 10.0);
   EXPECT_EQ(net.metrics().delivered(), 0u);
 }
 
@@ -427,7 +429,7 @@ TEST_P(Conservation, PerFlowCountsBalanceAtStop) {
   EXPECT_EQ(drop, agg_drops);
   // Kernel observability sanity: every closure in the stack still fits the
   // 128 B inline buffer (the datum behind the sizing decision).
-  EXPECT_EQ(r.heap_fallbacks, 0u);
+  EXPECT_EQ(r.stat("kernel.heap_fallbacks"), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -456,7 +458,8 @@ TEST(TrafficDefault, PoissonSpecIsBitIdenticalToTheDefault) {
   EXPECT_EQ(base.stream_hash, spelled.stream_hash);
   EXPECT_EQ(base.stream_hash, patterned.stream_hash);
   EXPECT_EQ(base.generated, patterned.generated);
-  EXPECT_EQ(base.events_executed, patterned.events_executed);
+  EXPECT_EQ(base.stat("kernel.events_executed"),
+            patterned.stat("kernel.events_executed"));
 }
 
 TEST(TrafficDefault, TrialSeedsIgnoreTheDefaultSpecOnly) {
@@ -582,7 +585,7 @@ void expect_identical(const harness::ScenarioResult& a,
   EXPECT_EQ(a.overhead_kbps, b.overhead_kbps);
   EXPECT_EQ(a.delay_p95_ms, b.delay_p95_ms);
   EXPECT_EQ(a.jain_fairness, b.jain_fairness);
-  EXPECT_EQ(a.events_executed, b.events_executed);
+  EXPECT_EQ(a.stats, b.stats);
 }
 
 TEST(TrafficSweep, TrafficAxisBitIdenticalToSerial) {

@@ -158,8 +158,11 @@ TEST(Metrics, NamedCounters) {
   stats::MetricsCollector m;
   m.inc("x");
   m.inc("x", 4);
-  EXPECT_EQ(m.counter("x"), 5u);
-  EXPECT_EQ(m.counter("y"), 0u);
+  EXPECT_EQ(m.registry().read("x"), 5.0);
+  EXPECT_EQ(m.registry().read("y"), 0.0);
+  const auto s = m.finalize(sim::seconds(1));
+  EXPECT_EQ(s.stat("x"), 5.0);
+  EXPECT_EQ(s.stats.at("x").kind, obs::StatKind::kCounter);
 }
 
 TEST(ThroughputSeries, BucketsBits) {
