@@ -30,10 +30,11 @@ double field_for(std::int64_t num_nodes) {
 }
 
 // -- event-kernel benchmarks -------------------------------------------------
-// The slab-backed timing wheel on a mixed-delay schedule/pop workload (64
-// events in flight, delays spread over the protocol stack's 0..1 ms range)
-// and on the Timer rearm churn pattern.  These rows are the perf-regression
-// guard's inputs (scripts/check_bench_regression.py vs BENCH_scale.json).
+// The slab-backed binary-heap engine on a mixed-delay schedule/pop workload
+// (64 events in flight, delays spread over the protocol stack's 0..1 ms
+// range) and on the Timer rearm churn pattern.  These rows are the
+// perf-regression guard's inputs (scripts/check_bench_regression.py vs
+// BENCH_scale.json).
 
 void BM_EventEngineScheduleAndPop(benchmark::State& state) {
   sim::EventEngine q;
@@ -54,7 +55,9 @@ void BM_EventEngineScheduleAndPop(benchmark::State& state) {
 BENCHMARK(BM_EventEngineScheduleAndPop);
 
 // Cancel-heavy churn: the protocol stack's Timer rearm pattern (schedule,
-// cancel, schedule again).  The wheel unlinks in O(1) and recycles the slot.
+// cancel, schedule again).  Cancel frees the slot at once; the stale heap
+// entry stays until it reaches the top, so this row also pays for sifting
+// past cancelled entries.
 
 void BM_EventEngineCancelChurn(benchmark::State& state) {
   sim::EventEngine q;

@@ -47,8 +47,7 @@ SCHEMAS = {
                    "topology_install"},
     },
     "kernel": {
-        "keys": ["type", "t_ns", "events_executed", "batched_fires",
-                 "pending"],
+        "keys": ["type", "t_ns", "events_executed", "pending"],
         "stages": None,
     },
     "span": {

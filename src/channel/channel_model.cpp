@@ -118,17 +118,11 @@ std::vector<std::uint32_t> ChannelModel::neighbors_of(std::uint32_t node,
 
 void ChannelModel::neighbors_of(std::uint32_t node, sim::Time t,
                                 std::vector<std::uint32_t>& out) {
-  out.clear();
   if (!cfg_.use_neighbor_index) {
-    const auto n = static_cast<std::uint32_t>(mobility_.size());
-    for (std::uint32_t other = 0; other < n; ++other) {
-      if (other != node &&
-          mobility_.node_distance(node, other, t) <= cfg_.range_m) {
-        out.push_back(other);
-      }
-    }
+    out = neighbors_of_bruteforce(node, t);
     return;
   }
+  out.clear();
   index_.ensure_fresh(t);
   const auto near = index_.near(node);
   out.reserve(near.size());

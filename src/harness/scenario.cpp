@@ -234,6 +234,17 @@ std::string fmt_m(double v) {
   return buf;
 }
 
+// Every time field becomes int64 nanoseconds (sim::seconds_f), so it must
+// be finite, non-negative and below 2^63 ns (~9.2e9 s).  The negated test
+// also rejects NaN, which fails every comparison.
+void check_time_field(const char* name, double s) {
+  if (!(s >= 0.0 && s * 1e9 < 0x1p63)) {
+    throw std::invalid_argument(
+        std::string(name) + " = " + fmt_m(s) +
+        " s is not a finite, non-negative time below 2^63 ns (~9.22e9 s)");
+  }
+}
+
 }  // namespace
 
 void validate_scenario(const ScenarioConfig& cfg) {
@@ -246,9 +257,9 @@ void validate_scenario(const ScenarioConfig& cfg) {
         " exceeds the 2^24 node-id limit (routing history keys pack the "
         "origin id into 24 bits)");
   }
-  if (cfg.warmup_s < 0.0) {
-    throw std::invalid_argument("warmup must be >= 0 seconds");
-  }
+  check_time_field("sim_s", cfg.sim_s);
+  check_time_field("warmup_s", cfg.warmup_s);
+  check_time_field("sample_dt_s", cfg.sample_dt_s);
   if (cfg.warmup_s > 0.0 && cfg.warmup_s >= cfg.sim_s) {
     throw std::invalid_argument(
         "warmup (" + fmt_m(cfg.warmup_s) +

@@ -101,27 +101,24 @@ std::vector<SweepPoint> run_speed_sweep(
     cell.result = run_trials(cfg, scale.trials);
     if (scale.verbose) {
       // Kernel observability per cell: total events fired across the cell's
-      // trials (and how many came off the sorted same-tick batch), the worst
-      // trial's pending-event / slab / pool high-water marks, the closures
-      // that spilled past the inline buffer, and the open-addressing table
-      // occupancy — the knobs that tell whether the event core and the flat
-      // memory layout, not the protocols, are the bottleneck at this grid
-      // point.
+      // trials, the worst trial's pending-event and pool high-water marks,
+      // the closures that spilled past the inline buffer, and the
+      // open-addressing table occupancy — the knobs that tell whether the
+      // event core and the flat memory layout, not the protocols, are the
+      // bottleneck at this grid point.
       const ScenarioResult& r = cell.result;
       const std::scoped_lock lock(log_mu);
       std::fprintf(stderr,
                    "[sweep]   done %-9s %-12s %-12s speed=%5.1f: events=%.0f"
-                   " batched=%.0f peak_pending=%.0f slab_hw=%.0f heap_fb=%.0f"
-                   " pool_hw=%.0f table_load=%.2f\n"
+                   " peak_pending=%.0f heap_fb=%.0f pool_hw=%.0f"
+                   " table_load=%.2f\n"
                    "[sweep]        drops=%llu (overflow=%llu expired=%llu"
                    " no_route=%llu link_break=%llu loop_cap=%llu)\n",
                    std::string(to_string(cell.protocol)).c_str(),
                    cell.mobility.c_str(), cell.traffic.c_str(),
                    cell.mean_speed_kmh,
                    r.stat("kernel.events_executed"),
-                   r.stat("kernel.batched_fires"),
                    r.stat("kernel.peak_pending"),
-                   r.stat("kernel.slab_high_water"),
                    r.stat("kernel.heap_fallbacks"),
                    r.stat("stack.pool_high_water"),
                    r.stat("stack.table_load"),

@@ -53,9 +53,6 @@ Network::Network(const NetworkConfig& cfg)
   reg.counter_fn("kernel.events_executed", [this] {
     return static_cast<double>(sim_.events_executed());
   });
-  reg.counter_fn("kernel.batched_fires", [this] {
-    return static_cast<double>(sim_.batched_fires());
-  });
   reg.counter_fn("kernel.heap_fallbacks", [this] {
     return static_cast<double>(sim_.heap_fallbacks());
   });
@@ -64,9 +61,6 @@ Network::Network(const NetworkConfig& cfg)
   });
   reg.gauge_fn("kernel.peak_pending", [this] {
     return static_cast<double>(sim_.peak_pending_events());
-  });
-  reg.gauge_fn("kernel.slab_high_water", [this] {
-    return static_cast<double>(sim_.slab_high_water());
   });
   reg.gauge_fn("stack.pool_high_water", [this] {
     return static_cast<double>(pool_high_water());

@@ -63,10 +63,9 @@ void SeriesSampler::sample(sim::Time now) {
 
 void KernelProbe::on_kernel_window(sim::Time now,
                                    std::uint64_t events_executed,
-                                   std::uint64_t batched_fires,
                                    std::size_t pending) {
   if (tracer_ != nullptr && tracer_->kernel_on()) {
-    tracer_->kernel(KernelTrace{now, events_executed, batched_fires,
+    tracer_->kernel(KernelTrace{now, events_executed,
                                 static_cast<std::uint64_t>(pending)});
   }
   if (perfetto_ != nullptr) {

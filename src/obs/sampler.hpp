@@ -67,7 +67,6 @@ class KernelProbe final : public sim::KernelObserver {
       : tracer_(tracer), perfetto_(perfetto), registry_(registry) {}
 
   void on_kernel_window(sim::Time now, std::uint64_t events_executed,
-                        std::uint64_t batched_fires,
                         std::size_t pending) override;
 
  private:

@@ -88,10 +88,8 @@ void jsonl_write(std::FILE* f, const RouteTrace& rec) {
 void jsonl_write(std::FILE* f, const KernelTrace& rec) {
   std::fprintf(f,
                "{\"type\":\"kernel\",\"t_ns\":%" PRId64
-               ",\"events_executed\":%" PRIu64 ",\"batched_fires\":%" PRIu64
-               ",\"pending\":%" PRIu64 "}\n",
-               rec.at.nanos(), rec.events_executed, rec.batched_fires,
-               rec.pending);
+               ",\"events_executed\":%" PRIu64 ",\"pending\":%" PRIu64 "}\n",
+               rec.at.nanos(), rec.events_executed, rec.pending);
 }
 
 void jsonl_write(std::FILE* f, const SpanTrace& rec) {

@@ -107,7 +107,6 @@ struct RouteTrace {
 struct KernelTrace {
   sim::Time at{};
   std::uint64_t events_executed = 0;
-  std::uint64_t batched_fires = 0;
   std::uint64_t pending = 0;
 };
 

@@ -1,44 +1,28 @@
 // The typed, pooled discrete-event engine.
 //
-// Replaces the std::function binary heap + lazy-cancellation hash set with:
-//
-//   * a slab of fixed-size event records (chunked, stable addresses) holding
-//     the callback inline in a small type-erased buffer — no per-event heap
+//   * A chunked slab of fixed-size event records (stable addresses) holds
+//     each callback inline in a small type-erased buffer: no per-event heap
 //     allocation for any closure up to kInlineBytes (oversized closures fall
-//     back to one heap cell and are counted in heap_fallbacks());
-//   * generation-counted handles: cancel() is an O(1) slot lookup + unlink,
-//     the record is recycled immediately, and a stale handle (fired or
-//     cancelled) can never touch a reused slot;
-//   * a four-rung hierarchical timing wheel (256 buckets per rung, 4096 ns
-//     ticks) with per-rung occupancy bitmaps: schedule and pop are O(1)
-//     amortized — each event is touched at most once per rung as the clock
-//     cascades it downward;
-//   * batch firing: each rung-0 bucket is harvested *whole* into a flat
-//     vector, sorted once by (time, seq), and consumed front-to-back — no
-//     per-event heap churn on the pop path.  Events scheduled at-or-behind
-//     the harvested tick mid-batch (e.g. a callback arming a zero-delay
-//     event) land in a small "spill" min-heap; fire_next() interleaves the
-//     batch cursor and the spill top by (at, seq), so the global pop order
-//     stays the exact deterministic (timestamp, FIFO-seq) order.  Fires
-//     consumed from the flat batch are counted in batched_fires().
+//     back to one heap cell and are counted in heap_fallbacks()).
+//   * One binary min-heap of {at, seq, slot, gen} entries orders the pending
+//     events by (timestamp, schedule-seq).  seq is unique, so that order is
+//     total, and any exact priority queue pops the same stream.
+//   * Generation-counted handles: cancel() destroys the callback and frees
+//     the slot at once, which bumps its generation.  The cancelled event's
+//     heap entry is left in place and discarded when it reaches the top
+//     (lazy cancellation); a stale handle (fired or cancelled) can never
+//     touch a reused slot.
 //
 // Time must advance monotonically at the firing boundary: scheduling
 // earlier than an already-fired event asserts in debug builds (it would
-// break the exact pop order) and fires as-soon-as-possible in release.
-// Scheduling behind the engine's *internal* clock is legal and exact —
-// next_time() may harvest buckets ahead of the caller's run horizon, and
-// such events simply join the spill heap, which orders every not-yet-fired
-// event by (at, seq) regardless.
+// break the exact pop order) and fires as soon as possible in release.
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -52,8 +36,8 @@ namespace rica::sim {
 /// and the slot's generation at scheduling time (lower 32 bits).
 using EventId = std::uint64_t;
 
-/// Slab-backed four-rung timing-wheel event engine.  See the file comment
-/// for the design; fire_next() invokes the callback in place (the record is
+/// Slab-backed binary-heap event engine.  See the file comment for the
+/// design; fire_next() invokes the callback in place (the record is
 /// recycled *before* invocation, so a callback may re-arm into its own —
 /// now cache-hot — slot).
 class EventEngine {
@@ -69,7 +53,7 @@ class EventEngine {
   /// in unnoticed.
   static constexpr std::size_t kInlineBytes = 64;
 
-  EventEngine();
+  EventEngine() = default;
   ~EventEngine();
   EventEngine(const EventEngine&) = delete;
   EventEngine& operator=(const EventEngine&) = delete;
@@ -78,10 +62,10 @@ class EventEngine {
   template <typename F>
   EventId schedule(Time at, F&& fn) {
     using D = std::decay_t<F>;
+    assert(at >= fired_floor_ &&
+           "EventEngine: scheduling before an already-fired event");
     const std::uint32_t idx = alloc_slot();
     Slot& s = slot(idx);
-    s.at = at;
-    s.seq = next_seq_++;
     if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(s.storage)) D(std::forward<F>(fn));
       s.ops = &InlineOps<D>::kOps;
@@ -90,15 +74,15 @@ class EventEngine {
       s.ops = &HeapOps<D>::kOps;
       ++heap_fallbacks_;
     }
-    place(idx);
+    push(Entry{at, next_seq_++, idx, s.gen});
     ++size_;
     return make_id(idx, s.gen);
   }
 
-  /// Cancels a pending event: O(1) unlink, slot recycled immediately.
-  /// Cancelling an already-fired or unknown handle is a no-op returning
-  /// false (generation counters make stale handles harmless even after the
-  /// slot has been reused).
+  /// Cancels a pending event: its callback is destroyed and its slot
+  /// recycled at once.  Cancelling an already-fired or unknown handle is a
+  /// no-op returning false (generation counters make stale handles harmless
+  /// even after the slot has been reused).
   bool cancel(EventId id);
 
   /// True while `id` refers to a still-pending event.
@@ -123,15 +107,8 @@ class EventEngine {
   /// callback. Requires !empty().
   Fired fire_next();
 
-  // -- diagnostics ----------------------------------------------------------
-  /// Slab high-water mark: maximum event records ever in use at once (the
-  /// Simulator tracks peak *pending* events itself, across both backends).
-  [[nodiscard]] std::size_t slab_high_water() const { return slab_high_water_; }
   /// Closures too large for the inline buffer (each cost one heap cell).
   [[nodiscard]] std::uint64_t heap_fallbacks() const { return heap_fallbacks_; }
-  /// Events fired straight off the sorted flat batch (no heap churn); the
-  /// remainder went through the spill heap.
-  [[nodiscard]] std::uint64_t batched_fires() const { return batched_fires_; }
 
  private:
   // Type-erased callable operations; one static table per closure type.
@@ -168,52 +145,27 @@ class EventEngine {
     static constexpr CallableOps kOps{&invoke, &relocate, &destroy};
   };
 
-  // Wheel geometry: 4096 ns ticks, 256 buckets per rung, four rungs.
-  // Spans per rung: ~1.05 ms, ~268 ms, ~68.7 s, ~4.9 h; events beyond the
-  // top rung (relative to the current tick) wait in the overflow list.
-  static constexpr int kTickShift = 12;
-  static constexpr int kRungBits = 8;
-  static constexpr int kRungs = 4;
-  static constexpr std::uint32_t kBucketsPerRung = 1u << kRungBits;
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-  static constexpr std::uint16_t kBucketOverflow = 0xFFFF;
   static constexpr std::size_t kChunkSlots = 256;
 
-  enum class State : std::uint8_t { kFree, kWheel, kReady, kOverflow };
-
   struct Slot {
-    Time at{};
-    std::uint64_t seq = 0;
-    const CallableOps* ops = nullptr;
-    std::uint32_t next = kNil;
-    std::uint32_t prev = kNil;
+    const CallableOps* ops = nullptr;  ///< null while the slot is free
+    std::uint32_t next_free = kNil;
     std::uint32_t gen = 1;
-    std::uint16_t bucket = 0;  ///< rung * 256 + index while on the wheel
-    State state = State::kFree;
     alignas(std::max_align_t) unsigned char storage[kInlineBytes];
   };
 
-  struct ReadyEntry {
+  /// A heap entry.  It is live while its slot's generation still equals
+  /// `gen`; cancelling or firing the event bumps the generation.
+  struct Entry {
     Time at;
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t gen;
   };
-  struct ReadyLater {
-    bool operator()(const ReadyEntry& a, const ReadyEntry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
 
   static constexpr EventId make_id(std::uint32_t idx, std::uint32_t gen) {
     return (static_cast<EventId>(idx + 1) << 32) | gen;
-  }
-
-  /// A Time as a wheel tick.  Simulation time is never negative, so the
-  /// shift is a plain floor.
-  static constexpr std::uint64_t ticks(Time t) {
-    return static_cast<std::uint64_t>(t.nanos()) >> kTickShift;
   }
 
   [[nodiscard]] Slot& slot(std::uint32_t idx) {
@@ -228,44 +180,19 @@ class EventEngine {
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t idx);
 
-  /// Files a freshly written slot into the spill heap / wheel / overflow.
-  void place(std::uint32_t idx);
-  void link_bucket(int rung, std::uint32_t bidx, std::uint32_t idx);
-  void unlink(std::uint32_t idx);
-  /// Guarantees the batch cursor and spill top both sit on live entries
-  /// (harvesting and cascading wheel buckets as needed). Requires !empty().
-  void ensure_ready();
-  /// Harvests or cascades the next occupied wheel/overflow bucket.
-  void advance_wheel();
-  /// One wheel advancement step: harvests the next rung-0 bucket into the
-  /// (fully consumed) batch, cascades an upper rung, or re-files the
-  /// overflow list.  Returns false when the wheel and overflow are empty.
-  bool wheel_step();
-  /// The live entry with the smallest (at, seq): the batch cursor or the
-  /// spill top.  Requires ensure_ready() to have just run.
-  [[nodiscard]] const ReadyEntry& peek_min() const;
+  void push(const Entry& e);
+  void pop();
+  /// Pops cancelled entries until the top is live. Requires !empty().
+  void drop_stale_top();
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t free_head_ = kNil;
-  std::size_t slots_in_use_ = 0;
-  std::size_t slab_high_water_ = 0;
+  std::vector<Entry> heap_;  ///< binary min-heap by (at, seq)
 
-  std::array<std::vector<std::uint32_t>, kRungs> wheel_;  // bucket heads
-  std::array<std::array<std::uint64_t, 4>, kRungs> occupied_{};  // bitmaps
-  std::uint32_t overflow_head_ = kNil;
-  // The current tick's events: a bucket harvested whole, sorted once by
-  // (at, seq), consumed via batch_pos_.  The spill heap catches events
-  // place()d at-or-behind cur_tick_ while the batch is in flight.
-  std::vector<ReadyEntry> batch_;
-  std::size_t batch_pos_ = 0;
-  std::priority_queue<ReadyEntry, std::vector<ReadyEntry>, ReadyLater> spill_;
-
-  std::uint64_t cur_tick_ = 0;  ///< tick of the last harvested bucket
   Time fired_floor_ = Time::zero();  ///< guards the exact-order precondition
   std::uint64_t next_seq_ = 0;
   std::size_t size_ = 0;
   std::uint64_t heap_fallbacks_ = 0;
-  std::uint64_t batched_fires_ = 0;
 };
 
 }  // namespace rica::sim

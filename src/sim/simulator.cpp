@@ -11,8 +11,7 @@ void Simulator::run_until(Time end) {
     engine_.fire_next();
     if (observer_ != nullptr && now_ >= next_observation_) {
       next_observation_ = now_ + observer_interval_;
-      observer_->on_kernel_window(now_, events_executed_, batched_fires(),
-                                  engine_.size());
+      observer_->on_kernel_window(now_, events_executed_, engine_.size());
     }
   }
   if (end > now_) now_ = end;

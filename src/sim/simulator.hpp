@@ -4,11 +4,14 @@
 // callbacks at absolute times or after relative delays; run_until() drains
 // events in timestamp order, advancing the clock monotonically.
 //
-// The event core is the slab-backed timing wheel (EventEngine), which pops
-// in exact (timestamp, schedule-seq) order — runs are bit-identical for a
-// fixed seed, and the golden test suite pins full-stack stream hashes
-// against captured references.  The kernel is single-threaded; cores are
-// spent on independent runs (harness::run_speed_sweep), never inside one.
+// The event core is EventEngine: a slab of inline callbacks ordered by one
+// binary min-heap, which pops in exact (timestamp, schedule-seq) order.
+// Runs are therefore bit-identical for a fixed seed, and the golden test
+// suite pins full-stack stream hashes against captured references.  The
+// Simulator adds the clock, the run loop, the executed and peak-pending
+// counts, and an optional rate-limited KernelObserver.  The kernel is
+// single-threaded; cores are spent on independent runs
+// (harness::run_speed_sweep), never inside one.
 #pragma once
 
 #include <cassert>
@@ -31,7 +34,6 @@ class KernelObserver {
   /// sim time has elapsed since the previous call (and after the first
   /// fired event).  `pending` is the queue size after the fire.
   virtual void on_kernel_window(Time now, std::uint64_t events_executed,
-                                std::uint64_t batched_fires,
                                 std::size_t pending) = 0;
 };
 
@@ -84,21 +86,10 @@ class Simulator {
     return peak_pending_;
   }
 
-  /// Event-record memory high-water mark (slab slots in use at once).
-  [[nodiscard]] std::size_t slab_high_water() const {
-    return engine_.slab_high_water();
-  }
-
   /// Closures that outgrew the engine's inline callback buffer and spilled
   /// to a heap cell.
   [[nodiscard]] std::uint64_t heap_fallbacks() const {
     return engine_.heap_fallbacks();
-  }
-
-  /// Events fired straight off the engine's sorted flat batch (the rest
-  /// went through the spill heap).
-  [[nodiscard]] std::uint64_t batched_fires() const {
-    return engine_.batched_fires();
   }
 
   /// Installs (or removes, with nullptr) a kernel observer.  The observer

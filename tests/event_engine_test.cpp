@@ -1,9 +1,8 @@
-// Tests for the slab-backed timing-wheel event engine: a randomized
+// Tests for the slab-backed binary-heap event engine: a randomized
 // differential model test against a sorted-map reference, the deterministic
-// FIFO tie-break, generation-counted handle reuse safety, the oversized-
-// closure fallback, far-future (overflow) scheduling, and the batch-fire
-// path (whole buckets fired off a sorted flat vector, interleaved exactly
-// with the spill heap).
+// FIFO tie-break, generation-counted handle reuse safety, lazy cancellation
+// (a cancelled entry at the heap top is skipped), the oversized-closure
+// fallback, far-future scheduling, and scheduling from inside a callback.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,16 +16,16 @@
 namespace rica::sim {
 namespace {
 
-TEST(EventEngine, PopsInTimeOrderAcrossRungs) {
+TEST(EventEngine, PopsInTimeOrderAcrossScales) {
   EventEngine q;
   std::vector<int> order;
-  // One event per rung span plus a ready-tick event and an overflow event.
-  q.schedule(seconds(3600) * 7, [&] { order.push_back(6); });  // overflow
-  q.schedule(seconds(40), [&] { order.push_back(5); });        // rung 3
-  q.schedule(milliseconds(900), [&] { order.push_back(4); });  // rung 2
-  q.schedule(milliseconds(2), [&] { order.push_back(3); });    // rung 1
-  q.schedule(microseconds(100), [&] { order.push_back(2); });  // rung 0
-  q.schedule(nanoseconds(100), [&] { order.push_back(1); });   // current tick
+  // Delays from nanoseconds to hours, scheduled latest first.
+  q.schedule(seconds(3600) * 7, [&] { order.push_back(6); });
+  q.schedule(seconds(40), [&] { order.push_back(5); });
+  q.schedule(milliseconds(900), [&] { order.push_back(4); });
+  q.schedule(milliseconds(2), [&] { order.push_back(3); });
+  q.schedule(microseconds(100), [&] { order.push_back(2); });
+  q.schedule(nanoseconds(100), [&] { order.push_back(1); });
   while (!q.empty()) q.fire_next();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
 }
@@ -48,12 +47,13 @@ TEST(EventEngine, FifoTieBreakAtSameTimestamp) {
 TEST(EventEngine, CancelRecyclesSlotImmediately) {
   EventEngine q;
   const EventId a = q.schedule(milliseconds(1), [] {});
-  EXPECT_EQ(q.slab_high_water(), 1u);
   EXPECT_TRUE(q.cancel(a));
   EXPECT_TRUE(q.empty());
-  // The freed slot is reused at once: the high-water mark stays at one.
+  // The freed slot is reused at once: b's handle names a's slot (the upper
+  // half) with a bumped generation (the lower half).
   const EventId b = q.schedule(milliseconds(2), [] {});
-  EXPECT_EQ(q.slab_high_water(), 1u);
+  EXPECT_EQ(b >> 32, a >> 32);
+  EXPECT_NE(b, a);
   EXPECT_TRUE(q.pending(b));
 }
 
@@ -74,14 +74,14 @@ TEST(EventEngine, StaleHandleCannotTouchReusedSlot) {
   EXPECT_FALSE(q.cancel(0));   // the null handle is never valid
 }
 
-TEST(EventEngine, CancelWhileInReadyHeapIsExact) {
+TEST(EventEngine, CancelOfEarliestEventIsExact) {
   EventEngine q;
   std::vector<int> order;
   const EventId a = q.schedule(nanoseconds(10), [&] { order.push_back(1); });
   q.schedule(nanoseconds(20), [&] { order.push_back(2); });
   q.schedule(nanoseconds(30), [&] { order.push_back(3); });
-  // All three are in the current tick (the ready heap).  Cancelling the
-  // earliest must still yield 2, 3 in order.
+  // Cancelling the earliest leaves its stale entry at the heap top; firing
+  // must skip it and still yield 2, 3 in order.
   EXPECT_TRUE(q.cancel(a));
   EXPECT_EQ(q.size(), 2u);
   while (!q.empty()) q.fire_next();
@@ -109,15 +109,33 @@ TEST(EventEngine, OversizedClosureFallsBackToHeap) {
 TEST(EventEngine, CallbackCanRearmIntoItsOwnSlot) {
   EventEngine q;
   int count = 0;
+  std::vector<EventId> ids;
   std::function<void()> tick;  // self-referential chain via explicit rearm
   tick = [&] {
     ++count;
-    if (count < 5) q.schedule(milliseconds(count), tick);
+    if (count < 5) ids.push_back(q.schedule(milliseconds(count), tick));
   };
-  q.schedule(milliseconds(0), tick);
+  ids.push_back(q.schedule(milliseconds(0), tick));
   while (!q.empty()) q.fire_next();
   EXPECT_EQ(count, 5);
-  EXPECT_EQ(q.slab_high_water(), 1u);  // the chain kept recycling one slot
+  // The chain kept recycling one slot: every handle names the same slot.
+  ASSERT_EQ(ids.size(), 5u);
+  for (const EventId id : ids) EXPECT_EQ(id >> 32, ids.front() >> 32);
+}
+
+TEST(EventEngine, NextTimeSkipsCancelledTop) {
+  EventEngine q;
+  const Time t1 = milliseconds(1);
+  const Time t2 = milliseconds(2);
+  const EventId a = q.schedule(t1, [] {});
+  q.schedule(t2, [] {});
+  ASSERT_TRUE(q.cancel(a));
+  // a's stale entry still sits at the heap top; next_time() must look past
+  // it, as Simulator::run_until does before every fire.
+  EXPECT_EQ(q.next_time(), t2);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.fire_next().at, t2);
+  EXPECT_TRUE(q.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -191,15 +209,13 @@ TEST(EventEngine, RandomizedModelAgainstSortedMapReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch-fire: whole rung-0 buckets fire off the sorted flat batch; events
-// scheduled at-or-behind the harvested tick mid-batch interleave exactly
-// through the spill heap.
+// Dense bursts and scheduling from inside a callback.
 // ---------------------------------------------------------------------------
 
-TEST(EventEngine, BatchFiresWholeBucketsWithoutHeapChurn) {
+TEST(EventEngine, ClusteredBurstFiresInTimeOrder) {
   EventEngine q;
   std::vector<int> order;
-  // 64 events inside one 4096 ns wheel tick, scheduled out of order.
+  // 64 events a nanosecond apart, scheduled latest first.
   for (int i = 63; i >= 0; --i) {
     q.schedule(milliseconds(1) + nanoseconds(i), [&order, i] {
       order.push_back(i);
@@ -208,17 +224,14 @@ TEST(EventEngine, BatchFiresWholeBucketsWithoutHeapChurn) {
   while (!q.empty()) q.fire_next();
   ASSERT_EQ(order.size(), 64u);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  // Nothing was scheduled mid-batch, so every fire came off the flat batch.
-  EXPECT_EQ(q.batched_fires(), 64u);
 }
 
-TEST(EventEngine, MidBatchSchedulingInterleavesExactly) {
+TEST(EventEngine, CallbackCanScheduleBetweenPendingEvents) {
   EventEngine q;
   std::vector<int> order;
-  // Three events in one wheel tick (past tick 0, so they are harvested as a
-  // batch); the first one's callback schedules a fourth between the other
-  // two, which must land in the spill heap and still fire in exact
-  // (at, seq) order.
+  // Three events a few nanoseconds apart; the first one's callback
+  // schedules a fourth between the other two, which must still fire in
+  // exact (at, seq) order.
   const Time base = milliseconds(1);
   q.schedule(base + nanoseconds(100), [&] {
     order.push_back(1);
@@ -228,8 +241,6 @@ TEST(EventEngine, MidBatchSchedulingInterleavesExactly) {
   q.schedule(base + nanoseconds(300), [&] { order.push_back(4); });
   while (!q.empty()) q.fire_next();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_GT(q.batched_fires(), 0u);
-  EXPECT_LT(q.batched_fires(), 4u);  // the mid-batch event spilled
 }
 
 }  // namespace

@@ -168,9 +168,8 @@ void run_and_check(const harness::ScenarioConfig& cfg, const std::string& key) {
   // zero across the whole protocol x traffic matrix.
   EXPECT_EQ(first.stat("kernel.heap_fallbacks"), 0.0)
       << "an event closure outgrew EventEngine::kInlineBytes";
-  // A real scenario always has same-tick bursts and queued packets: the
-  // batch path and the pools must actually be exercised, not just present.
-  EXPECT_GT(first.stat("kernel.batched_fires"), 0.0);
+  // A real scenario always has queued packets: the pools and tables must
+  // actually be exercised, not just present.
   EXPECT_GT(first.stat("stack.pool_high_water"), 0.0);
   EXPECT_GT(first.stat("stack.table_load"), 0.0);
   GoldenRegistry::instance().check(key, first.stream_hash);

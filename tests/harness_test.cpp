@@ -9,10 +9,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/flags.hpp"
@@ -597,9 +599,9 @@ TEST(AdaptiveChecks, StillDeliversUnderMobility) {
 }
 
 // ---------------------------------------------------------------------------
-// validate_scenario: one thrown pass for population and warmup bounds, with
-// messages naming the offending value (run_scenario calls this before any
-// construction).
+// validate_scenario: one thrown pass for population, time and warmup bounds,
+// with messages naming the offending value (run_scenario calls this before
+// any construction).
 // ---------------------------------------------------------------------------
 
 // Captures the exception message so tests can pin its content.
@@ -638,6 +640,34 @@ TEST(ValidateScenario, RejectsWarmupOutsideTheRun) {
   cfg.warmup_s = cfg.sim_s;
   const auto msg = validation_error(cfg);
   EXPECT_NE(msg.find("measurement window"), std::string::npos) << msg;
+}
+
+TEST(ValidateScenario, RejectsTimesOutsideTheNanosecondRange) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity(),
+                        -5.0,
+                        -1e-9,
+                        1e300,
+                        9.3e9};
+  const std::pair<const char*, double ScenarioConfig::*> fields[] = {
+      {"sim_s", &ScenarioConfig::sim_s},
+      {"warmup_s", &ScenarioConfig::warmup_s},
+      {"sample_dt_s", &ScenarioConfig::sample_dt_s}};
+  for (const auto& [name, field] : fields) {
+    for (const double v : bad) {
+      ScenarioConfig cfg;
+      cfg.*field = v;
+      const auto msg = validation_error(cfg);
+      EXPECT_NE(msg.find(name), std::string::npos)
+          << name << " = " << v << ": " << msg;
+    }
+  }
+  // The range's edges: zero and just under 2^63 ns are legal.
+  ScenarioConfig cfg;
+  cfg.sample_dt_s = 0.0;
+  cfg.sim_s = 9.2e9;
+  EXPECT_NO_THROW(validate_scenario(cfg));
 }
 
 TEST(RicaConfigPlumbing, CheckPeriodAffectsOverhead) {

@@ -291,8 +291,7 @@ TEST(JsonlTrace, EveryRecordTypeMatchesItsSchema) {
       }
       stages[field_of(line, "stage")]++;
     } else if (type == "kernel") {
-      for (const char* key :
-           {"t_ns", "events_executed", "batched_fires", "pending"}) {
+      for (const char* key : {"t_ns", "events_executed", "pending"}) {
         EXPECT_TRUE(has_key(line, key)) << key << " missing in " << line;
       }
       ++kernels;
