@@ -29,12 +29,14 @@ int main(int argc, char** argv) {
       const auto it = r.stats.find("net.control_bytes_on_air");
       return it == r.stats.end() ? 0.0 : it->second.value / trials / 1000.0;
     };
+    // The counter lives only in the folded result, so these two print the
+    // mean without an interval.
     print_figure(std::cout, grid, 10.0,
                  "Figure 4(c): control bytes-on-air (kB/trial), 10 pkt/s",
-                 ctrl_kb);
+                 ctrl_kb, 1, /*with_ci=*/false);
     print_figure(std::cout, grid, 20.0,
                  "Figure 4(d): control bytes-on-air (kB/trial), 20 pkt/s",
-                 ctrl_kb);
+                 ctrl_kb, 1, /*with_ci=*/false);
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';

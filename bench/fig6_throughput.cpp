@@ -1,7 +1,7 @@
 // Figure 6: aggregate network throughput (kbps, 4-second buckets) over
 // simulation time, for 20 pkt/s (a) and 60 pkt/s (b) per pair.
 // The paper does not state the mobility for this figure; we use the mid
-// speed 36 km/h (EXPERIMENTS.md records this assumption).
+// speed 36 km/h (DESIGN.md §8b records this assumption).
 #include <exception>
 #include <iostream>
 

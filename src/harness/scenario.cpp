@@ -578,15 +578,19 @@ std::uint64_t trial_seed(const ScenarioConfig& cfg, int trial) {
   return h;
 }
 
-ScenarioResult run_trials(ScenarioConfig cfg, int trials) {
+std::vector<ScenarioResult> run_trial_set(ScenarioConfig cfg, int trials) {
   const ScenarioConfig base = cfg;
   std::vector<ScenarioResult> runs;
-  runs.reserve(static_cast<std::size_t>(trials));
+  runs.reserve(static_cast<std::size_t>(std::max(trials, 0)));
   for (int t = 0; t < trials; ++t) {
     cfg.seed = trial_seed(base, t);
     runs.push_back(run_scenario(cfg));
   }
-  return average(runs);
+  return runs;
+}
+
+ScenarioResult run_trials(ScenarioConfig cfg, int trials) {
+  return average(run_trial_set(std::move(cfg), trials));
 }
 
 }  // namespace rica::harness

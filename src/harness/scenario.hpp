@@ -150,6 +150,10 @@ using ScenarioResult = stats::MetricsSummary;
 /// how a (possibly parallel) sweep enumerates them.
 [[nodiscard]] std::uint64_t trial_seed(const ScenarioConfig& cfg, int trial);
 
+/// Runs `trials` independent hashed seeds (see trial_seed), in trial order.
+[[nodiscard]] std::vector<ScenarioResult> run_trial_set(ScenarioConfig cfg,
+                                                        int trials);
+
 /// Runs `trials` independent hashed seeds (see trial_seed) and averages.
 [[nodiscard]] ScenarioResult run_trials(ScenarioConfig cfg, int trials);
 

@@ -1,7 +1,9 @@
 #include "harness/sweep.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <mutex>
@@ -17,6 +19,45 @@ namespace rica::harness {
 
 std::vector<double> paper_speeds() {
   return {0.0, 14.4, 28.8, 43.2, 57.6, 72.0};
+}
+
+namespace {
+/// Two-sided 95% Student-t quantile t(0.975, df).  Tabulated up to 30
+/// degrees of freedom; past that the Cornish-Fisher expansion around the
+/// normal quantile is within 1e-4 of the exact value.
+double t_quantile_975(std::size_t df) {
+  static constexpr std::array<double, 30> kTable = {
+      12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060,
+      2.2622,  2.2281, 2.2010, 2.1788, 2.1604, 2.1448, 2.1314, 2.1199,
+      2.1098,  2.1009, 2.0930, 2.0860, 2.0796, 2.0739, 2.0687, 2.0639,
+      2.0595,  2.0555, 2.0518, 2.0484, 2.0452, 2.0423};
+  if (df <= kTable.size()) return kTable[df - 1];
+  constexpr double z = 1.959964;
+  const double v = static_cast<double>(df);
+  return z + (z * z * z + z) / (4.0 * v) +
+         (5.0 * std::pow(z, 5) + 16.0 * z * z * z + 3.0 * z) / (96.0 * v * v);
+}
+}  // namespace
+
+Interval t_interval(const std::vector<double>& samples) {
+  Interval ci;
+  if (samples.empty()) return ci;
+  const double n = static_cast<double>(samples.size());
+  for (const double x : samples) ci.mean += x / n;
+  if (samples.size() < 2) return ci;
+  double ss = 0.0;
+  for (const double x : samples) ss += (x - ci.mean) * (x - ci.mean);
+  const double stddev = std::sqrt(ss / (n - 1.0));
+  ci.half = t_quantile_975(samples.size() - 1) * stddev / std::sqrt(n);
+  return ci;
+}
+
+Interval SweepPoint::interval(
+    const std::function<double(const ScenarioResult&)>& metric) const {
+  std::vector<double> xs;
+  xs.reserve(trials.size());
+  for (const auto& t : trials) xs.push_back(metric(t));
+  return t_interval(xs);
 }
 
 std::vector<SweepPoint> run_speed_sweep(const std::vector<double>& speeds_kmh,
@@ -98,7 +139,17 @@ std::vector<SweepPoint> run_speed_sweep(
                    cell.mean_speed_kmh, cell.pkts_per_s, scale.trials,
                    scale.sim_s);
     }
-    cell.result = run_trials(cfg, scale.trials);
+    auto runs = run_trial_set(cfg, scale.trials);
+    cell.result = average(runs);
+    cell.trials.reserve(runs.size());
+    for (auto& r : runs) {
+      // Keep the scalars only; the bulky parts are folded into `result`.
+      r.tput_kbps_series = {};
+      r.flow_summaries = {};
+      r.stats = {};
+      r.histograms = {};
+      cell.trials.push_back(std::move(r));
+    }
     if (scale.verbose) {
       // Kernel observability per cell: total events fired across the cell's
       // trials, the worst trial's pending-event and pool high-water marks,
@@ -163,7 +214,7 @@ std::vector<SweepPoint> run_speed_sweep(
 void print_figure(std::ostream& os, const std::vector<SweepPoint>& grid,
                   double load, const std::string& title,
                   const std::function<double(const ScenarioResult&)>& metric,
-                  int precision) {
+                  int precision, bool with_ci) {
   os << title << '\n';
   std::vector<std::string> header{"speed_kmh"};
   for (const auto proto : kAllProtocols) {
@@ -187,7 +238,8 @@ void print_figure(std::ostream& os, const std::vector<SweepPoint>& grid,
       for (const auto& p : grid) {
         if (p.protocol == proto && p.mean_speed_kmh == speed &&
             p.pkts_per_s == load) {
-          row.push_back(fmt(metric(p.result), precision));
+          row.push_back(with_ci ? format_interval(p, metric, precision)
+                                : fmt(metric(p.result), precision));
           break;
         }
       }
@@ -196,6 +248,15 @@ void print_figure(std::ostream& os, const std::vector<SweepPoint>& grid,
   }
   table.print(os);
   os << '\n';
+}
+
+std::string format_interval(
+    const SweepPoint& p,
+    const std::function<double(const ScenarioResult&)>& metric,
+    int precision) {
+  if (p.trials.size() < 2) return fmt(metric(p.result), precision);
+  const Interval ci = p.interval(metric);
+  return fmt(ci.mean, precision) + "+-" + fmt(ci.half, precision);
 }
 
 void print_axis_figure(

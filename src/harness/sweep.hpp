@@ -11,6 +11,11 @@
 // trial_seed) and results land in pre-assigned slots, so the output is
 // bit-identical to a serial run for a fixed seed regardless of thread count
 // or scheduling.
+//
+// Each cell also keeps its per-trial metrics, so the tables print a
+// Student-t confidence interval next to every mean and a comparison between
+// two cells can tell an ordering from a tie (the multi-trial comparison
+// method of arXiv:1410.4700; DESIGN.md §3).
 #pragma once
 
 #include <functional>
@@ -23,6 +28,22 @@
 
 namespace rica::harness {
 
+/// A two-sided 95% Student-t confidence interval for a mean over trials.
+struct Interval {
+  double mean = 0.0;
+  double half = 0.0;  ///< half-width; 0 with fewer than two samples
+
+  [[nodiscard]] double lo() const { return mean - half; }
+  [[nodiscard]] double hi() const { return mean + half; }
+  /// True when this interval lies wholly below `other` (no overlap).
+  [[nodiscard]] bool below(const Interval& other) const {
+    return hi() < other.lo();
+  }
+};
+
+/// The 95% Student-t interval of the mean of `samples`.
+[[nodiscard]] Interval t_interval(const std::vector<double>& samples);
+
 /// One grid cell: traffic model x mobility model x protocol x speed x load.
 struct SweepPoint {
   ProtocolKind protocol;
@@ -30,7 +51,14 @@ struct SweepPoint {
   std::string traffic;   ///< traffic spec, e.g. "poisson", "cbr:jitter=0.2"
   double mean_speed_kmh = 0.0;
   double pkts_per_s = 0.0;
-  ScenarioResult result;
+  ScenarioResult result;  ///< the trials folded by average(), = run_trials
+  /// Each trial's scalar metrics, in trial order.  Registry stats,
+  /// histograms, series and per-flow tables live only in `result`.
+  std::vector<ScenarioResult> trials;
+
+  /// The 95% Student-t interval of `metric` over the cell's trials.
+  [[nodiscard]] Interval interval(
+      const std::function<double(const ScenarioResult&)>& metric) const;
 };
 
 /// The paper's x-axis: mean speeds 0..72 km/h (MAXSPEED 0..144).
@@ -61,13 +89,22 @@ struct SweepPoint {
     const std::vector<std::string>& traffics, const BenchScale& scale);
 
 /// Prints one "figure": rows = speed, columns = protocols, cells =
-/// `metric(result)` formatted with `precision` digits.  Expects a
-/// single-mobility grid (a multi-model grid would collapse onto the first
-/// model's cells); fig7 prints the mobility axis itself.
+/// `metric` formatted with `precision` digits as "mean+-half" of its 95%
+/// interval over trials (just the mean of `result` with one trial, or when
+/// `with_ci` is off because `metric` reads what only `result` keeps).
+/// Expects a single-mobility grid (a multi-model grid would collapse onto
+/// the first model's cells); fig7 prints the mobility axis itself.
 void print_figure(std::ostream& os, const std::vector<SweepPoint>& grid,
                   double load, const std::string& title,
                   const std::function<double(const ScenarioResult&)>& metric,
-                  int precision = 1);
+                  int precision = 1, bool with_ci = true);
+
+/// "mean+-half" of `metric`'s interval over `p`'s trials, or the mean of
+/// `p.result` alone when there are fewer than two trials.
+[[nodiscard]] std::string format_interval(
+    const SweepPoint& p,
+    const std::function<double(const ScenarioResult&)>& metric,
+    int precision);
 
 /// Prints one model-axis "figure": rows = `keys` in order, columns =
 /// protocols, cells = `metric(result)` of the first grid cell whose

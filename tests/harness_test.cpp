@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -383,6 +384,50 @@ TEST(Warmup, FlowsThroughSweepCells) {
   for (const auto& cell : grid) {
     EXPECT_EQ(cell.result.measure_start, sim::seconds(1))
         << to_string(cell.protocol);
+  }
+}
+
+TEST(Interval, StudentTOverTrials) {
+  // mean 3, s = sqrt(2.5), t(0.975, 4) = 2.7764.
+  const Interval ci = t_interval({1.0, 2.0, 3.0, 4.0, 5.0});
+  EXPECT_DOUBLE_EQ(ci.mean, 3.0);
+  EXPECT_NEAR(ci.half, 2.7764 * std::sqrt(2.5) / std::sqrt(5.0), 1e-9);
+  EXPECT_TRUE((Interval{1.0, 0.5}.below(Interval{2.0, 0.4})));
+  EXPECT_FALSE((Interval{1.0, 0.5}.below(Interval{2.0, 0.6})));
+
+  // One sample has no spread estimate: the mean alone.
+  EXPECT_EQ(t_interval({7.0}).half, 0.0);
+  EXPECT_DOUBLE_EQ(t_interval({7.0}).mean, 7.0);
+
+  // Past the table: 41 samples of +-1 give s/sqrt(n) = sqrt(41/40)/sqrt(41)
+  // and t(0.975, 40) = 2.0211.
+  std::vector<double> xs(41, 1.0);
+  for (std::size_t i = 0; i < 20; ++i) xs[i] = -1.0;
+  xs[40] = 0.0;
+  const Interval wide = t_interval(xs);
+  const double se = std::sqrt(40.0 / 40.0) / std::sqrt(41.0);
+  EXPECT_NEAR(wide.half / se, 2.0211, 1e-3);
+}
+
+TEST(Interval, SweepCellsKeepEveryTrial) {
+  BenchScale scale{};
+  scale.trials = 3;
+  scale.sim_s = 3.0;
+  scale.seed = 4;
+  scale.threads = 1;
+  scale.verbose = false;
+  const auto grid = run_speed_sweep({36.0}, {10.0}, scale);
+  for (const auto& cell : grid) {
+    ASSERT_EQ(cell.trials.size(), 3u) << to_string(cell.protocol);
+    // The interval's mean is the folded result's mean, bit for bit.
+    const auto delay = [](const ScenarioResult& r) { return r.avg_delay_ms; };
+    EXPECT_EQ(cell.interval(delay).mean, cell.result.avg_delay_ms);
+    EXPECT_EQ(format_interval(cell, delay, 1),
+              fmt(cell.interval(delay).mean, 1) + "+-" +
+                  fmt(cell.interval(delay).half, 1));
+    // The bulky per-run parts stay in the folded result only.
+    EXPECT_TRUE(cell.trials[0].stats.empty());
+    EXPECT_TRUE(cell.trials[0].histograms.empty());
   }
 }
 
