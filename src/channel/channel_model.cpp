@@ -35,10 +35,10 @@ bool ChannelModel::in_range(std::uint32_t a, std::uint32_t b, sim::Time t) {
 ChannelModel::PairProcess& ChannelModel::process_for(std::uint32_t lo,
                                                      std::uint32_t hi) {
   const auto key = pair_key(lo, hi);
-  // Find first: building the stream seeds a whole mt19937_64 state.
+  // Find first: deriving the stream key hashes the stream name.
   auto it = pairs_.find(key);
   if (it == pairs_.end()) {
-    it = pairs_.emplace(key, PairProcess{rng_.stream("channel", lo, hi)})
+    it = pairs_.emplace(key, PairProcess{.key = rng_.derive("channel", lo, hi)})
              .first;
   }
   return it->second;
@@ -46,27 +46,30 @@ ChannelModel::PairProcess& ChannelModel::process_for(std::uint32_t lo,
 
 void ChannelModel::advance(PairProcess& p, sim::Time t,
                            double rel_speed_mps) {
-  if (!p.initialized) {
-    p.shadow_db = p.rng.normal(0.0, cfg_.shadow_sigma_db);
-    p.fading_db = p.rng.normal(0.0, cfg_.fading_sigma_db);
+  if (p.draws == 0) {
+    ++draws_;
+    const auto [zs, zf] = sim::normal_pair(p.key, p.draws++);
+    p.shadow_db = zs * cfg_.shadow_sigma_db;
+    p.fading_db = zf * cfg_.fading_sigma_db;
     p.last = t;
-    p.initialized = true;
     return;
   }
   const double gap_s = (t - p.last).seconds();
   p.last = t;
   if (gap_s <= 0.0 || rel_speed_mps <= 0.0) return;  // frozen channel
   const double moved_m = rel_speed_mps * gap_s;
+  ++draws_;
+  const auto [zs, zf] = sim::normal_pair(p.key, p.draws++);
 
   const double rho_s = std::exp(-moved_m / cfg_.shadow_decorr_m);
   p.shadow_db = rho_s * p.shadow_db +
-                std::sqrt(std::max(0.0, 1.0 - rho_s * rho_s)) *
-                    p.rng.normal(0.0, cfg_.shadow_sigma_db);
+                std::sqrt(std::max(0.0, 1.0 - rho_s * rho_s)) * zs *
+                    cfg_.shadow_sigma_db;
 
   const double rho_f = std::exp(-moved_m / cfg_.fading_decorr_m);
   p.fading_db = rho_f * p.fading_db +
-                std::sqrt(std::max(0.0, 1.0 - rho_f * rho_f)) *
-                    p.rng.normal(0.0, cfg_.fading_sigma_db);
+                std::sqrt(std::max(0.0, 1.0 - rho_f * rho_f)) * zf *
+                    cfg_.fading_sigma_db;
 }
 
 CsiClass ChannelModel::quantize(double snr_db) const {

@@ -13,7 +13,10 @@
 //    has a static channel — this is what lets the link-state baseline shine
 //    at zero mobility and collapse under motion, as the paper reports.
 //  * Pair processes are evaluated lazily at query time (AR(1) steps over the
-//    elapsed gap), so channel cost scales with traffic.
+//    elapsed gap), so channel cost scales with traffic.  Each process is
+//    plain data: its random draws come from a counter-based SplitMix64
+//    stream keyed by (master seed, "channel", lo, hi), one Box–Muller pair
+//    per step (shadowing takes one normal, fading the other).
 //  * Range queries go through the NeighborIndex: per-node lists built once
 //    per snapshot epoch, bit-identical to the O(N) scan (DESIGN.md §2).
 #pragma once
@@ -112,20 +115,26 @@ class ChannelModel {
   /// Number of distinct pair processes instantiated (diagnostics).
   [[nodiscard]] std::size_t live_pairs() const { return pairs_.size(); }
 
+  /// Box–Muller draws made by all pair processes so far (diagnostics): one
+  /// per first sample of a pair and one per AR(1) step of a moving pair.
+  [[nodiscard]] std::uint64_t draws() const { return draws_; }
+
   /// Spatial-index diagnostics (rebuild cadence, slack).
   [[nodiscard]] const NeighborIndex& neighbor_index() const { return index_; }
 
  private:
-  /// Correlated Gaussian (dB-domain) disturbances of one node pair.
+  /// Correlated Gaussian (dB-domain) disturbances of one node pair.  Draw
+  /// `draws` is sim::normal_pair(key, draws); no draw has been made yet
+  /// while `draws` is 0.
   struct PairProcess {
     double shadow_db = 0.0;
     double fading_db = 0.0;
     sim::Time last = sim::Time::zero();
-    bool initialized = false;
-    sim::RandomStream rng;
-
-    explicit PairProcess(sim::RandomStream r) : rng(std::move(r)) {}
+    std::uint64_t draws = 0;
+    std::uint64_t key = 0;  ///< the pair's stream key
   };
+  static_assert(sizeof(PairProcess) <= 48,
+                "a pair process is plain data; it holds no RNG engine");
 
   PairProcess& process_for(std::uint32_t lo, std::uint32_t hi);
   void advance(PairProcess& p, sim::Time t, double rel_speed_mps);
@@ -138,6 +147,7 @@ class ChannelModel {
   /// Keyed by lo << 32 | hi.  Never iterated, so its layout cannot reach
   /// the event stream.
   util::FlatMap64<PairProcess> pairs_;
+  std::uint64_t draws_ = 0;
 };
 
 }  // namespace rica::channel

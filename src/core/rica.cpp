@@ -71,6 +71,15 @@ std::optional<net::NodeId> RicaProtocol::check_candidate(
   return it->second.check_next;
 }
 
+std::optional<net::NodeId> RicaProtocol::upstream_candidate(
+    net::FlowKey flow) const {
+  const auto it = relays_.find(flow);
+  if (it == relays_.end() || now() >= it->second.cand_upstream_expiry) {
+    return std::nullopt;
+  }
+  return it->second.cand_upstream;
+}
+
 // ---------------------------------------------------------------------------
 // Data plane
 // ---------------------------------------------------------------------------
@@ -212,6 +221,11 @@ void RicaProtocol::send_rreq(net::FlowKey flow) {
 
 void RicaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
   if (msg.src == host().id()) return;
+  // A relay drops a duplicate before sampling the link; the destination
+  // weighs every copy.
+  if (msg.dst != host().id() && history_.seen(msg.src, msg.bid, kTagRreq)) {
+    return;
+  }
   const auto cls = host().link_csi(from);
   if (!cls) return;  // the sender already left our range
 
@@ -363,6 +377,11 @@ void RicaProtocol::on_check(const net::CsiCheckMsg& msg, net::NodeId from) {
     r.cand_upstream_expiry = now() + cfg_.detect_window;
   }
 
+  // A relay drops a duplicate before sampling the link; the source weighs
+  // every copy.
+  if (msg.src != host().id() && history_.seen(msg.dst, msg.bid, kTagCheck)) {
+    return;
+  }
   const auto cls = host().link_csi(from);
   if (!cls) return;
   const double csi_hops = msg.csi_hops + channel::csi_hop_distance(*cls);

@@ -94,6 +94,10 @@ class RicaProtocol final : public routing::Protocol {
   /// Latest first-check downstream candidate recorded at this relay.
   [[nodiscard]] std::optional<net::NodeId> check_candidate(
       net::FlowKey flow) const;
+  /// The overheard possible upstream (§II-C), while its detection window
+  /// is open.
+  [[nodiscard]] std::optional<net::NodeId> upstream_candidate(
+      net::FlowKey flow) const;
 
  private:
   /// One CSI-check (or RREQ) derived route candidate at the source.

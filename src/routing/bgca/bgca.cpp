@@ -155,6 +155,11 @@ void BgcaProtocol::send_rreq(net::FlowKey flow) {
 
 void BgcaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
   if (msg.src == host().id()) return;
+  // A relay drops a duplicate before sampling the link; the destination
+  // weighs every copy.
+  if (msg.dst != host().id() && history_.seen(msg.src, msg.bid, kTagRreq)) {
+    return;
+  }
   const auto cls = host().link_csi(from);
   if (!cls) return;
 
@@ -305,9 +310,12 @@ void BgcaProtocol::start_local_query(net::FlowKey flow, bool broken) {
 
 void BgcaProtocol::on_lq(const net::BgcaLqMsg& msg, net::NodeId from) {
   if (msg.origin == host().id()) return;
+  // Drop a duplicate before sampling the link; a copy from a sender that
+  // already left our range is not recorded, so a later copy still counts.
+  if (history_.seen(msg.origin, msg.bid, kTagLq)) return;
   const auto cls = host().link_csi(from);
   if (!cls) return;
-  if (history_.seen_or_insert(msg.origin, msg.bid, kTagLq)) return;
+  history_.seen_or_insert(msg.origin, msg.bid, kTagLq);
 
   const double csi_hops = msg.csi_hops + channel::csi_hop_distance(*cls);
   const auto topo = static_cast<std::uint16_t>(msg.topo_hops + 1);

@@ -24,14 +24,15 @@ class HistoryTable {
   /// (RREQ vs CSI check vs LQ) never collide.
   bool seen_or_insert(net::NodeId origin, std::uint32_t bid,
                       std::uint8_t tag = 0) {
-    // Node ids are small (< 2^24, enforced at node construction), so
-    // (tag, origin, bid) packs losslessly.
-    const std::uint64_t key =
-        ((static_cast<std::uint64_t>(tag) << 24 |
-          static_cast<std::uint64_t>(origin))
-         << 32) |
-        bid;
-    return !seen_.insert(key);
+    return !seen_.insert(key(origin, bid, tag));
+  }
+
+  /// True if (origin, bid) was already recorded; records nothing.  Lets a
+  /// relay drop a duplicate before it pays for anything else (e.g. a CSI
+  /// sample), while a copy it then rejects stays unrecorded.
+  [[nodiscard]] bool seen(net::NodeId origin, std::uint32_t bid,
+                          std::uint8_t tag = 0) const {
+    return seen_.contains(key(origin, bid, tag));
   }
 
   void clear() { seen_.clear(); }
@@ -39,6 +40,16 @@ class HistoryTable {
   [[nodiscard]] double load_factor() const { return seen_.load_factor(); }
 
  private:
+  // Node ids are small (< 2^24, enforced at node construction), so
+  // (tag, origin, bid) packs losslessly.
+  static std::uint64_t key(net::NodeId origin, std::uint32_t bid,
+                           std::uint8_t tag) {
+    return ((static_cast<std::uint64_t>(tag) << 24 |
+             static_cast<std::uint64_t>(origin))
+            << 32) |
+           bid;
+  }
+
   util::FlatSet64 seen_;
 };
 

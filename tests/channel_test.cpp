@@ -1,14 +1,22 @@
 // Channel model: CSI class mapping, path-loss monotonicity, shadowing
 // statistics, temporal correlation, symmetry, and the frozen-when-static
-// property the link-state results depend on.
+// property the link-state results depend on; plus the counter-based normal
+// source the pair processes draw from (moments, KS) and the AR(1) law of
+// the pair processes at a fixed relative speed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "channel/channel_model.hpp"
 #include "channel/csi.hpp"
 #include "mobility/mobility_model.hpp"
+#include "sim/random.hpp"
 
 namespace rica::channel {
 namespace {
@@ -250,6 +258,168 @@ TEST(ChannelConfigTest, QuantizerThresholds) {
   cfg.snr0_db = 5.9;
   ChannelModel ch_d(cfg, mobility, rng);
   EXPECT_EQ(ch_d.sample(0, 1, sim::Time::zero())->csi, CsiClass::D);
+}
+
+// ---------------------------------------------------------------------------
+// Counter-based pair streams
+// ---------------------------------------------------------------------------
+
+/// Standard normal CDF.
+double phi(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+
+/// Kolmogorov-Smirnov distance between `xs` and the standard normal.
+double ks_distance(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  const double n = static_cast<double>(xs.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double f = phi(xs[i]);
+    d = std::max({d, static_cast<double>(i + 1) / n - f,
+                  f - static_cast<double>(i) / n});
+  }
+  return d;
+}
+
+TEST(NormalPair, MomentsAndKsMatchTheStandardNormal) {
+  constexpr std::size_t kN = 20000;
+  const std::uint64_t key = sim::RngManager(5).derive("channel", 3, 9);
+  std::vector<double> first;
+  std::vector<double> second;
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    const auto [z0, z1] = sim::normal_pair(key, i);
+    first.push_back(z0);
+    second.push_back(z1);
+  }
+  const double n = static_cast<double>(kN);
+  for (const auto* zs : {&first, &second}) {
+    double m1 = 0, m2 = 0, m3 = 0, m4 = 0;
+    for (const double z : *zs) {
+      m1 += z / n;
+      m2 += z * z / n;
+      m3 += z * z * z / n;
+      m4 += z * z * z * z / n;
+    }
+    // Four standard errors of each sample moment of N(0, 1).
+    EXPECT_NEAR(m1, 0.0, 4.0 * std::sqrt(1.0 / n));
+    EXPECT_NEAR(m2, 1.0, 4.0 * std::sqrt(2.0 / n));
+    EXPECT_NEAR(m3, 0.0, 4.0 * std::sqrt(15.0 / n));
+    EXPECT_NEAR(m4, 3.0, 4.0 * std::sqrt(96.0 / n));
+    // KS critical value at alpha = 0.01.
+    EXPECT_LT(ks_distance(*zs), 1.63 / std::sqrt(n));
+  }
+  // The two normals of one draw, and consecutive draws, are uncorrelated.
+  double cross = 0;
+  double lag = 0;
+  for (std::size_t i = 0; i < kN; ++i) {
+    cross += first[i] * second[i] / n;
+    if (i > 0) lag += first[i] * first[i - 1] / n;
+  }
+  EXPECT_NEAR(cross, 0.0, 4.0 / std::sqrt(n));
+  EXPECT_NEAR(lag, 0.0, 4.0 / std::sqrt(n));
+}
+
+TEST(NormalPair, IsAPureFunctionOfKeyAndIndex) {
+  EXPECT_EQ(sim::normal_pair(11, 4), sim::normal_pair(11, 4));
+  EXPECT_NE(sim::normal_pair(11, 4), sim::normal_pair(11, 5));
+  EXPECT_NE(sim::normal_pair(11, 4), sim::normal_pair(12, 4));
+  // The counter stream is SplitMix64's own sequence.
+  std::uint64_t state = 99;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(sim::splitmix64_at(99, i), sim::splitmix64(state));
+    state += sim::kSplitMixGamma;
+  }
+}
+
+TEST_F(ChannelFixture, BothOrdersReadOneProcess) {
+  for (std::uint32_t b = 1; b < kNodes; ++b) {
+    if (!channel_.in_range(0, b, sim::Time::zero())) continue;
+    const auto ab = channel_.sample(0, b, sim::seconds(1));
+    const auto pairs = channel_.live_pairs();
+    const auto ba = channel_.sample(b, 0, sim::seconds(2));
+    ASSERT_TRUE(ab && ba);
+    EXPECT_EQ(channel_.live_pairs(), pairs);
+    EXPECT_EQ(ab->snr_db, ba->snr_db);
+  }
+  EXPECT_GT(channel_.live_pairs(), 0u);
+  EXPECT_EQ(channel_.draws(), channel_.live_pairs());
+}
+
+TEST_F(ChannelFixture, StaticPairNeverDrawsAfterItsFirstDraw) {
+  std::uint32_t b = 1;
+  while (!channel_.in_range(0, b, sim::Time::zero())) ++b;
+  const auto first = channel_.sample(0, b, sim::Time::zero());
+  ASSERT_TRUE(first);
+  EXPECT_EQ(channel_.draws(), 1u);
+  for (int t = 1; t <= 100; ++t) {
+    const auto s = channel_.sample(b, 0, sim::milliseconds(t * 250));
+    ASSERT_TRUE(s);
+    EXPECT_EQ(s->snr_db, first->snr_db);
+  }
+  EXPECT_EQ(channel_.draws(), 1u);
+}
+
+/// Two nodes 50 m apart moving in parallel along x at 10 m/s each, so the
+/// pair keeps its distance (and mean SNR) while the channel sees a relative
+/// speed of 20 m/s (the sum of the two speeds).
+class ParallelPair : public ::testing::Test {
+ protected:
+  static constexpr double kRelSpeed = 20.0;
+
+  void SetUp() override {
+    path_ = (std::filesystem::temp_directory_path() /
+             "rica_channel_parallel_pair.bonnmotion")
+                .string();
+    std::ofstream(path_) << "0 0 50 2000 20000 50\n"
+                         << "0 0 100 2000 20000 100\n";
+  }
+  void TearDown() override { std::filesystem::remove(path_); }
+
+  /// Lag-1 autocorrelation and variance of the pair's SNR sampled every
+  /// `dt` over `n` samples.
+  std::pair<double, double> autocorrelation(const ChannelConfig& cfg,
+                                            sim::Time dt, int n) {
+    mobility::MobilityConfig mcfg = mobility::parse_mobility_spec(
+        "trace:file=" + path_);
+    mcfg.field = mobility::Field{20000.0, 20000.0};
+    const sim::RngManager rng(43);
+    mobility::MobilityManager mobility(2, mcfg, rng);
+    ChannelModel channel(cfg, mobility, rng);
+    std::vector<double> xs;
+    for (int i = 0; i < n; ++i) {
+      const auto s = channel.sample(0, 1, dt * i);
+      EXPECT_TRUE(s);
+      xs.push_back(s ? s->snr_db : 0.0);
+    }
+    double mean = 0;
+    for (const double x : xs) mean += x / n;
+    double var = 0;
+    double cov = 0;
+    for (int i = 0; i < n; ++i) {
+      var += (xs[i] - mean) * (xs[i] - mean) / n;
+      if (i > 0) cov += (xs[i] - mean) * (xs[i - 1] - mean) / (n - 1);
+    }
+    return {cov / var, var};
+  }
+
+  std::string path_;
+};
+
+TEST_F(ParallelPair, ShadowingLagOneAutocorrelationIsExpOfMovedOverD) {
+  ChannelConfig cfg;
+  cfg.fading_sigma_db = 0.0;  // isolate the shadowing process
+  // 1.25 s at 20 m/s moves 25 m: rho = exp(-25 / 50).
+  const auto [rho, var] = autocorrelation(cfg, sim::milliseconds(1250), 1500);
+  EXPECT_NEAR(rho, std::exp(-25.0 / cfg.shadow_decorr_m), 0.06);
+  EXPECT_NEAR(var / (cfg.shadow_sigma_db * cfg.shadow_sigma_db), 1.0, 0.2);
+}
+
+TEST_F(ParallelPair, FadingLagOneAutocorrelationIsExpOfMovedOverD) {
+  ChannelConfig cfg;
+  cfg.shadow_sigma_db = 0.0;  // isolate the fading residual
+  // 50 ms at 20 m/s moves 1 m: rho = exp(-1 / 2).
+  const auto [rho, var] = autocorrelation(cfg, sim::milliseconds(50), 4000);
+  EXPECT_NEAR(rho, std::exp(-1.0 / cfg.fading_decorr_m), 0.06);
+  EXPECT_NEAR(var / (cfg.fading_sigma_db * cfg.fading_sigma_db), 1.0, 0.2);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "channel/channel_model.hpp"
+#include "mobility/mobility_model.hpp"
 #include "routing/protocol.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -108,6 +110,40 @@ class MockHost : public routing::ProtocolHost {
   sim::Simulator sim_;
   sim::RandomStream rng_;
   std::map<net::NodeId, channel::CsiClass> links_;
+};
+
+/// A real channel over `n` static nodes packed into a 1 m field, so every
+/// pair is in range.  Pairs with a ChannelHost to see which receptions
+/// sample the channel (ChannelModel::live_pairs).
+struct StaticChannel {
+  explicit StaticChannel(std::size_t n)
+      : rng(7), mobility(n, config(), rng), channel({}, mobility, rng) {}
+
+  static mobility::MobilityConfig config() {
+    mobility::MobilityConfig cfg;
+    cfg.field = mobility::Field{1.0, 1.0};
+    cfg.max_speed_mps = 0.0;
+    return cfg;
+  }
+
+  sim::RngManager rng;
+  mobility::MobilityManager mobility;
+  channel::ChannelModel channel;
+};
+
+/// A MockHost whose link CSI comes from a real ChannelModel instead of the
+/// scripted links.
+class ChannelHost : public MockHost {
+ public:
+  ChannelHost(net::NodeId id, channel::ChannelModel& channel)
+      : MockHost(id), channel_(channel) {}
+
+  std::optional<channel::CsiClass> link_csi(net::NodeId neighbor) override {
+    return channel_.csi(id(), neighbor, sim().now());
+  }
+
+ private:
+  channel::ChannelModel& channel_;
 };
 
 /// Convenience: a 512-byte data packet for flow (src -> dst).

@@ -481,5 +481,107 @@ TEST_F(RicaDestTest, CheckBroadcastIdsIncrease) {
   EXPECT_LT(bids[0], bids[1]);
 }
 
+// ---------------------------------------------------------------------------
+// History before CSI: a relay's duplicate never samples the channel
+// ---------------------------------------------------------------------------
+
+net::CsiCheckMsg make_check(std::uint32_t bid, net::NodeId received_from) {
+  net::CsiCheckMsg check;
+  check.src = kSrc;
+  check.dst = kDst;
+  check.bid = bid;
+  check.ttl = 4;
+  check.received_from = received_from;
+  return check;
+}
+
+TEST(RicaHistoryFirst, DuplicateRreqAtRelayCreatesNoChannelPair) {
+  test::StaticChannel net(12);
+  test::ChannelHost host(5, net.channel);
+  RicaProtocol proto(host);
+  const auto rreq = net::RreqMsg{kSrc, kDst, 1, 0.0, 0};
+  proto.on_control(net::make_control(net::kBroadcastId, rreq), 4);
+  EXPECT_EQ(net.channel.live_pairs(), 1u);
+  proto.on_control(net::make_control(net::kBroadcastId, rreq), 6);
+  proto.on_control(net::make_control(net::kBroadcastId, rreq), 7);
+  EXPECT_EQ(net.channel.live_pairs(), 1u);
+  EXPECT_EQ(net.channel.draws(), 1u);
+  host.sim().run_until(sim::milliseconds(50));
+  EXPECT_EQ(host.sent_count<net::RreqMsg>(), 1u);
+}
+
+TEST(RicaHistoryFirst, DestinationSamplesEveryRreqCopy) {
+  test::StaticChannel net(12);
+  test::ChannelHost host(kDst, net.channel);
+  RicaProtocol proto(host);
+  const auto rreq = net::RreqMsg{kSrc, kDst, 1, 0.0, 0};
+  for (const net::NodeId from : {4u, 6u, 7u}) {
+    proto.on_control(net::make_control(net::kBroadcastId, rreq), from);
+  }
+  EXPECT_EQ(net.channel.live_pairs(), 3u);
+}
+
+TEST(RicaHistoryFirst, DuplicateCheckAtRelayCreatesNoChannelPair) {
+  test::StaticChannel net(12);
+  test::ChannelHost host(5, net.channel);
+  RicaProtocol proto(host);
+  proto.on_control(net::make_control(net::kBroadcastId, make_check(3, 10)),
+                   6);
+  EXPECT_EQ(net.channel.live_pairs(), 1u);
+  proto.on_control(net::make_control(net::kBroadcastId, make_check(3, 10)),
+                   8);
+  EXPECT_EQ(net.channel.live_pairs(), 1u);
+  EXPECT_EQ(proto.check_candidate(kFlow), 6u);
+}
+
+TEST(RicaHistoryFirst, SourceSamplesEveryCheckCopy) {
+  test::StaticChannel net(12);
+  test::ChannelHost host(kSrc, net.channel);
+  RicaProtocol proto(host);
+  for (const net::NodeId from : {4u, 6u, 7u}) {
+    proto.on_control(net::make_control(net::kBroadcastId, make_check(3, 10)),
+                     from);
+  }
+  EXPECT_EQ(net.channel.live_pairs(), 3u);
+}
+
+TEST(RicaHistoryFirst, OverheardDuplicateCheckArmsUpstreamCandidate) {
+  test::StaticChannel net(12);
+  test::ChannelHost host(5, net.channel);
+  RicaProtocol proto(host);
+  proto.on_control(net::make_control(net::kBroadcastId, make_check(3, 10)),
+                   6);
+  EXPECT_EQ(proto.upstream_candidate(kFlow), std::nullopt);
+  // Node 4 forwards the same check naming us as its sender: a duplicate
+  // here, but still the §II-C overhearing signal.
+  proto.on_control(net::make_control(net::kBroadcastId, make_check(3, 5)), 4);
+  EXPECT_EQ(proto.upstream_candidate(kFlow), 4u);
+  EXPECT_EQ(net.channel.live_pairs(), 1u);
+  host.sim().run_until(sim::milliseconds(150));  // detection window closes
+  EXPECT_EQ(proto.upstream_candidate(kFlow), std::nullopt);
+}
+
+TEST_F(RicaRelayTest, OutOfRangeFirstRreqDoesNotSuppressLaterCopy) {
+  host_.clear_link(kUp);
+  const auto msg = net::RreqMsg{kSrc, kDst, 1, 0.0, 0};
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), kUp);
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), kDown);
+  host_.sim().run_until(sim::milliseconds(50));
+  EXPECT_EQ(host_.sent_count<net::RreqMsg>(), 1u);
+}
+
+TEST_F(RicaRelayTest, OutOfRangeFirstCheckDoesNotSuppressLaterCopy) {
+  host_.set_link(8, CsiClass::A);
+  host_.clear_link(kDown);
+  proto_.on_control(net::make_control(net::kBroadcastId, make_check(3, 10)),
+                    kDown);
+  EXPECT_EQ(proto_.check_candidate(kFlow), std::nullopt);
+  proto_.on_control(net::make_control(net::kBroadcastId, make_check(3, 10)),
+                    8);
+  EXPECT_EQ(proto_.check_candidate(kFlow), 8u);
+  host_.sim().run_until(sim::milliseconds(50));
+  EXPECT_EQ(host_.sent_count<net::CsiCheckMsg>(), 1u);
+}
+
 }  // namespace
 }  // namespace rica::core

@@ -39,6 +39,15 @@ TEST(HistoryTable, TagsSeparateNamespaces) {
   EXPECT_TRUE(h.seen_or_insert(3, 7, 1));
 }
 
+TEST(HistoryTable, SeenLooksUpWithoutRecording) {
+  HistoryTable h;
+  EXPECT_FALSE(h.seen(3, 7, 1));
+  EXPECT_FALSE(h.seen(3, 7, 1));  // the lookup recorded nothing
+  EXPECT_FALSE(h.seen_or_insert(3, 7, 1));
+  EXPECT_TRUE(h.seen(3, 7, 1));
+  EXPECT_FALSE(h.seen(3, 7, 2));
+}
+
 TEST(PendingBuffer, CapacityEnforced) {
   PendingBuffer buf(2, sim::seconds(3));
   EXPECT_TRUE(buf.push(make_data(1, 2, 0), sim::Time::zero()));
@@ -352,6 +361,70 @@ TEST_F(BgcaTest, FailedRepairEscalatesWithReer) {
   EXPECT_EQ(to, 4u);
   // The held packet died with the failed repair.
   ASSERT_GE(host_.dropped.size(), 1u);
+}
+
+TEST(BgcaHistoryFirst, DuplicateRreqAtRelayCreatesNoChannelPair) {
+  test::StaticChannel net(12);
+  test::ChannelHost host(5, net.channel);
+  BgcaProtocol proto(host);
+  const auto rreq = net::RreqMsg{kSrc, kDst, 1, 0.0, 0};
+  for (const net::NodeId from : {4u, 6u, 7u}) {
+    proto.on_control(net::make_control(net::kBroadcastId, rreq), from);
+  }
+  EXPECT_EQ(net.channel.live_pairs(), 1u);
+  host.sim().run_until(sim::milliseconds(100));
+  EXPECT_EQ(host.sent_count<net::RreqMsg>(), 1u);
+}
+
+TEST(BgcaHistoryFirst, DestinationSamplesEveryRreqCopy) {
+  test::StaticChannel net(12);
+  test::ChannelHost host(kDst, net.channel);
+  BgcaProtocol proto(host);
+  const auto rreq = net::RreqMsg{kSrc, kDst, 1, 0.0, 0};
+  for (const net::NodeId from : {4u, 6u, 7u}) {
+    proto.on_control(net::make_control(net::kBroadcastId, rreq), from);
+  }
+  EXPECT_EQ(net.channel.live_pairs(), 3u);
+}
+
+net::BgcaLqMsg make_lq(std::uint32_t bid) {
+  net::BgcaLqMsg lq;
+  lq.origin = 3;
+  lq.src = kSrc;
+  lq.dst = kDst;
+  lq.bid = bid;
+  lq.ttl = 3;
+  lq.origin_hops_to_dst = 2;
+  return lq;
+}
+
+TEST(BgcaHistoryFirst, DuplicateLqCreatesNoChannelPair) {
+  test::StaticChannel net(12);
+  test::ChannelHost host(5, net.channel);
+  BgcaProtocol proto(host);
+  for (const net::NodeId from : {4u, 6u, 7u}) {
+    proto.on_control(net::make_control(net::kBroadcastId, make_lq(11)), from);
+  }
+  EXPECT_EQ(net.channel.live_pairs(), 1u);
+  host.sim().run_until(sim::milliseconds(100));
+  EXPECT_EQ(host.sent_count<net::BgcaLqMsg>(), 1u);
+}
+
+TEST_F(BgcaTest, OutOfRangeFirstRreqDoesNotSuppressLaterCopy) {
+  host_.clear_link(4);
+  const auto msg = net::RreqMsg{kSrc, kDst, 1, 0.0, 0};
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), 4);
+  proto_.on_control(net::make_control(net::kBroadcastId, msg), 6);
+  host_.sim().run_until(sim::milliseconds(100));
+  EXPECT_EQ(host_.sent_count<net::RreqMsg>(), 1u);
+}
+
+TEST_F(BgcaTest, OutOfRangeFirstLqDoesNotSuppressLaterCopy) {
+  host_.clear_link(4);
+  proto_.on_control(net::make_control(net::kBroadcastId, make_lq(11)), 4);
+  proto_.on_control(net::make_control(net::kBroadcastId, make_lq(11)), 6);
+  host_.sim().run_until(sim::milliseconds(100));
+  EXPECT_EQ(host_.sent_count<net::BgcaLqMsg>(), 1u);
 }
 
 // ---------------------------------------------------------------------------
