@@ -46,27 +46,22 @@ ChannelModel::PairProcess& ChannelModel::process_for(std::uint32_t lo,
 
 void ChannelModel::advance(PairProcess& p, sim::Time t,
                            double rel_speed_mps) {
-  if (p.draws == 0) {
-    ++draws_;
-    const auto [zs, zf] = sim::normal_pair(p.key, p.draws++);
-    p.shadow_db = zs * cfg_.shadow_sigma_db;
-    p.fading_db = zf * cfg_.fading_sigma_db;
-    p.last = t;
-    return;
-  }
+  // The first draw is a step with rho = 0: a sample of the stationary law.
+  double rho_s = 0.0;
+  double rho_f = 0.0;
   const double gap_s = (t - p.last).seconds();
   p.last = t;
-  if (gap_s <= 0.0 || rel_speed_mps <= 0.0) return;  // frozen channel
-  const double moved_m = rel_speed_mps * gap_s;
+  if (p.draws > 0) {
+    if (gap_s <= 0.0 || rel_speed_mps <= 0.0) return;  // frozen channel
+    const double moved_m = rel_speed_mps * gap_s;
+    rho_s = std::exp(-moved_m / cfg_.shadow_decorr_m);
+    rho_f = std::exp(-moved_m / cfg_.fading_decorr_m);
+  }
   ++draws_;
   const auto [zs, zf] = sim::normal_pair(p.key, p.draws++);
-
-  const double rho_s = std::exp(-moved_m / cfg_.shadow_decorr_m);
   p.shadow_db = rho_s * p.shadow_db +
                 std::sqrt(std::max(0.0, 1.0 - rho_s * rho_s)) * zs *
                     cfg_.shadow_sigma_db;
-
-  const double rho_f = std::exp(-moved_m / cfg_.fading_decorr_m);
   p.fading_db = rho_f * p.fading_db +
                 std::sqrt(std::max(0.0, 1.0 - rho_f * rho_f)) * zf *
                     cfg_.fading_sigma_db;
