@@ -107,7 +107,7 @@ std::vector<SweepPoint> run_speed_sweep(
         for (const double speed : speeds_kmh) {
           for (const ProtocolKind proto : kAllProtocols) {
             grid.push_back(
-                SweepPoint{proto, mobility, traffic, speed, load, {}});
+                SweepPoint{proto, mobility, traffic, speed, load, {}, {}});
           }
         }
       }

@@ -94,7 +94,9 @@ void judge(const std::vector<Comparison>& comparisons) {
        << (c.pinned ? " (pinned)" : "");
     std::cout << os.str() << '\n';
     EXPECT_FALSE(contradicted) << os.str();
-    if (c.pinned) EXPECT_TRUE(holds) << os.str();
+    if (c.pinned) {
+      EXPECT_TRUE(holds) << os.str();
+    }
   }
 }
 
