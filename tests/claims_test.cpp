@@ -153,8 +153,9 @@ constexpr auto kAbr = ProtocolKind::kAbr;
 constexpr auto kLs = ProtocolKind::kLinkState;
 
 TEST(PaperClaims, Fig2RicaHasTheShortestOnDemandDelay) {
-  // At 0 km/h every on-demand protocol but ABR ties with RICA: a static
-  // channel leaves channel adaptivity little to exploit.
+  // Unpinned, because the margin is inside the noise: AODV and BGCA at
+  // 0 km/h (a static channel leaves adaptivity little to exploit), and
+  // AODV at 72 km/h, 10 pkt/s.
   Pins pins = every({kAbr}, {kStill, kMid, kFast});
   pins.insert({{kAodv, kMid, 10.0},
                {kAodv, kMid, 20.0},

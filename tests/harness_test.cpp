@@ -399,13 +399,13 @@ TEST(Interval, StudentTOverTrials) {
   EXPECT_EQ(t_interval({7.0}).half, 0.0);
   EXPECT_DOUBLE_EQ(t_interval({7.0}).mean, 7.0);
 
-  // Past the table: 41 samples of +-1 give s/sqrt(n) = sqrt(41/40)/sqrt(41)
-  // and t(0.975, 40) = 2.0211.
+  // Past the table: twenty -1s, twenty +1s and one 0 have mean 0 and
+  // s = 1, so s/sqrt(n) = 1/sqrt(41); t(0.975, 40) = 2.0211.
   std::vector<double> xs(41, 1.0);
   for (std::size_t i = 0; i < 20; ++i) xs[i] = -1.0;
   xs[40] = 0.0;
   const Interval wide = t_interval(xs);
-  const double se = std::sqrt(40.0 / 40.0) / std::sqrt(41.0);
+  const double se = 1.0 / std::sqrt(41.0);
   EXPECT_NEAR(wide.half / se, 2.0211, 1e-3);
 }
 
