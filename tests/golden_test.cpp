@@ -195,6 +195,24 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(harness::to_string(info.param));
     });
 
+// A static network (0 km/h) freezes the channel, so each pair's first
+// sample is final; these pin that path, which the 36 km/h runs never take.
+class GoldenStatic : public ::testing::TestWithParam<harness::ProtocolKind> {};
+
+TEST_P(GoldenStatic, StreamHashMatchesCapture) {
+  auto cfg = golden_config(GetParam());
+  cfg.mean_speed_kmh = 0.0;
+  run_and_check(cfg, "static:" + std::string(harness::to_string(GetParam())));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StaticNetwork, GoldenStatic,
+    ::testing::Values(harness::ProtocolKind::kRica,
+                      harness::ProtocolKind::kLinkState),
+    [](const ::testing::TestParamInfo<harness::ProtocolKind>& info) {
+      return std::string(harness::to_string(info.param));
+    });
+
 TEST(GoldenWarmup, WarmupWindowMatchesCapture) {
   // The epoch-reset event must not disturb determinism: the warmed-up
   // digest covers only the post-transient stream and is pinned like the

@@ -399,7 +399,7 @@ TEST(TraceDeterminism, NullSinkLeavesGoldenStreamUntouched) {
     std::string key, hex;
     if (fields >> key >> hex) pinned[key] = std::stoull(hex, nullptr, 16);
   }
-  EXPECT_EQ(pinned.size(), 14u) << "golden capture gained or lost entries";
+  EXPECT_EQ(pinned.size(), 16u) << "golden capture gained or lost entries";
   ASSERT_TRUE(pinned.count("run:RICA"));
   EXPECT_EQ(bare.stream_hash, pinned.at("run:RICA"))
       << "bare run drifted from the pinned golden capture";
