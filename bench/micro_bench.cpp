@@ -270,6 +270,27 @@ void BM_FullStackMetro(benchmark::State& state) {
 }
 BENCHMARK(BM_FullStackMetro)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// The static link-state row: half a second of the metro preset at 0 km/h
+// under LinkState, where the t = 0 topology install and the periodic link
+// sensing over a frozen channel carry the work.  BM_FullStackMetro runs
+// RICA at the preset speed, so it never takes the static path.
+void BM_FullStackMetroLinkState(benchmark::State& state) {
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    harness::ScenarioConfig cfg = harness::preset_config("metro");
+    cfg.protocol = harness::ProtocolKind::kLinkState;
+    cfg.mean_speed_kmh = 0.0;
+    cfg.sim_s = 0.5;
+    const auto r = harness::run_scenario(cfg);
+    events += static_cast<std::uint64_t>(r.stat("kernel.events_executed"));
+    benchmark::DoNotOptimize(r.delivered);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_FullStackMetroLinkState)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 }  // namespace
 
 // Custom main: stamp the *simulator's* build type into the benchmark

@@ -19,7 +19,8 @@ ChannelModel::ChannelModel(const ChannelConfig& cfg,
       rng_(rng),
       index_(mobility,
              NeighborIndexConfig{cfg.range_m,
-                                 sim::seconds_f(cfg.index_epoch_s)}) {}
+                                 sim::seconds_f(cfg.index_epoch_s)}),
+      frozen_(mobility.max_speed_mps() <= 0.0) {}
 
 bool ChannelModel::in_range(std::uint32_t a, std::uint32_t b, sim::Time t) {
   if (a == b) return false;
@@ -30,18 +31,6 @@ bool ChannelModel::in_range(std::uint32_t a, std::uint32_t b, sim::Time t) {
     if (!index_.possibly_in_range(a, b)) return false;
   }
   return mobility_.node_distance(a, b, t) <= cfg_.range_m;
-}
-
-ChannelModel::PairProcess& ChannelModel::process_for(std::uint32_t lo,
-                                                     std::uint32_t hi) {
-  const auto key = pair_key(lo, hi);
-  // Find first: deriving the stream key hashes the stream name.
-  auto it = pairs_.find(key);
-  if (it == pairs_.end()) {
-    it = pairs_.emplace(key, PairProcess{.key = rng_.derive("channel", lo, hi)})
-             .first;
-  }
-  return it->second;
 }
 
 void ChannelModel::advance(PairProcess& p, sim::Time t,
@@ -82,11 +71,26 @@ std::optional<ChannelSample> ChannelModel::sample(std::uint32_t a,
     index_.ensure_fresh(t);
     if (!index_.possibly_in_range(a, b)) return std::nullopt;
   }
+  const auto [lo, hi] = std::minmax(a, b);
+  const auto key = pair_key(lo, hi);
+  auto it = pairs_.find(key);
+  // In a static network no pair moves (mobility contract 3), so distance and
+  // disturbances are constant and a drawn pair's stored sample is final.  A
+  // pair is only created in range, so it is still in range.
+  if (frozen_ && it != pairs_.end()) {
+    const double snr = it->second.snr_db;
+    return ChannelSample{snr, quantize(snr)};
+  }
   const double dist = mobility_.node_distance(a, b, t);
   if (dist > cfg_.range_m) return std::nullopt;
 
-  const auto [lo, hi] = std::minmax(a, b);
-  auto& proc = process_for(lo, hi);
+  if (it == pairs_.end()) {
+    // Deriving the stream key hashes the stream name, so only a new pair
+    // pays it.
+    it = pairs_.emplace(key, PairProcess{.key = rng_.derive("channel", lo, hi)})
+             .first;
+  }
+  auto& proc = it->second;
   // Effective pair decorrelation speed: the sum of the two nodes' speeds
   // bounds the relative speed and preserves the key property that a fully
   // static pair sees a frozen channel.
@@ -96,8 +100,8 @@ std::optional<ChannelSample> ChannelModel::sample(std::uint32_t a,
   const double mean_snr =
       cfg_.snr0_db -
       10.0 * cfg_.path_loss_exponent * std::log10(std::max(dist, 1.0));
-  const double snr = mean_snr + proc.shadow_db + proc.fading_db;
-  return ChannelSample{snr, quantize(snr)};
+  proc.snr_db = mean_snr + proc.shadow_db + proc.fading_db;
+  return ChannelSample{proc.snr_db, quantize(proc.snr_db)};
 }
 
 std::optional<CsiClass> ChannelModel::csi(std::uint32_t a, std::uint32_t b,

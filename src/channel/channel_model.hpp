@@ -11,7 +11,10 @@
 //    second, faster AR(1) term models the residual of imperfect local-mean
 //    estimation.  Both freeze when nodes stop moving, so a static network
 //    has a static channel — this is what lets the link-state baseline shine
-//    at zero mobility and collapse under motion, as the paper reports.
+//    at zero mobility and collapse under motion, as the paper reports.  In
+//    a static network (max_speed_mps() == 0) a pair's first sample is
+//    final: every later `sample` returns the SNR stored in its pair process,
+//    with no position, speed or AR(1) work.
 //  * Pair processes are evaluated lazily at query time (AR(1) steps over the
 //    elapsed gap), so channel cost scales with traffic.  Each process is
 //    plain data: its random draws come from a counter-based SplitMix64
@@ -132,11 +135,10 @@ class ChannelModel {
     sim::Time last = sim::Time::zero();
     std::uint64_t draws = 0;
     std::uint64_t key = 0;  ///< the pair's stream key
+    double snr_db = 0.0;    ///< the pair's last full sample
   };
   static_assert(sizeof(PairProcess) <= 48,
                 "a pair process is plain data; it holds no RNG engine");
-
-  PairProcess& process_for(std::uint32_t lo, std::uint32_t hi);
   void advance(PairProcess& p, sim::Time t, double rel_speed_mps);
   [[nodiscard]] CsiClass quantize(double snr_db) const;
 
@@ -148,6 +150,9 @@ class ChannelModel {
   /// the event stream.
   util::FlatMap64<PairProcess> pairs_;
   std::uint64_t draws_ = 0;
+  /// max_speed_mps() <= 0: the channel never changes, so `sample` serves a
+  /// drawn pair from its stored SNR.
+  bool frozen_;
 };
 
 }  // namespace rica::channel

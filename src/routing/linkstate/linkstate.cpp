@@ -7,24 +7,47 @@
 
 namespace rica::routing {
 
+namespace {
+const LinkStateProtocol::AdjacencyRow kNoLinks;
+}  // namespace
+
 LinkStateProtocol::LinkStateProtocol(ProtocolHost& host,
                                      const LinkStateConfig& cfg)
     : Protocol(host), cfg_(cfg) {
-  view_.resize(cfg_.num_nodes);
+  view_.assign(cfg_.num_nodes, &kNoLinks);
   seqs_.assign(cfg_.num_nodes, 0);
   next_hop_.assign(cfg_.num_nodes, kNoNextHop);
 }
 
 void LinkStateProtocol::install_topology(const Topology& topology) {
-  view_ = topology;
-  view_.resize(cfg_.num_nodes);
+  snapshot_ = topology;
+  const auto& rows = std::as_const(snapshot_);
+  for (std::size_t i = 0; i < view_.size(); ++i) {
+    view_[i] = i < rows.size() ? &rows[i] : &kNoLinks;
+  }
   ++view_version_;
   host().trace_route("topology_install", host().id(), 0, 0,
                      static_cast<double>(view_.size()));
 }
 
 const LinkStateProtocol::AdjacencyRow& LinkStateProtocol::own_row() const {
-  return view_.at(host().id());
+  return row(host().id());
+}
+
+const LinkStateProtocol::AdjacencyRow& LinkStateProtocol::row(
+    net::NodeId origin) const {
+  return *view_.at(origin);
+}
+
+LinkStateProtocol::AdjacencyRow& LinkStateProtocol::owned_row(
+    net::NodeId origin) {
+  if (own_rows_.empty()) own_rows_.resize(cfg_.num_nodes);
+  auto& slot = own_rows_[origin];
+  if (view_[origin] != &slot) {
+    slot = *view_[origin];
+    view_[origin] = &slot;
+  }
+  return slot;
 }
 
 void LinkStateProtocol::start() {
@@ -41,9 +64,8 @@ void LinkStateProtocol::sense_links(bool force_flood) {
     if (const auto cls = host().link_csi(n)) row.emplace_back(n, *cls);
   }
   std::sort(row.begin(), row.end());
-  auto& own = view_[host().id()];
-  if (row != own || force_flood) {
-    own = std::move(row);
+  if (row != *view_[host().id()] || force_flood) {
+    owned_row(host().id()) = std::move(row);
     ++view_version_;
     flood_own_row();
   }
@@ -59,7 +81,7 @@ void LinkStateProtocol::flood_own_row() {
   net::LsuMsg msg;
   msg.origin = host().id();
   msg.seq = own_seq_;
-  msg.links = view_[host().id()];
+  msg.links = *view_[host().id()];
   host().count("ls.lsu_origin");
   host().send_control(net::make_control(net::kBroadcastId, std::move(msg)));
 }
@@ -70,7 +92,7 @@ void LinkStateProtocol::on_lsu(const net::LsuMsg& msg, net::NodeId from) {
   if (msg.origin >= cfg_.num_nodes) return;
   if (msg.seq <= seqs_[msg.origin]) return;  // duplicate or stale
   seqs_[msg.origin] = msg.seq;
-  view_[msg.origin] = msg.links;
+  owned_row(msg.origin) = msg.links;
   ++view_version_;
   // Re-flood exactly once per (origin, seq): the seq check above is the
   // duplicate suppression.
@@ -103,7 +125,7 @@ void LinkStateProtocol::recompute_if_stale() {
     const auto [d, u] = heap.top();
     heap.pop();
     if (d > dist[u]) continue;
-    for (const auto& [v, cls] : view_[u]) {
+    for (const auto& [v, cls] : *view_[u]) {
       if (v >= n) continue;
       const double nd = d + channel::csi_hop_distance(cls);
       if (nd < dist[v]) {
@@ -146,13 +168,14 @@ void LinkStateProtocol::on_link_break(net::NodeId neighbor,
     host().drop_data(p, stats::DropReason::kLinkBreak);
   }
   // Remove the dead link from our row immediately and flood the change.
-  auto& own = view_[host().id()];
-  const auto it = std::find_if(own.begin(), own.end(),
+  const auto& row = *view_[host().id()];
+  const auto it = std::find_if(row.begin(), row.end(),
                                [neighbor](const auto& e) {
                                  return e.first == neighbor;
                                });
-  if (it != own.end()) {
-    own.erase(it);
+  if (it != row.end()) {
+    auto& own = owned_row(host().id());
+    own.erase(own.begin() + (it - row.begin()));
     ++view_version_;
     flood_own_row();
   }

@@ -16,7 +16,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "channel/csi.hpp"
@@ -41,13 +41,32 @@ class LinkStateProtocol final : public Protocol {
  public:
   /// One terminal's adjacency: (neighbour, advertised class) pairs.
   using AdjacencyRow = std::vector<std::pair<net::NodeId, channel::CsiClass>>;
-  /// Whole-network topology snapshot, indexed by terminal id.
-  using Topology = std::vector<AdjacencyRow>;
+  /// Whole-network topology snapshot, indexed by terminal id.  A handle:
+  /// copies share one row store, and a write through the non-const
+  /// operator[] first detaches a shared handle onto its own copy.
+  class Topology {
+   public:
+    explicit Topology(std::size_t num_nodes = 0)
+        : rows_(std::make_shared<std::vector<AdjacencyRow>>(num_nodes)) {}
+
+    [[nodiscard]] std::size_t size() const { return rows_->size(); }
+    const AdjacencyRow& operator[](std::size_t i) const { return (*rows_)[i]; }
+    AdjacencyRow& operator[](std::size_t i) {
+      if (rows_.use_count() > 1) {
+        rows_ = std::make_shared<std::vector<AdjacencyRow>>(*rows_);
+      }
+      return (*rows_)[i];
+    }
+
+   private:
+    std::shared_ptr<std::vector<AdjacencyRow>> rows_;
+  };
 
   LinkStateProtocol(ProtocolHost& host, const LinkStateConfig& cfg = {});
 
   /// Installs the accurate t=0 view (called by the harness on every node
-  /// with the same snapshot, as the paper prescribes).
+  /// with the same snapshot, as the paper prescribes).  The terminal keeps
+  /// a handle on `topology`'s rows rather than a copy.
   void install_topology(const Topology& topology);
 
   void start() override;
@@ -62,8 +81,13 @@ class LinkStateProtocol final : public Protocol {
   [[nodiscard]] std::optional<net::NodeId> next_hop(net::NodeId dst);
   /// This node's current advertised adjacency row.
   [[nodiscard]] const AdjacencyRow& own_row() const;
+  /// `origin`'s row in this node's current view.
+  [[nodiscard]] const AdjacencyRow& row(net::NodeId origin) const;
 
  private:
+  /// This node's own copy of `origin`'s row, which the view reads from now
+  /// on; the first write copies the shared snapshot row.
+  AdjacencyRow& owned_row(net::NodeId origin);
   void sense_links(bool force_flood);
   void flood_own_row();
   void recompute_if_stale();
@@ -71,7 +95,14 @@ class LinkStateProtocol final : public Protocol {
 
   LinkStateConfig cfg_;
   sim::Timer sense_timer_;  ///< the periodic link-sensing tick
-  Topology view_;
+  /// The shared t = 0 snapshot.  Read only through std::as_const: the
+  /// non-const operator[] would detach a private copy of every row.
+  Topology snapshot_;
+  /// Rows this node has changed itself (an LSU, sensing or a link break);
+  /// sized to num_nodes on the first change.
+  std::vector<AdjacencyRow> own_rows_;
+  /// The current view, one row per origin: into snapshot_ or own_rows_.
+  std::vector<const AdjacencyRow*> view_;
   std::vector<std::uint32_t> seqs_;     ///< highest LSU seq seen per origin
   std::uint32_t own_seq_ = 0;
   std::uint64_t view_version_ = 1;

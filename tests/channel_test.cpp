@@ -1,12 +1,14 @@
 // Channel model: CSI class mapping, path-loss monotonicity, shadowing
 // statistics, temporal correlation, symmetry, and the frozen-when-static
-// property the link-state results depend on; plus the counter-based normal
+// property the link-state results depend on (a static network's cached
+// samples against a fresh full evaluation); plus the counter-based normal
 // source the pair processes draw from (moments, KS) and the AR(1) law of
 // the pair processes at a fixed relative speed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -212,6 +214,9 @@ TEST(ChannelDynamics, MovingPairDecorrelates) {
     prev = s->snr_db;
   }
   EXPECT_GT(distinct, 5);
+  // A moving pair is never served from the static-network cache: it steps.
+  EXPECT_EQ(channel.live_pairs(), 1u);
+  EXPECT_GT(channel.draws(), 5u);
 }
 
 TEST(ChannelDynamics, ShortGapSamplesAreCorrelated) {
@@ -358,6 +363,34 @@ TEST_F(ChannelFixture, StaticPairNeverDrawsAfterItsFirstDraw) {
     EXPECT_EQ(s->snr_db, first->snr_db);
   }
   EXPECT_EQ(channel_.draws(), 1u);
+}
+
+TEST_F(ChannelFixture, CachedStaticSamplesMatchAFreshFullEvaluation) {
+  // Oracle: a fresh same-seed model's first sample of a pair at t takes the
+  // full path (positions, speeds, first draw, path loss).
+  const std::array<sim::Time, 3> times = {sim::Time::zero(), sim::seconds(1),
+                                          sim::seconds(60)};
+  std::size_t in_range = 0;
+  for (const auto t : times) {
+    const sim::RngManager rng(17);
+    mobility::MobilityManager mobility(kNodes, waypoint_config(), rng);
+    ChannelModel fresh(ChannelConfig{}, mobility, rng);
+    for (std::uint32_t a = 0; a < kNodes; ++a) {
+      for (std::uint32_t b = 0; b < kNodes; ++b) {
+        const auto cached = channel_.sample(a, b, t);
+        const auto full = fresh.sample(a, b, t);
+        ASSERT_EQ(cached.has_value(), full.has_value());
+        if (!cached) continue;
+        ++in_range;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(cached->snr_db),
+                  std::bit_cast<std::uint64_t>(full->snr_db));
+        EXPECT_EQ(cached->csi, full->csi);
+      }
+    }
+    EXPECT_EQ(fresh.draws(), fresh.live_pairs());
+  }
+  EXPECT_GT(in_range, 0u);
+  EXPECT_EQ(channel_.draws(), channel_.live_pairs());
 }
 
 /// Two nodes 50 m apart moving in parallel along x at 10 m/s each, so the

@@ -671,5 +671,78 @@ TEST_F(LinkStateTest, BreakRemovesLinkAndFloods) {
   EXPECT_TRUE(proto_.own_row().empty());
 }
 
+// Every terminal reads one shared t = 0 snapshot and copies a row only when
+// it changes that row itself.
+class LinkStateSharedSnapshotTest : public LinkStateTest {
+ protected:
+  LinkStateSharedSnapshotTest() : peer_host_(1), peer_(peer_host_, config()) {
+    proto_.install_topology(topo_);
+    peer_.install_topology(topo_);
+  }
+
+  const LinkStateProtocol::Topology topo_ = line(CsiClass::A);
+  MockHost peer_host_;
+  LinkStateProtocol peer_;
+};
+
+TEST_F(LinkStateSharedSnapshotTest, TerminalsReadOneRowStore) {
+  for (net::NodeId origin = 0; origin < 5; ++origin) {
+    EXPECT_EQ(&proto_.row(origin), &peer_.row(origin));
+    EXPECT_EQ(&proto_.row(origin), &topo_[origin]);
+  }
+}
+
+TEST_F(LinkStateSharedSnapshotTest, LsuChangesOnlyTheReceiversView) {
+  ASSERT_EQ(peer_.next_hop(4), 2u);
+  net::LsuMsg lsu;
+  lsu.origin = 2;
+  lsu.seq = 1;
+  lsu.links = {{1, CsiClass::A}};  // 2 lost its link to 3
+  proto_.on_control(net::make_control(net::kBroadcastId, lsu), 1);
+  EXPECT_EQ(proto_.row(2), lsu.links);
+  EXPECT_EQ(peer_.row(2), topo_[2]);
+  EXPECT_EQ(&proto_.row(3), &peer_.row(3));  // untouched rows stay shared
+  host_.sim().run_until(sim::seconds(5));
+  peer_host_.sim().run_until(sim::seconds(5));
+  EXPECT_FALSE(proto_.next_hop(4).has_value());
+  EXPECT_EQ(peer_.next_hop(4), 2u);
+}
+
+TEST_F(LinkStateSharedSnapshotTest, WriteThroughACopyLeavesViewsAlone) {
+  auto copy = topo_;
+  copy[2].clear();
+  copy[3].clear();
+  EXPECT_TRUE(copy[2].empty());
+  EXPECT_EQ(proto_.row(2), line(CsiClass::A)[2]);
+  EXPECT_EQ(peer_.row(3), line(CsiClass::A)[3]);
+  EXPECT_EQ(&proto_.row(2), &topo_[2]);
+  EXPECT_EQ(proto_.next_hop(4), 1u);
+}
+
+TEST_F(LinkStateSharedSnapshotTest, SensedChangeFloodsOwnRowOnly) {
+  host_.set_link(1, CsiClass::A);  // what the snapshot already says
+  proto_.start();
+  host_.sim().run_until(sim::milliseconds(200));
+  EXPECT_EQ(host_.sent_count<net::LsuMsg>(), 0u);
+  EXPECT_EQ(&proto_.own_row(), &peer_.row(0));
+
+  host_.set_link(1, CsiClass::C);
+  host_.sim().run_until(sim::milliseconds(400));
+  ASSERT_EQ(host_.sent_count<net::LsuMsg>(), 1u);
+  const LinkStateProtocol::AdjacencyRow sensed = {{1, CsiClass::C}};
+  EXPECT_EQ(host_.last_sent<net::LsuMsg>()->links, sensed);
+  EXPECT_EQ(proto_.own_row(), sensed);
+  EXPECT_EQ(peer_.row(0), topo_[0]);
+}
+
+TEST_F(LinkStateSharedSnapshotTest, LinkBreakFloodsOwnRowOnly) {
+  peer_.on_link_break(2, {});
+  ASSERT_EQ(peer_host_.sent_count<net::LsuMsg>(), 1u);
+  const LinkStateProtocol::AdjacencyRow kept = {{0, CsiClass::A}};
+  EXPECT_EQ(peer_host_.last_sent<net::LsuMsg>()->links, kept);
+  EXPECT_EQ(peer_.own_row(), kept);
+  EXPECT_EQ(proto_.row(1), topo_[1]);
+}
+
 }  // namespace
 }  // namespace rica::routing
