@@ -146,6 +146,27 @@ void ChannelModel::neighbors_of(std::uint32_t node, sim::Time t,
   }
 }
 
+const LinkRow& ChannelModel::links_of(std::uint32_t node, sim::Time t) {
+  if (!frozen_) {
+    sense(node, t, scratch_row_);
+    return scratch_row_;
+  }
+  // Static: the neighbour set and every class are final once sensed.
+  if (frozen_rows_.empty()) frozen_rows_.resize(num_nodes());
+  auto& row = frozen_rows_[node];
+  if (!row) sense(node, t, row.emplace());
+  return *row;
+}
+
+void ChannelModel::sense(std::uint32_t node, sim::Time t, LinkRow& out) {
+  neighbors_of(node, t, scratch_ids_);
+  out.clear();
+  out.reserve(scratch_ids_.size());
+  for (const auto other : scratch_ids_) {
+    if (const auto s = sample(node, other, t)) out.emplace_back(other, s->csi);
+  }
+}
+
 std::vector<std::uint32_t> ChannelModel::neighbors_of_bruteforce(
     std::uint32_t node, sim::Time t) {
   std::vector<std::uint32_t> out;

@@ -14,7 +14,8 @@
 //    at zero mobility and collapse under motion, as the paper reports.  In
 //    a static network (max_speed_mps() == 0) a pair's first sample is
 //    final: every later `sample` returns the SNR stored in its pair process,
-//    with no position, speed or AR(1) work.
+//    with no position, speed or AR(1) work, and a node's first `links_of`
+//    row is final too: it is stored and served by reference from then on.
 //  * Pair processes are evaluated lazily at query time (AR(1) steps over the
 //    elapsed gap), so channel cost scales with traffic.  Each process is
 //    plain data: its random draws come from a counter-based SplitMix64
@@ -107,6 +108,13 @@ class ChannelModel {
   void neighbors_of(std::uint32_t node, sim::Time t,
                     std::vector<std::uint32_t>& out);
 
+  /// The links `node` senses at time t: every neighbour in range with its
+  /// sampled class, ascending by id.  The same calls as `neighbors_of`
+  /// followed by one `sample` per neighbour, so the same draws.  The row is
+  /// valid until the next call, except in a static network, where a node's
+  /// first row is stored and every later call returns that same row.
+  [[nodiscard]] const LinkRow& links_of(std::uint32_t node, sim::Time t);
+
   /// The original O(N) scan, kept as the reference implementation for the
   /// index equivalence tests and the micro-benchmarks.
   [[nodiscard]] std::vector<std::uint32_t> neighbors_of_bruteforce(
@@ -141,6 +149,8 @@ class ChannelModel {
                 "a pair process is plain data; it holds no RNG engine");
   void advance(PairProcess& p, sim::Time t, double rel_speed_mps);
   [[nodiscard]] CsiClass quantize(double snr_db) const;
+  /// Fills `out` with the links of `node` at time t (see links_of).
+  void sense(std::uint32_t node, sim::Time t, LinkRow& out);
 
   ChannelConfig cfg_;
   mobility::MobilityManager& mobility_;
@@ -151,8 +161,13 @@ class ChannelModel {
   util::FlatMap64<PairProcess> pairs_;
   std::uint64_t draws_ = 0;
   /// max_speed_mps() <= 0: the channel never changes, so `sample` serves a
-  /// drawn pair from its stored SNR.
+  /// drawn pair from its stored SNR and `links_of` a node's first row.
   bool frozen_;
+  std::vector<std::uint32_t> scratch_ids_;  ///< links_of's neighbour list
+  LinkRow scratch_row_;                     ///< links_of's row when moving
+  /// Static networks only: each node's first row, once sensed.  Sized to
+  /// num_nodes() on first use and never resized, so rows stay put.
+  std::vector<std::optional<LinkRow>> frozen_rows_;
 };
 
 }  // namespace rica::channel

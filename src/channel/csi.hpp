@@ -9,6 +9,8 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 namespace rica::channel {
 
@@ -33,6 +35,10 @@ inline constexpr std::array<double, 4> kClassThroughputBps = {
 [[nodiscard]] constexpr double csi_hop_distance(CsiClass c) {
   return kClassThroughputBps[0] / throughput_bps(c);
 }
+
+/// The links one terminal senses: (neighbour id, class) pairs, ascending by
+/// neighbour id.
+using LinkRow = std::vector<std::pair<std::uint32_t, CsiClass>>;
 
 /// Single-letter class name for logs and tables.
 [[nodiscard]] constexpr std::string_view to_string(CsiClass c) {

@@ -119,17 +119,11 @@ net::NetworkConfig to_network_config(const ScenarioConfig& cfg) {
 }
 
 /// The paper installs an accurate topology snapshot into every terminal at
-/// t = 0 for the link-state runs.
+/// t = 0 for the link-state runs: each terminal's row as it senses it then.
 routing::LinkStateProtocol::Topology snapshot_topology(net::Network& network) {
   routing::LinkStateProtocol::Topology topo(network.size());
   for (std::uint32_t a = 0; a < network.size(); ++a) {
-    for (std::uint32_t b = 0; b < network.size(); ++b) {
-      if (a == b) continue;
-      if (const auto s = network.channel().sample(a, b, sim::Time::zero())) {
-        topo[a].emplace_back(b, s->csi);
-      }
-    }
-    std::sort(topo[a].begin(), topo[a].end());
+    topo[a] = network.channel().links_of(a, sim::Time::zero());
   }
   return topo;
 }
@@ -238,7 +232,7 @@ std::string fmt_m(double v) {
 // be finite, non-negative and below 2^63 ns (~9.2e9 s).  The negated test
 // also rejects NaN, which fails every comparison.
 void check_time_field(const char* name, double s) {
-  if (!(s >= 0.0 && s * 1e9 < 0x1p63)) {
+  if (!(s >= 0.0) || !sim::checked_seconds_f(s)) {
     throw std::invalid_argument(
         std::string(name) + " = " + fmt_m(s) +
         " s is not a finite, non-negative time below 2^63 ns (~9.22e9 s)");

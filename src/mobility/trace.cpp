@@ -40,6 +40,21 @@ double parse_number(std::string_view name, std::size_t line,
   }
 }
 
+/// Seconds to Time, or the located error when the value is past the
+/// simulator's 2^63 ns time range.
+sim::Time to_time(std::string_view name, std::size_t line, double s,
+                  std::string_view what) {
+  const auto t = sim::checked_seconds_f(s);
+  if (!t) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "%.*s %g s is past the 2^63 ns (~9.22e9 s) time range",
+                  static_cast<int>(what.size()), what.data(), s);
+    fail_at(name, line, buf);
+  }
+  return *t;
+}
+
 void require_in_field(std::string_view name, std::size_t line, Vec2 p,
                       const Field& field) {
   if (!field.contains(p)) {
@@ -146,7 +161,8 @@ TraceData parse_bonnmotion_trace(std::istream& in, std::string_view name,
       }
       const Vec2 p{values[k + 1], values[k + 2]};
       require_in_field(name, line_no, p, field);
-      push_knot(name, line_no, knots, sim::seconds_f(values[k]), p);
+      push_knot(name, line_no, knots,
+                to_time(name, line_no, values[k], "timestamp"), p);
     }
     data.nodes.push_back(std::move(knots));
   }
@@ -275,7 +291,7 @@ TraceData parse_setdest_trace(std::istream& in, std::string_view name,
                                    " has a setdest before its initial"
                                    " `set X_` / `set Y_` position");
       }
-      const sim::Time at = sim::seconds_f(at_s);
+      const sim::Time at = to_time(name, line_no, at_s, "command time");
       if (!n.knots.empty() && at < n.last_command) {
         fail_at(name, line_no,
                 "non-monotonic command time " + time_tok + " for node " +
@@ -297,8 +313,13 @@ TraceData parse_setdest_trace(std::istream& in, std::string_view name,
         n.arrival = at;  // degenerate command: already there
         n.vel = Vec2{};
       } else {
-        const auto travel = sim::seconds_f(dist / speed);
-        n.arrival = at + std::max(travel, sim::Time{1});
+        const auto travel = std::max(
+            to_time(name, line_no, dist / speed, "travel time"), sim::Time{1});
+        if (travel > sim::Time::max() - at) {
+          fail_at(name, line_no,
+                  "arrival time is past the 2^63 ns (~9.22e9 s) time range");
+        }
+        n.arrival = at + travel;
         n.vel = (dest - n.pos) * (1.0 / (n.arrival - at).seconds());
       }
       continue;

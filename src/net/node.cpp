@@ -69,8 +69,8 @@ std::optional<channel::CsiClass> Node::link_csi(NodeId neighbor) {
   return channel_.csi(id_, neighbor, sim_.now());
 }
 
-std::vector<NodeId> Node::neighbors_in_range() {
-  return channel_.neighbors_of(id_, sim_.now());
+const channel::LinkRow& Node::link_row() {
+  return channel_.links_of(id_, sim_.now());
 }
 
 void Node::forward_data(DataPacket pkt, NodeId next_hop) {

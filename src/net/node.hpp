@@ -77,7 +77,7 @@ class Node final : public routing::ProtocolHost {
   sim::RandomStream& protocol_rng() override { return rng_; }
   void send_control(ControlPacket pkt) override;
   std::optional<channel::CsiClass> link_csi(NodeId neighbor) override;
-  std::vector<NodeId> neighbors_in_range() override;
+  const channel::LinkRow& link_row() override;
   void forward_data(DataPacket pkt, NodeId next_hop) override;
   void deliver_local(const DataPacket& pkt) override;
   void drop_data(const DataPacket& pkt, stats::DropReason reason) override;

@@ -246,7 +246,7 @@ struct AodvRerrMsg {
 struct LsuMsg {
   NodeId origin = 0;
   std::uint32_t seq = 0;
-  std::vector<std::pair<NodeId, channel::CsiClass>> links;
+  channel::LinkRow links;
 
   friend bool operator==(const LsuMsg&, const LsuMsg&) = default;
 };

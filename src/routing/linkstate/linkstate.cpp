@@ -55,24 +55,19 @@ void LinkStateProtocol::start() {
       host().protocol_rng().uniform(
           0.0, static_cast<double>(cfg_.sense_period.nanos())))};
   sense_timer_.arm_after(host().simulator(), phase,
-                         [this] { sense_links(false); });
+                         [this] { sense_links(); });
 }
 
-void LinkStateProtocol::sense_links(bool force_flood) {
-  AdjacencyRow row;
-  for (const auto n : host().neighbors_in_range()) {
-    if (const auto cls = host().link_csi(n)) row.emplace_back(n, *cls);
-  }
-  std::sort(row.begin(), row.end());
-  if (row != *view_[host().id()] || force_flood) {
-    owned_row(host().id()) = std::move(row);
+void LinkStateProtocol::sense_links() {
+  // The host's row is only borrowed: copy it only when it floods.
+  const auto& row = host().link_row();
+  if (row != *view_[host().id()]) {
+    owned_row(host().id()) = row;
     ++view_version_;
     flood_own_row();
   }
-  if (!force_flood) {
-    sense_timer_.arm_after(host().simulator(), cfg_.sense_period,
-                           [this] { sense_links(false); });
-  }
+  sense_timer_.arm_after(host().simulator(), cfg_.sense_period,
+                         [this] { sense_links(); });
 }
 
 void LinkStateProtocol::flood_own_row() {

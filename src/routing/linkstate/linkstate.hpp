@@ -39,8 +39,9 @@ struct LinkStateConfig {
 
 class LinkStateProtocol final : public Protocol {
  public:
-  /// One terminal's adjacency: (neighbour, advertised class) pairs.
-  using AdjacencyRow = std::vector<std::pair<net::NodeId, channel::CsiClass>>;
+  /// One terminal's adjacency: (neighbour, advertised class) pairs,
+  /// ascending by neighbour.
+  using AdjacencyRow = channel::LinkRow;
   /// Whole-network topology snapshot, indexed by terminal id.  A handle:
   /// copies share one row store, and a write through the non-const
   /// operator[] first detaches a shared handle onto its own copy.
@@ -88,7 +89,7 @@ class LinkStateProtocol final : public Protocol {
   /// This node's own copy of `origin`'s row, which the view reads from now
   /// on; the first write copies the shared snapshot row.
   AdjacencyRow& owned_row(net::NodeId origin);
-  void sense_links(bool force_flood);
+  void sense_links();
   void flood_own_row();
   void recompute_if_stale();
   void on_lsu(const net::LsuMsg& msg, net::NodeId from);

@@ -45,8 +45,10 @@ class ProtocolHost {
   /// through which this RREQ comes" primitive of §II-B.
   virtual std::optional<channel::CsiClass> link_csi(net::NodeId neighbor) = 0;
 
-  /// Nodes currently within transmission range (local PHY knowledge).
-  virtual std::vector<net::NodeId> neighbors_in_range() = 0;
+  /// Every link this terminal senses right now: the nodes within
+  /// transmission range with their CSI classes, ascending by id (local PHY
+  /// knowledge).  Valid until the next call.
+  virtual const channel::LinkRow& link_row() = 0;
 
   /// Queues a data packet on the link buffer toward `next_hop`.
   virtual void forward_data(net::DataPacket pkt, net::NodeId next_hop) = 0;

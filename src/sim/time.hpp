@@ -9,6 +9,7 @@
 #include <compare>
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 namespace rica::sim {
 
@@ -60,9 +61,21 @@ constexpr Time microseconds(std::int64_t us) { return Time{us * 1'000}; }
 constexpr Time milliseconds(std::int64_t ms) { return Time{ms * 1'000'000}; }
 /// Construct a Time from whole seconds.
 constexpr Time seconds(std::int64_t s) { return Time{s * 1'000'000'000}; }
-/// Construct a Time from fractional seconds (rounded to nanoseconds).
+/// Construct a Time from fractional seconds (rounded to nanoseconds).  The
+/// caller guarantees the result fits; untrusted input goes through
+/// checked_seconds_f.
 constexpr Time seconds_f(double s) {
   return Time{static_cast<std::int64_t>(s * 1e9 + (s >= 0 ? 0.5 : -0.5))};
+}
+
+/// seconds_f for untrusted input: nullopt when `s` is not finite or its
+/// rounded nanosecond count falls outside int64 (|s| reaches 2^63 ns,
+/// ~9.22e9 s), where the cast would be undefined.
+constexpr std::optional<Time> checked_seconds_f(double s) {
+  const double ns = s * 1e9 + (s >= 0 ? 0.5 : -0.5);
+  // The negated test also rejects NaN, which fails every comparison.
+  if (!(ns >= -0x1p63 && ns < 0x1p63)) return std::nullopt;
+  return Time{static_cast<std::int64_t>(ns)};
 }
 
 }  // namespace rica::sim

@@ -393,6 +393,85 @@ TEST_F(ChannelFixture, CachedStaticSamplesMatchAFreshFullEvaluation) {
   EXPECT_EQ(channel_.draws(), channel_.live_pairs());
 }
 
+/// The sensing loop `links_of` replaced, kept as its oracle: the neighbour
+/// list, then one `csi` per neighbour, sorted.
+LinkRow neighbors_then_csi(ChannelModel& channel, std::uint32_t node,
+                           sim::Time t) {
+  LinkRow row;
+  for (const auto other : channel.neighbors_of(node, t)) {
+    if (const auto cls = channel.csi(node, other, t)) {
+      row.emplace_back(other, *cls);
+    }
+  }
+  std::sort(row.begin(), row.end());
+  return row;
+}
+
+/// `links_of` on a moving network against the oracle on a second same-seed
+/// model queried at the same times; the parameter turns the index on.
+class LinksOfMobile : public ::testing::TestWithParam<bool> {};
+
+TEST_P(LinksOfMobile, MatchesNeighborsThenCsi) {
+  constexpr std::size_t kNodes = 40;
+  ChannelConfig cfg;
+  cfg.use_neighbor_index = GetParam();
+  mobility::MobilityConfig wp;
+  wp.field = mobility::Field{800.0, 800.0};
+  wp.max_speed_mps = 20.0;
+  wp.pause = sim::seconds(1);
+  const sim::RngManager rng(23);
+  mobility::MobilityManager fast_mobility(kNodes, wp, rng);
+  mobility::MobilityManager oracle_mobility(kNodes, wp, rng);
+  ChannelModel fast(cfg, fast_mobility, rng);
+  ChannelModel oracle(cfg, oracle_mobility, rng);
+  std::size_t links = 0;
+  // 150 ms sense ticks plus an offset, so most queries fall mid-epoch.
+  for (int tick = 0; tick < 100; ++tick) {
+    const auto t = sim::milliseconds(tick * 150 + 7);
+    for (std::uint32_t node = 0; node < kNodes; ++node) {
+      const auto expected = neighbors_then_csi(oracle, node, t);
+      ASSERT_EQ(fast.links_of(node, t), expected)
+          << "node " << node << " at " << t.seconds() << " s";
+      links += expected.size();
+    }
+  }
+  EXPECT_GT(links, 0u);
+  EXPECT_EQ(fast.live_pairs(), oracle.live_pairs());
+  EXPECT_EQ(fast.draws(), oracle.draws());
+  EXPECT_GT(fast.draws(), fast.live_pairs());  // moving pairs kept stepping
+}
+
+INSTANTIATE_TEST_SUITE_P(Index, LinksOfMobile, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Indexed" : "BruteForce";
+                         });
+
+TEST_F(ChannelFixture, StaticRowsAreFinalAndMatchAFreshFirstRow) {
+  const std::array<sim::Time, 3> times = {sim::Time::zero(), sim::seconds(1),
+                                          sim::seconds(60)};
+  std::size_t links = 0;
+  for (const auto t : times) {
+    const sim::RngManager rng(17);
+    mobility::MobilityManager mobility(kNodes, waypoint_config(), rng);
+    ChannelModel fresh(ChannelConfig{}, mobility, rng);
+    for (std::uint32_t node = 0; node < kNodes; ++node) {
+      const auto expected = neighbors_then_csi(fresh, node, t);
+      EXPECT_EQ(channel_.links_of(node, t), expected) << "node " << node;
+      links += expected.size();
+    }
+  }
+  EXPECT_GT(links, 0u);
+
+  // A repeat call returns the stored row and draws nothing.
+  const auto draws = channel_.draws();
+  EXPECT_EQ(draws, channel_.live_pairs());
+  for (std::uint32_t node = 0; node < kNodes; ++node) {
+    EXPECT_EQ(&channel_.links_of(node, sim::seconds(90)),
+              &channel_.links_of(node, sim::Time::zero()));
+  }
+  EXPECT_EQ(channel_.draws(), draws);
+}
+
 /// Two nodes 50 m apart moving in parallel along x at 10 m/s each, so the
 /// pair keeps its distance (and mean SNR) while the channel sees a relative
 /// speed of 20 m/s (the sum of the two speeds).

@@ -499,6 +499,13 @@ TEST_F(TraceErrorPaths, BonnMotionNegativeTimestamp) {
   expect_error("-1.0 10.0 10.0\n", 1, "negative timestamp");
 }
 
+TEST_F(TraceErrorPaths, BonnMotionTimestampPastTheTimeRange) {
+  // 1e300 s overflows int64 nanoseconds: a located range error, not an
+  // undefined cast read back as a "non-monotonic" negative time.
+  expect_error("0 10 10 1e300 20 20\n", 1,
+               "timestamp 1e+300 s is past the 2^63 ns");
+}
+
 TEST_F(TraceErrorPaths, BonnMotionOutOfArenaCoordinate) {
   expect_error("0.0 10.0 10.0 5.0 1200.0 10.0\n", 1, "outside the");
 }
@@ -533,6 +540,29 @@ TEST_F(TraceErrorPaths, SetdestNonPositiveSpeed) {
       "$node_(0) set X_ 1.0\n$node_(0) set Y_ 1.0\n"
       "$ns_ at 1.0 \"$node_(0) setdest 5.0 5.0 0\"\n",
       3, "speed must be > 0");
+}
+
+TEST_F(TraceErrorPaths, SetdestCommandTimePastTheTimeRange) {
+  expect_error(
+      "$node_(0) set X_ 1.0\n$node_(0) set Y_ 1.0\n"
+      "$ns_ at 1e300 \"$node_(0) setdest 5.0 5.0 1.0\"\n",
+      3, "command time 1e+300 s is past the 2^63 ns");
+}
+
+TEST_F(TraceErrorPaths, SetdestTravelTimePastTheTimeRange) {
+  // 4 m at 1e-300 m/s: the leg's travel time is past the time range.
+  expect_error(
+      "$node_(0) set X_ 1.0\n$node_(0) set Y_ 1.0\n"
+      "$ns_ at 1.0 \"$node_(0) setdest 5.0 1.0 1e-300\"\n",
+      3, "travel time 4e+300 s is past the 2^63 ns");
+}
+
+TEST_F(TraceErrorPaths, SetdestArrivalPastTheTimeRange) {
+  // Command and travel times are each in range; their sum, 1.3e10 s, is not.
+  expect_error(
+      "$node_(0) set X_ 1.0\n$node_(0) set Y_ 1.0\n"
+      "$ns_ at 9e9 \"$node_(0) setdest 5.0 1.0 1e-9\"\n",
+      3, "arrival time is past the 2^63 ns");
 }
 
 TEST_F(TraceErrorPaths, SetdestOutOfArenaDestination) {

@@ -26,7 +26,7 @@ TEST(ProtocolNames, RoundTrip) {
   }
   EXPECT_EQ(protocol_from_string("link-state"), ProtocolKind::kLinkState);
   EXPECT_EQ(protocol_from_string("ls"), ProtocolKind::kLinkState);
-  EXPECT_THROW(protocol_from_string("ospf"), std::invalid_argument);
+  EXPECT_THROW((void)protocol_from_string("ospf"), std::invalid_argument);
 }
 
 TEST(Integration, EveryProtocolDeliversUnderMobility) {

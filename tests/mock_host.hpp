@@ -77,11 +77,9 @@ class MockHost : public routing::ProtocolHost {
     if (it == links_.end()) return std::nullopt;
     return it->second;
   }
-  std::vector<net::NodeId> neighbors_in_range() override {
-    std::vector<net::NodeId> out;
-    out.reserve(links_.size());
-    for (const auto& [n, _] : links_) out.push_back(n);
-    return out;
+  const channel::LinkRow& link_row() override {
+    row_.assign(links_.begin(), links_.end());
+    return row_;
   }
   void forward_data(net::DataPacket pkt, net::NodeId next_hop) override {
     forwarded.push_back(ForwardedData{std::move(pkt), next_hop, sim_.now()});
@@ -110,6 +108,7 @@ class MockHost : public routing::ProtocolHost {
   sim::Simulator sim_;
   sim::RandomStream rng_;
   std::map<net::NodeId, channel::CsiClass> links_;
+  channel::LinkRow row_;  ///< link_row's result
 };
 
 /// A real channel over `n` static nodes packed into a 1 m field, so every
@@ -131,8 +130,8 @@ struct StaticChannel {
   channel::ChannelModel channel;
 };
 
-/// A MockHost whose link CSI comes from a real ChannelModel instead of the
-/// scripted links.
+/// A MockHost whose link CSI and sensed links come from a real ChannelModel
+/// instead of the scripted links.
 class ChannelHost : public MockHost {
  public:
   ChannelHost(net::NodeId id, channel::ChannelModel& channel)
@@ -140,6 +139,9 @@ class ChannelHost : public MockHost {
 
   std::optional<channel::CsiClass> link_csi(net::NodeId neighbor) override {
     return channel_.csi(id(), neighbor, sim().now());
+  }
+  const channel::LinkRow& link_row() override {
+    return channel_.links_of(id(), sim().now());
   }
 
  private:

@@ -69,7 +69,7 @@ TEST(ControlSizes, OverflowingLsuThrowsInsteadOfClamping) {
   for (NodeId i = 0; i < 13200; ++i) {
     huge.links.emplace_back(i, channel::CsiClass::A);
   }
-  EXPECT_THROW(wire::encoded_control_size(ControlPayload{huge}),
+  EXPECT_THROW((void)wire::encoded_control_size(ControlPayload{huge}),
                wire::WireError);
   EXPECT_THROW(make_control(kBroadcastId, huge), wire::WireError);
 }

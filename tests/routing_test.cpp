@@ -744,5 +744,49 @@ TEST_F(LinkStateSharedSnapshotTest, LinkBreakFloodsOwnRowOnly) {
   EXPECT_EQ(proto_.row(1), topo_[1]);
 }
 
+// Sensing over a real static channel, whose rows are final once sensed and
+// served by reference: a quiet network floods nothing, and the next tick
+// after a link break still floods the restored row.
+TEST(LinkStateStaticChannel, StoredRowsStillFloodARestoredLink) {
+  constexpr std::size_t kNodes = 6;
+  test::StaticChannel net(kNodes);
+  test::ChannelHost host(0, net.channel);
+  LinkStateConfig cfg;
+  cfg.num_nodes = kNodes;
+  LinkStateProtocol proto(host, cfg);
+  LinkStateProtocol::Topology topo(kNodes);
+  for (net::NodeId a = 0; a < kNodes; ++a) {
+    topo[a] = net.channel.links_of(a, sim::Time::zero());
+  }
+  proto.install_topology(topo);
+  const LinkStateProtocol::AdjacencyRow sensed = topo[0];
+  ASSERT_EQ(sensed.size(), kNodes - 1);  // the 1 m field is all in range
+  const auto draws = net.channel.draws();
+
+  // The first tick falls in [0, period), so ten periods hold ten ticks.
+  const auto period = cfg.sense_period;
+  proto.start();
+  host.sim().run_until(period * 10);
+  EXPECT_EQ(host.sent_count<net::LsuMsg>(), 0u);
+  EXPECT_EQ(net.channel.draws(), draws);
+
+  proto.on_link_break(3, {});
+  ASSERT_EQ(host.sent_count<net::LsuMsg>(), 1u);
+  LinkStateProtocol::AdjacencyRow shortened = sensed;
+  shortened.erase(shortened.begin() + 2);  // ids 1..5: neighbour 3
+  EXPECT_EQ(host.last_sent<net::LsuMsg>()->links, shortened);
+  EXPECT_EQ(proto.own_row(), shortened);
+
+  // The eleventh tick senses the stored row again, which now differs from
+  // the view: it floods the restored row, once.
+  host.sim().run_until(period * 11);
+  ASSERT_EQ(host.sent_count<net::LsuMsg>(), 2u);
+  EXPECT_EQ(host.last_sent<net::LsuMsg>()->links, sensed);
+  EXPECT_EQ(proto.own_row(), sensed);
+  host.sim().run_until(period * 20);
+  EXPECT_EQ(host.sent_count<net::LsuMsg>(), 2u);
+  EXPECT_EQ(net.channel.draws(), draws);
+}
+
 }  // namespace
 }  // namespace rica::routing

@@ -3,6 +3,7 @@
 // EventEngine-specific cases live in event_engine_test.cpp.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -27,6 +28,18 @@ TEST(Time, FractionalSecondsRoundsToNanos) {
   EXPECT_EQ(seconds_f(0.5).nanos(), 500'000'000);
   EXPECT_EQ(seconds_f(1e-9).nanos(), 1);
   EXPECT_EQ(seconds_f(0.0).nanos(), 0);
+}
+
+TEST(Time, CheckedSecondsRejectsWhatInt64CannotHold) {
+  for (const double s : {0.0, 0.5, 1e-9, -2.5, 9.2e9, -9.2e9}) {
+    ASSERT_TRUE(checked_seconds_f(s).has_value()) << s;
+    EXPECT_EQ(checked_seconds_f(s)->nanos(), seconds_f(s).nanos()) << s;
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double s : {std::numeric_limits<double>::quiet_NaN(), kInf,
+                         -kInf, 1e300, -1e300, 9.3e9, -9.3e9}) {
+    EXPECT_FALSE(checked_seconds_f(s).has_value()) << s;
+  }
 }
 
 TEST(Time, ArithmeticAndComparison) {
