@@ -15,9 +15,8 @@
 //                 putting a replayed real-world trace next to the synthetic
 //                 models in the same table
 #include <exception>
-#include <functional>
 #include <iostream>
-#include <sstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -30,16 +29,35 @@ namespace {
 
 using namespace rica;
 
-void print_mobility_figure(
-    const std::vector<harness::SweepPoint>& grid,
-    const std::vector<std::string>& models, const std::string& title,
-    const std::function<double(const harness::ScenarioResult&)>& metric,
-    int precision) {
-  harness::print_axis_figure(
-      std::cout, grid, models, "mobility", title,
-      [](const harness::SweepPoint& cell) { return cell.mobility; }, metric,
-      precision);
-}
+/// One sub-figure: 7(a), 7(b), ... in table order.
+struct Fig7Metric {
+  const char* title;  ///< human title fragment for the printed figure
+  int precision;
+  double (*get)(const harness::ScenarioResult&);
+};
+
+constexpr Fig7Metric kMetrics[] = {
+    {"packet delivery (%)", 1,
+     [](const harness::ScenarioResult& r) { return r.delivery_pct; }},
+    {"end-to-end delay (ms)", 1,
+     [](const harness::ScenarioResult& r) { return r.avg_delay_ms; }},
+    {"control overhead (kbps)", 1,
+     [](const harness::ScenarioResult& r) { return r.overhead_kbps; }},
+    {"kernel events executed (millions, all trials)", 2,
+     [](const harness::ScenarioResult& r) {
+       return r.stat("kernel.events_executed") * 1e-6;
+     }},
+    {"peak pending events (worst trial)", 0,
+     [](const harness::ScenarioResult& r) {
+       return r.stat("kernel.peak_pending");
+     }},
+    {"event closures spilled past the 128 B inline buffer"
+     " (heap_fallbacks, all trials)",
+     0,
+     [](const harness::ScenarioResult& r) {
+       return r.stat("kernel.heap_fallbacks");
+     }},
+};
 
 }  // namespace
 
@@ -52,20 +70,12 @@ int main(int argc, char** argv) {
     const double speed = flags.get("speed", 36.0);
     const double rate = flags.get("rate", 10.0);
 
-    std::vector<std::string> models;
-    if (flags.has("models")) {
-      std::stringstream ss(flags.get("models", std::string{}));
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        if (!item.empty()) models.push_back(item);
-      }
-    } else if (flags.has("mobility")) {
-      // Honor the shared flag when given explicitly: a single-model "figure"
-      // is a one-row table, not a silent all-model sweep.
-      models = {scale.mobility};
-    } else {
-      models = mobility::known_mobility_models();
-    }
+    // Honor the shared --mobility flag when given explicitly: a single-model
+    // "figure" is a one-row table, not a silent all-model sweep.
+    auto models = flags.get_strings(
+        "models", flags.has("mobility")
+                      ? std::vector<std::string>{scale.mobility}
+                      : mobility::known_mobility_models());
     if (flags.has("trace")) {
       models.push_back("trace:file=" + flags.get("trace", std::string{}));
     }
@@ -74,42 +84,15 @@ int main(int argc, char** argv) {
     const std::string point = " at " + harness::fmt(speed, 0) + " km/h, " +
                               harness::fmt(rate, 0) + " pkt/s (" +
                               scale.preset + " preset)";
-    print_mobility_figure(
-        grid, models, "Figure 7(a): packet delivery (%) by mobility model" +
-                          point,
-        [](const harness::ScenarioResult& r) { return r.delivery_pct; }, 1);
-    print_mobility_figure(
-        grid, models,
-        "Figure 7(b): end-to-end delay (ms) by mobility model" + point,
-        [](const harness::ScenarioResult& r) { return r.avg_delay_ms; }, 1);
-    print_mobility_figure(
-        grid, models,
-        "Figure 7(c): control overhead (kbps) by mobility model" + point,
-        [](const harness::ScenarioResult& r) { return r.overhead_kbps; }, 1);
-    print_mobility_figure(
-        grid, models,
-        "Figure 7(d): kernel events executed (millions, all trials) by"
-        " mobility model" + point,
-        [](const harness::ScenarioResult& r) {
-          return r.stat("kernel.events_executed") * 1e-6;
-        },
-        2);
-    print_mobility_figure(
-        grid, models,
-        "Figure 7(e): peak pending events (worst trial) by mobility model" +
-            point,
-        [](const harness::ScenarioResult& r) {
-          return r.stat("kernel.peak_pending");
-        },
-        0);
-    print_mobility_figure(
-        grid, models,
-        "Figure 7(f): event closures spilled past the 128 B inline buffer"
-        " (heap_fallbacks, all trials) by mobility model" + point,
-        [](const harness::ScenarioResult& r) {
-          return r.stat("kernel.heap_fallbacks");
-        },
-        0);
+    for (std::size_t m = 0; m < std::size(kMetrics); ++m) {
+      const std::string label(1, static_cast<char>('a' + m));
+      harness::print_axis_figure(
+          std::cout, grid, models, "mobility",
+          "Figure 7(" + label + "): " + kMetrics[m].title +
+              " by mobility model" + point,
+          [](const harness::SweepPoint& cell) { return cell.mobility; },
+          kMetrics[m].get, kMetrics[m].precision);
+    }
     std::cout << "Reading guide: waypoint is the paper's setting; group\n"
                  "motion keeps flows inside a neighborhood (route lifetimes\n"
                  "stretch), while Gauss-Markov and Manhattan sustain motion\n"

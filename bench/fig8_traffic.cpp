@@ -24,7 +24,6 @@
 #include <functional>
 #include <iostream>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -110,20 +109,12 @@ int main(int argc, char** argv) {
     const double speed = flags.get("speed", 36.0);
     const double rate = flags.get("rate", 10.0);
 
-    std::vector<std::string> models;
-    if (flags.has("models")) {
-      std::stringstream ss(flags.get("models", std::string{}));
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        if (!item.empty()) models.push_back(item);
-      }
-    } else if (flags.has("traffic")) {
-      // Honor the shared flag when given explicitly: a single-model
-      // "figure" is a one-row table, not a silent all-model sweep.
-      models = {scale.traffic};
-    } else {
-      models = traffic::known_traffic_models();
-    }
+    // Honor the shared --traffic flag when given explicitly: a single-model
+    // "figure" is a one-row table, not a silent all-model sweep.
+    auto models = flags.get_strings(
+        "models", flags.has("traffic")
+                      ? std::vector<std::string>{scale.traffic}
+                      : traffic::known_traffic_models());
     if (flags.has("pattern")) {
       const std::string pattern = flags.get("pattern", std::string{});
       for (auto& model : models) {

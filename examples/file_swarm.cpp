@@ -13,50 +13,7 @@
 #include "net/network.hpp"
 #include "traffic/poisson.hpp"
 
-// Reuse the harness internals to assemble a custom network while keeping
-// direct access to per-flow statistics.
-#include "core/rica.hpp"
-#include "routing/abr/abr.hpp"
-#include "routing/aodv/aodv.hpp"
-#include "routing/bgca/bgca.hpp"
-#include "routing/linkstate/linkstate.hpp"
-
-namespace {
-
 using namespace rica;
-
-void install(net::Network& network, harness::ProtocolKind kind,
-             double flow_rate_bps) {
-  for (net::NodeId id = 0; id < network.size(); ++id) {
-    auto& node = network.node(id);
-    switch (kind) {
-      case harness::ProtocolKind::kRica:
-        node.set_protocol(std::make_unique<core::RicaProtocol>(node));
-        break;
-      case harness::ProtocolKind::kAodv:
-        node.set_protocol(std::make_unique<routing::AodvProtocol>(node));
-        break;
-      case harness::ProtocolKind::kBgca: {
-        routing::BgcaConfig cfg;
-        cfg.flow_rate_bps = flow_rate_bps;
-        node.set_protocol(std::make_unique<routing::BgcaProtocol>(node, cfg));
-        break;
-      }
-      case harness::ProtocolKind::kAbr:
-        node.set_protocol(std::make_unique<routing::AbrProtocol>(node));
-        break;
-      case harness::ProtocolKind::kLinkState: {
-        routing::LinkStateConfig cfg;
-        cfg.num_nodes = network.size();
-        node.set_protocol(
-            std::make_unique<routing::LinkStateProtocol>(node, cfg));
-        break;
-      }
-    }
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   try {
@@ -67,17 +24,23 @@ int main(int argc, char** argv) {
     const double rate = flags.get("rate", 10.0);
     const double sim_s = flags.get("sim-time", 120.0);
 
+    harness::ScenarioConfig scenario;
+    scenario.protocol = kind;
+    scenario.num_nodes = 50;
+    scenario.pkts_per_s = rate;
+    scenario.packet_bytes = 512;
+
     net::NetworkConfig cfg;
-    cfg.num_nodes = 50;
+    cfg.num_nodes = scenario.num_nodes;
     cfg.mobility.max_speed_mps = 2.0 * flags.get("mean-speed", 18.0) / 3.6;
     cfg.seed = flags.get("seed", static_cast<std::uint64_t>(1));
 
     net::Network network(cfg);
-    install(network, kind, rate * 512 * 8);
+    harness::install_protocols(network, scenario);
 
     auto rng = network.rng().stream("flows");
     auto flows = traffic::random_flows(pairs, cfg.num_nodes, rate, rng);
-    traffic::PoissonTraffic traffic(network, flows, 512,
+    traffic::PoissonTraffic traffic(network, flows, scenario.packet_bytes,
                                     sim::seconds_f(sim_s),
                                     network.rng().stream("traffic"));
     network.start();

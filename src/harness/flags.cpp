@@ -68,13 +68,21 @@ std::uint64_t Flags::get(const std::string& name,
 
 std::vector<double> Flags::get_list(const std::string& name,
                                     const std::vector<double>& fallback) const {
+  if (!has(name)) return fallback;
+  std::vector<double> out;
+  for (const auto& item : get_strings(name, {})) out.push_back(std::stod(item));
+  return out;
+}
+
+std::vector<std::string> Flags::get_strings(
+    const std::string& name, const std::vector<std::string>& fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  std::vector<double> out;
+  std::vector<std::string> out;
   std::stringstream ss(it->second);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::stod(item));
+    if (!item.empty()) out.push_back(item);
   }
   return out;
 }

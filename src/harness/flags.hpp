@@ -32,6 +32,11 @@ class Flags {
   [[nodiscard]] std::vector<double> get_list(
       const std::string& name, const std::vector<double>& fallback) const;
 
+  /// Comma-separated list of strings (e.g. --models walk,cbr); empty items
+  /// are skipped.
+  [[nodiscard]] std::vector<std::string> get_strings(
+      const std::string& name, const std::vector<std::string>& fallback) const;
+
   /// Throws std::invalid_argument("unknown flag --NAME") for the first flag
   /// on the command line that is not in `known`.
   void require_known(std::initializer_list<std::string_view> known) const;

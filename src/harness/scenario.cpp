@@ -128,6 +128,8 @@ routing::LinkStateProtocol::Topology snapshot_topology(net::Network& network) {
   return topo;
 }
 
+}  // namespace
+
 void install_protocols(net::Network& network, const ScenarioConfig& cfg) {
   for (net::NodeId id = 0; id < network.size(); ++id) {
     auto& node = network.node(id);
@@ -167,8 +169,6 @@ void install_protocols(net::Network& network, const ScenarioConfig& cfg) {
     }
   }
 }
-
-}  // namespace
 
 namespace {
 
@@ -254,6 +254,7 @@ void validate_scenario(const ScenarioConfig& cfg) {
   check_time_field("sim_s", cfg.sim_s);
   check_time_field("warmup_s", cfg.warmup_s);
   check_time_field("sample_dt_s", cfg.sample_dt_s);
+  check_time_field("pause_s", cfg.pause_s);
   if (cfg.warmup_s > 0.0 && cfg.warmup_s >= cfg.sim_s) {
     throw std::invalid_argument(
         "warmup (" + fmt_m(cfg.warmup_s) +

@@ -16,6 +16,10 @@
 #include "sim/simulator.hpp"
 #include "stats/metrics.hpp"
 
+namespace rica::net {
+class Network;
+}  // namespace rica::net
+
 namespace rica::harness {
 
 /// The five protocols of the paper's comparison.
@@ -127,11 +131,18 @@ struct ScenarioPreset {
 
 /// Validates a scenario before any expensive construction: population
 /// bounds (0 < num_nodes <= 2^24, mirroring the Network's node-id packing
-/// limit), the measurement window (0 <= warmup < sim time), and the
-/// flight-recorder pairing.  Throws std::invalid_argument with a
+/// limit), every time field (sim, warmup, sample period, pause) within
+/// sim::Time's range, the measurement window (0 <= warmup < sim time), and
+/// the flight-recorder pairing.  Throws std::invalid_argument with a
 /// message naming the offending value; run_scenario calls this first, so
 /// every entry point fails identically before a network is built.
 void validate_scenario(const ScenarioConfig& cfg);
+
+/// Installs `cfg.protocol` on every terminal of `network`.  BGCA gets the
+/// flow rate pkts_per_s x packet_bytes x 8; link-state terminals also get
+/// the paper's accurate t = 0 topology (§III-A), each row as its terminal
+/// senses it then.
+void install_protocols(net::Network& network, const ScenarioConfig& cfg);
 
 /// A run's outcome: the §III metrics.
 using ScenarioResult = stats::MetricsSummary;

@@ -2,8 +2,8 @@
 //
 // Figures 2, 3 and 4 of the paper plot three metrics of the same experiment
 // grid: {5 protocols} x {mean speeds 0..72 km/h} x {10, 20 pkt/s}.  The
-// sweep runner executes that grid once (multi-trial averaged) and the bench
-// binaries print the column they reproduce.
+// sweep runner executes that grid once (multi-trial averaged), and
+// bench/paper_figs prints every figure's table from it.
 //
 // Every grid cell is an independent Network owning its full stack, so the
 // runner executes cells on a worker pool (`BenchScale::threads`; 0 = one per

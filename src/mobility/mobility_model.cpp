@@ -35,8 +35,7 @@ void apply_param(MobilityConfig& cfg, const std::string& key,
   switch (cfg.model) {
     case ModelKind::kRandomWalk:
       if (key == "leg") {
-        cfg.walk_leg_mean_s = parse_double(key, value);
-        require(cfg.walk_leg_mean_s > 0.0, key, "> 0");
+        cfg.walk_leg_mean_s = util::parse_spec_seconds(kDomain, key, value);
         return;
       }
       throw std::invalid_argument("unknown walk param: " + key +
@@ -48,8 +47,7 @@ void apply_param(MobilityConfig& cfg, const std::string& key,
         return;
       }
       if (key == "step") {
-        cfg.gm_step_s = parse_double(key, value);
-        require(cfg.gm_step_s > 0.0, key, "> 0");
+        cfg.gm_step_s = util::parse_spec_seconds(kDomain, key, value);
         return;
       }
       throw std::invalid_argument("unknown gauss-markov param: " + key +

@@ -100,8 +100,7 @@ void apply_param(TrafficConfig& cfg, const std::string& key,
         return;
       }
       if (key == "timeout") {
-        cfg.timeout_s = parse_double(key, value);
-        require(cfg.timeout_s > 0.0, key, "> 0");
+        cfg.timeout_s = util::parse_spec_seconds(kDomain, key, value);
         return;
       }
       if (key == "req") {

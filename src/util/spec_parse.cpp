@@ -4,6 +4,8 @@
 #include <cctype>
 #include <stdexcept>
 
+#include "sim/time.hpp"
+
 namespace rica::util {
 
 std::string lower(std::string_view s) {
@@ -34,6 +36,14 @@ double parse_spec_double(std::string_view domain, std::string_view key,
                                 std::string(key) +
                                 ": not a number: " + value);
   }
+}
+
+double parse_spec_seconds(std::string_view domain, std::string_view key,
+                          const std::string& value) {
+  const double s = parse_spec_double(domain, key, value);
+  require_spec(s > 0.0 && sim::checked_seconds_f(s).has_value(), domain, key,
+               "> 0 and below 2^63 ns (~9.22e9 s)");
+  return s;
 }
 
 void require_spec(bool ok, std::string_view domain, std::string_view key,

@@ -23,6 +23,13 @@ namespace rica::util {
                                        std::string_view key,
                                        const std::string& value);
 
+/// parse_spec_double for a duration that becomes a sim::Time: throws
+/// "<domain> param <key> must be > 0 and below 2^63 ns (~9.22e9 s)" unless
+/// the value is finite, positive and in sim::checked_seconds_f's range.
+[[nodiscard]] double parse_spec_seconds(std::string_view domain,
+                                        std::string_view key,
+                                        const std::string& value);
+
 /// Constraint check; throws std::invalid_argument
 /// "<domain> param <key> must be <constraint>" when violated.
 void require_spec(bool ok, std::string_view domain, std::string_view key,

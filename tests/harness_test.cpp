@@ -23,6 +23,8 @@
 #include "harness/sweep.hpp"
 #include "harness/table.hpp"
 #include "mobility/trace.hpp"
+#include "net/network.hpp"
+#include "routing/linkstate/linkstate.hpp"
 
 namespace rica::harness {
 namespace {
@@ -79,6 +81,14 @@ TEST(Flags, RequireKnownAcceptsListedAndRejectsOthers) {
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "unknown flag --sim-tme");
   }
+}
+
+TEST(Flags, StringListSkipsEmptyItemsAndFallsBack) {
+  const auto f = parse({"--models", ",walk,,cbr:jitter=0.2,"});
+  EXPECT_EQ(f.get_strings("models", {"unused"}),
+            (std::vector<std::string>{"walk", "cbr:jitter=0.2"}));
+  EXPECT_EQ(f.get_strings("absent", {"waypoint"}),
+            std::vector<std::string>{"waypoint"});
 }
 
 TEST(Flags, DefaultsWhenAbsent) {
@@ -728,7 +738,8 @@ TEST(ValidateScenario, RejectsTimesOutsideTheNanosecondRange) {
   const std::pair<const char*, double ScenarioConfig::*> fields[] = {
       {"sim_s", &ScenarioConfig::sim_s},
       {"warmup_s", &ScenarioConfig::warmup_s},
-      {"sample_dt_s", &ScenarioConfig::sample_dt_s}};
+      {"sample_dt_s", &ScenarioConfig::sample_dt_s},
+      {"pause_s", &ScenarioConfig::pause_s}};
   for (const auto& [name, field] : fields) {
     for (const double v : bad) {
       ScenarioConfig cfg;
@@ -743,6 +754,30 @@ TEST(ValidateScenario, RejectsTimesOutsideTheNanosecondRange) {
   cfg.sample_dt_s = 0.0;
   cfg.sim_s = 9.2e9;
   EXPECT_NO_THROW(validate_scenario(cfg));
+}
+
+TEST(InstallProtocols, LinkStateStartsFromTheAccurateTimeZeroView) {
+  // §III-A: every link-state terminal starts with the topology as each
+  // terminal senses it at t = 0, its own row included.
+  ScenarioConfig scenario;
+  scenario.protocol = ProtocolKind::kLinkState;
+  scenario.num_nodes = 20;
+  net::NetworkConfig cfg;
+  cfg.num_nodes = scenario.num_nodes;
+  cfg.mobility.field = mobility::Field{600.0, 600.0};
+  cfg.mobility.max_speed_mps = 10.0;
+  cfg.seed = 3;
+  net::Network network(cfg);
+  install_protocols(network, scenario);
+  std::size_t links = 0;
+  for (net::NodeId id = 0; id < network.size(); ++id) {
+    const auto& proto = static_cast<const routing::LinkStateProtocol&>(
+        network.node(id).protocol());
+    EXPECT_EQ(proto.own_row(), network.channel().links_of(id, sim::Time{}))
+        << "terminal " << id;
+    links += proto.own_row().size();
+  }
+  EXPECT_GT(links, 0u) << "a disconnected layout would make this vacuous";
 }
 
 TEST(RicaConfigPlumbing, CheckPeriodAffectsOverhead) {

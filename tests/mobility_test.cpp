@@ -10,6 +10,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mobility/mobility_model.hpp"
@@ -156,6 +157,26 @@ TEST(MobilitySpec, RejectsBadParams) {
   EXPECT_THROW((void)parse_mobility_spec("walk:leg"), std::invalid_argument);
   EXPECT_THROW((void)parse_mobility_spec("waypoint:pause=1"),
                std::invalid_argument);
+}
+
+TEST(MobilitySpec, RejectsDurationsOutsideTheNanosecondRange) {
+  // leg and step become sim::Time; a value the conversion cannot hold must
+  // fail at parse time, naming the key, instead of hanging or overflowing.
+  const std::pair<std::string, std::string> params[] = {
+      {"walk", "leg"}, {"gauss-markov", "step"}};
+  for (const auto& [model, key] : params) {
+    for (const char* value : {"inf", "nan", "1e300"}) {
+      const std::string spec = model + ":" + key + "=" + value;
+      try {
+        (void)parse_mobility_spec(spec);
+        ADD_FAILURE() << spec << " must be rejected";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("param " + key + " must be"),
+                  std::string::npos)
+            << spec << ": " << e.what();
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

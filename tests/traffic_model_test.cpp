@@ -145,6 +145,21 @@ TEST(TrafficSpec, OutOfRangeParamsRejected) {
                std::invalid_argument);
 }
 
+TEST(TrafficSpec, TimeoutOutsideTheNanosecondRangeRejected) {
+  // The timeout becomes a sim::Time, so it must fit one at parse time.
+  for (const char* value : {"inf", "nan", "1e300"}) {
+    const std::string spec = std::string("reqresp:timeout=") + value;
+    try {
+      (void)traffic::parse_traffic_spec(spec);
+      ADD_FAILURE() << spec << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("param timeout must be"),
+                std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Flow patterns
 // ---------------------------------------------------------------------------
