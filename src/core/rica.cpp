@@ -10,10 +10,6 @@ namespace rica::core {
 namespace {
 constexpr std::uint8_t kTagRreq = 1;
 constexpr std::uint8_t kTagCheck = 2;
-
-constexpr std::uint64_t bid_key(net::NodeId origin, std::uint32_t bid) {
-  return (static_cast<std::uint64_t>(origin) << 32) | bid;
-}
 }  // namespace
 
 RicaProtocol::RicaProtocol(routing::ProtocolHost& host, const RicaConfig& cfg)
@@ -21,14 +17,6 @@ RicaProtocol::RicaProtocol(routing::ProtocolHost& host, const RicaConfig& cfg)
 
 sim::Time RicaProtocol::now() const {
   return const_cast<RicaProtocol*>(this)->host().simulator().now();
-}
-
-RicaProtocol::SourceState& RicaProtocol::source_state(net::FlowKey flow) {
-  auto it = sources_.find(flow);
-  if (it == sources_.end()) {
-    it = sources_.emplace(flow, SourceState{cfg_}).first;
-  }
-  return it->second;
 }
 
 bool RicaProtocol::relay_entry_live(const RelayState& r) const {
@@ -110,7 +98,7 @@ void RicaProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
   }
 
   if (from == host().id()) {  // we are the source
-    source_send(source_state(flow), flow, std::move(pkt));
+    source_send(sources_[flow], flow, std::move(pkt));
     return;
   }
 
@@ -162,61 +150,29 @@ void RicaProtocol::source_send(SourceState& s, net::FlowKey flow,
     host().forward_data(std::move(pkt), s.next_hop);
     return;
   }
-  if (!s.pending.push(std::move(pkt), now())) {
+  if (!s.discovery.pending().push(std::move(pkt), now())) {
     // Buffer full while waiting for a route.
     host().count("rica.pending_overflow");
   }
-  if (!s.discovering) begin_discovery(flow);
+  begin_discovery(flow, s);
 }
 
 // ---------------------------------------------------------------------------
 // Discovery (§II-B)
 // ---------------------------------------------------------------------------
 
-void RicaProtocol::begin_discovery(net::FlowKey flow) {
-  auto& s = source_state(flow);
-  s.discovering = true;
-  s.attempts = 1;
-  host().count("rica.discovery");
-  host().trace_route("discovery_start", net::flow_src(flow),
-                     net::flow_dst(flow));
-  send_rreq(flow);
+void RicaProtocol::begin_discovery(net::FlowKey flow, SourceState& s) {
+  s.discovery.start(host(), flow, "rica.discovery", cfg_.discovery_timeout,
+                    [this, flow] { return send_rreq(flow); });
 }
 
-void RicaProtocol::send_rreq(net::FlowKey flow) {
-  auto& s = source_state(flow);
+std::uint32_t RicaProtocol::send_rreq(net::FlowKey flow) {
   const std::uint32_t bid = next_bid_++;
-  s.bid = bid;
   history_.seen_or_insert(host().id(), bid, kTagRreq);
   host().send_control(net::make_control(
       net::kBroadcastId,
       net::RreqMsg{net::flow_src(flow), net::flow_dst(flow), bid, 0.0, 0}));
-
-  s.discovery_timer.arm_after(
-      host().simulator(), cfg_.discovery_timeout, [this, flow, bid] {
-    auto& st = source_state(flow);
-    if (!st.discovering || st.bid != bid) return;
-    st.pending.purge_expired(now(), [this](const net::DataPacket& p) {
-      host().drop_data(p, stats::DropReason::kExpired);
-    });
-    if (st.pending.empty()) {
-      st.discovering = false;
-      return;
-    }
-    if (st.attempts >= cfg_.max_discovery_attempts) {
-      for (const auto& p : st.pending.take_fresh(now(), nullptr)) {
-        host().drop_data(p, stats::DropReason::kNoRoute);
-      }
-      st.discovering = false;
-      host().trace_route("discovery_failed", net::flow_src(flow),
-                         net::flow_dst(flow), bid);
-      return;
-    }
-    ++st.attempts;
-    host().trace_route("discovery_retry", net::flow_src(flow),
-                       net::flow_dst(flow), bid);
-    send_rreq(flow);
-  });
+  return bid;
 }
 
 void RicaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
@@ -239,22 +195,16 @@ void RicaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
     // neighbour) is a candidate; the duplicate-suppression rule only
     // governs relay forwarding.
     const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
-    auto& d = dests_[flow];
-    if (!d.window_open || d.window_bid != msg.bid) {
-      d.window_open = true;
-      d.window_bid = msg.bid;
-      d.window_candidates.clear();
-      host().simulator().after(cfg_.dest_wait,
+    dests_[flow].rreqs.collect(host().simulator(), routing::kDestWait, msg.bid,
+                               Candidate{from, csi_hops, topo},
                                [this, flow] { close_dest_window(flow); });
-    }
-    d.window_candidates.push_back(Candidate{from, csi_hops, topo});
     return;
   }
 
   if (history_.seen_or_insert(msg.src, msg.bid, kTagRreq)) return;
-  rreq_upstream_[bid_key(msg.src, msg.bid)] = from;
+  rreq_upstream_.record(msg.src, msg.bid, from);
 
-  if (topo >= cfg_.rreq_ttl) return;
+  if (topo >= routing::kDiscoveryTtl) return;
   net::RreqMsg fwd = msg;
   fwd.csi_hops = csi_hops;
   fwd.topo_hops = topo;
@@ -265,21 +215,14 @@ void RicaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
 
 void RicaProtocol::close_dest_window(net::FlowKey flow) {
   auto& d = dests_[flow];
-  if (!d.window_open) return;
-  d.window_open = false;
-  if (d.window_candidates.empty()) return;
-  // §II-B: "it chooses a route with the minimal distance value".
-  const auto best = std::min_element(
-      d.window_candidates.begin(), d.window_candidates.end(),
-      [](const Candidate& a, const Candidate& b) {
-        return a.csi_hops < b.csi_hops;
-      });
-  d.route_hops = std::max<std::uint16_t>(best->topo_hops, 1);
+  const auto candidates = d.rreqs.close();
+  if (candidates.empty()) return;
+  const Candidate& best = routing::csi_shortest(candidates);
+  d.route_hops = std::max<std::uint16_t>(best.topo_hops, 1);
   host().send_control(net::make_control(
-      best->first_hop,
-      net::RrepMsg{net::flow_src(flow), net::flow_dst(flow), d.window_bid,
-                   best->csi_hops, 0}));
-  d.window_candidates.clear();
+      best.first_hop,
+      net::RrepMsg{net::flow_src(flow), net::flow_dst(flow), d.rreqs.bid(),
+                   best.csi_hops, 0}));
   arm_checks(flow);
 }
 
@@ -287,12 +230,11 @@ void RicaProtocol::on_rrep(const net::RrepMsg& msg, net::NodeId from) {
   const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
 
   if (msg.src == host().id()) {
-    auto& s = source_state(flow);
+    auto& s = sources_[flow];
     s.valid = true;
     s.next_hop = from;
     s.route_csi_cost = msg.csi_hops;
-    s.discovering = false;
-    s.discovery_timer.cancel();
+    s.discovery.finish();
     host().trace_route("established", msg.src, msg.dst, msg.bid,
                        msg.csi_hops);
     // The first packets announce the (new) route to the relays.
@@ -307,12 +249,12 @@ void RicaProtocol::on_rrep(const net::RrepMsg& msg, net::NodeId from) {
   r.hops_to_dst = static_cast<std::uint16_t>(msg.topo_hops + 1);
   r.last_used = now();
 
-  const auto up = rreq_upstream_.find(bid_key(msg.src, msg.bid));
-  if (up == rreq_upstream_.end()) return;  // reverse path lost
-  r.upstream = up->second;
+  const auto up = rreq_upstream_.find(msg.src, msg.bid);
+  if (!up) return;  // reverse path lost
+  r.upstream = *up;
   net::RrepMsg fwd = msg;
   fwd.topo_hops = static_cast<std::uint16_t>(msg.topo_hops + 1);
-  host().send_control(net::make_control(up->second, fwd));
+  host().send_control(net::make_control(*up, fwd));
 }
 
 // ---------------------------------------------------------------------------
@@ -392,16 +334,11 @@ void RicaProtocol::on_check(const net::CsiCheckMsg& msg, net::NodeId from) {
     // checking packets from all possible routes, then it can choose the
     // shortest one as the new route."  Collect every copy; relays are the
     // ones that forward only once.
-    auto& s = source_state(flow);
+    auto& s = sources_[flow];
     s.last_check_seen = now();
-    if (!s.window_open || s.window_bid != msg.bid) {
-      s.window_open = true;
-      s.window_bid = msg.bid;
-      s.window_candidates.clear();
-      host().simulator().after(cfg_.source_wait,
-                               [this, flow] { close_source_window(flow); });
-    }
-    s.window_candidates.push_back(Candidate{from, csi_hops, topo});
+    s.checks.collect(host().simulator(), cfg_.source_wait, msg.bid,
+                     Candidate{from, csi_hops, topo},
+                     [this, flow] { close_source_window(flow); });
     return;
   }
 
@@ -425,19 +362,13 @@ void RicaProtocol::on_check(const net::CsiCheckMsg& msg, net::NodeId from) {
 }
 
 void RicaProtocol::close_source_window(net::FlowKey flow) {
-  auto& s = source_state(flow);
-  if (!s.window_open) return;
-  s.window_open = false;
-  if (s.window_candidates.empty()) return;
-  const auto best = std::min_element(
-      s.window_candidates.begin(), s.window_candidates.end(),
-      [](const Candidate& a, const Candidate& b) {
-        return a.csi_hops < b.csi_hops;
-      });
-  const Candidate chosen = *best;
+  auto& s = sources_[flow];
+  auto candidates = s.checks.close();
+  if (candidates.empty()) return;
+  const Candidate chosen = routing::csi_shortest(candidates);
   // Refresh our knowledge of the current route's cost when its check copy
   // made it through this round (copies can be lost to collisions).
-  for (const auto& c : s.window_candidates) {
+  for (const auto& c : candidates) {
     if (s.valid && c.first_hop == s.next_hop) {
       s.route_csi_cost = c.csi_hops;
     }
@@ -447,17 +378,13 @@ void RicaProtocol::close_source_window(net::FlowKey flow) {
   // would flip the route every round.
   const bool keep =
       s.valid && chosen.csi_hops > s.route_csi_cost - cfg_.switch_margin;
-  s.last_candidates = std::move(s.window_candidates);
-  s.window_candidates.clear();
+  s.last_candidates = std::move(candidates);
   s.last_window_close = now();
 
   if (!keep && (!s.valid || chosen.first_hop != s.next_hop)) {
     switch_route(flow, s, chosen);
   }
-  if (s.discovering) {
-    s.discovering = false;  // the checks repaired the route (§II-D case 1)
-    s.discovery_timer.cancel();
-  }
+  s.discovery.finish();  // the checks repaired the route (§II-D case 1)
   flush_pending(flow, s);
 }
 
@@ -493,10 +420,9 @@ bool RicaProtocol::try_candidate_fallback(net::FlowKey flow, SourceState& s,
 
 void RicaProtocol::flush_pending(net::FlowKey flow, SourceState& s) {
   if (!s.valid) return;
-  auto fresh = s.pending.take_fresh(now(), [this](const net::DataPacket& p) {
-    host().drop_data(p, stats::DropReason::kExpired);
-  });
-  for (auto& p : fresh) source_send(s, flow, std::move(p));
+  for (auto& p : s.discovery.pending().release(host())) {
+    source_send(s, flow, std::move(p));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -518,12 +444,12 @@ void RicaProtocol::on_reer(const net::ReerMsg& msg, net::NodeId from) {
   const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
 
   if (msg.src == host().id()) {
-    auto& s = source_state(flow);
+    auto& s = sources_[flow];
     // §II-D: only meaningful if it comes from our current downstream.
     if (!s.valid || s.next_hop != from) return;
     s.valid = false;
     if (try_candidate_fallback(flow, s, from)) return;
-    if (!s.discovering) begin_discovery(flow);
+    begin_discovery(flow, s);
     return;
   }
 
@@ -561,7 +487,7 @@ void RicaProtocol::on_link_break(net::NodeId neighbor,
     if (!s.valid || s.next_hop != neighbor) continue;
     s.valid = false;
     if (try_candidate_fallback(flow, s, neighbor)) continue;
-    if (!s.discovering) begin_discovery(flow);
+    begin_discovery(flow, s);
   }
 
   // Relay routes through the dead neighbour: report upstream (§II-D).

@@ -37,19 +37,16 @@ namespace rica::core {
 
 /// RICA tunables.  Defaults are the values the paper states (1 s checking
 /// period, 100 ms PN detection window, 40 ms source wait, 1 s route expiry).
+/// The discovery constants shared with the comparators (destination wait,
+/// flood TTL, attempts, pending buffer) live in routing/tables.hpp.
 struct RicaConfig {
   sim::Time check_period = sim::seconds(1);
   sim::Time source_wait = sim::milliseconds(40);
-  sim::Time dest_wait = sim::milliseconds(40);
   sim::Time route_expiry = sim::seconds(1);
   sim::Time detect_window = sim::milliseconds(100);
   sim::Time flow_active_timeout = sim::seconds(3);
   sim::Time discovery_timeout = sim::milliseconds(200);
-  int max_discovery_attempts = 3;
-  std::int16_t rreq_ttl = 16;
   std::int16_t check_ttl_slack = 2;
-  std::size_t pending_cap = 10;
-  sim::Time pending_residency = sim::seconds(3);
   /// Forwarding of RREQ/CSI-check floods is deferred proportionally to the
   /// CSI hop distance of the incoming link (plus a small random dither), so
   /// the first copy to arrive anywhere travelled an approximately
@@ -100,12 +97,8 @@ class RicaProtocol final : public routing::Protocol {
       net::FlowKey flow) const;
 
  private:
-  /// One CSI-check (or RREQ) derived route candidate at the source.
-  struct Candidate {
-    net::NodeId first_hop = 0;
-    double csi_hops = 0.0;
-    std::uint16_t topo_hops = 0;
-  };
+  /// One CSI-check (or RREQ) derived route candidate.
+  using Candidate = routing::CsiCandidate;
   struct SourceState {
     bool valid = false;
     net::NodeId next_hop = 0;
@@ -113,21 +106,12 @@ class RicaProtocol final : public routing::Protocol {
                                     ///< refreshed by the checking rounds
     sim::Time update_flag_until{};  ///< tag data packets with the route
                                     ///< update flag until this time (§II-C)
-    // discovery
-    bool discovering = false;
-    std::uint32_t bid = 0;
-    int attempts = 0;
-    sim::Timer discovery_timer;  ///< retry deadline; cancelled on success
-    routing::PendingBuffer pending;
+    routing::SourceDiscovery discovery;
     // CSI-check collection
-    bool window_open = false;
-    std::uint32_t window_bid = 0;
-    std::vector<Candidate> window_candidates;
+    routing::CandidateWindow<Candidate> checks;
     std::vector<Candidate> last_candidates;  ///< last closed window
     sim::Time last_window_close{};
     sim::Time last_check_seen{};
-    explicit SourceState(const RicaConfig& cfg)
-        : pending(cfg.pending_cap, cfg.pending_residency) {}
   };
   struct RelayState {
     bool valid = false;
@@ -151,10 +135,7 @@ class RicaProtocol final : public routing::Protocol {
     std::uint32_t next_check_bid = 1;
     sim::Time last_data{};
     std::uint16_t route_hops = 4;  ///< TTL basis, refreshed by delivered data
-    // RREQ collection window
-    bool window_open = false;
-    std::uint32_t window_bid = 0;
-    std::vector<Candidate> window_candidates;
+    routing::CandidateWindow<Candidate> rreqs;  ///< RREQ collection window
     // adaptive checking (extension): track route volatility between checks
     sim::Time check_period{};
     net::NodeId last_hop_seen = net::kBroadcastId;
@@ -164,8 +145,9 @@ class RicaProtocol final : public routing::Protocol {
 
   // -- source side -----------------------------------------------------------
   void source_send(SourceState& s, net::FlowKey flow, net::DataPacket pkt);
-  void begin_discovery(net::FlowKey flow);
-  void send_rreq(net::FlowKey flow);
+  void begin_discovery(net::FlowKey flow, SourceState& s);
+  /// Floods one RREQ for `flow`; returns its broadcast id.
+  std::uint32_t send_rreq(net::FlowKey flow);
   void switch_route(net::FlowKey flow, SourceState& s,
                     const Candidate& chosen);
   void close_source_window(net::FlowKey flow);
@@ -186,7 +168,6 @@ class RicaProtocol final : public routing::Protocol {
   void on_reer(const net::ReerMsg& msg, net::NodeId from);
 
   [[nodiscard]] sim::Time now() const;
-  SourceState& source_state(net::FlowKey flow);
   [[nodiscard]] bool relay_entry_live(const RelayState& r) const;
   /// CSI-proportional flood-forwarding delay for the link class `cls`.
   [[nodiscard]] sim::Time forward_jitter(channel::CsiClass cls);
@@ -196,7 +177,7 @@ class RicaProtocol final : public routing::Protocol {
   util::FlatMap64<SourceState> sources_;
   util::FlatMap64<RelayState> relays_;
   util::FlatMap64<DestState> dests_;
-  util::FlatMap64<net::NodeId> rreq_upstream_;
+  routing::ReversePaths rreq_upstream_;
   std::uint32_t next_bid_ = 1;
 };
 

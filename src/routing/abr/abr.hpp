@@ -34,14 +34,9 @@ struct AbrConfig {
   std::uint32_t tick_cap = 20;       ///< per-link associativity saturation;
                                      ///< links that survived ~20 beacon
                                      ///< periods count as fully stable
-  sim::Time dest_wait = sim::milliseconds(40);
   sim::Time discovery_timeout = sim::milliseconds(300);
-  int max_discovery_attempts = 3;
-  std::int16_t bq_ttl = 16;
   std::int16_t lq_ttl = 3;
   sim::Time lq_timeout = sim::milliseconds(150);
-  std::size_t pending_cap = 10;
-  sim::Time pending_residency = sim::seconds(3);
 };
 
 class AbrProtocol final : public Protocol {
@@ -82,32 +77,17 @@ class AbrProtocol final : public Protocol {
     sim::Timer lq_timer;  ///< localized-query deadline for this entry
     std::vector<Candidate> lq_candidates;  // tick_sum unused; topo = join hops
   };
-  struct SourceState {
-    bool discovering = false;
-    std::uint32_t bid = 0;
-    int attempts = 0;
-    sim::Timer discovery_timer;  ///< BQ retry deadline; cancelled on reply
-    PendingBuffer pending;
-    explicit SourceState(const AbrConfig& cfg)
-        : pending(cfg.pending_cap, cfg.pending_residency) {}
-  };
-  struct DestState {
-    bool window_open = false;
-    std::uint32_t window_bid = 0;
-    std::vector<Candidate> window_candidates;
-  };
 
   void send_beacon();
-  [[nodiscard]] std::uint32_t link_ticks(net::NodeId neighbor);
 
   void begin_discovery(net::FlowKey flow);
-  void send_bq(net::FlowKey flow);
+  /// Floods one BQ for `flow`; returns its broadcast id.
+  std::uint32_t send_bq(net::FlowKey flow);
   void close_dest_window(net::FlowKey flow);
   void start_local_query(net::FlowKey flow);
   void finish_local_query(net::FlowKey flow, std::uint32_t bid);
   void backtrack(net::FlowKey flow, Entry& e);
   void flush_repair(net::FlowKey flow);
-  void buffer_for_repair(net::DataPacket pkt);
 
   void on_beacon(net::NodeId from);
   void on_bq(const net::AbrBqMsg& msg, net::NodeId from);
@@ -117,18 +97,17 @@ class AbrProtocol final : public Protocol {
   void on_rn(const net::AbrRnMsg& msg, net::NodeId from);
 
   [[nodiscard]] sim::Time now() const;
-  SourceState& source_state(net::FlowKey flow);
 
   AbrConfig cfg_;
   HistoryTable history_;
   sim::Timer beacon_timer_;  ///< the node-wide periodic beacon
   util::FlatMap64<Neighbor> neighbors_;
   util::FlatMap64<Entry> entries_;
-  util::FlatMap64<SourceState> sources_;
-  util::FlatMap64<DestState> dests_;
-  util::FlatMap64<PendingBuffer> repair_pending_;
-  util::FlatMap64<net::NodeId> bq_upstream_;
-  util::FlatMap64<net::NodeId> lq_upstream_;
+  util::FlatMap64<SourceDiscovery> sources_;
+  util::FlatMap64<CandidateWindow<Candidate>> dests_;  ///< BQ windows
+  RepairHold repair_pending_;
+  ReversePaths bq_upstream_;
+  ReversePaths lq_upstream_;
   std::uint32_t next_bid_ = 1;
 };
 

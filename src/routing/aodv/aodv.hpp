@@ -14,7 +14,6 @@
 
 #include "routing/protocol.hpp"
 #include "routing/tables.hpp"
-#include "sim/timer.hpp"
 #include "util/flat_table.hpp"
 
 namespace rica::routing {
@@ -22,10 +21,6 @@ namespace rica::routing {
 /// Tunables for the AODV comparator.
 struct AodvConfig {
   sim::Time discovery_timeout = sim::milliseconds(200);  ///< RREP wait
-  int max_discovery_attempts = 3;      ///< per packet burst before giving up
-  std::size_t pending_cap = 10;        ///< source-side packets awaiting route
-  sim::Time pending_residency = sim::seconds(3);
-  std::int16_t rreq_ttl = 16;          ///< flood scope (network diameter)
   sim::Time route_expiry = sim::seconds(3);  ///< active-route timeout
   /// Random broadcast-forwarding jitter (standard in AODV implementations
   /// to de-synchronize rebroadcasts).  It also means the first RREQ copy
@@ -56,34 +51,21 @@ class AodvProtocol final : public Protocol {
     bool valid = false;
     sim::Time last_used{};
   };
-  struct ReversePath {
-    net::NodeId upstream = 0;
-    std::uint16_t hops_from_src = 0;
-  };
-  struct Discovery {
-    bool in_progress = false;
-    std::uint32_t bid = 0;
-    int attempts = 0;
-    sim::Timer timeout;  ///< RREP wait deadline; cancelled when a reply lands
-    PendingBuffer pending;
-    explicit Discovery(const AodvConfig& cfg)
-        : pending(cfg.pending_cap, cfg.pending_residency) {}
-  };
 
   [[nodiscard]] sim::Time now() const;
   void begin_discovery(net::NodeId dst);
-  void send_rreq(net::NodeId dst);
+  /// Floods one RREQ toward `dst`; returns its broadcast id.
+  std::uint32_t send_rreq(net::NodeId dst);
   void on_rreq(const net::AodvRreqMsg& msg, net::NodeId from);
   void on_rrep(const net::AodvRrepMsg& msg, net::NodeId from);
   void on_rerr(const net::AodvRerrMsg& msg, net::NodeId from);
   void flush_pending(net::NodeId dst);
-  void drop_pkt(const net::DataPacket& pkt, stats::DropReason r);
 
   AodvConfig cfg_;
   HistoryTable history_;
   util::FlatMap64<Route> routes_;         // dst -> entry
-  util::FlatMap64<ReversePath> reverse_;  // (src,bid)
-  util::FlatMap64<Discovery> discovery_;  // dst -> state
+  ReversePaths reverse_;
+  util::FlatMap64<SourceDiscovery> discovery_;  // dst -> state
   // Upstream of the most recent data packet per destination; RERRs retrace
   // this path toward the source (a light-weight precursor list).
   util::FlatMap64<net::NodeId> precursor_;

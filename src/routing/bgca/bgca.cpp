@@ -8,10 +8,6 @@ namespace rica::routing {
 namespace {
 constexpr std::uint8_t kTagRreq = 1;
 constexpr std::uint8_t kTagLq = 2;
-
-constexpr std::uint64_t bid_key(net::NodeId origin, std::uint32_t bid) {
-  return (static_cast<std::uint64_t>(origin) << 32) | bid;
-}
 }  // namespace
 
 BgcaProtocol::BgcaProtocol(ProtocolHost& host, const BgcaConfig& cfg)
@@ -26,12 +22,6 @@ sim::Time BgcaProtocol::forward_jitter(channel::CsiClass cls) {
   const double dither = host().protocol_rng().uniform(0.0, 0.5e6);
   return sim::Time{static_cast<std::int64_t>(
              excess * static_cast<double>(cfg_.csi_jitter.nanos()) + dither)};
-}
-
-BgcaProtocol::SourceState& BgcaProtocol::source_state(net::FlowKey flow) {
-  auto it = sources_.find(flow);
-  if (it == sources_.end()) it = sources_.emplace(flow, SourceState{cfg_}).first;
-  return it->second;
 }
 
 std::optional<net::NodeId> BgcaProtocol::downstream(net::FlowKey flow) const {
@@ -66,11 +56,10 @@ void BgcaProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
       forward_or_drop(std::move(pkt), e);
       return;
     }
-    auto& s = source_state(flow);
-    if (!s.pending.push(std::move(pkt), now())) {
+    if (!sources_[flow].pending().push(std::move(pkt), now())) {
       host().count("bgca.pending_overflow");
     }
-    if (!s.discovering) begin_discovery(flow);
+    begin_discovery(flow);
     return;
   }
 
@@ -82,18 +71,7 @@ void BgcaProtocol::forward_or_drop(net::DataPacket pkt, Entry& e) {
   if (e.repairing) {
     // Hold arriving traffic while the local query runs; the paper's local
     // repair is exactly what builds queues at the repairing terminal.
-    auto it = repair_pending_.find(pkt.key());
-    if (it == repair_pending_.end()) {
-      it = repair_pending_
-               .emplace(pkt.key(),
-                        PendingBuffer{cfg_.pending_cap, cfg_.pending_residency})
-               .first;
-    }
-    if (it->second.size() >= it->second.capacity()) {
-      host().drop_data(pkt, stats::DropReason::kBufferOverflow);
-      return;
-    }
-    it->second.push(std::move(pkt), now());
+    repair_pending_.hold(host(), pkt);
     return;
   }
   if (!e.valid) {
@@ -108,49 +86,17 @@ void BgcaProtocol::forward_or_drop(net::DataPacket pkt, Entry& e) {
 // ---------------------------------------------------------------------------
 
 void BgcaProtocol::begin_discovery(net::FlowKey flow) {
-  auto& s = source_state(flow);
-  s.discovering = true;
-  s.attempts = 1;
-  host().count("bgca.discovery");
-  host().trace_route("discovery_start", net::flow_src(flow),
-                     net::flow_dst(flow));
-  send_rreq(flow);
+  sources_[flow].start(host(), flow, "bgca.discovery", cfg_.discovery_timeout,
+                       [this, flow] { return send_rreq(flow); });
 }
 
-void BgcaProtocol::send_rreq(net::FlowKey flow) {
-  auto& s = source_state(flow);
+std::uint32_t BgcaProtocol::send_rreq(net::FlowKey flow) {
   const std::uint32_t bid = next_bid_++;
-  s.bid = bid;
   history_.seen_or_insert(host().id(), bid, kTagRreq);
   host().send_control(net::make_control(
       net::kBroadcastId,
       net::RreqMsg{net::flow_src(flow), net::flow_dst(flow), bid, 0.0, 0}));
-
-  s.discovery_timer.arm_after(
-      host().simulator(), cfg_.discovery_timeout, [this, flow, bid] {
-    auto& st = source_state(flow);
-    if (!st.discovering || st.bid != bid) return;
-    st.pending.purge_expired(now(), [this](const net::DataPacket& p) {
-      host().drop_data(p, stats::DropReason::kExpired);
-    });
-    if (st.pending.empty()) {
-      st.discovering = false;
-      return;
-    }
-    if (st.attempts >= cfg_.max_discovery_attempts) {
-      for (const auto& p : st.pending.take_fresh(now(), nullptr)) {
-        host().drop_data(p, stats::DropReason::kNoRoute);
-      }
-      st.discovering = false;
-      host().trace_route("discovery_failed", net::flow_src(flow),
-                         net::flow_dst(flow), bid);
-      return;
-    }
-    ++st.attempts;
-    host().trace_route("discovery_retry", net::flow_src(flow),
-                       net::flow_dst(flow), bid);
-    send_rreq(flow);
-  });
+  return bid;
 }
 
 void BgcaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
@@ -170,20 +116,14 @@ void BgcaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
     // Every arriving copy is a route candidate (duplicate suppression only
     // governs relay forwarding), mirroring RICA's discovery.
     const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
-    auto& d = dests_[flow];
-    if (!d.window_open || d.window_bid != msg.bid) {
-      d.window_open = true;
-      d.window_bid = msg.bid;
-      d.window_candidates.clear();
-      host().simulator().after(cfg_.dest_wait,
-                               [this, flow] { close_dest_window(flow); });
-    }
-    d.window_candidates.push_back(Candidate{from, csi_hops, topo});
+    dests_[flow].collect(host().simulator(), kDestWait, msg.bid,
+                         Candidate{from, csi_hops, topo},
+                         [this, flow] { close_dest_window(flow); });
     return;
   }
   if (history_.seen_or_insert(msg.src, msg.bid, kTagRreq)) return;
-  rreq_upstream_[bid_key(msg.src, msg.bid)] = from;
-  if (topo >= cfg_.rreq_ttl) return;
+  rreq_upstream_.record(msg.src, msg.bid, from);
+  if (topo >= kDiscoveryTtl) return;
   net::RreqMsg fwd = msg;
   fwd.csi_hops = csi_hops;
   fwd.topo_hops = topo;
@@ -194,19 +134,13 @@ void BgcaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
 
 void BgcaProtocol::close_dest_window(net::FlowKey flow) {
   auto& d = dests_[flow];
-  if (!d.window_open) return;
-  d.window_open = false;
-  if (d.window_candidates.empty()) return;
-  const auto best = std::min_element(
-      d.window_candidates.begin(), d.window_candidates.end(),
-      [](const Candidate& a, const Candidate& b) {
-        return a.csi_hops < b.csi_hops;
-      });
+  const auto candidates = d.close();
+  if (candidates.empty()) return;
+  const Candidate& best = csi_shortest(candidates);
   host().send_control(net::make_control(
-      best->first_hop,
-      net::RrepMsg{net::flow_src(flow), net::flow_dst(flow), d.window_bid,
-                   best->csi_hops, 0}));
-  d.window_candidates.clear();
+      best.first_hop,
+      net::RrepMsg{net::flow_src(flow), net::flow_dst(flow), d.bid(),
+                   best.csi_hops, 0}));
 }
 
 void BgcaProtocol::on_rrep(const net::RrepMsg& msg, net::NodeId from) {
@@ -218,38 +152,29 @@ void BgcaProtocol::on_rrep(const net::RrepMsg& msg, net::NodeId from) {
   e.repairing = false;
 
   if (msg.src == host().id()) {
-    auto& s = source_state(flow);
-    s.discovering = false;
-    s.discovery_timer.cancel();
+    sources_[flow].finish();
     host().trace_route("established", msg.src, msg.dst, msg.bid,
                        msg.csi_hops);
     flush_pending(flow);
     return;
   }
-  const auto up = rreq_upstream_.find(bid_key(msg.src, msg.bid));
-  if (up == rreq_upstream_.end()) return;
-  e.upstream = up->second;
+  const auto up = rreq_upstream_.find(msg.src, msg.bid);
+  if (!up) return;
+  e.upstream = *up;
   net::RrepMsg fwd = msg;
   fwd.topo_hops = static_cast<std::uint16_t>(msg.topo_hops + 1);
-  host().send_control(net::make_control(up->second, fwd));
+  host().send_control(net::make_control(*up, fwd));
 }
 
 void BgcaProtocol::flush_pending(net::FlowKey flow) {
   auto& e = entries_[flow];
   if (!e.valid) return;
-  const auto expired = [this](const net::DataPacket& p) {
-    host().drop_data(p, stats::DropReason::kExpired);
-  };
   if (auto it = sources_.find(flow); it != sources_.end()) {
-    for (auto& p : it->second.pending.take_fresh(now(), expired)) {
+    for (auto& p : it->second.pending().release(host())) {
       host().forward_data(std::move(p), e.downstream);
     }
   }
-  if (auto it = repair_pending_.find(flow); it != repair_pending_.end()) {
-    for (auto& p : it->second.take_fresh(now(), expired)) {
-      host().forward_data(std::move(p), e.downstream);
-    }
-  }
+  repair_pending_.release(host(), flow, e.downstream);
 }
 
 // ---------------------------------------------------------------------------
@@ -319,7 +244,7 @@ void BgcaProtocol::on_lq(const net::BgcaLqMsg& msg, net::NodeId from) {
 
   const double csi_hops = msg.csi_hops + channel::csi_hop_distance(*cls);
   const auto topo = static_cast<std::uint16_t>(msg.topo_hops + 1);
-  lq_upstream_[bid_key(msg.origin, msg.bid)] = from;
+  lq_upstream_.record(msg.origin, msg.bid, from);
 
   const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
   const auto it = entries_.find(flow);
@@ -367,26 +292,22 @@ void BgcaProtocol::on_lq_reply(const net::BgcaLqReplyMsg& msg,
   e.downstream = from;
   e.hops_to_dst = static_cast<std::uint16_t>(msg.join_hops_to_dst + 1);
   e.repairing = false;
-  const auto up = lq_upstream_.find(bid_key(msg.origin, msg.bid));
-  if (up == lq_upstream_.end()) return;
-  e.upstream = up->second;
+  const auto up = lq_upstream_.find(msg.origin, msg.bid);
+  if (!up) return;
+  e.upstream = *up;
   net::BgcaLqReplyMsg fwd = msg;
   fwd.join_hops_to_dst = e.hops_to_dst;
-  host().send_control(net::make_control(up->second, fwd));
+  host().send_control(net::make_control(*up, fwd));
 }
 
 void BgcaProtocol::finish_local_query(net::FlowKey flow, std::uint32_t bid) {
   auto& e = entries_[flow];
   if (e.lq_bid != bid) return;
   if (!e.lq_candidates.empty()) {
-    const auto best = std::min_element(
-        e.lq_candidates.begin(), e.lq_candidates.end(),
-        [](const Candidate& a, const Candidate& b) {
-          return a.csi_hops < b.csi_hops;
-        });
+    const Candidate& best = csi_shortest(e.lq_candidates);
     e.valid = true;
-    e.downstream = best->first_hop;
-    e.hops_to_dst = static_cast<std::uint16_t>(best->topo_hops + 1);
+    e.downstream = best.first_hop;
+    e.hops_to_dst = static_cast<std::uint16_t>(best.topo_hops + 1);
     e.repairing = false;
     e.lq_candidates.clear();
     host().count("bgca.lq_success");
@@ -408,8 +329,7 @@ void BgcaProtocol::finish_local_query(net::FlowKey flow, std::uint32_t bid) {
 
 void BgcaProtocol::escalate_to_source(net::FlowKey flow, Entry& e) {
   if (net::flow_src(flow) == host().id()) {
-    auto& s = source_state(flow);
-    if (!s.discovering) begin_discovery(flow);
+    begin_discovery(flow);
     return;
   }
   if (e.upstream != host().id()) {
@@ -418,11 +338,7 @@ void BgcaProtocol::escalate_to_source(net::FlowKey flow, Entry& e) {
         net::ReerMsg{net::flow_src(flow), net::flow_dst(flow), host().id()}));
   }
   // Whatever was held for repair dies with the failed route.
-  if (auto it = repair_pending_.find(flow); it != repair_pending_.end()) {
-    for (const auto& p : it->second.take_fresh(now(), nullptr)) {
-      host().drop_data(p, stats::DropReason::kLinkBreak);
-    }
-  }
+  repair_pending_.discard(host(), flow);
 }
 
 void BgcaProtocol::on_reer(const net::ReerMsg& msg, net::NodeId from) {
@@ -434,8 +350,7 @@ void BgcaProtocol::on_reer(const net::ReerMsg& msg, net::NodeId from) {
   }
   it->second.valid = false;
   if (msg.src == host().id()) {
-    auto& s = source_state(flow);
-    if (!s.discovering) begin_discovery(flow);
+    begin_discovery(flow);
     return;
   }
   if (it->second.upstream != host().id()) {
@@ -465,23 +380,11 @@ void BgcaProtocol::on_link_break(net::NodeId neighbor,
     // Local repair first; stranded packets wait in the repair buffer.
     start_local_query(flow, /*broken=*/true);
   }
-  for (auto& p : stranded) {
-    auto& e = entries_[p.key()];
-    if (!e.repairing) {
-      host().drop_data(p, stats::DropReason::kLinkBreak);
-      continue;
-    }
-    auto it = repair_pending_.find(p.key());
-    if (it == repair_pending_.end()) {
-      it = repair_pending_
-               .emplace(p.key(), PendingBuffer{cfg_.pending_cap,
-                                               cfg_.pending_residency})
-               .first;
-    }
-    if (it->second.size() >= it->second.capacity()) {
-      host().drop_data(p, stats::DropReason::kBufferOverflow);
+  for (const auto& p : stranded) {
+    if (entries_[p.key()].repairing) {
+      repair_pending_.hold(host(), p);
     } else {
-      it->second.push(std::move(p), now());
+      host().drop_data(p, stats::DropReason::kLinkBreak);
     }
   }
 }

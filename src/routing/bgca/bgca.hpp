@@ -35,12 +35,7 @@ struct BgcaConfig {
   sim::Time lq_timeout = sim::milliseconds(100);
   sim::Time lq_cooldown = sim::seconds(2);
   std::int16_t lq_ttl = 3;
-  sim::Time dest_wait = sim::milliseconds(40);
   sim::Time discovery_timeout = sim::milliseconds(200);
-  int max_discovery_attempts = 3;
-  std::int16_t rreq_ttl = 16;
-  std::size_t pending_cap = 10;
-  sim::Time pending_residency = sim::seconds(3);
   sim::Time csi_jitter = sim::milliseconds(10);  ///< CSI-aware flood jitter
 };
 
@@ -65,11 +60,7 @@ class BgcaProtocol final : public Protocol {
   [[nodiscard]] std::optional<net::NodeId> downstream(net::FlowKey flow) const;
 
  private:
-  struct Candidate {
-    net::NodeId first_hop = 0;
-    double csi_hops = 0.0;
-    std::uint16_t topo_hops = 0;
-  };
+  using Candidate = CsiCandidate;
   /// Per-flow routing state; a node is source, relay, or both (never for the
   /// same flow).  `hops_to_dst` feeds the LQ join-eligibility loop guard.
   struct Entry {
@@ -85,23 +76,10 @@ class BgcaProtocol final : public Protocol {
     int strikes = 0;  ///< consecutive guard violations observed
     std::vector<Candidate> lq_candidates;  // topo_hops = join's hops to dst
   };
-  struct SourceState {
-    bool discovering = false;
-    std::uint32_t bid = 0;
-    int attempts = 0;
-    sim::Timer discovery_timer;  ///< RREQ retry deadline; cancelled on reply
-    PendingBuffer pending;
-    explicit SourceState(const BgcaConfig& cfg)
-        : pending(cfg.pending_cap, cfg.pending_residency) {}
-  };
-  struct DestState {
-    bool window_open = false;
-    std::uint32_t window_bid = 0;
-    std::vector<Candidate> window_candidates;
-  };
 
   void begin_discovery(net::FlowKey flow);
-  void send_rreq(net::FlowKey flow);
+  /// Floods one RREQ for `flow`; returns its broadcast id.
+  std::uint32_t send_rreq(net::FlowKey flow);
   void monitor_links();
   void start_local_query(net::FlowKey flow, bool broken);
   void finish_local_query(net::FlowKey flow, std::uint32_t bid);
@@ -119,17 +97,16 @@ class BgcaProtocol final : public Protocol {
 
   [[nodiscard]] sim::Time now() const;
   [[nodiscard]] sim::Time forward_jitter(channel::CsiClass cls);
-  SourceState& source_state(net::FlowKey flow);
 
   BgcaConfig cfg_;
   HistoryTable history_;
   sim::Timer monitor_timer_;  ///< the periodic bandwidth-guard sweep
   util::FlatMap64<Entry> entries_;
-  util::FlatMap64<SourceState> sources_;
-  util::FlatMap64<DestState> dests_;
-  util::FlatMap64<PendingBuffer> repair_pending_;
-  util::FlatMap64<net::NodeId> rreq_upstream_;
-  util::FlatMap64<net::NodeId> lq_upstream_;
+  util::FlatMap64<SourceDiscovery> sources_;
+  util::FlatMap64<CandidateWindow<Candidate>> dests_;  ///< RREQ windows
+  RepairHold repair_pending_;
+  ReversePaths rreq_upstream_;
+  ReversePaths lq_upstream_;
   std::uint32_t next_bid_ = 1;
 };
 

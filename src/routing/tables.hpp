@@ -1,19 +1,41 @@
-// Shared building blocks for the on-demand protocols: the RREQ/BQ history
-// table (§II-B: "checks whether it has seen this packet before by looking up
-// its history table") and the pending-packet buffer used while a route is
-// being discovered or repaired.
+// Shared building blocks for the on-demand protocols (RICA, BGCA, ABR,
+// AODV): the RREQ/BQ history table (§II-B: "checks whether it has seen this
+// packet before by looking up its history table"), the pending-packet
+// buffer, and the §II-B discovery skeleton the four protocols share — the
+// source's retry policy, the destination's candidate window, the relays'
+// reverse paths, and the repair hold.  DESIGN.md §15 describes the policy
+// and its order.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "routing/protocol.hpp"
 #include "sim/time.hpp"
+#include "sim/timer.hpp"
 #include "util/flat_table.hpp"
 
 namespace rica::routing {
+
+// The paper's discovery constants, one value for every on-demand protocol.
+
+/// Data packets a source (or repairing relay) holds per flow.
+inline constexpr std::size_t kPendingCap = 10;
+/// How long a held packet stays deliverable (the paper's 3 s bound).
+inline constexpr sim::Time kPendingResidency = sim::seconds(3);
+/// Floods a source sends for one discovery before it gives up.
+inline constexpr int kMaxDiscoveryAttempts = 3;
+/// Hop scope of a RREQ/BQ flood (the network diameter).
+inline constexpr std::int16_t kDiscoveryTtl = 16;
+/// How long a destination collects the copies of one flood.
+inline constexpr sim::Time kDestWait = sim::milliseconds(40);
 
 /// Records which broadcast packets (keyed by origin and broadcast id) this
 /// terminal has already processed, so floods are forwarded exactly once.
@@ -57,7 +79,8 @@ class HistoryTable {
 /// Enforces a capacity and the paper's 3-second residency bound.
 class PendingBuffer {
  public:
-  PendingBuffer(std::size_t cap, sim::Time residency)
+  explicit PendingBuffer(std::size_t cap = kPendingCap,
+                         sim::Time residency = kPendingResidency)
       : cap_(cap), residency_(residency) {}
 
   /// Tries to enqueue; returns false (caller drops the packet) when full.
@@ -85,6 +108,15 @@ class PendingBuffer {
     return fresh;
   }
 
+  /// take_fresh at the host's clock, dropping expired packets as kExpired:
+  /// what a route that just appeared does with the buffer.
+  std::vector<net::DataPacket> release(ProtocolHost& host) {
+    return take_fresh(host.simulator().now(),
+                      [&host](const net::DataPacket& p) {
+                        host.drop_data(p, stats::DropReason::kExpired);
+                      });
+  }
+
   /// Drops entries older than the residency bound (reporting each).
   void purge_expired(
       sim::Time now,
@@ -107,6 +139,207 @@ class PendingBuffer {
   std::size_t cap_;
   sim::Time residency_;
   std::deque<Entry> q_;
+};
+
+/// One source's route discovery for one flow (§II-B): whether a discovery
+/// runs, how many floods it has sent, the retry deadline, and the data
+/// packets held until a reply installs a route.  The protocol sends each
+/// flood itself — its own message type, history tag and `next_bid_`
+/// counter — through the `flood` callable it hands to start(); everything
+/// else is this one policy.
+///
+/// The retry closure captures `this`: the protocols keep this state in a
+/// util::FlatMap64, whose values never move, and never erase it.
+class SourceDiscovery {
+ public:
+  [[nodiscard]] bool active() const { return active_; }
+  [[nodiscard]] PendingBuffer& pending() { return pending_; }
+
+  /// Starts a discovery unless one is running: attempt 1, counted as `stat`
+  /// and traced as discovery_start, then the first flood.  `flood()` sends
+  /// one flood and returns its broadcast id.
+  template <typename Flood>
+  void start(ProtocolHost& host, net::FlowKey flow, const char* stat,
+             sim::Time timeout, Flood flood) {
+    if (active_) return;
+    active_ = true;
+    attempts_ = 1;
+    host.count(stat);
+    host.trace_route("discovery_start", net::flow_src(flow),
+                     net::flow_dst(flow));
+    send(host, flow, timeout, flood);
+  }
+
+  /// A reply installed a route: stop retrying.
+  void finish() {
+    active_ = false;
+    timer_.cancel();
+  }
+
+ private:
+  template <typename Flood>
+  void send(ProtocolHost& host, net::FlowKey flow, sim::Time timeout,
+            Flood flood) {
+    bid_ = flood();
+    timer_.arm_after(host.simulator(), timeout,
+                     [this, &host, flow, timeout, flood] {
+                       if (retry_due(host, flow)) {
+                         send(host, flow, timeout, flood);
+                       }
+                     });
+  }
+
+  /// The retry deadline passed with no reply.  Expired packets drop as
+  /// kExpired; an empty buffer ends the discovery quietly; after the last
+  /// attempt the fresh packets drop as kNoRoute.  Returns true when another
+  /// flood is due.
+  bool retry_due(ProtocolHost& host, net::FlowKey flow) {
+    const sim::Time now = host.simulator().now();
+    pending_.purge_expired(now, [&host](const net::DataPacket& p) {
+      host.drop_data(p, stats::DropReason::kExpired);
+    });
+    if (pending_.empty()) {
+      active_ = false;
+      return false;
+    }
+    if (attempts_ >= kMaxDiscoveryAttempts) {
+      for (const auto& p : pending_.take_fresh(now, nullptr)) {
+        host.drop_data(p, stats::DropReason::kNoRoute);
+      }
+      active_ = false;
+      host.trace_route("discovery_failed", net::flow_src(flow),
+                       net::flow_dst(flow), bid_);
+      return false;
+    }
+    ++attempts_;
+    host.trace_route("discovery_retry", net::flow_src(flow),
+                     net::flow_dst(flow), bid_);
+    return true;
+  }
+
+  bool active_ = false;
+  std::uint32_t bid_ = 0;  ///< the flood the retry deadline waits on
+  int attempts_ = 0;
+  sim::Timer timer_;  ///< retry deadline; cancelled by finish()
+  PendingBuffer pending_;
+};
+
+/// A window over the copies of one flood: the first copy opens it and
+/// schedules its close, every copy adds a candidate, and close() hands the
+/// candidates over.  A copy of another flood restarts the window with
+/// fresh candidates; the older close event then closes it early.
+template <typename Candidate>
+class CandidateWindow {
+ public:
+  /// Adds `c` for flood `bid`.  A copy that opens the window schedules
+  /// `on_close` after `wait`.
+  template <typename F>
+  void collect(sim::Simulator& sim, sim::Time wait, std::uint32_t bid,
+               const Candidate& c, F&& on_close) {
+    if (!open_ || bid_ != bid) {
+      open_ = true;
+      bid_ = bid;
+      candidates_.clear();
+      sim.after(wait, std::forward<F>(on_close));
+    }
+    candidates_.push_back(c);
+  }
+
+  /// Closes the window and returns its candidates (none when it was not
+  /// open).
+  std::vector<Candidate> close() {
+    if (!open_) return {};
+    open_ = false;
+    return std::exchange(candidates_, {});
+  }
+
+  /// The flood the window collects (or last collected).
+  [[nodiscard]] std::uint32_t bid() const { return bid_; }
+
+ private:
+  bool open_ = false;
+  std::uint32_t bid_ = 0;
+  std::vector<Candidate> candidates_;
+};
+
+/// A route candidate ranked by CSI distance (RICA, BGCA): the neighbour it
+/// came through, its CSI hop distance, and its topological hops.
+struct CsiCandidate {
+  net::NodeId first_hop = 0;
+  double csi_hops = 0.0;
+  std::uint16_t topo_hops = 0;
+};
+
+/// §II-B: "chooses a route with the minimal distance value"; the earliest
+/// of equals wins.  `c` must not be empty.
+inline const CsiCandidate& csi_shortest(const std::vector<CsiCandidate>& c) {
+  return *std::min_element(c.begin(), c.end(),
+                           [](const CsiCandidate& a, const CsiCandidate& b) {
+                             return a.csi_hops < b.csi_hops;
+                           });
+}
+
+/// A relay's reverse paths: for each flood (origin, bid) it forwarded, the
+/// neighbour it first heard the flood from, so the reply can retrace it.
+class ReversePaths {
+ public:
+  void record(net::NodeId origin, std::uint32_t bid, net::NodeId upstream) {
+    up_[key(origin, bid)] = upstream;
+  }
+
+  /// The upstream of flood (origin, bid), if this relay forwarded it.
+  [[nodiscard]] std::optional<net::NodeId> find(net::NodeId origin,
+                                                std::uint32_t bid) const {
+    const auto it = up_.find(key(origin, bid));
+    if (it == up_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  [[nodiscard]] double load_factor() const { return up_.load_factor(); }
+
+ private:
+  static constexpr std::uint64_t key(net::NodeId origin, std::uint32_t bid) {
+    return (static_cast<std::uint64_t>(origin) << 32) | bid;
+  }
+
+  util::FlatMap64<net::NodeId> up_;
+};
+
+/// The packets a repairing terminal holds per flow while its local query
+/// runs (BGCA, ABR).
+class RepairHold {
+ public:
+  /// Holds `pkt` for its flow; a full buffer drops it as kBufferOverflow.
+  void hold(ProtocolHost& host, const net::DataPacket& pkt) {
+    if (!held_[pkt.key()].push(pkt, host.simulator().now())) {
+      host.drop_data(pkt, stats::DropReason::kBufferOverflow);
+    }
+  }
+
+  /// The flow's route is back: its fresh packets go to `next_hop`, and
+  /// expired ones drop as kExpired.
+  void release(ProtocolHost& host, net::FlowKey flow, net::NodeId next_hop) {
+    if (auto it = held_.find(flow); it != held_.end()) {
+      for (auto& p : it->second.release(host)) {
+        host.forward_data(std::move(p), next_hop);
+      }
+    }
+  }
+
+  /// The repair failed: the flow's fresh packets drop as kLinkBreak.
+  void discard(ProtocolHost& host, net::FlowKey flow) {
+    if (auto it = held_.find(flow); it != held_.end()) {
+      for (const auto& p :
+           it->second.take_fresh(host.simulator().now(), nullptr)) {
+        host.drop_data(p, stats::DropReason::kLinkBreak);
+      }
+    }
+  }
+
+  [[nodiscard]] double load_factor() const { return held_.load_factor(); }
+
+ private:
+  util::FlatMap64<PendingBuffer> held_;
 };
 
 }  // namespace rica::routing

@@ -72,7 +72,7 @@ TEST_F(RicaSourceTest, DiscoveryRetriesThenGivesUp) {
   proto.handle_data(make_data(kSrc, kDst), kSrc);
   host.sim().run_until(sim::seconds(5));
   EXPECT_EQ(host.sent_count<net::RreqMsg>(),
-            static_cast<std::size_t>(cfg.max_discovery_attempts));
+            static_cast<std::size_t>(routing::kMaxDiscoveryAttempts));
   // The buffered packet is eventually dropped (expired or no-route).
   EXPECT_EQ(host.dropped.size(), 1u);
 }
@@ -81,10 +81,10 @@ TEST_F(RicaSourceTest, PendingBufferBounded) {
   RicaConfig cfg;
   MockHost host(kSrc);
   RicaProtocol proto(host, cfg);
-  for (std::uint32_t i = 0; i < 2 * cfg.pending_cap; ++i) {
+  for (std::uint32_t i = 0; i < 2 * routing::kPendingCap; ++i) {
     proto.handle_data(make_data(kSrc, kDst, i), kSrc);
   }
-  EXPECT_GE(host.counters["rica.pending_overflow"], cfg.pending_cap);
+  EXPECT_GE(host.counters["rica.pending_overflow"], routing::kPendingCap);
 }
 
 TEST_F(RicaSourceTest, CsiCheckWindowSelectsBestAndSendsRupd) {
