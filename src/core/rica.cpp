@@ -150,10 +150,7 @@ void RicaProtocol::source_send(SourceState& s, net::FlowKey flow,
     host().forward_data(std::move(pkt), s.next_hop);
     return;
   }
-  if (!s.discovery.pending().push(std::move(pkt), now())) {
-    // Buffer full while waiting for a route.
-    host().count("rica.pending_overflow");
-  }
+  s.discovery.hold(host(), pkt, "rica.pending_overflow");
   begin_discovery(flow, s);
 }
 
@@ -420,7 +417,7 @@ bool RicaProtocol::try_candidate_fallback(net::FlowKey flow, SourceState& s,
 
 void RicaProtocol::flush_pending(net::FlowKey flow, SourceState& s) {
   if (!s.valid) return;
-  for (auto& p : s.discovery.pending().release(host())) {
+  for (auto& p : s.discovery.release(host())) {
     source_send(s, flow, std::move(p));
   }
 }

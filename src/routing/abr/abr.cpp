@@ -85,9 +85,7 @@ void AbrProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
       host().forward_data(std::move(pkt), e.downstream);
       return;
     }
-    if (!sources_[flow].pending().push(std::move(pkt), now())) {
-      host().count("abr.pending_overflow");
-    }
+    sources_[flow].hold(host(), pkt, "abr.pending_overflow");
     begin_discovery(flow);
     return;
   }
@@ -179,7 +177,7 @@ void AbrProtocol::on_reply(const net::AbrReplyMsg& msg, net::NodeId from) {
     s.finish();
     host().trace_route("established", msg.src, msg.dst, msg.bid,
                        static_cast<double>(msg.topo_hops + 1));
-    for (auto& p : s.pending().release(host())) {
+    for (auto& p : s.release(host())) {
       host().forward_data(std::move(p), e.downstream);
     }
     flush_repair(flow);

@@ -48,9 +48,7 @@ void AodvProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
     return;
   }
   const net::NodeId dst = pkt.dst;
-  if (!discovery_[dst].pending().push(pkt, now())) {
-    host().drop_data(pkt, stats::DropReason::kBufferOverflow);
-  }
+  discovery_[dst].hold(host(), pkt, "aodv.pending_overflow");
   begin_discovery(dst);
 }
 
@@ -143,7 +141,7 @@ void AodvProtocol::flush_pending(net::NodeId dst) {
   auto& d = it->second;
   d.finish();
   const auto nh = next_hop(dst);
-  for (auto& p : d.pending().release(host())) {
+  for (auto& p : d.release(host())) {
     if (nh) {
       host().forward_data(std::move(p), *nh);
     } else {

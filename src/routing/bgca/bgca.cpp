@@ -56,9 +56,7 @@ void BgcaProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
       forward_or_drop(std::move(pkt), e);
       return;
     }
-    if (!sources_[flow].pending().push(std::move(pkt), now())) {
-      host().count("bgca.pending_overflow");
-    }
+    sources_[flow].hold(host(), pkt, "bgca.pending_overflow");
     begin_discovery(flow);
     return;
   }
@@ -170,7 +168,7 @@ void BgcaProtocol::flush_pending(net::FlowKey flow) {
   auto& e = entries_[flow];
   if (!e.valid) return;
   if (auto it = sources_.find(flow); it != sources_.end()) {
-    for (auto& p : it->second.pending().release(host())) {
+    for (auto& p : it->second.release(host())) {
       host().forward_data(std::move(p), e.downstream);
     }
   }

@@ -152,8 +152,20 @@ class PendingBuffer {
 /// util::FlatMap64, whose values never move, and never erase it.
 class SourceDiscovery {
  public:
-  [[nodiscard]] bool active() const { return active_; }
-  [[nodiscard]] PendingBuffer& pending() { return pending_; }
+  /// Holds a data packet until a route answers.  A full buffer drops it as
+  /// kBufferOverflow and counts it as `overflow_stat`.
+  void hold(ProtocolHost& host, const net::DataPacket& pkt,
+            const char* overflow_stat) {
+    if (pending_.push(pkt, host.simulator().now())) return;
+    host.count(overflow_stat);
+    host.drop_data(pkt, stats::DropReason::kBufferOverflow);
+  }
+
+  /// A route appeared: the held packets that are still fresh, for sending
+  /// (expired ones drop as kExpired).
+  std::vector<net::DataPacket> release(ProtocolHost& host) {
+    return pending_.release(host);
+  }
 
   /// Starts a discovery unless one is running: attempt 1, counted as `stat`
   /// and traced as discovery_start, then the first flood.  `flood()` sends

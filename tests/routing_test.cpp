@@ -1,7 +1,16 @@
-// Unit tests for the comparator protocols (AODV, BGCA, ABR, link-state) and
-// the shared routing tables, all against the scripted mock host.
+// Unit tests for the comparator protocols (AODV, BGCA, ABR, link-state), the
+// shared routing tables, and the source-discovery policy all four on-demand
+// protocols (RICA included) share, all against the scripted mock host.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <ostream>
+#include <string>
+#include <type_traits>
+#include <variant>
+#include <vector>
+
+#include "core/rica.hpp"
 #include "mock_host.hpp"
 #include "routing/abr/abr.hpp"
 #include "routing/aodv/aodv.hpp"
@@ -79,6 +88,195 @@ TEST(PendingBuffer, PurgeExpiredDropsOnlyOldHead) {
   EXPECT_EQ(expired, 1);
   EXPECT_EQ(buf.size(), 1u);
 }
+
+TEST(CandidateWindow, CollectsOneFloodAndHandsItOverOnce) {
+  sim::Simulator sim;
+  CandidateWindow<CsiCandidate> w;
+  int closes = 0;
+  w.collect(sim, kDestWait, 7, CsiCandidate{4, 3.0, 2}, [&] { ++closes; });
+  w.collect(sim, kDestWait, 7, CsiCandidate{6, 2.0, 3}, [&] { ++closes; });
+  sim.run_until(sim::seconds(1));
+  EXPECT_EQ(closes, 1);  // only the opening copy schedules a close
+  const auto c = w.close();
+  ASSERT_EQ(c.size(), 2u);
+  EXPECT_EQ(csi_shortest(c).first_hop, 6u);
+  EXPECT_EQ(w.bid(), 7u);
+  EXPECT_TRUE(w.close().empty());  // closed windows hand over nothing
+}
+
+TEST(CandidateWindow, NewerFloodRestartsTheWindow) {
+  sim::Simulator sim;
+  CandidateWindow<CsiCandidate> w;
+  w.collect(sim, kDestWait, 1, CsiCandidate{4, 1.0, 1}, [] {});
+  w.collect(sim, kDestWait, 2, CsiCandidate{6, 5.0, 1}, [] {});
+  const auto c = w.close();
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c[0].first_hop, 6u);
+  EXPECT_EQ(w.bid(), 2u);
+}
+
+TEST(ReversePaths, RemembersUpstreamPerOriginAndBid) {
+  ReversePaths r;
+  r.record(3, 7, 4);
+  r.record(3, 8, 5);
+  r.record(2, 7, 6);
+  EXPECT_EQ(r.find(3, 7), 4u);
+  EXPECT_EQ(r.find(3, 8), 5u);
+  EXPECT_EQ(r.find(2, 7), 6u);
+  EXPECT_FALSE(r.find(2, 8).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Source discovery, one policy for RICA, BGCA, ABR and AODV
+// ---------------------------------------------------------------------------
+
+/// One on-demand protocol as the discovery suite drives it: its factory,
+/// its default retry timeout, the reply that answers a flood, and its
+/// overflow counter.
+struct OnDemandCase {
+  std::string name;
+  std::unique_ptr<Protocol> (*make)(MockHost& host, sim::Time timeout);
+  sim::Time timeout;
+  net::ControlPacket (*reply)(std::uint32_t bid);
+  std::string overflow_stat;
+};
+
+void PrintTo(const OnDemandCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<OnDemandCase> on_demand_cases() {
+  return {
+      {"RICA",
+       [](MockHost& h, sim::Time t) -> std::unique_ptr<Protocol> {
+         core::RicaConfig cfg;
+         cfg.discovery_timeout = t;
+         return std::make_unique<core::RicaProtocol>(h, cfg);
+       },
+       core::RicaConfig{}.discovery_timeout,
+       [](std::uint32_t bid) {
+         return net::make_control(kSrc, net::RrepMsg{kSrc, kDst, bid, 3.0, 2});
+       },
+       "rica.pending_overflow"},
+      {"BGCA",
+       [](MockHost& h, sim::Time t) -> std::unique_ptr<Protocol> {
+         BgcaConfig cfg;
+         cfg.discovery_timeout = t;
+         return std::make_unique<BgcaProtocol>(h, cfg);
+       },
+       BgcaConfig{}.discovery_timeout,
+       [](std::uint32_t bid) {
+         return net::make_control(kSrc, net::RrepMsg{kSrc, kDst, bid, 3.0, 2});
+       },
+       "bgca.pending_overflow"},
+      {"ABR",
+       [](MockHost& h, sim::Time t) -> std::unique_ptr<Protocol> {
+         AbrConfig cfg;
+         cfg.discovery_timeout = t;
+         return std::make_unique<AbrProtocol>(h, cfg);
+       },
+       AbrConfig{}.discovery_timeout,
+       [](std::uint32_t bid) {
+         return net::make_control(kSrc, net::AbrReplyMsg{kSrc, kDst, bid, 2});
+       },
+       "abr.pending_overflow"},
+      {"AODV",
+       [](MockHost& h, sim::Time t) -> std::unique_ptr<Protocol> {
+         AodvConfig cfg;
+         cfg.discovery_timeout = t;
+         return std::make_unique<AodvProtocol>(h, cfg);
+       },
+       AodvConfig{}.discovery_timeout,
+       [](std::uint32_t bid) {
+         return net::make_control(kSrc, net::AodvRrepMsg{kSrc, kDst, bid, 2});
+       },
+       "aodv.pending_overflow"},
+  };
+}
+
+class SourceDiscoveryTest : public ::testing::TestWithParam<OnDemandCase> {
+ protected:
+  struct Flood {
+    std::uint32_t bid;
+    sim::Time at;
+  };
+
+  /// The discovery floods the source sent, whatever the protocol's message.
+  std::vector<Flood> floods() const {
+    std::vector<Flood> out;
+    for (const auto& s : host_.sent) {
+      std::visit(
+          [&](const auto& m) {
+            using M = std::decay_t<decltype(m)>;
+            if constexpr (std::is_same_v<M, net::RreqMsg> ||
+                          std::is_same_v<M, net::AbrBqMsg> ||
+                          std::is_same_v<M, net::AodvRreqMsg>) {
+              out.push_back(Flood{m.bid, s.at});
+            }
+          },
+          s.pkt.payload);
+    }
+    return out;
+  }
+
+  MockHost host_{kSrc};
+};
+
+TEST_P(SourceDiscoveryTest, RetriesThenDropsAsNoRoute) {
+  const auto proto = GetParam().make(host_, GetParam().timeout);
+  proto->handle_data(make_data(kSrc, kDst), kSrc);
+  host_.sim().run_until(sim::seconds(5));
+  const auto f = floods();
+  ASSERT_EQ(f.size(), static_cast<std::size_t>(kMaxDiscoveryAttempts));
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    EXPECT_EQ(f[i].at, GetParam().timeout * static_cast<std::int64_t>(i));
+    for (std::size_t j = 0; j < i; ++j) EXPECT_NE(f[i].bid, f[j].bid);
+  }
+  ASSERT_EQ(host_.dropped.size(), 1u);
+  EXPECT_EQ(host_.dropped[0].second, stats::DropReason::kNoRoute);
+}
+
+TEST_P(SourceDiscoveryTest, PacketPastResidencyDropsAsExpired) {
+  // A 2 s retry timeout lets the held packet outlive its 3 s residency by
+  // the second deadline, which then ends the discovery quietly.
+  const auto proto = GetParam().make(host_, sim::seconds(2));
+  proto->handle_data(make_data(kSrc, kDst), kSrc);
+  host_.sim().run_until(sim::seconds(10));
+  EXPECT_EQ(floods().size(), 2u);
+  ASSERT_EQ(host_.dropped.size(), 1u);
+  EXPECT_EQ(host_.dropped[0].second, stats::DropReason::kExpired);
+}
+
+TEST_P(SourceDiscoveryTest, ReplyCancelsTheRetry) {
+  const auto proto = GetParam().make(host_, GetParam().timeout);
+  proto->handle_data(make_data(kSrc, kDst), kSrc);
+  const auto f = floods();
+  ASSERT_EQ(f.size(), 1u);
+  const net::NodeId relay = 4;
+  proto->on_control(GetParam().reply(f[0].bid), relay);
+  host_.sim().run_until(sim::seconds(5));
+  EXPECT_EQ(floods().size(), 1u);
+  EXPECT_TRUE(host_.dropped.empty());
+  ASSERT_EQ(host_.forwarded.size(), 1u);
+  EXPECT_EQ(host_.forwarded[0].next_hop, relay);
+}
+
+TEST_P(SourceDiscoveryTest, PendingOverflowIsRecordedAsADrop) {
+  const auto proto = GetParam().make(host_, GetParam().timeout);
+  for (std::uint32_t i = 0; i < 2 * kPendingCap; ++i) {
+    proto->handle_data(make_data(kSrc, kDst, i), kSrc);
+  }
+  ASSERT_EQ(host_.dropped.size(), kPendingCap);
+  for (const auto& [pkt, reason] : host_.dropped) {
+    EXPECT_EQ(reason, stats::DropReason::kBufferOverflow);
+    EXPECT_GE(pkt.seq, kPendingCap);  // the newest packets are refused
+  }
+  EXPECT_EQ(host_.counters[GetParam().overflow_stat], kPendingCap);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OnDemand, SourceDiscoveryTest, ::testing::ValuesIn(on_demand_cases()),
+    [](const ::testing::TestParamInfo<OnDemandCase>& info) {
+      return info.param.name;
+    });
 
 // ---------------------------------------------------------------------------
 // AODV
