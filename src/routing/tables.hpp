@@ -12,7 +12,6 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
