@@ -12,6 +12,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -147,10 +148,15 @@ class PendingBuffer {
 /// counter — through the `flood` callable it hands to start(); everything
 /// else is this one policy.
 ///
-/// The retry closure captures `this`: the protocols keep this state in a
-/// util::FlatMap64, whose values never move, and never erase it.
+/// The retry closure captures `this`, so the state neither copies nor
+/// moves: the protocols keep it in a util::FlatMap64, whose values never
+/// move, and never erase it.
 class SourceDiscovery {
  public:
+  SourceDiscovery() = default;
+  SourceDiscovery(const SourceDiscovery&) = delete;
+  SourceDiscovery& operator=(const SourceDiscovery&) = delete;
+
   /// Holds a data packet until a route answers.  A full buffer drops it as
   /// kBufferOverflow and counts it as `overflow_stat`.
   void hold(ProtocolHost& host, const net::DataPacket& pkt,
@@ -192,12 +198,11 @@ class SourceDiscovery {
   void send(ProtocolHost& host, net::FlowKey flow, sim::Time timeout,
             Flood flood) {
     bid_ = flood();
-    timer_.arm_after(host.simulator(), timeout,
-                     [this, &host, flow, timeout, flood] {
-                       if (retry_due(host, flow)) {
-                         send(host, flow, timeout, flood);
-                       }
-                     });
+    auto retry = [this, &host, flow, timeout, flood] {
+      if (retry_due(host, flow)) send(host, flow, timeout, flood);
+    };
+    static_assert(sizeof(retry) <= sim::EventEngine::kInlineBytes);
+    timer_.arm_after(host.simulator(), timeout, std::move(retry));
   }
 
   /// The retry deadline passed with no reply.  Expired packets drop as
@@ -247,6 +252,7 @@ class CandidateWindow {
   template <typename F>
   void collect(sim::Simulator& sim, sim::Time wait, std::uint32_t bid,
                const Candidate& c, F&& on_close) {
+    static_assert(sizeof(std::decay_t<F>) <= sim::EventEngine::kInlineBytes);
     if (!open_ || bid_ != bid) {
       open_ = true;
       bid_ = bid;

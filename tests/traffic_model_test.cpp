@@ -443,7 +443,7 @@ TEST_P(Conservation, PerFlowCountsBalanceAtStop) {
   for (const auto d : r.drops) agg_drops += d;
   EXPECT_EQ(drop, agg_drops);
   // Kernel observability sanity: every closure in the stack still fits the
-  // 128 B inline buffer (the datum behind the sizing decision).
+  // engine's 64 B inline buffer (sim::EventEngine::kInlineBytes).
   EXPECT_EQ(r.stat("kernel.heap_fallbacks"), 0.0);
 }
 
