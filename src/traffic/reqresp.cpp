@@ -35,15 +35,16 @@ void ReqRespTraffic::schedule_request(std::size_t flow_idx) {
   awaiting_[flow_idx] = false;
   awaiting_req_seq_[flow_idx] = kNoSeq;
   expected_resp_seq_[flow_idx] = kNoSeq;
-  const double gap_s = rng_.exponential(think_mean_s_);
-  const sim::Time at = network_.simulator().now() + sim::seconds_f(gap_s);
-  if (at >= stop_) {
+  // A legal mean can still draw a gap past 2^63 ns, which ends the flow too.
+  const auto gap = sim::checked_seconds_f(rng_.exponential(think_mean_s_));
+  const sim::Time now = network_.simulator().now();
+  if (!gap || *gap >= stop_ - now) {
     // The flow goes quiet for the rest of the run; drop any pending
     // response deadline so it cannot fire after this decision.
     timers_[flow_idx].cancel();
     return;
   }
-  timers_[flow_idx].arm_at(network_.simulator(), at,
+  timers_[flow_idx].arm_at(network_.simulator(), now + *gap,
                            [this, flow_idx] { send_request(flow_idx); });
 }
 

@@ -62,26 +62,22 @@ void apply_param(TrafficConfig& cfg, const std::string& key,
                                   " (known: jitter, pattern, hotspots)");
     case TrafficKind::kOnOff:
       if (key == "on") {
-        cfg.on_mean_s = parse_double(key, value);
-        require(cfg.on_mean_s > 0.0, key, "> 0");
+        cfg.on_mean_s = util::parse_spec_seconds(kDomain, key, value);
         return;
       }
       if (key == "off") {
-        cfg.off_mean_s = parse_double(key, value);
-        require(cfg.off_mean_s > 0.0, key, "> 0");
+        cfg.off_mean_s = util::parse_spec_seconds(kDomain, key, value);
         return;
       }
       throw std::invalid_argument("unknown onoff param: " + key +
                                   " (known: on, off, pattern, hotspots)");
     case TrafficKind::kPareto:
       if (key == "on") {
-        cfg.on_mean_s = parse_double(key, value);
-        require(cfg.on_mean_s > 0.0, key, "> 0");
+        cfg.on_mean_s = util::parse_spec_seconds(kDomain, key, value);
         return;
       }
       if (key == "off") {
-        cfg.off_mean_s = parse_double(key, value);
-        require(cfg.off_mean_s > 0.0, key, "> 0");
+        cfg.off_mean_s = util::parse_spec_seconds(kDomain, key, value);
         return;
       }
       if (key == "shape") {
@@ -95,8 +91,7 @@ void apply_param(TrafficConfig& cfg, const std::string& key,
           " (known: on, off, shape, pattern, hotspots)");
     case TrafficKind::kReqResp:
       if (key == "think") {
-        cfg.think_mean_s = parse_double(key, value);
-        require(cfg.think_mean_s > 0.0, key, "> 0");
+        cfg.think_mean_s = util::parse_spec_seconds(kDomain, key, value);
         return;
       }
       if (key == "timeout") {
@@ -327,10 +322,11 @@ std::uint16_t OpenLoopTraffic::next_packet_bytes(std::size_t) {
 }
 
 void OpenLoopTraffic::schedule_next(std::size_t flow_idx) {
-  const double gap_s = next_gap_s(flow_idx);
-  const sim::Time at = network_.simulator().now() + sim::seconds_f(gap_s);
-  if (at >= stop_) return;
-  timers_[flow_idx].arm_at(network_.simulator(), at, [this, flow_idx] {
+  // A legal mean can still draw a gap past 2^63 ns; such a flow is done.
+  const auto gap = sim::checked_seconds_f(next_gap_s(flow_idx));
+  const sim::Time now = network_.simulator().now();
+  if (!gap || *gap >= stop_ - now) return;
+  timers_[flow_idx].arm_at(network_.simulator(), now + *gap, [this, flow_idx] {
     const Flow& f = flows_[flow_idx];
     emit(flow_idx, f.src, f.dst, next_packet_bytes(flow_idx));
     schedule_next(flow_idx);

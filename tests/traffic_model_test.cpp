@@ -145,17 +145,23 @@ TEST(TrafficSpec, OutOfRangeParamsRejected) {
                std::invalid_argument);
 }
 
-TEST(TrafficSpec, TimeoutOutsideTheNanosecondRangeRejected) {
-  // The timeout becomes a sim::Time, so it must fit one at parse time.
-  for (const char* value : {"inf", "nan", "1e300"}) {
-    const std::string spec = std::string("reqresp:timeout=") + value;
-    try {
-      (void)traffic::parse_traffic_spec(spec);
-      ADD_FAILURE() << spec << " must be rejected";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("param timeout must be"),
-                std::string::npos)
-          << spec << ": " << e.what();
+TEST(TrafficSpec, TimesOutsideTheNanosecondRangeRejected) {
+  // A timeout, and every mean gap, becomes a sim::Time, so it must fit one
+  // at parse time.
+  for (const std::string key :
+       {"reqresp:timeout", "reqresp:think", "onoff:on", "onoff:off",
+        "pareto:on", "pareto:off"}) {
+    const std::string param = key.substr(key.find(':') + 1);
+    for (const char* value : {"inf", "nan", "1e300"}) {
+      const std::string spec = key + "=" + value;
+      try {
+        (void)traffic::parse_traffic_spec(spec);
+        ADD_FAILURE() << spec << " must be rejected";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("param " + param + " must be"),
+                  std::string::npos)
+            << spec << ": " << e.what();
+      }
     }
   }
 }
@@ -397,6 +403,26 @@ TEST(ReqRespTrafficTest, LoadAdaptsToWhatTheNetworkDelivers) {
   EXPECT_LT(net.metrics().generated(), 100u);
   EXPECT_GT(net.metrics().registry().read("traffic_reqresp_timeouts"), 10.0);
   EXPECT_EQ(net.metrics().delivered(), 0u);
+}
+
+TEST(ReqRespTrafficTest, HugeLegalMeanEndsTheFlowInsteadOfOverflowing) {
+  // A 9e9 s mean parses (it is below 2^63 ns), but a third of its draws
+  // pass 2^63 ns.  Such a gap ends the flow like any gap past `stop`: no
+  // request is sent and no flow timer stays armed.
+  auto net = tiny_network(10);
+  std::vector<traffic::Flow> flows;
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    flows.push_back({i, i % 4, (i + 1) % 4, 10.0});
+  }
+  const std::size_t idle_events = net->simulator().pending_events();
+  traffic::ReqRespTraffic gen(*net, flows, 512, sim::seconds(10),
+                              net->rng().stream("traffic"),
+                              /*think_mean_s=*/9e9, /*timeout_s=*/2.0,
+                              /*request_bytes=*/64);
+  gen.start();
+  EXPECT_EQ(net->simulator().pending_events(), idle_events);
+  net->simulator().run_until(sim::seconds(10));
+  EXPECT_EQ(net->metrics().generated(), 0u);
 }
 
 // ---------------------------------------------------------------------------
