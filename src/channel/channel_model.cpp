@@ -40,14 +40,14 @@ void ChannelModel::advance(PairProcess& p, sim::Time t,
   double rho_f = 0.0;
   const double gap_s = (t - p.last).seconds();
   p.last = t;
-  if (p.draws > 0) {
+  if (p.rng.count() > 0) {
     if (gap_s <= 0.0 || rel_speed_mps <= 0.0) return;  // frozen channel
     const double moved_m = rel_speed_mps * gap_s;
     rho_s = std::exp(-moved_m / cfg_.shadow_decorr_m);
     rho_f = std::exp(-moved_m / cfg_.fading_decorr_m);
   }
   ++draws_;
-  const auto [zs, zf] = sim::normal_pair(p.key, p.draws++);
+  const auto [zs, zf] = p.rng.normal_pair();
   p.shadow_db = rho_s * p.shadow_db +
                 std::sqrt(std::max(0.0, 1.0 - rho_s * rho_s)) * zs *
                     cfg_.shadow_sigma_db;
@@ -87,7 +87,8 @@ std::optional<ChannelSample> ChannelModel::sample(std::uint32_t a,
   if (it == pairs_.end()) {
     // Deriving the stream key hashes the stream name, so only a new pair
     // pays it.
-    it = pairs_.emplace(key, PairProcess{.key = rng_.derive("channel", lo, hi)})
+    it = pairs_
+             .emplace(key, PairProcess{.rng = rng_.stream("channel", lo, hi)})
              .first;
   }
   auto& proc = it->second;

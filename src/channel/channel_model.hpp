@@ -18,9 +18,9 @@
 //    row is final too: it is stored and served by reference from then on.
 //  * Pair processes are evaluated lazily at query time (AR(1) steps over the
 //    elapsed gap), so channel cost scales with traffic.  Each process is
-//    plain data: its random draws come from a counter-based SplitMix64
-//    stream keyed by (master seed, "channel", lo, hi), one Box–Muller pair
-//    per step (shadowing takes one normal, fading the other).
+//    plain data: its random draws come from its (master seed, "channel",
+//    lo, hi) stream, 16 bytes, one Box–Muller pair per step (shadowing
+//    takes one normal, fading the other).
 //  * Range queries go through the NeighborIndex: per-node lists built once
 //    per snapshot epoch, bit-identical to the O(N) scan (DESIGN.md §2).
 #pragma once
@@ -134,15 +134,14 @@ class ChannelModel {
   [[nodiscard]] const NeighborIndex& neighbor_index() const { return index_; }
 
  private:
-  /// Correlated Gaussian (dB-domain) disturbances of one node pair.  Draw
-  /// `draws` is sim::normal_pair(key, draws); no draw has been made yet
-  /// while `draws` is 0.
+  /// Correlated Gaussian (dB-domain) disturbances of one node pair.  Each
+  /// step takes one normal_pair() of the pair's stream; no draw has been
+  /// made yet while the stream's count is 0.
   struct PairProcess {
     double shadow_db = 0.0;
     double fading_db = 0.0;
     sim::Time last = sim::Time::zero();
-    std::uint64_t draws = 0;
-    std::uint64_t key = 0;  ///< the pair's stream key
+    sim::RandomStream rng;  ///< the pair's ("channel", lo, hi) stream
     double snr_db = 0.0;    ///< the pair's last full sample
   };
   static_assert(sizeof(PairProcess) <= 48,

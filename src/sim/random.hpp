@@ -6,15 +6,16 @@
 // random sequence of another — a prerequisite for apples-to-apples protocol
 // comparisons on identical mobility/channel realizations.
 //
-// RandomStream wraps a whole mt19937_64 (~2.5 KB of state).  Components that
-// keep one stream per node pair instead use the counter-based SplitMix64
-// stream below, whose state is a key and a draw index (DESIGN.md §1).
+// Every stream is counter-based: a key and a draw count over the SplitMix64
+// sequence, 16 bytes, and every distribution is written out below, so a
+// draw depends on no standard-library algorithm (DESIGN.md §1).  Only the
+// libm functions the distributions call (log, log1p, sqrt, sin, cos) are
+// outside this file.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <numbers>
-#include <random>
 #include <string_view>
 #include <utility>
 
@@ -39,60 +40,82 @@ inline constexpr std::uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ULL;
   return splitmix64(key + n * kSplitMixGamma);
 }
 
-/// Two independent standard normals: one Box–Muller transform of outputs
-/// 2n and 2n+1 of the counter-based stream `key` (see splitmix64_at).
-[[nodiscard]] inline std::pair<double, double> normal_pair(std::uint64_t key,
-                                                           std::uint64_t n) {
+/// Two independent standard normals from two raw outputs: one Box–Muller
+/// transform of their top 53 bits.
+[[nodiscard]] inline std::pair<double, double> box_muller(std::uint64_t a,
+                                                          std::uint64_t b) {
   constexpr double kUnit = 0x1.0p-53;
   // 1 - [0, 1) puts u1 in (0, 1], so the log is finite.
-  const double u1 =
-      1.0 - static_cast<double>(splitmix64_at(key, 2 * n) >> 11) * kUnit;
-  const double u2 =
-      static_cast<double>(splitmix64_at(key, 2 * n + 1) >> 11) * kUnit;
+  const double u1 = 1.0 - static_cast<double>(a >> 11) * kUnit;
+  const double u2 = static_cast<double>(b >> 11) * kUnit;
   const double r = std::sqrt(-2.0 * std::log(u1));
   const double theta = 2.0 * std::numbers::pi * u2;
   return {r * std::cos(theta), r * std::sin(theta)};
 }
 
-/// One random stream (wraps mt19937_64 with distribution helpers).
+/// One random stream: output `n` is splitmix64_at(key, n), and each method
+/// below consumes the outputs it names.
 class RandomStream {
  public:
-  explicit RandomStream(std::uint64_t seed) : engine_(seed) {}
+  explicit RandomStream(std::uint64_t key) : key_(key) {}
 
-  /// Uniform double in [0, 1).
-  double uniform() { return unit_(engine_); }
+  /// The next raw 64-bit output.
+  std::uint64_t next() { return splitmix64_at(key_, n_++); }
+
+  /// Outputs consumed so far (0 for a fresh stream).
+  [[nodiscard]] std::uint64_t count() const { return n_; }
+
+  /// Uniform double in [0, 1): the top 53 bits of one output.
+  double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
-  /// Uniform integer in [lo, hi] inclusive.
+  /// Uniform integer in [lo, hi] inclusive, unbiased: Lemire's
+  /// multiply-shift, which rejects an output only when the low word of its
+  /// 128-bit product with the span falls below 2^64 mod span.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>{lo, hi}(engine_);
+    __extension__ using U128 = unsigned __int128;
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
+    if (span == 0) return static_cast<std::int64_t>(next());  // full range
+    U128 m = static_cast<U128>(next()) * span;
+    if (static_cast<std::uint64_t>(m) < span) {
+      const std::uint64_t threshold = -span % span;
+      while (static_cast<std::uint64_t>(m) < threshold) {
+        m = static_cast<U128>(next()) * span;
+      }
+    }
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                     static_cast<std::uint64_t>(m >> 64));
   }
 
-  /// Exponential with the given mean (mean > 0).
-  double exponential(double mean) {
-    return std::exponential_distribution<double>{1.0 / mean}(engine_);
-  }
+  /// Exponential with the given mean (mean > 0), by inversion; one draw is
+  /// at most 53 ln 2 (~36.7) times the mean.
+  double exponential(double mean) { return -mean * std::log1p(-uniform()); }
 
-  /// Standard normal scaled to (mean, stddev); stddev == 0 returns `mean`.
-  /// Scaling a unit normal by hand (rather than constructing the
-  /// distribution with `stddev`, which requires stddev > 0) draws the same
-  /// engine values and computes the same `z * stddev + mean` as libstdc++.
+  /// Normal with the given mean and stddev (stddev == 0 returns `mean`):
+  /// the first normal of one Box–Muller pair.
   double normal(double mean, double stddev) {
-    return std::normal_distribution<double>{0.0, 1.0}(engine_) * stddev +
-           mean;
+    return normal_pair().first * stddev + mean;
+  }
+
+  /// Two independent standard normals from the next two outputs.
+  std::pair<double, double> normal_pair() {
+    // Two statements, because argument evaluation order is unspecified.
+    const std::uint64_t a = next();
+    const std::uint64_t b = next();
+    return box_muller(a, b);
   }
 
   /// Bernoulli trial with probability p of true.
   bool chance(double p) { return uniform() < p; }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
+  std::uint64_t key_;
+  std::uint64_t n_ = 0;
 };
+static_assert(sizeof(RandomStream) == 16, "a stream is a key and a count");
 
 /// Derives named independent substreams from a master seed.
 class RngManager {
@@ -118,8 +141,8 @@ class RngManager {
 
   [[nodiscard]] std::uint64_t master_seed() const { return master_; }
 
-  /// The seed `stream(name, a, b)` would use, for counter-based streams
-  /// (splitmix64_at, normal_pair) that need no engine.
+ private:
+  /// The key of stream (name, a, b).
   [[nodiscard]] std::uint64_t derive(std::string_view name, std::uint64_t a,
                                      std::uint64_t b) const {
     std::uint64_t h = master_;
@@ -131,7 +154,6 @@ class RngManager {
     return h;
   }
 
- private:
   std::uint64_t master_;
 };
 

@@ -287,11 +287,11 @@ double ks_distance(std::vector<double> xs) {
 
 TEST(NormalPair, MomentsAndKsMatchTheStandardNormal) {
   constexpr std::size_t kN = 20000;
-  const std::uint64_t key = sim::RngManager(5).derive("channel", 3, 9);
+  auto rng = sim::RngManager(5).stream("channel", 3, 9);
   std::vector<double> first;
   std::vector<double> second;
   for (std::uint64_t i = 0; i < kN; ++i) {
-    const auto [z0, z1] = sim::normal_pair(key, i);
+    const auto [z0, z1] = rng.normal_pair();
     first.push_back(z0);
     second.push_back(z1);
   }
@@ -324,9 +324,15 @@ TEST(NormalPair, MomentsAndKsMatchTheStandardNormal) {
 }
 
 TEST(NormalPair, IsAPureFunctionOfKeyAndIndex) {
-  EXPECT_EQ(sim::normal_pair(11, 4), sim::normal_pair(11, 4));
-  EXPECT_NE(sim::normal_pair(11, 4), sim::normal_pair(11, 5));
-  EXPECT_NE(sim::normal_pair(11, 4), sim::normal_pair(12, 4));
+  // Pair n of stream `key`.
+  const auto pair_at = [](std::uint64_t key, int n) {
+    sim::RandomStream rng(key);
+    for (int i = 0; i < n; ++i) (void)rng.normal_pair();
+    return rng.normal_pair();
+  };
+  EXPECT_EQ(pair_at(11, 4), pair_at(11, 4));
+  EXPECT_NE(pair_at(11, 4), pair_at(11, 5));
+  EXPECT_NE(pair_at(11, 4), pair_at(12, 4));
   // The counter stream is SplitMix64's own sequence.
   std::uint64_t state = 99;
   for (std::uint64_t i = 0; i < 4; ++i) {

@@ -14,10 +14,11 @@
 // source change.  Every case also asserts run == rerun, so in-process
 // determinism is checked even in update mode.
 //
-// The captured values depend on the standard library's distribution
-// algorithms, so the capture is re-recorded per toolchain family if libc++
-// and libstdc++ ever disagree; CI runs a single toolchain, which is the
-// configuration the capture pins.
+// Every random draw comes from the simulator's own counter-based streams
+// and distributions (sim/random.hpp), so the capture pins no standard-library
+// algorithm.  It does still depend on libm's log, log1p, sqrt, sin, cos, pow
+// and exp; only g++/libstdc++ on glibc has been checked, so equality under
+// another C or C++ library is unverified.
 #include <gtest/gtest.h>
 
 #include <cctype>

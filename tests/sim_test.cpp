@@ -1,8 +1,14 @@
 // Unit tests for the discrete-event kernel: time arithmetic, event ordering,
-// FIFO tie-breaking, cancellation, RAII timers, and RNG stream independence.
+// FIFO tie-breaking, cancellation, RAII timers, RNG stream independence, and
+// the counter-based stream's distributions (known answers, moments, KS,
+// chi-square).
 // EventEngine-specific cases live in event_engine_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -267,6 +273,212 @@ TEST(Random, SplitMixAvalanche) {
   const int flipped = __builtin_popcountll(h1 ^ h2);
   EXPECT_GT(flipped, 16);
   EXPECT_LT(flipped, 48);
+}
+
+// ---------------------------------------------------------------------------
+// The counter-based stream
+// ---------------------------------------------------------------------------
+
+TEST(RandomStream, KnownAnswerVectors) {
+  // The portable guarantee: a fresh stream with key 42 yields these bits on
+  // any platform whose libm rounds log, log1p, sqrt, sin and cos alike
+  // (next, uniform and uniform_int use integer and exact arithmetic only).
+  {
+    RandomStream rng(42);
+    EXPECT_EQ(rng.next(), 0xbdd732262feb6e95ULL);
+    EXPECT_EQ(rng.next(), 0x28efe333b266f103ULL);
+    EXPECT_EQ(rng.next(), 0x47526757130f9f52ULL);
+    EXPECT_EQ(rng.count(), 3u);
+    EXPECT_EQ(rng.next(), splitmix64_at(42, 3));
+  }
+  {
+    RandomStream rng(42);
+    EXPECT_EQ(rng.uniform(), 0x1.7bae644c5fd6dp-1);
+    EXPECT_EQ(rng.uniform(), 0x1.477f199d93378p-3);
+    EXPECT_EQ(rng.uniform(), 0x1.1d499d5c4c3e6p-2);
+  }
+  {
+    RandomStream rng(42);
+    EXPECT_EQ(rng.uniform(2.0, 5.0), 0x1.0e61659ca3f09p+2);
+    EXPECT_EQ(rng.uniform(2.0, 5.0), 0x1.3d67d4cd8b9a6p+1);
+  }
+  {
+    RandomStream rng(42);
+    for (const std::int64_t want : {4, 0, 1, 2, 0, 5}) {
+      EXPECT_EQ(rng.uniform_int(0, 5), want);
+    }
+  }
+  {
+    RandomStream rng(42);
+    EXPECT_EQ(rng.uniform_int(-1'000'000'000'000, 1'000'000'000'000),
+              483'129'757'544);
+    EXPECT_EQ(rng.uniform_int(-1'000'000'000'000, 1'000'000'000'000),
+              -680'179'214'246);
+  }
+  {
+    RandomStream rng(42);
+    EXPECT_EQ(rng.exponential(2.0), 0x1.5a6574c7543bcp+1);
+    EXPECT_EQ(rng.exponential(2.0), 0x1.64db768f3aec5p-2);
+  }
+  {
+    RandomStream rng(42);
+    EXPECT_EQ(rng.normal(1.0, 3.0), 0x1.d2c898b2bc104p+1);
+    EXPECT_EQ(rng.normal(1.0, 3.0), -0x1.6902c4fb6b038p-2);
+    EXPECT_EQ(rng.count(), 4u);  // two outputs per normal
+  }
+  {
+    RandomStream rng(42);
+    EXPECT_EQ(rng.normal_pair(),
+              std::make_pair(0x1.c3b620ee5015bp-1, 0x1.6372fc37ae2d6p+0));
+    EXPECT_EQ(rng.normal_pair(),
+              std::make_pair(-0x1.cdab96fe79013p-2, 0x1.576825352182ap-1));
+  }
+  {
+    RandomStream rng(42);
+    for (const bool want : {false, true, true, true, true, false}) {
+      EXPECT_EQ(rng.chance(0.5), want);
+    }
+  }
+}
+
+TEST(RandomStream, NormalPairsAreTheChannelsFormerDraws) {
+  // The channel's pair processes drew pair n of key k as one Box-Muller
+  // transform of outputs 2n and 2n+1 (the former free function
+  // normal_pair(k, n)).  These are that function's values, printed before
+  // it became RandomStream::normal_pair(), so every channel draw is
+  // bit-identical.
+  auto rng = RngManager(5).stream("channel", 3, 9);
+  const std::array<std::pair<double, double>, 4> want = {{
+      {-0x1.3804b96b09e7dp+0, -0x1.255cb34bade5dp-6},
+      {-0x1.76ab95cabf76dp-3, -0x1.ca5a97a61d3fep-1},
+      {0x1.20a0f4d9ada22p-2, 0x1.0292136313522p+1},
+      {-0x1.cdf33918e0f36p-1, -0x1.1ce32a7878a82p-3},
+  }};
+  for (const auto& pair : want) EXPECT_EQ(rng.normal_pair(), pair);
+  RandomStream other(0x1234);
+  EXPECT_EQ(other.normal_pair(),
+            std::make_pair(-0x1.2973bfca292c9p-1, 0x1.8ae75198c1e11p-1));
+  EXPECT_EQ(other.normal_pair(),
+            std::make_pair(-0x1.1f50b3f4f0c68p-1, -0x1.1d69412bb7b69p+0));
+}
+
+/// Kolmogorov-Smirnov distance between `xs` and the law with CDF `cdf`.
+double ks_distance(std::vector<double> xs,
+                   const std::function<double(double)>& cdf) {
+  std::sort(xs.begin(), xs.end());
+  const double n = static_cast<double>(xs.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double f = cdf(xs[i]);
+    d = std::max({d, static_cast<double>(i + 1) / n - f,
+                  f - static_cast<double>(i) / n});
+  }
+  return d;
+}
+
+/// The first two sample moments of `xs`.
+std::pair<double, double> moments(const std::vector<double>& xs) {
+  const double n = static_cast<double>(xs.size());
+  double m1 = 0.0;
+  double m2 = 0.0;
+  for (const double x : xs) {
+    m1 += x / n;
+    m2 += x * x / n;
+  }
+  return {m1, m2};
+}
+
+constexpr std::size_t kSamples = 20000;
+/// KS critical value at alpha = 0.01.
+const double kKsCritical = 1.63 / std::sqrt(static_cast<double>(kSamples));
+/// Four standard errors of a sample moment with variance `var`.
+double four_se(double var) {
+  return 4.0 * std::sqrt(var / static_cast<double>(kSamples));
+}
+
+TEST(RandomStream, UniformMomentsAndKs) {
+  RandomStream rng(101);
+  std::vector<double> xs;
+  for (std::size_t i = 0; i < kSamples; ++i) xs.push_back(rng.uniform());
+  EXPECT_GE(*std::min_element(xs.begin(), xs.end()), 0.0);
+  EXPECT_LT(*std::max_element(xs.begin(), xs.end()), 1.0);
+  const auto [m1, m2] = moments(xs);
+  EXPECT_NEAR(m1, 0.5, four_se(1.0 / 12.0));
+  EXPECT_NEAR(m2, 1.0 / 3.0, four_se(4.0 / 45.0));
+  EXPECT_LT(ks_distance(xs, [](double x) { return x; }), kKsCritical);
+}
+
+TEST(RandomStream, ExponentialMomentsAndKs) {
+  RandomStream rng(102);
+  std::vector<double> xs;
+  for (std::size_t i = 0; i < kSamples; ++i) xs.push_back(rng.exponential(1));
+  EXPECT_GE(*std::min_element(xs.begin(), xs.end()), 0.0);
+  // A 53-bit uniform bounds any draw at 53 ln 2 means.
+  EXPECT_LE(*std::max_element(xs.begin(), xs.end()), 53.0 * std::log(2.0));
+  const auto [m1, m2] = moments(xs);
+  EXPECT_NEAR(m1, 1.0, four_se(1.0));
+  EXPECT_NEAR(m2, 2.0, four_se(20.0));
+  EXPECT_LT(ks_distance(xs, [](double x) { return 1.0 - std::exp(-x); }),
+            kKsCritical);
+}
+
+TEST(RandomStream, NormalMomentsAndKs) {
+  RandomStream rng(103);
+  std::vector<double> zs;
+  // Standardized draws of N(1, 3^2).
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    zs.push_back((rng.normal(1.0, 3.0) - 1.0) / 3.0);
+  }
+  const auto [m1, m2] = moments(zs);
+  EXPECT_NEAR(m1, 0.0, four_se(1.0));
+  EXPECT_NEAR(m2, 1.0, four_se(2.0));
+  EXPECT_LT(ks_distance(zs,
+                        [](double x) {
+                          return 0.5 * std::erfc(-x / std::sqrt(2.0));
+                        }),
+            kKsCritical);
+  EXPECT_EQ(RandomStream(5).normal(7.5, 0.0), 7.5);
+}
+
+TEST(RandomStream, UniformIntPassesChiSquare) {
+  RandomStream rng(104);
+  constexpr int kBins = 6;
+  constexpr int kN = 60000;
+  std::array<int, kBins> counts{};
+  for (int i = 0; i < kN; ++i) ++counts.at(rng.uniform_int(0, kBins - 1));
+  const double expected = static_cast<double>(kN) / kBins;
+  double chi2 = 0.0;
+  for (const int c : counts) {
+    chi2 += (c - expected) * (c - expected) / expected;
+  }
+  // 5 degrees of freedom: the 0.001 upper quantile is 20.52.
+  EXPECT_LT(chi2, 20.52);
+}
+
+TEST(RandomStream, UniformIntRejectsAboutHalfForASpanJustPastAPowerOfTwo) {
+  // Span 2^63 + 1: 2^64 mod span is 2^63 - 1, so about half of all outputs
+  // are rejected and each draw takes two outputs on average.
+  constexpr std::int64_t kHalf = std::int64_t{1} << 62;
+  RandomStream rng(105);
+  constexpr int kN = 10000;
+  bool below_zero = false;
+  bool above_zero = false;
+  for (int i = 0; i < kN; ++i) {
+    const std::int64_t v = rng.uniform_int(-kHalf, kHalf);
+    ASSERT_GE(v, -kHalf);
+    ASSERT_LE(v, kHalf);
+    below_zero |= v < 0;
+    above_zero |= v > 0;
+  }
+  EXPECT_TRUE(below_zero);
+  EXPECT_TRUE(above_zero);
+  const double per_draw = static_cast<double>(rng.count()) / kN;
+  EXPECT_NEAR(per_draw, 2.0, 0.1);
+  // The full int64 range needs no rejection: one output per draw.
+  RandomStream full(106);
+  (void)full.uniform_int(std::numeric_limits<std::int64_t>::min(),
+                         std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(full.count(), 1u);
 }
 
 }  // namespace
