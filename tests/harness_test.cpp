@@ -254,10 +254,10 @@ TEST(Warmup, CountersEqualPostWindowDeltasOfColdRun) {
   // protocol events are generated lazily), so the cold run's counter deltas
   // over (w, T] are recoverable from two finalizations — and a warmed-up
   // run must reproduce them exactly, because the epoch reset only zeroes
-  // accumulators without touching the event stream.  Seed 6 adds a window
+  // accumulators without touching the event stream.  Seed 13 adds a window
   // with discovery failures, which seed 5 lacks.
   std::set<std::string> moved;  // owned counters with a nonzero window
-  for (const std::uint64_t seed : {5u, 6u}) {
+  for (const std::uint64_t seed : {5u, 13u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ScenarioConfig base;
     base.protocol = ProtocolKind::kRica;
