@@ -11,7 +11,7 @@
 #include "harness/scenario.hpp"
 #include "harness/table.hpp"
 #include "net/network.hpp"
-#include "traffic/poisson.hpp"
+#include "traffic/traffic_model.hpp"
 
 using namespace rica;
 
@@ -40,9 +40,10 @@ int main(int argc, char** argv) {
 
     auto rng = network.rng().stream("flows");
     auto flows = traffic::random_flows(pairs, cfg.num_nodes, rate, rng);
-    traffic::PoissonTraffic traffic(network, flows, scenario.packet_bytes,
-                                    sim::seconds_f(sim_s),
-                                    network.rng().stream("traffic"));
+    traffic::OpenLoopTraffic traffic(network, flows, scenario.packet_bytes,
+                                     sim::seconds_f(sim_s),
+                                     network.rng().stream("traffic"),
+                                     traffic::TrafficConfig{});
     network.start();
     traffic.start();
 

@@ -14,13 +14,13 @@ constexpr std::uint32_t kNoSeq = std::numeric_limits<std::uint32_t>::max();
 
 ReqRespTraffic::ReqRespTraffic(net::Network& network, std::vector<Flow> flows,
                                std::uint16_t packet_bytes, sim::Time stop,
-                               sim::RandomStream rng, double think_mean_s,
-                               double timeout_s, std::uint16_t request_bytes)
+                               sim::RandomStream rng,
+                               const TrafficConfig& cfg)
     : TrafficModel(network, std::move(flows), packet_bytes, stop,
                    std::move(rng)),
-      think_mean_s_(think_mean_s),
-      timeout_s_(timeout_s),
-      request_bytes_(request_bytes),
+      think_mean_s_(cfg.think_mean_s),
+      timeout_s_(cfg.timeout_s),
+      request_bytes_(cfg.request_bytes),
       awaiting_(flows_.size(), false),
       awaiting_req_seq_(flows_.size(), kNoSeq),
       expected_resp_seq_(flows_.size(), kNoSeq) {}

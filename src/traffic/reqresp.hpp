@@ -1,13 +1,14 @@
-// Closed-loop request/response traffic: each flow's source sends one small
-// request, the destination answers with a full-size response the moment the
-// request is delivered, and the source thinks (exponential mean `think`)
-// before the next request — or gives up after `timeout` seconds and
-// re-enters think.  Unlike every open-loop model, the offered load adapts
-// to what the network delivers, and *both* endpoints originate data, so
-// receiver-initiated discovery is exercised from both ends of the pair.
+// Closed-loop request/response traffic, the one generator besides the
+// open-loop OpenLoopTraffic (traffic_model.hpp): each flow's source sends
+// one small request, the destination answers with a full-size response the
+// moment the request is delivered, and the source thinks (exponential mean
+// `think`) before the next request — or gives up after `timeout` seconds
+// and re-enters think.  Unlike the open-loop models, the offered load
+// adapts to what the network delivers and ignores the flow rate, and
+// *both* endpoints originate data, so receiver-initiated discovery is
+// exercised from both ends of the pair.
 #pragma once
 
-#include <string_view>
 #include <vector>
 
 #include "traffic/traffic_model.hpp"
@@ -16,16 +17,14 @@ namespace rica::traffic {
 
 class ReqRespTraffic final : public TrafficModel {
  public:
+  /// Reads `think_mean_s`, `timeout_s` and `request_bytes` from `cfg`.
   ReqRespTraffic(net::Network& network, std::vector<Flow> flows,
                  std::uint16_t packet_bytes, sim::Time stop,
-                 sim::RandomStream rng, double think_mean_s, double timeout_s,
-                 std::uint16_t request_bytes);
+                 sim::RandomStream rng, const TrafficConfig& cfg);
 
   /// Arms every flow's first think period and hooks the network's delivery
   /// observer (the closed-loop feedback path).
   void start() override;
-
-  [[nodiscard]] std::string_view name() const override { return "reqresp"; }
 
  private:
   /// Draws a think gap and arms the next request (cancelling any pending

@@ -6,10 +6,6 @@
 #include <stdexcept>
 
 #include "net/network.hpp"
-#include "traffic/cbr.hpp"
-#include "traffic/onoff.hpp"
-#include "traffic/pareto.hpp"
-#include "traffic/poisson.hpp"
 #include "traffic/reqresp.hpp"
 #include "util/spec_parse.hpp"
 
@@ -61,34 +57,24 @@ void apply_param(TrafficConfig& cfg, const std::string& key,
       throw std::invalid_argument("unknown cbr param: " + key +
                                   " (known: jitter, pattern, hotspots)");
     case TrafficKind::kOnOff:
-      if (key == "on") {
-        cfg.on_mean_s = util::parse_spec_seconds(kDomain, key, value);
+    case TrafficKind::kPareto: {
+      if (key == "on" || key == "off") {
+        (key == "on" ? cfg.on_mean_s : cfg.off_mean_s) =
+            util::parse_spec_seconds(kDomain, key, value);
         return;
       }
-      if (key == "off") {
-        cfg.off_mean_s = util::parse_spec_seconds(kDomain, key, value);
-        return;
-      }
-      throw std::invalid_argument("unknown onoff param: " + key +
-                                  " (known: on, off, pattern, hotspots)");
-    case TrafficKind::kPareto:
-      if (key == "on") {
-        cfg.on_mean_s = util::parse_spec_seconds(kDomain, key, value);
-        return;
-      }
-      if (key == "off") {
-        cfg.off_mean_s = util::parse_spec_seconds(kDomain, key, value);
-        return;
-      }
-      if (key == "shape") {
+      const bool pareto = cfg.model == TrafficKind::kPareto;
+      if (pareto && key == "shape") {
         cfg.pareto_shape = parse_double(key, value);
         require(cfg.pareto_shape > 1.0, key,
                 "> 1 (the mean ON/OFF period must exist)");
         return;
       }
       throw std::invalid_argument(
-          "unknown pareto param: " + key +
-          " (known: on, off, shape, pattern, hotspots)");
+          "unknown " + std::string(to_string(cfg.model)) + " param: " + key +
+          (pareto ? " (known: on, off, shape, pattern, hotspots)"
+                  : " (known: on, off, pattern, hotspots)"));
+    }
     case TrafficKind::kReqResp:
       if (key == "think") {
         cfg.think_mean_s = util::parse_spec_seconds(kDomain, key, value);
@@ -313,12 +299,76 @@ void TrafficModel::emit(std::size_t flow_idx, net::NodeId src, net::NodeId dst,
   network_.node(src).originate(std::move(pkt));
 }
 
+OpenLoopTraffic::OpenLoopTraffic(net::Network& network,
+                                 std::vector<Flow> flows,
+                                 std::uint16_t packet_bytes, sim::Time stop,
+                                 sim::RandomStream rng,
+                                 const TrafficConfig& cfg)
+    : TrafficModel(network, std::move(flows), packet_bytes, stop,
+                   std::move(rng)),
+      cfg_(cfg),
+      phase_(flows_.size()) {}
+
 void OpenLoopTraffic::start() {
   for (std::size_t i = 0; i < flows_.size(); ++i) schedule_next(i);
 }
 
-std::uint16_t OpenLoopTraffic::next_packet_bytes(std::size_t) {
-  return packet_bytes_;
+double OpenLoopTraffic::period_s(double mean_s) {
+  if (cfg_.model == TrafficKind::kOnOff) return rng_.exponential(mean_s);
+  // Pareto with the given mean: scale x_m = mean * (a-1) / a.  Inverse-CDF
+  // with u in (0, 1]: uniform() returns [0, 1), so flip it to keep the
+  // draw finite.
+  const double a = cfg_.pareto_shape;
+  const double xm = mean_s * (a - 1.0) / a;
+  const double u = 1.0 - rng_.uniform();
+  return xm / std::pow(u, 1.0 / a);
+}
+
+double OpenLoopTraffic::next_gap_s(std::size_t flow_idx) {
+  const double rate = flows_[flow_idx].pkts_per_s;
+  FlowPhase& phase = phase_[flow_idx];
+  switch (cfg_.model) {
+    case TrafficKind::kPoisson:
+      return rng_.exponential(1.0 / rate);
+    case TrafficKind::kCbr: {
+      const double base = 1.0 / rate;
+      if (!phase.started) {
+        phase.started = true;
+        return base * rng_.uniform();  // phase offset in [0, base)
+      }
+      if (cfg_.cbr_jitter == 0.0) return base;
+      return base * (1.0 + cfg_.cbr_jitter * (2.0 * rng_.uniform() - 1.0));
+    }
+    case TrafficKind::kOnOff:
+    case TrafficKind::kPareto:
+      break;
+    case TrafficKind::kReqResp:
+      throw std::logic_error("reqresp is not an open-loop model");
+  }
+  // The burst carry loop: draw the in-burst gap; whenever it overruns the
+  // current ON period, ride out the remnant, insert an OFF silence, and
+  // carry the remainder into a fresh ON period.  (For onoff the carry is
+  // distribution-exact, since exponentials are memoryless; for pareto it
+  // keeps the train's phase.)
+  if (!phase.started) {
+    phase.started = true;
+    phase.on_left_s = period_s(cfg_.on_mean_s);
+  }
+  const double burst_rate =
+      rate * (cfg_.on_mean_s + cfg_.off_mean_s) / cfg_.on_mean_s;
+  double gap = cfg_.model == TrafficKind::kOnOff
+                   ? rng_.exponential(1.0 / burst_rate)
+                   : 1.0 / burst_rate;
+  double total = 0.0;
+  while (gap > phase.on_left_s) {
+    total += phase.on_left_s;
+    gap -= phase.on_left_s;
+    total += period_s(cfg_.off_mean_s);
+    phase.on_left_s = period_s(cfg_.on_mean_s);
+  }
+  phase.on_left_s -= gap;
+  total += gap;
+  return total;
 }
 
 void OpenLoopTraffic::schedule_next(std::size_t flow_idx) {
@@ -328,7 +378,7 @@ void OpenLoopTraffic::schedule_next(std::size_t flow_idx) {
   if (!gap || *gap >= stop_ - now) return;
   timers_[flow_idx].arm_at(network_.simulator(), now + *gap, [this, flow_idx] {
     const Flow& f = flows_[flow_idx];
-    emit(flow_idx, f.src, f.dst, next_packet_bytes(flow_idx));
+    emit(flow_idx, f.src, f.dst, packet_bytes_);
     schedule_next(flow_idx);
   });
 }
@@ -336,29 +386,14 @@ void OpenLoopTraffic::schedule_next(std::size_t flow_idx) {
 std::unique_ptr<TrafficModel> make_traffic_model(
     const TrafficConfig& cfg, net::Network& network, std::vector<Flow> flows,
     std::uint16_t packet_bytes, sim::Time stop, sim::RandomStream rng) {
-  switch (cfg.model) {
-    case TrafficKind::kPoisson:
-      return std::make_unique<PoissonTraffic>(network, std::move(flows),
-                                              packet_bytes, stop,
-                                              std::move(rng));
-    case TrafficKind::kCbr:
-      return std::make_unique<CbrTraffic>(network, std::move(flows),
-                                          packet_bytes, stop, std::move(rng),
-                                          cfg.cbr_jitter);
-    case TrafficKind::kOnOff:
-      return std::make_unique<OnOffTraffic>(network, std::move(flows),
+  if (cfg.model == TrafficKind::kReqResp) {
+    return std::make_unique<ReqRespTraffic>(network, std::move(flows),
                                             packet_bytes, stop, std::move(rng),
-                                            cfg.on_mean_s, cfg.off_mean_s);
-    case TrafficKind::kPareto:
-      return std::make_unique<ParetoTraffic>(
-          network, std::move(flows), packet_bytes, stop, std::move(rng),
-          cfg.on_mean_s, cfg.off_mean_s, cfg.pareto_shape);
-    case TrafficKind::kReqResp:
-      return std::make_unique<ReqRespTraffic>(
-          network, std::move(flows), packet_bytes, stop, std::move(rng),
-          cfg.think_mean_s, cfg.timeout_s, cfg.request_bytes);
+                                            cfg);
   }
-  throw std::invalid_argument("unknown traffic model kind");
+  return std::make_unique<OpenLoopTraffic>(network, std::move(flows),
+                                           packet_bytes, stop, std::move(rng),
+                                           cfg);
 }
 
 }  // namespace rica::traffic

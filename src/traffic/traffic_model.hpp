@@ -1,6 +1,6 @@
-// Pluggable traffic/workload subsystem: a common generator interface, the
-// selectable arrival models, and the flow-pattern axis that decides which
-// terminal pairs carry the load.
+// Pluggable traffic/workload subsystem: the selectable arrival models, the
+// flow-pattern axis that decides which terminal pairs carry the load, and
+// the two generators that drive them.
 //
 // The paper evaluates RICA under exactly one workload — Poisson arrivals on
 // random distinct terminal pairs (§III-A) — but the workload shape
@@ -9,6 +9,11 @@
 // demand (route-request aggregation, arXiv:1608.08725) stress discovery in
 // ways Poisson traffic never does.  Models are selected by a spec string
 // `model[:key=value,...]` mirroring the mobility subsystem's grammar.
+//
+// Two generators serve the five models.  OpenLoopTraffic (below) runs the
+// four open-loop arrival laws — poisson, cbr, onoff, pareto — which differ
+// only in how a flow's next inter-arrival gap is drawn.  ReqRespTraffic
+// (reqresp.hpp) is the closed loop, whose next send waits on delivery.
 //
 // Determinism contracts (the golden suite depends on both):
 //  1. Every random draw comes from the one RandomStream handed to the
@@ -147,8 +152,8 @@ struct TrafficConfig {
                                            sim::RandomStream& rng);
 
 /// Workload generator for a whole network: owns the flows, per-flow
-/// sequence numbers, and one pending timer per flow.  Concrete models
-/// decide when each flow's next packet leaves and how large it is.
+/// sequence numbers, and one pending timer per flow.  Concrete generators
+/// decide when each flow's next packet leaves.
 class TrafficModel {
  public:
   TrafficModel(net::Network& network, std::vector<Flow> flows,
@@ -161,10 +166,6 @@ class TrafficModel {
   /// Arms the first arrival of every flow (in flow-id order, so the draw
   /// sequence is independent of event-queue internals).
   virtual void start() = 0;
-
-  [[nodiscard]] virtual std::string_view name() const = 0;
-
-  [[nodiscard]] const std::vector<Flow>& flows() const { return flows_; }
 
  protected:
   /// Originates one packet of flow `flow_idx` from `src` toward `dst`.
@@ -182,25 +183,46 @@ class TrafficModel {
   sim::RandomStream rng_;
 };
 
-/// Open-loop models: each flow is an autonomous arrival process described
-/// entirely by a per-flow next-gap draw (plus an optional per-packet size).
-/// The base runs the arm/emit/rearm loop; subclasses only draw.
-class OpenLoopTraffic : public TrafficModel {
+/// The open-loop models (`cfg.model` poisson, cbr, onoff or pareto): each
+/// flow is an autonomous arrival process of scenario-size packets, and the
+/// models differ only in next_gap_s().
+///  - poisson: exponential gaps at the flow rate (the paper's workload).
+///  - cbr: a constant gap 1/rate with optional uniform jitter.  Each flow
+///    starts at a uniform random phase inside its first gap so flows never
+///    tick in lockstep (which would synchronize MAC contention).
+///  - onoff: exponential ON and OFF periods, Poisson arrivals inside a
+///    burst.  A burst arriving on a cold route floods discovery, then the
+///    route idles out during OFF.
+///  - pareto: Pareto ON and OFF periods (tail index `pareto_shape`) and a
+///    constant spacing inside a burst: the classic self-similar workload.
+/// The burst models send at rate * (on + off) / on during ON, so every
+/// model offers the scenario's time-averaged load.
+class OpenLoopTraffic final : public TrafficModel {
  public:
-  using TrafficModel::TrafficModel;
+  OpenLoopTraffic(net::Network& network, std::vector<Flow> flows,
+                  std::uint16_t packet_bytes, sim::Time stop,
+                  sim::RandomStream rng, const TrafficConfig& cfg);
 
   void start() override;
 
- protected:
+ private:
+  /// Per-flow state: cbr's first gap is its phase offset, and the burst
+  /// models carry the unused rest of the current ON period.
+  struct FlowPhase {
+    bool started = false;
+    double on_left_s = 0.0;  ///< remaining time in the current ON period
+  };
+
   /// Gap to this flow's next arrival, seconds.  Draws from rng_ happen in
   /// event-execution order, which is what keeps runs bit-reproducible.
-  [[nodiscard]] virtual double next_gap_s(std::size_t flow_idx) = 0;
-
-  /// Payload of the flow's next packet (default: the scenario size).
-  [[nodiscard]] virtual std::uint16_t next_packet_bytes(std::size_t flow_idx);
-
- private:
+  [[nodiscard]] double next_gap_s(std::size_t flow_idx);
+  /// An ON or OFF period with mean `mean_s`: exponential for onoff, Pareto
+  /// for pareto.
+  [[nodiscard]] double period_s(double mean_s);
   void schedule_next(std::size_t flow_idx);
+
+  TrafficConfig cfg_;
+  std::vector<FlowPhase> phase_;
 };
 
 /// Builds the model selected by `cfg.model`.  `rng` should be the

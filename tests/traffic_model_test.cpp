@@ -17,8 +17,6 @@
 #include "net/network.hpp"
 #include "routing/aodv/aodv.hpp"
 #include "stats/metrics.hpp"
-#include "traffic/cbr.hpp"
-#include "traffic/poisson.hpp"
 #include "traffic/reqresp.hpp"
 #include "traffic/traffic_model.hpp"
 
@@ -306,8 +304,11 @@ std::unique_ptr<net::Network> tiny_network(std::uint64_t seed) {
 TEST(CbrTrafficTest, ZeroJitterTicksAtExactlyTheRate) {
   auto net = tiny_network(7);
   std::vector<traffic::Flow> flows{{0, 0, 3, 10.0}};
-  traffic::CbrTraffic gen(*net, flows, 512, sim::seconds(100),
-                          net->rng().stream("traffic"), /*jitter=*/0.0);
+  traffic::TrafficConfig tcfg;
+  tcfg.model = traffic::TrafficKind::kCbr;
+  tcfg.cbr_jitter = 0.0;
+  traffic::OpenLoopTraffic gen(*net, flows, 512, sim::seconds(100),
+                               net->rng().stream("traffic"), tcfg);
   gen.start();
   net->simulator().run_until(sim::seconds(100));
   // One random phase offset in [0, 0.1), then a packet every 100 ms: 1000
@@ -318,8 +319,11 @@ TEST(CbrTrafficTest, ZeroJitterTicksAtExactlyTheRate) {
 TEST(CbrTrafficTest, JitterPreservesTheMeanRate) {
   auto net = tiny_network(8);
   std::vector<traffic::Flow> flows{{0, 0, 3, 10.0}};
-  traffic::CbrTraffic gen(*net, flows, 512, sim::seconds(100),
-                          net->rng().stream("traffic"), /*jitter=*/0.5);
+  traffic::TrafficConfig tcfg;
+  tcfg.model = traffic::TrafficKind::kCbr;
+  tcfg.cbr_jitter = 0.5;
+  traffic::OpenLoopTraffic gen(*net, flows, 512, sim::seconds(100),
+                               net->rng().stream("traffic"), tcfg);
   gen.start();
   net->simulator().run_until(sim::seconds(100));
   // Gaps are U[0.05, 0.15] s (mean 0.1): ~1000 arrivals, sd ~ sqrt(n)*cv.
@@ -357,10 +361,10 @@ TEST(ParetoTrafficTest, HeavyTailsStillPreserveTheOfferedLoad) {
 TEST(ReqRespTrafficTest, ClosesTheLoopAndBothEndpointsOriginate) {
   auto net = tiny_network(9);
   std::vector<traffic::Flow> flows{{0, 0, 3, 10.0}};
+  const auto tcfg =
+      traffic::parse_traffic_spec("reqresp:think=0.2,timeout=2,req=64");
   traffic::ReqRespTraffic gen(*net, flows, 512, sim::seconds(60),
-                              net->rng().stream("traffic"),
-                              /*think_mean_s=*/0.2, /*timeout_s=*/2.0,
-                              /*request_bytes=*/64);
+                              net->rng().stream("traffic"), tcfg);
   gen.start();
   net->simulator().run_until(sim::seconds(60));
   const auto& m = net->metrics();
@@ -392,10 +396,10 @@ TEST(ReqRespTrafficTest, LoadAdaptsToWhatTheNetworkDelivers) {
   }
   net.start();
   std::vector<traffic::Flow> flows{{0, 0, 1, 10.0}};
+  const auto tcfg =
+      traffic::parse_traffic_spec("reqresp:think=0.1,timeout=1,req=64");
   traffic::ReqRespTraffic gen(net, flows, 512, sim::seconds(50),
-                              net.rng().stream("traffic"),
-                              /*think_mean_s=*/0.1, /*timeout_s=*/1.0,
-                              /*request_bytes=*/64);
+                              net.rng().stream("traffic"), tcfg);
   gen.start();
   net.simulator().run_until(sim::seconds(50));
   // ~1 request per (think + timeout) ~ 45 over 50 s — nowhere near the
@@ -415,10 +419,10 @@ TEST(ReqRespTrafficTest, HugeLegalMeanEndsTheFlowInsteadOfOverflowing) {
     flows.push_back({i, i % 4, (i + 1) % 4, 10.0});
   }
   const std::size_t idle_events = net->simulator().pending_events();
+  const auto tcfg =
+      traffic::parse_traffic_spec("reqresp:think=9e9,timeout=2,req=64");
   traffic::ReqRespTraffic gen(*net, flows, 512, sim::seconds(10),
-                              net->rng().stream("traffic"),
-                              /*think_mean_s=*/9e9, /*timeout_s=*/2.0,
-                              /*request_bytes=*/64);
+                              net->rng().stream("traffic"), tcfg);
   gen.start();
   EXPECT_EQ(net->simulator().pending_events(), idle_events);
   net->simulator().run_until(sim::seconds(10));

@@ -7,7 +7,7 @@
 #include "net/network.hpp"
 #include "routing/aodv/aodv.hpp"
 #include "stats/metrics.hpp"
-#include "traffic/poisson.hpp"
+#include "traffic/traffic_model.hpp"
 
 namespace rica {
 namespace {
@@ -57,8 +57,9 @@ TEST(PoissonTraffic, GeneratesApproximatelyRateTimesTime) {
   }
   net.start();
   std::vector<traffic::Flow> flows{{0, 0, 3, 10.0}};
-  traffic::PoissonTraffic gen(net, flows, 512, sim::seconds(100),
-                              net.rng().stream("traffic"));
+  traffic::OpenLoopTraffic gen(net, flows, 512, sim::seconds(100),
+                               net.rng().stream("traffic"),
+                               traffic::TrafficConfig{});
   gen.start();
   net.simulator().run_until(sim::seconds(100));
   // 10 pkt/s over 100 s: expect ~1000 +- 5 sigma (~sqrt(1000)*5 ~ 160).
@@ -78,8 +79,9 @@ TEST(PoissonTraffic, StopsAtStopTime) {
   }
   net.start();
   std::vector<traffic::Flow> flows{{0, 0, 3, 50.0}};
-  traffic::PoissonTraffic gen(net, flows, 512, sim::seconds(2),
-                              net.rng().stream("traffic"));
+  traffic::OpenLoopTraffic gen(net, flows, 512, sim::seconds(2),
+                               net.rng().stream("traffic"),
+                               traffic::TrafficConfig{});
   gen.start();
   net.simulator().run_until(sim::seconds(10));
   const auto generated = net.metrics().generated();
