@@ -255,6 +255,13 @@ void validate_scenario(const ScenarioConfig& cfg) {
   check_time_field("warmup_s", cfg.warmup_s);
   check_time_field("sample_dt_s", cfg.sample_dt_s);
   check_time_field("pause_s", cfg.pause_s);
+  // A flow's mean gap is 1/pkts_per_s: a non-positive or NaN rate never
+  // ends a gap, and past kMaxPktsPerS the gap is below the 1 ns tick.
+  if (!(cfg.pkts_per_s > 0.0 && cfg.pkts_per_s <= traffic::kMaxPktsPerS)) {
+    throw std::invalid_argument("pkts_per_s = " + fmt_m(cfg.pkts_per_s) +
+                                " is outside (0, " +
+                                fmt_m(traffic::kMaxPktsPerS) + "] pkt/s");
+  }
   if (cfg.warmup_s > 0.0 && cfg.warmup_s >= cfg.sim_s) {
     throw std::invalid_argument(
         "warmup (" + fmt_m(cfg.warmup_s) +

@@ -132,8 +132,8 @@ struct ScenarioPreset {
 /// Validates a scenario before any expensive construction: population
 /// bounds (0 < num_nodes <= 2^24, mirroring the Network's node-id packing
 /// limit), every time field (sim, warmup, sample period, pause) within
-/// sim::Time's range, the measurement window (0 <= warmup < sim time), and
-/// the flight-recorder pairing.  Throws std::invalid_argument with a
+/// sim::Time's range, the measurement window (0 <= warmup < sim time), the
+/// offered load (0 < pkts_per_s <= 1e9), and the flight-recorder pairing.  Throws std::invalid_argument with a
 /// message naming the offending value; run_scenario calls this first, so
 /// every entry point fails identically before a network is built.
 void validate_scenario(const ScenarioConfig& cfg);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
 #include <stdexcept>
 
@@ -125,6 +126,16 @@ void require_population(bool ok, std::string_view pattern,
         std::string(need) + " (got " + std::to_string(num_pairs) +
         " pair(s) over " + std::to_string(num_nodes) + " node(s))");
   }
+}
+
+/// Throws unless `rate` (pkt/s) is in (0, kMaxPktsPerS]; the negated test
+/// also rejects NaN.
+void require_rate(std::uint32_t flow, const char* what, double rate) {
+  if (rate > 0.0 && rate <= kMaxPktsPerS) return;
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "flow %u %s = %g pkt/s is outside (0, %g]",
+                static_cast<unsigned>(flow), what, rate, kMaxPktsPerS);
+  throw std::invalid_argument(buf);
 }
 
 }  // namespace
@@ -307,7 +318,22 @@ OpenLoopTraffic::OpenLoopTraffic(net::Network& network,
     : TrafficModel(network, std::move(flows), packet_bytes, stop,
                    std::move(rng)),
       cfg_(cfg),
-      phase_(flows_.size()) {}
+      phase_(flows_.size()) {
+  if (cfg_.model == TrafficKind::kReqResp) {
+    throw std::invalid_argument(
+        "reqresp is the closed-loop model; build it with ReqRespTraffic");
+  }
+  const bool burst =
+      cfg_.model == TrafficKind::kOnOff || cfg_.model == TrafficKind::kPareto;
+  for (const Flow& f : flows_) {
+    require_rate(f.id, "rate", f.pkts_per_s);
+    if (burst) {
+      require_rate(f.id, "burst rate",
+                   f.pkts_per_s * (cfg_.on_mean_s + cfg_.off_mean_s) /
+                       cfg_.on_mean_s);
+    }
+  }
+}
 
 void OpenLoopTraffic::start() {
   for (std::size_t i = 0; i < flows_.size(); ++i) schedule_next(i);
@@ -341,9 +367,8 @@ double OpenLoopTraffic::next_gap_s(std::size_t flow_idx) {
     }
     case TrafficKind::kOnOff:
     case TrafficKind::kPareto:
+    case TrafficKind::kReqResp:  // rejected by the constructor
       break;
-    case TrafficKind::kReqResp:
-      throw std::logic_error("reqresp is not an open-loop model");
   }
   // The burst carry loop: draw the in-burst gap; whenever it overruns the
   // current ON period, ride out the remnant, insert an OFF silence, and

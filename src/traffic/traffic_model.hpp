@@ -43,6 +43,10 @@ class Network;
 
 namespace rica::traffic {
 
+/// The highest flow (or in-burst) packet rate, pkt/s: its mean gap is one
+/// 1 ns clock tick.
+inline constexpr double kMaxPktsPerS = 1e9;
+
 /// One unidirectional application flow.
 struct Flow {
   std::uint32_t id = 0;
@@ -199,6 +203,10 @@ class TrafficModel {
 /// model offers the scenario's time-averaged load.
 class OpenLoopTraffic final : public TrafficModel {
  public:
+  /// Throws std::invalid_argument, naming the value, when `cfg.model` is
+  /// reqresp or a flow's rate (or, for onoff and pareto, its burst rate)
+  /// is outside (0, kMaxPktsPerS]: such a gap is zero, negative or NaN and
+  /// would stall the run.
   OpenLoopTraffic(net::Network& network, std::vector<Flow> flows,
                   std::uint16_t packet_bytes, sim::Time stop,
                   sim::RandomStream rng, const TrafficConfig& cfg);

@@ -756,6 +756,34 @@ TEST(ValidateScenario, RejectsTimesOutsideTheNanosecondRange) {
   EXPECT_NO_THROW(validate_scenario(cfg));
 }
 
+TEST(ValidateScenario, RejectsOfferedLoadOutsideTheRange) {
+  // Each of these hung the run (or silently generated nothing): the mean
+  // gap 1/rate is negative, infinite, NaN or below the 1 ns clock tick.
+  const std::pair<double, const char*> bad[] = {
+      {-5.0, "-5"},
+      {0.0, "= 0 "},
+      {1e300, "1e+300"},
+      {std::numeric_limits<double>::quiet_NaN(), "nan"},
+      {std::numeric_limits<double>::infinity(), "inf"},
+      {1.5e9, "1.5e+09"}};
+  for (const auto& [rate, shown] : bad) {
+    ScenarioConfig cfg;
+    cfg.pkts_per_s = rate;
+    const auto msg = validation_error(cfg);
+    EXPECT_NE(msg.find("pkts_per_s"), std::string::npos)
+        << rate << ": " << msg;
+    EXPECT_NE(msg.find(shown), std::string::npos) << rate << ": " << msg;
+  }
+  // The range's edges: 1e9 pkt/s and a slow trickle are legal, for every
+  // model (reqresp ignores the rate but obeys the same rule).
+  ScenarioConfig cfg;
+  cfg.pkts_per_s = 1e9;
+  EXPECT_NO_THROW(validate_scenario(cfg));
+  cfg.pkts_per_s = 1e-3;
+  cfg.traffic = "reqresp";
+  EXPECT_NO_THROW(validate_scenario(cfg));
+}
+
 TEST(InstallProtocols, LinkStateStartsFromTheAccurateTimeZeroView) {
   // §III-A: every link-state terminal starts with the topology as each
   // terminal senses it at t = 0, its own row included.

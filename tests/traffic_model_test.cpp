@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -427,6 +428,66 @@ TEST(ReqRespTrafficTest, HugeLegalMeanEndsTheFlowInsteadOfOverflowing) {
   EXPECT_EQ(net->simulator().pending_events(), idle_events);
   net->simulator().run_until(sim::seconds(10));
   EXPECT_EQ(net->metrics().generated(), 0u);
+}
+
+// Captures make_traffic_model's exception message ("" when it builds).
+std::string model_error(const std::string& spec, double rate) {
+  auto net = tiny_network(11);
+  std::vector<traffic::Flow> flows{{0, 0, 3, 10.0}, {1, 1, 2, rate}};
+  try {
+    (void)traffic::make_traffic_model(traffic::parse_traffic_spec(spec), *net,
+                                      flows, 512, sim::seconds(1),
+                                      net->rng().stream("traffic"));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(OpenLoopTraffic, RejectsRatesWhoseGapNeverEnds) {
+  // Each of these hung the run or generated nothing before the check.
+  for (const std::string spec : {"poisson", "cbr", "onoff", "pareto"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_EQ(model_error(spec, 10.0), "");
+    // The edge: 5e8 pkt/s bursts at exactly 1e9 under on=off.
+    EXPECT_EQ(model_error(spec, 5e8), "");
+    EXPECT_EQ(model_error(spec, -5.0),
+              "flow 1 rate = -5 pkt/s is outside (0, 1e+09]");
+    EXPECT_EQ(model_error(spec, 0.0),
+              "flow 1 rate = 0 pkt/s is outside (0, 1e+09]");
+    EXPECT_EQ(model_error(spec, 1e300),
+              "flow 1 rate = 1e+300 pkt/s is outside (0, 1e+09]");
+    EXPECT_NE(model_error(spec, std::numeric_limits<double>::quiet_NaN())
+                  .find("rate = nan"),
+              std::string::npos);
+  }
+}
+
+TEST(OpenLoopTraffic, RejectsBurstRatesWhoseGapNeverEnds) {
+  // A 1e-300 s ON period overflows the burst rate to inf, so every
+  // in-burst gap was 0 and the ON period never drained.
+  EXPECT_EQ(model_error("onoff:on=1e-300,off=1e9", 10.0),
+            "flow 0 burst rate = inf pkt/s is outside (0, 1e+09]");
+  EXPECT_EQ(model_error("pareto:on=1e-300,off=1e9", 10.0),
+            "flow 0 burst rate = inf pkt/s is outside (0, 1e+09]");
+  // A legal flow rate can still burst past the 1 ns tick: 1e8 x (1+99)/1.
+  EXPECT_NE(model_error("onoff:on=1,off=99", 1e8).find("flow 1 burst rate"),
+            std::string::npos);
+  // Without bursts the flow rate itself may reach the edge.
+  EXPECT_EQ(model_error("poisson", 1e9), "");
+  EXPECT_EQ(model_error("cbr", 1e9), "");
+}
+
+TEST(OpenLoopTraffic, RejectsTheClosedLoopModel) {
+  auto net = tiny_network(12);
+  traffic::TrafficConfig tcfg;
+  tcfg.model = traffic::TrafficKind::kReqResp;
+  EXPECT_THROW(traffic::OpenLoopTraffic(*net, {{0, 0, 3, 10.0}}, 512,
+                                        sim::seconds(1),
+                                        net->rng().stream("traffic"), tcfg),
+               std::invalid_argument);
+  // make_traffic_model routes reqresp to its own generator instead.
+  EXPECT_EQ(model_error("reqresp", 10.0), "");
 }
 
 // ---------------------------------------------------------------------------
