@@ -92,6 +92,21 @@ TEST(TrafficSpec, UnknownKeyListsTheKnownKeys) {
     EXPECT_NE(msg.find("jitter"), std::string::npos) << msg;
     EXPECT_NE(msg.find("pattern"), std::string::npos) << msg;
   }
+  // onoff and pareto share one parser case; each still lists only its own
+  // keys, so shape stays pareto-only.
+  const auto error_of = [](const char* spec) -> std::string {
+    try {
+      (void)traffic::parse_traffic_spec(spec);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of("onoff:shape=2"),
+            "unknown onoff param: shape (known: on, off, pattern, hotspots)");
+  EXPECT_EQ(error_of("pareto:foo=1"),
+            "unknown pareto param: foo (known: on, off, shape, pattern, "
+            "hotspots)");
 }
 
 TEST(TrafficSpec, ModelScopedParamsParse) {
@@ -102,6 +117,8 @@ TEST(TrafficSpec, ModelScopedParamsParse) {
   EXPECT_DOUBLE_EQ(onoff.off_mean_s, 2.0);
   const auto pareto =
       traffic::parse_traffic_spec("pareto:on=1,off=3,shape=1.4");
+  EXPECT_DOUBLE_EQ(pareto.on_mean_s, 1.0);
+  EXPECT_DOUBLE_EQ(pareto.off_mean_s, 3.0);
   EXPECT_DOUBLE_EQ(pareto.pareto_shape, 1.4);
   const auto rr =
       traffic::parse_traffic_spec("reqresp:think=0.5,timeout=3,req=128");
