@@ -24,6 +24,7 @@
 #include "harness/sweep.hpp"
 #include "harness/table.hpp"
 #include "mobility/mobility_model.hpp"
+#include "sim/event_engine.hpp"
 
 namespace {
 
@@ -31,12 +32,12 @@ using namespace rica;
 
 /// One sub-figure: 7(a), 7(b), ... in table order.
 struct Fig7Metric {
-  const char* title;  ///< human title fragment for the printed figure
+  std::string title;  ///< human title fragment for the printed figure
   int precision;
   double (*get)(const harness::ScenarioResult&);
 };
 
-constexpr Fig7Metric kMetrics[] = {
+const Fig7Metric kMetrics[] = {
     {"packet delivery (%)", 1,
      [](const harness::ScenarioResult& r) { return r.delivery_pct; }},
     {"end-to-end delay (ms)", 1,
@@ -51,8 +52,9 @@ constexpr Fig7Metric kMetrics[] = {
      [](const harness::ScenarioResult& r) {
        return r.stat("kernel.peak_pending");
      }},
-    {"event closures spilled past the 128 B inline buffer"
-     " (heap_fallbacks, all trials)",
+    {"event closures spilled past the " +
+         std::to_string(sim::EventEngine::kInlineBytes) +
+         " B inline buffer (heap_fallbacks, all trials)",
      0,
      [](const harness::ScenarioResult& r) {
        return r.stat("kernel.heap_fallbacks");
