@@ -60,8 +60,8 @@ void apply_param(TrafficConfig& cfg, const std::string& key,
     case TrafficKind::kOnOff:
     case TrafficKind::kPareto: {
       if (key == "on" || key == "off") {
-        (key == "on" ? cfg.on_mean_s : cfg.off_mean_s) =
-            util::parse_spec_seconds(kDomain, key, value);
+        double& mean_s = key == "on" ? cfg.on_mean_s : cfg.off_mean_s;
+        mean_s = util::parse_spec_seconds(kDomain, key, value);
         return;
       }
       const bool pareto = cfg.model == TrafficKind::kPareto;
@@ -328,9 +328,7 @@ OpenLoopTraffic::OpenLoopTraffic(net::Network& network,
   for (const Flow& f : flows_) {
     require_rate(f.id, "rate", f.pkts_per_s);
     if (burst) {
-      require_rate(f.id, "burst rate",
-                   f.pkts_per_s * (cfg_.on_mean_s + cfg_.off_mean_s) /
-                       cfg_.on_mean_s);
+      require_rate(f.id, "burst rate", burst_rate(f.pkts_per_s));
     }
   }
 }
@@ -379,11 +377,10 @@ double OpenLoopTraffic::next_gap_s(std::size_t flow_idx) {
     phase.started = true;
     phase.on_left_s = period_s(cfg_.on_mean_s);
   }
-  const double burst_rate =
-      rate * (cfg_.on_mean_s + cfg_.off_mean_s) / cfg_.on_mean_s;
+  const double burst = burst_rate(rate);
   double gap = cfg_.model == TrafficKind::kOnOff
-                   ? rng_.exponential(1.0 / burst_rate)
-                   : 1.0 / burst_rate;
+                   ? rng_.exponential(1.0 / burst)
+                   : 1.0 / burst;
   double total = 0.0;
   while (gap > phase.on_left_s) {
     total += phase.on_left_s;

@@ -227,6 +227,11 @@ class OpenLoopTraffic final : public TrafficModel {
   /// An ON or OFF period with mean `mean_s`: exponential for onoff, Pareto
   /// for pareto.
   [[nodiscard]] double period_s(double mean_s);
+  /// The in-burst rate that keeps a burst model's time-averaged load at
+  /// `rate`.
+  [[nodiscard]] double burst_rate(double rate) const {
+    return rate * (cfg_.on_mean_s + cfg_.off_mean_s) / cfg_.on_mean_s;
+  }
   void schedule_next(std::size_t flow_idx);
 
   TrafficConfig cfg_;
