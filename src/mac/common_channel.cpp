@@ -1,5 +1,6 @@
 #include "mac/common_channel.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -76,25 +77,30 @@ sim::Time CommonChannelMac::random_backoff(NodeState& st) {
   return sim::Time{static_cast<std::int64_t>(st.rng.uniform(lo, hi))};
 }
 
-bool CommonChannelMac::on_air(NodeState& st, sim::Time now) {
-  std::erase_if(st.active, [now](const ActiveRx& a) { return a.end <= now; });
-  return !st.active.empty();
+bool CommonChannelMac::on_air(const NodeState& st, sim::Time now) {
+  return st.busy_until > now;
 }
 
-bool CommonChannelMac::medium_busy(NodeState& st, sim::Time now) {
+bool CommonChannelMac::medium_busy(const NodeState& st, sim::Time now) {
   return st.transmitting || on_air(st, now);
 }
 
 bool CommonChannelMac::land(NodeState& st, ActiveRx rx, sim::Time now) {
-  // Every entry that survives the expiry started at or before `now` and ends
-  // after it, while the new frame starts at `now` and ends later: a strict
-  // overlap.  Frames that merely touch (end == now) have been dropped.
-  const bool collided = on_air(st, now);
-  for (const ActiveRx& a : st.active) {
-    if (a.slot != kOwnSlot) nodes_[a.sender].rx_collided[a.slot] = true;
+  if (!on_air(st, now)) {
+    // Idle: every earlier frame ended at or before `now`, so the new one
+    // overlaps nothing yet.
+    st.lone = rx;
+    st.busy_until = rx.end;
+    return false;
   }
-  st.active.push_back(rx);
-  return collided;
+  // Busy: a frame still on the air started at or before `now` and ends
+  // after it, a strict overlap.  Every such frame but the lone one landed
+  // on a busy node and is already marked.
+  if (st.lone.end > now && st.lone.slot != kOwnSlot) {
+    nodes_[st.lone.sender].rx_collided[st.lone.slot] = true;
+  }
+  st.busy_until = std::max(st.busy_until, rx.end);
+  return true;
 }
 
 void CommonChannelMac::attempt(net::NodeId id) {

@@ -12,11 +12,14 @@
 //   * bounded per-node control queue: drop-tail under overload — this is the
 //     mechanism behind the paper's link-state congestion collapse.
 //
-// Both collision and carrier-sense state are kept per node as the short list
-// of frames covering it right now (`active`, the node's own transmission
-// included).  When a frame lands on a node, entries that ended by then are
-// dropped; if any remain, they and the new frame strictly overlap, so every
-// one of them is marked collided.  Each in-flight transmission holds one
+// Both collision and carrier-sense state are kept per node in two fields:
+// `busy_until`, the latest end among the frames covering it (the node's own
+// transmission included), and `lone`, the last frame that landed on it while
+// it was idle.  A frame that lands on a busy node is collided, and so is the
+// lone frame if it is still on the air; a frame that lands on an idle node
+// starts uncollided and becomes the new lone frame.  At most one lone frame
+// is live per node, because the node stays busy until it ends, so a landing
+// and a carrier sense are O(1).  Each in-flight transmission holds one
 // `rx_collided` flag per receiver, which end-of-tx reads instead of scanning
 // the node's history.  DESIGN.md §13 shows why this equals the interval
 // overlap rule; tests/mac_diff_test.cpp checks it against the old scan.
@@ -106,9 +109,12 @@ class CommonChannelMac {
     /// attempt is scheduled (its armed() state replaces the old
     /// attempt_pending flag).
     sim::Timer attempt_timer;
-    /// Frames covering this node that had not ended at its last landing or
-    /// carrier sense; entries with end <= now are dropped lazily.
-    std::vector<ActiveRx> active;
+    /// The latest end among the frames covering this node: it senses a
+    /// carrier while busy_until > now.
+    sim::Time busy_until;
+    /// The last frame that landed while the node was idle: the only frame
+    /// covering it that can still be uncollided.
+    ActiveRx lone;
     // In-flight transmission state, valid while `transmitting` (half duplex:
     // one tx at a time).  Keeping it here — not in the end-of-tx closure —
     // is what lets that closure capture just [this, id], and `tx_receivers`
@@ -129,10 +135,10 @@ class CommonChannelMac {
                      const net::ControlPacket& pkt);
   void start_tx(net::NodeId id);
   void end_of_tx(net::NodeId id);
-  /// Drops the frames covering `st` that ended by `now`; true if any remain.
-  static bool on_air(NodeState& st, sim::Time now);
+  /// True while a frame covering `st` is on the air.
+  static bool on_air(const NodeState& st, sim::Time now);
   /// Carrier sense: transmitting, or a frame covering the node on the air.
-  [[nodiscard]] static bool medium_busy(NodeState& st, sim::Time now);
+  [[nodiscard]] static bool medium_busy(const NodeState& st, sim::Time now);
   /// A frame lands on `st` at `now`: any frame still covering it collides
   /// with the new one, both ways.  Returns whether the new frame collided.
   bool land(NodeState& st, ActiveRx rx, sim::Time now);
