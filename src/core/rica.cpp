@@ -13,7 +13,7 @@ constexpr std::uint8_t kTagCheck = 2;
 }  // namespace
 
 RicaProtocol::RicaProtocol(routing::ProtocolHost& host, const RicaConfig& cfg)
-    : Protocol(host), cfg_(cfg) {}
+    : Protocol(host), cfg_(cfg), history_(host.flood_log(), host.id()) {}
 
 sim::Time RicaProtocol::now() const {
   return const_cast<RicaProtocol*>(this)->host().simulator().now();

@@ -173,7 +173,7 @@ class RicaProtocol final : public routing::Protocol {
   [[nodiscard]] sim::Time forward_jitter(channel::CsiClass cls);
 
   RicaConfig cfg_;
-  routing::HistoryTable history_;
+  routing::FloodHistory history_;
   util::FlatMap64<SourceState> sources_;
   util::FlatMap64<RelayState> relays_;
   util::FlatMap64<DestState> dests_;

@@ -32,12 +32,13 @@ Network::Network(const NetworkConfig& cfg)
       rng_(cfg.seed),
       mobility_(cfg.num_nodes, cfg.mobility, rng_),
       channel_(cfg.channel, mobility_, rng_),
-      common_mac_(sim_, channel_, rng_, metrics_, cfg.common_mac) {
+      common_mac_(sim_, channel_, rng_, metrics_, cfg.common_mac),
+      flood_log_(cfg.num_nodes) {
   nodes_.reserve(cfg.num_nodes);
   for (std::size_t i = 0; i < cfg.num_nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>(
-        static_cast<NodeId>(i), sim_, channel_, common_mac_, metrics_,
-        cfg.link, rng_.stream("protocol", i)));
+        static_cast<NodeId>(i), sim_, channel_, common_mac_, flood_log_,
+        metrics_, cfg.link, rng_.stream("protocol", i)));
   }
   for (auto& node : nodes_) {
     node->set_peer_delivery([this](NodeId to, DataPacket pkt, NodeId from) {

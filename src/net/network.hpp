@@ -12,6 +12,7 @@
 #include "mobility/mobility_model.hpp"
 #include "net/node.hpp"
 #include "obs/registry.hpp"
+#include "routing/flood_log.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "stats/metrics.hpp"
@@ -47,6 +48,7 @@ class Network {
   mobility::MobilityManager& mobility() { return mobility_; }
   channel::ChannelModel& channel() { return channel_; }
   mac::CommonChannelMac& common_mac() { return common_mac_; }
+  routing::FloodLog& flood_log() { return flood_log_; }
   stats::MetricsCollector& metrics() { return metrics_; }
   [[nodiscard]] const sim::RngManager& rng() const { return rng_; }
   [[nodiscard]] const NetworkConfig& config() const { return cfg_; }
@@ -60,7 +62,7 @@ class Network {
   [[nodiscard]] std::size_t pool_high_water() const;
 
   /// Max open-addressing table occupancy across all nodes (routing tables,
-  /// history tables, link tables).
+  /// link tables) and the shared flood log's index.
   [[nodiscard]] double table_load() const;
 
   /// Data packets currently buffered across every node's link queues (the
@@ -87,6 +89,8 @@ class Network {
   channel::ChannelModel channel_;
   stats::MetricsCollector metrics_;
   mac::CommonChannelMac common_mac_;
+  /// Every terminal's flood history; outlives the nodes (declared first).
+  routing::FloodLog flood_log_;
   std::vector<std::unique_ptr<Node>> nodes_;
 };
 

@@ -6,12 +6,14 @@
 namespace rica::net {
 
 Node::Node(NodeId id, sim::Simulator& sim, channel::ChannelModel& channel,
-           mac::CommonChannelMac& common_mac, stats::MetricsCollector& metrics,
-           const mac::LinkConfig& link_cfg, sim::RandomStream rng)
+           mac::CommonChannelMac& common_mac, routing::FloodLog& flood_log,
+           stats::MetricsCollector& metrics, const mac::LinkConfig& link_cfg,
+           sim::RandomStream rng)
     : id_(id),
       sim_(sim),
       channel_(channel),
       common_mac_(common_mac),
+      flood_log_(flood_log),
       metrics_(metrics),
       rng_(std::move(rng)),
       links_(id, sim, channel, metrics, link_cfg) {

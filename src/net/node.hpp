@@ -27,8 +27,9 @@ class Node final : public routing::ProtocolHost {
   using DeliveryObserverFn = std::function<void(const DataPacket&)>;
 
   Node(NodeId id, sim::Simulator& sim, channel::ChannelModel& channel,
-       mac::CommonChannelMac& common_mac, stats::MetricsCollector& metrics,
-       const mac::LinkConfig& link_cfg, sim::RandomStream rng);
+       mac::CommonChannelMac& common_mac, routing::FloodLog& flood_log,
+       stats::MetricsCollector& metrics, const mac::LinkConfig& link_cfg,
+       sim::RandomStream rng);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -75,6 +76,7 @@ class Node final : public routing::ProtocolHost {
   [[nodiscard]] NodeId id() const override { return id_; }
   sim::Simulator& simulator() override { return sim_; }
   sim::RandomStream& protocol_rng() override { return rng_; }
+  routing::FloodLog& flood_log() override { return flood_log_; }
   void send_control(ControlPacket pkt) override;
   std::optional<channel::CsiClass> link_csi(NodeId neighbor) override;
   const channel::LinkRow& link_row() override;
@@ -97,6 +99,7 @@ class Node final : public routing::ProtocolHost {
   sim::Simulator& sim_;
   channel::ChannelModel& channel_;
   mac::CommonChannelMac& common_mac_;
+  routing::FloodLog& flood_log_;
   stats::MetricsCollector& metrics_;
   sim::RandomStream rng_;
   mac::LinkTransmitter links_;

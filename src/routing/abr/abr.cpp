@@ -21,7 +21,7 @@ bool better_candidate(std::uint32_t a_ticks, std::uint32_t a_load,
 }  // namespace
 
 AbrProtocol::AbrProtocol(ProtocolHost& host, const AbrConfig& cfg)
-    : Protocol(host), cfg_(cfg) {}
+    : Protocol(host), cfg_(cfg), history_(host.flood_log(), host.id()) {}
 
 sim::Time AbrProtocol::now() const {
   return const_cast<AbrProtocol*>(this)->host().simulator().now();

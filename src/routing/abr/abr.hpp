@@ -99,7 +99,7 @@ class AbrProtocol final : public Protocol {
   [[nodiscard]] sim::Time now() const;
 
   AbrConfig cfg_;
-  HistoryTable history_;
+  FloodHistory history_;
   sim::Timer beacon_timer_;  ///< the node-wide periodic beacon
   util::FlatMap64<Neighbor> neighbors_;
   util::FlatMap64<Entry> entries_;

@@ -10,7 +10,7 @@ constexpr std::uint8_t kTagRreq = 1;
 }  // namespace
 
 AodvProtocol::AodvProtocol(ProtocolHost& host, const AodvConfig& cfg)
-    : Protocol(host), cfg_(cfg) {}
+    : Protocol(host), cfg_(cfg), history_(host.flood_log(), host.id()) {}
 
 sim::Time AodvProtocol::now() const {
   // ProtocolHost::simulator() is non-const; reading the clock is logically

@@ -62,7 +62,7 @@ class AodvProtocol final : public Protocol {
   void flush_pending(net::NodeId dst);
 
   AodvConfig cfg_;
-  HistoryTable history_;
+  FloodHistory history_;
   util::FlatMap64<Route> routes_;         // dst -> entry
   ReversePaths reverse_;
   util::FlatMap64<SourceDiscovery> discovery_;  // dst -> state

@@ -11,7 +11,7 @@ constexpr std::uint8_t kTagLq = 2;
 }  // namespace
 
 BgcaProtocol::BgcaProtocol(ProtocolHost& host, const BgcaConfig& cfg)
-    : Protocol(host), cfg_(cfg) {}
+    : Protocol(host), cfg_(cfg), history_(host.flood_log(), host.id()) {}
 
 sim::Time BgcaProtocol::now() const {
   return const_cast<BgcaProtocol*>(this)->host().simulator().now();

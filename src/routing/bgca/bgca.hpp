@@ -99,7 +99,7 @@ class BgcaProtocol final : public Protocol {
   [[nodiscard]] sim::Time forward_jitter(channel::CsiClass cls);
 
   BgcaConfig cfg_;
-  HistoryTable history_;
+  FloodHistory history_;
   sim::Timer monitor_timer_;  ///< the periodic bandwidth-guard sweep
   util::FlatMap64<Entry> entries_;
   util::FlatMap64<SourceDiscovery> sources_;

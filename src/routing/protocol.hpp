@@ -23,6 +23,8 @@
 
 namespace rica::routing {
 
+class FloodLog;
+
 /// Services a node offers to its routing protocol.
 class ProtocolHost {
  public:
@@ -36,6 +38,10 @@ class ProtocolHost {
 
   /// Per-node random stream for protocol jitter decisions.
   virtual sim::RandomStream& protocol_rng() = 0;
+
+  /// The network's flood log, which holds this terminal's history table
+  /// (routing/flood_log.hpp).
+  virtual FloodLog& flood_log() = 0;
 
   /// Queues a control packet on the common channel (CSMA/CA applies).
   virtual void send_control(net::ControlPacket pkt) = 0;

@@ -1,10 +1,9 @@
 // Shared building blocks for the on-demand protocols (RICA, BGCA, ABR,
-// AODV): the RREQ/BQ history table (§II-B: "checks whether it has seen this
-// packet before by looking up its history table"), the pending-packet
-// buffer, and the §II-B discovery skeleton the four protocols share — the
-// source's retry policy, the destination's candidate window, the relays'
-// reverse paths, and the repair hold.  DESIGN.md §15 describes the policy
-// and its order.
+// AODV): the RREQ/BQ history table (a view of the network's flood log,
+// routing/flood_log.hpp), the pending-packet buffer, and the §II-B
+// discovery skeleton the four protocols share — the source's retry policy,
+// the destination's candidate window, the relays' reverse paths, and the
+// repair hold.  DESIGN.md §15 describes the policy and its order.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +16,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "routing/flood_log.hpp"
 #include "routing/protocol.hpp"
 #include "sim/time.hpp"
 #include "sim/timer.hpp"
@@ -36,44 +36,6 @@ inline constexpr int kMaxDiscoveryAttempts = 3;
 inline constexpr std::int16_t kDiscoveryTtl = 16;
 /// How long a destination collects the copies of one flood.
 inline constexpr sim::Time kDestWait = sim::milliseconds(40);
-
-/// Records which broadcast packets (keyed by origin and broadcast id) this
-/// terminal has already processed, so floods are forwarded exactly once.
-class HistoryTable {
- public:
-  /// Returns true if (origin, bid) was already recorded; otherwise records
-  /// it and returns false.  Scoped by a small tag so different packet kinds
-  /// (RREQ vs CSI check vs LQ) never collide.
-  bool seen_or_insert(net::NodeId origin, std::uint32_t bid,
-                      std::uint8_t tag = 0) {
-    return !seen_.insert(key(origin, bid, tag));
-  }
-
-  /// True if (origin, bid) was already recorded; records nothing.  Lets a
-  /// relay drop a duplicate before it pays for anything else (e.g. a CSI
-  /// sample), while a copy it then rejects stays unrecorded.
-  [[nodiscard]] bool seen(net::NodeId origin, std::uint32_t bid,
-                          std::uint8_t tag = 0) const {
-    return seen_.contains(key(origin, bid, tag));
-  }
-
-  void clear() { seen_.clear(); }
-  [[nodiscard]] std::size_t size() const { return seen_.size(); }
-  [[nodiscard]] double load_factor() const { return seen_.load_factor(); }
-
- private:
-  // Node ids are small (< 2^24, enforced at node construction), so
-  // (tag, origin, bid) packs losslessly.
-  static std::uint64_t key(net::NodeId origin, std::uint32_t bid,
-                           std::uint8_t tag) {
-    return ((static_cast<std::uint64_t>(tag) << 24 |
-             static_cast<std::uint64_t>(origin))
-            << 32) |
-           bid;
-  }
-
-  util::FlatSet64 seen_;
-};
 
 /// FIFO buffer holding data packets while a route is discovered/repaired.
 /// Enforces a capacity and the paper's 3-second residency bound.

@@ -3,7 +3,7 @@
 // Every per-node routing table in the stack (route entries, reverse paths,
 // discovery state, RREQ/BQ upstreams, per-link queues) is keyed by a value
 // that packs losslessly into 64 bits: a NodeId, a FlowKey (src << 32 | dst),
-// or a (tag, origin, bid) history key — node ids are bounded below 2^24 at
+// or an (origin, bid) flood key — node ids are bounded below 2^24 at
 // construction (net::kMaxNodes), so all of these fit with room to spare.
 // std::unordered_map spends a pointer chase plus an allocation per entry on
 // such keys; these tables instead probe a flat power-of-two index with
@@ -23,9 +23,6 @@
 // recycled LIFO), which is a pure function of the operation sequence —
 // deterministic replay of a run reproduces the exact iteration order, which
 // the golden stream hashes pin down.
-//
-// FlatSet64 is the index alone (no values, no erase): membership with
-// insert/clear, which is all the flood-dedup history table needs.
 #pragma once
 
 #include <cassert>
@@ -306,71 +303,6 @@ class FlatMap64 {
   std::uint32_t node_count_ = 0;
   std::size_t size_ = 0;
   std::size_t tombstones_ = 0;
-};
-
-/// Flat membership set over packed 64-bit keys: insert and clear only (the
-/// flood-dedup history table never erases single keys).  ~0ull is reserved
-/// as the empty-bucket sentinel — unreachable for real keys because node
-/// ids are bounded below 2^24 (net::kMaxNodes).
-class FlatSet64 {
- public:
-  static constexpr std::uint64_t kEmptyKey = ~0ull;
-
-  /// Inserts `key`; returns true when it was newly added.
-  bool insert(std::uint64_t key) {
-    assert(key != kEmptyKey && "FlatSet64: key collides with the sentinel");
-    if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) grow();
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = detail::probe_start(key, mask);; i = (i + 1) & mask) {
-      if (slots_[i] == kEmptyKey) {
-        slots_[i] = key;
-        ++size_;
-        return true;
-      }
-      if (slots_[i] == key) return false;
-    }
-  }
-
-  [[nodiscard]] bool contains(std::uint64_t key) const {
-    if (slots_.empty()) return false;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = detail::probe_start(key, mask);; i = (i + 1) & mask) {
-      if (slots_[i] == kEmptyKey) return false;
-      if (slots_[i] == key) return true;
-    }
-  }
-
-  void clear() {
-    slots_.assign(slots_.size(), kEmptyKey);
-    size_ = 0;
-  }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] double load_factor() const {
-    return slots_.empty()
-               ? 0.0
-               : static_cast<double>(size_) /
-                     static_cast<double>(slots_.size());
-  }
-  [[nodiscard]] std::size_t index_capacity() const { return slots_.size(); }
-
- private:
-  static constexpr std::size_t kInitialSlots = 32;
-
-  void grow() {
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(old.empty() ? kInitialSlots : old.size() * 2, kEmptyKey);
-    const std::size_t mask = slots_.size() - 1;
-    for (const std::uint64_t key : old) {
-      if (key == kEmptyKey) continue;
-      std::size_t i = detail::probe_start(key, mask);
-      while (slots_[i] != kEmptyKey) i = (i + 1) & mask;
-      slots_[i] = key;
-    }
-  }
-
-  std::vector<std::uint64_t> slots_;
-  std::size_t size_ = 0;
 };
 
 }  // namespace rica::util

@@ -10,6 +10,7 @@
 
 #include "channel/channel_model.hpp"
 #include "mobility/mobility_model.hpp"
+#include "routing/flood_log.hpp"
 #include "routing/protocol.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -18,7 +19,7 @@ namespace rica::test {
 
 class MockHost : public routing::ProtocolHost {
  public:
-  explicit MockHost(net::NodeId id) : id_(id), rng_(42) {}
+  explicit MockHost(net::NodeId id) : id_(id), rng_(42), flood_log_(id + 1) {}
 
   // -- scripting -------------------------------------------------------------
   /// Sets the CSI class this host measures toward `neighbor`.
@@ -69,6 +70,7 @@ class MockHost : public routing::ProtocolHost {
   [[nodiscard]] net::NodeId id() const override { return id_; }
   sim::Simulator& simulator() override { return sim_; }
   sim::RandomStream& protocol_rng() override { return rng_; }
+  routing::FloodLog& flood_log() override { return flood_log_; }
   void send_control(net::ControlPacket pkt) override {
     sent.push_back(SentControl{std::move(pkt), sim_.now()});
   }
@@ -107,6 +109,7 @@ class MockHost : public routing::ProtocolHost {
   net::NodeId id_;
   sim::Simulator sim_;
   sim::RandomStream rng_;
+  routing::FloodLog flood_log_;  ///< holds this host's history only
   std::map<net::NodeId, channel::CsiClass> links_;
   channel::LinkRow row_;  ///< link_row's result
 };

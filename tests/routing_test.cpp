@@ -33,30 +33,6 @@ constexpr net::FlowKey kFlow = net::flow_key(kSrc, kDst);
 // Shared tables
 // ---------------------------------------------------------------------------
 
-TEST(HistoryTable, DetectsDuplicates) {
-  HistoryTable h;
-  EXPECT_FALSE(h.seen_or_insert(3, 7));
-  EXPECT_TRUE(h.seen_or_insert(3, 7));
-  EXPECT_FALSE(h.seen_or_insert(3, 8));
-  EXPECT_FALSE(h.seen_or_insert(4, 7));
-}
-
-TEST(HistoryTable, TagsSeparateNamespaces) {
-  HistoryTable h;
-  EXPECT_FALSE(h.seen_or_insert(3, 7, 1));
-  EXPECT_FALSE(h.seen_or_insert(3, 7, 2));
-  EXPECT_TRUE(h.seen_or_insert(3, 7, 1));
-}
-
-TEST(HistoryTable, SeenLooksUpWithoutRecording) {
-  HistoryTable h;
-  EXPECT_FALSE(h.seen(3, 7, 1));
-  EXPECT_FALSE(h.seen(3, 7, 1));  // the lookup recorded nothing
-  EXPECT_FALSE(h.seen_or_insert(3, 7, 1));
-  EXPECT_TRUE(h.seen(3, 7, 1));
-  EXPECT_FALSE(h.seen(3, 7, 2));
-}
-
 TEST(PendingBuffer, CapacityEnforced) {
   PendingBuffer buf(2, sim::seconds(3));
   EXPECT_TRUE(buf.push(make_data(1, 2, 0), sim::Time::zero()));
