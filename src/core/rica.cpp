@@ -272,7 +272,7 @@ void RicaProtocol::broadcast_check(net::FlowKey flow) {
   if (now() - d.last_data > cfg_.flow_active_timeout) {
     return;  // flow went idle; the timer stays disarmed (§II-C)
   }
-  const std::uint32_t bid = d.next_check_bid++;
+  const std::uint32_t bid = next_check_bid_++;
   history_.seen_or_insert(net::flow_dst(flow), bid, kTagCheck);
   net::CsiCheckMsg msg;
   msg.src = net::flow_src(flow);

@@ -132,7 +132,6 @@ class RicaProtocol final : public routing::Protocol {
     /// Goes quiet (fires once more, then stays disarmed) when the flow
     /// idles past flow_active_timeout.
     sim::Timer check_timer;
-    std::uint32_t next_check_bid = 1;
     sim::Time last_data{};
     std::uint16_t route_hops = 4;  ///< TTL basis, refreshed by delivered data
     routing::CandidateWindow<Candidate> rreqs;  ///< RREQ collection window
@@ -179,6 +178,11 @@ class RicaProtocol final : public routing::Protocol {
   util::FlatMap64<DestState> dests_;
   routing::ReversePaths rreq_upstream_;
   std::uint32_t next_bid_ = 1;
+  /// CSI checks are keyed (destination, bid) in the flood history, so every
+  /// flow this terminal is the destination of draws from one counter: a
+  /// per-flow counter gave two flows' checks the same key, and relays
+  /// dropped the second as a duplicate of the first.
+  std::uint32_t next_check_bid_ = 1;
 };
 
 }  // namespace rica::core

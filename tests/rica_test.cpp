@@ -459,6 +459,35 @@ TEST_F(RicaDestTest, CheckBroadcastIdsIncrease) {
   EXPECT_LT(bids[0], bids[1]);
 }
 
+// Two flows into one destination: their checks must carry distinct flood
+// keys, or a relay takes the second flow's first check for a duplicate of
+// the first's and the second route never refreshes.
+TEST_F(RicaDestTest, RelayForwardsFirstCheckOfEveryFlowToOneDestination) {
+  constexpr net::NodeId kOtherSrc = 2;
+  proto_.handle_data(make_data(kSrc, kDst), 7);
+  proto_.handle_data(make_data(kOtherSrc, kDst), 7);
+  host_.sim().run_until(sim::milliseconds(1100));
+  std::vector<net::CsiCheckMsg> checks;
+  for (const auto& s : host_.sent) {
+    if (const auto* c = std::get_if<net::CsiCheckMsg>(&s.pkt.payload)) {
+      checks.push_back(*c);
+    }
+  }
+  ASSERT_EQ(checks.size(), 2u);  // each flow's first check
+  EXPECT_NE(checks[0].src, checks[1].src);
+
+  MockHost relay_host(5);
+  relay_host.set_link(kDst, CsiClass::A);
+  RicaProtocol relay(relay_host);
+  for (const auto& c : checks) {
+    relay.on_control(net::make_control(net::kBroadcastId, c), kDst);
+  }
+  relay_host.sim().run_until(sim::milliseconds(50));
+  EXPECT_EQ(relay_host.sent_count<net::CsiCheckMsg>(), 2u);
+  EXPECT_EQ(relay.check_candidate(net::flow_key(kSrc, kDst)), kDst);
+  EXPECT_EQ(relay.check_candidate(net::flow_key(kOtherSrc, kDst)), kDst);
+}
+
 // ---------------------------------------------------------------------------
 // History before CSI: a relay's duplicate never samples the channel
 // ---------------------------------------------------------------------------
