@@ -305,11 +305,14 @@ class RepairHold {
     }
   }
 
-  /// The repair failed: the flow's fresh packets drop as kLinkBreak.
+  /// The repair failed: the flow's fresh packets drop as kLinkBreak, and
+  /// the ones past their residency as kExpired.
   void discard(ProtocolHost& host, net::FlowKey flow) {
     if (auto it = held_.find(flow); it != held_.end()) {
-      for (const auto& p :
-           it->second.take_fresh(host.simulator().now(), nullptr)) {
+      for (const auto& p : it->second.take_fresh(
+               host.simulator().now(), [&host](const net::DataPacket& p) {
+                 host.drop_data(p, stats::DropReason::kExpired);
+               })) {
         host.drop_data(p, stats::DropReason::kLinkBreak);
       }
     }

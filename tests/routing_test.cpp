@@ -102,6 +102,22 @@ TEST(ReversePaths, RemembersUpstreamPerOriginAndBid) {
   EXPECT_FALSE(r.find(2, 8).has_value());
 }
 
+TEST(RepairHold, DiscardRecordsExpiredAndFreshPackets) {
+  MockHost host(5);
+  RepairHold hold;
+  hold.hold(host, make_data(kSrc, kDst, 0));
+  host.sim().run_until(sim::seconds(2));
+  hold.hold(host, make_data(kSrc, kDst, 1));
+  host.sim().run_until(sim::milliseconds(3500));
+  hold.discard(host, kFlow);
+  // seq 0 has waited 3.5 s, past its 3 s residency; seq 1 only 1.5 s.
+  ASSERT_EQ(host.dropped.size(), 2u);
+  EXPECT_EQ(host.dropped[0].first.seq, 0u);
+  EXPECT_EQ(host.dropped[0].second, stats::DropReason::kExpired);
+  EXPECT_EQ(host.dropped[1].first.seq, 1u);
+  EXPECT_EQ(host.dropped[1].second, stats::DropReason::kLinkBreak);
+}
+
 // ---------------------------------------------------------------------------
 // Source discovery, one policy for RICA, BGCA, ABR and AODV
 // ---------------------------------------------------------------------------
