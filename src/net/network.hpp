@@ -48,7 +48,6 @@ class Network {
   mobility::MobilityManager& mobility() { return mobility_; }
   channel::ChannelModel& channel() { return channel_; }
   mac::CommonChannelMac& common_mac() { return common_mac_; }
-  routing::FloodLog& flood_log() { return flood_log_; }
   stats::MetricsCollector& metrics() { return metrics_; }
   [[nodiscard]] const sim::RngManager& rng() const { return rng_; }
   [[nodiscard]] const NetworkConfig& config() const { return cfg_; }

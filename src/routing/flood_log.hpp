@@ -56,12 +56,12 @@ class FloodLog {
   }
 
   /// Floods indexed so far.
-  [[nodiscard]] std::size_t floods() const { return keys_.size(); }
+  [[nodiscard]] std::size_t floods() const { return floods_; }
 
   /// Index occupancy (floods over probe capacity), kept below 3/4.
   [[nodiscard]] double load_factor() const {
     return slots_.empty() ? 0.0
-                          : static_cast<double>(floods()) /
+                          : static_cast<double>(floods_) /
                                 static_cast<double>(slots_.size());
   }
 
@@ -105,19 +105,19 @@ class FloodLog {
 
   /// Indexes a new flood with no terminal's bit set; `k` must be absent.
   std::uint32_t insert(std::uint64_t k) {
-    if ((keys_.size() + 1) * 4 > slots_.size() * 3) {
-      rehash(slots_.empty() ? kInitialSlots : slots_.size() * 2);
-    }
-    const auto flood = static_cast<std::uint32_t>(keys_.size());
-    keys_.push_back(k);
+    if ((floods_ + 1) * 4 > slots_.size() * 3) grow();
+    const auto flood = static_cast<std::uint32_t>(floods_++);
     bits_.resize(bits_.size() + words_, 0);
     place(k, flood);
     return flood;
   }
 
-  void rehash(std::size_t cap) {
-    slots_.assign(cap, Slot{});
-    for (std::uint32_t f = 0; f < keys_.size(); ++f) place(keys_[f], f);
+  void grow() {
+    const std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? kInitialSlots : old.size() * 2, Slot{});
+    for (const Slot& s : old) {
+      if (s.flood_plus_one != 0) place(s.key, s.flood_plus_one - 1);
+    }
   }
 
   void place(std::uint64_t k, std::uint32_t flood) {
@@ -128,9 +128,9 @@ class FloodLog {
   }
 
   std::size_t num_nodes_;
-  std::size_t words_;              ///< ⌈num_nodes / 64⌉ bit words per flood
-  std::vector<Slot> slots_;        ///< open-addressing index, a power of two
-  std::vector<std::uint64_t> keys_;  ///< each flood's key, for rehashing
+  std::size_t words_;        ///< ⌈num_nodes / 64⌉ bit words per flood
+  std::size_t floods_ = 0;
+  std::vector<Slot> slots_;  ///< open-addressing index, a power of two
   std::vector<std::uint64_t> bits_;  ///< flood-major: words_ per flood
 };
 
