@@ -178,10 +178,10 @@ class RicaProtocol final : public routing::Protocol {
   util::FlatMap64<DestState> dests_;
   routing::ReversePaths rreq_upstream_;
   std::uint32_t next_bid_ = 1;
-  /// CSI checks are keyed (destination, bid) in the flood history, so every
-  /// flow this terminal is the destination of draws from one counter: a
-  /// per-flow counter gave two flows' checks the same key, and relays
-  /// dropped the second as a duplicate of the first.
+  /// CSI checks are keyed (destination, bid) in the flood history, so the
+  /// checks of every flow this terminal terminates draw from one counter:
+  /// two flows' checks sharing a key would make relays drop the second as a
+  /// duplicate of the first.
   std::uint32_t next_check_bid_ = 1;
 };
 
