@@ -271,8 +271,8 @@ void BM_FullStackMetro(benchmark::State& state) {
 BENCHMARK(BM_FullStackMetro)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The static link-state row: half a second of the metro preset at 0 km/h
-// under LinkState, where the t = 0 topology install and the periodic link
-// sensing over a frozen channel carry the work.  BM_FullStackMetro runs
+// under LinkState, where the t = 0 topology install, each terminal's first
+// link sensing and its first SPF carry the work.  BM_FullStackMetro runs
 // RICA at the preset speed, so it never takes the static path.
 void BM_FullStackMetroLinkState(benchmark::State& state) {
   std::uint64_t events = 0;

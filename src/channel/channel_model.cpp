@@ -24,6 +24,10 @@ ChannelModel::ChannelModel(const ChannelConfig& cfg,
 
 bool ChannelModel::in_range(std::uint32_t a, std::uint32_t b, sim::Time t) {
   if (a == b) return false;
+  if (frozen_) {
+    const auto [lo, hi] = std::minmax(a, b);
+    if (pairs_.find(pair_key(lo, hi)) != pairs_.end()) return true;
+  }
   if (cfg_.use_neighbor_index) {
     index_.ensure_fresh(t);
     // Snapshot prefilter: provably-distant pairs skip the exact mobility

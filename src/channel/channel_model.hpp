@@ -82,7 +82,9 @@ class ChannelModel {
   ChannelModel(const ChannelConfig& cfg, mobility::MobilityManager& mobility,
                const sim::RngManager& rng);
 
-  /// True if a and b are within transmission range at time t.
+  /// True if a and b are within transmission range at time t.  In a static
+  /// network a pair that has been sampled is in range (pairs are only
+  /// created in range), so only unsampled pairs pay the distance check.
   [[nodiscard]] bool in_range(std::uint32_t a, std::uint32_t b, sim::Time t);
 
   /// Samples the (symmetric) channel between a and b at time t.  Returns
@@ -119,6 +121,10 @@ class ChannelModel {
   /// index equivalence tests and the micro-benchmarks.
   [[nodiscard]] std::vector<std::uint32_t> neighbors_of_bruteforce(
       std::uint32_t node, sim::Time t);
+
+  /// True when no node ever moves (max_speed_mps() <= 0): every pair's
+  /// first sample and every node's first `links_of` row are final.
+  [[nodiscard]] bool frozen() const { return frozen_; }
 
   [[nodiscard]] const ChannelConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t num_nodes() const { return mobility_.size(); }

@@ -80,6 +80,9 @@ class Node final : public routing::ProtocolHost {
   void send_control(ControlPacket pkt) override;
   std::optional<channel::CsiClass> link_csi(NodeId neighbor) override;
   const channel::LinkRow& link_row() override;
+  [[nodiscard]] bool links_final() const override {
+    return channel_.frozen();
+  }
   void forward_data(DataPacket pkt, NodeId next_hop) override;
   void deliver_local(const DataPacket& pkt) override;
   void drop_data(const DataPacket& pkt, stats::DropReason reason) override;

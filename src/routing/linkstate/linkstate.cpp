@@ -1,14 +1,28 @@
 #include "routing/linkstate/linkstate.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
-#include <queue>
 #include <utility>
 
 namespace rica::routing {
 
 namespace {
 const LinkStateProtocol::AdjacencyRow kNoLinks;
+
+/// Minimum spacing between Dijkstra recomputations (SPF hold-down, as in
+/// deployed link-state routers).  Between recomputations a terminal forwards
+/// on its previous tree even though newer LSUs have arrived — with
+/// per-second CSI churn this is precisely what lets neighbouring terminals
+/// disagree and routing loops form (§III-B).
+constexpr sim::Time kSpfHold = sim::milliseconds(3000);
+
+/// CSI hop distances (csi.hpp) in exact thirds: 1, 5/3, 10/3 and 5.
+constexpr std::array<std::uint32_t, 4> kCost = {3, 5, 10, 15};
+/// Dial's circular buckets: more than the largest edge cost, so a bucket
+/// never holds two distances at once.
+constexpr std::uint32_t kBuckets = 16;
+static_assert(kCost.back() < kBuckets);
 }  // namespace
 
 LinkStateProtocol::LinkStateProtocol(ProtocolHost& host,
@@ -26,6 +40,7 @@ void LinkStateProtocol::install_topology(const Topology& topology) {
     view_[i] = i < rows.size() ? &rows[i] : &kNoLinks;
   }
   ++view_version_;
+  resume_sensing();  // a stopped tick must compare the new own row
   host().trace_route("topology_install", host().id(), 0, 0,
                      static_cast<double>(view_.size()));
 }
@@ -54,8 +69,9 @@ void LinkStateProtocol::start() {
   const auto phase = sim::Time{static_cast<std::int64_t>(
       host().protocol_rng().uniform(
           0.0, static_cast<double>(cfg_.sense_period.nanos())))};
-  sense_timer_.arm_after(host().simulator(), phase,
-                         [this] { sense_links(); });
+  first_tick_ = host().simulator().now() + phase;
+  sense_timer_.arm_at(host().simulator(), first_tick_,
+                      [this] { sense_links(); });
 }
 
 void LinkStateProtocol::sense_links() {
@@ -65,9 +81,21 @@ void LinkStateProtocol::sense_links() {
     owned_row(host().id()) = row;
     ++view_version_;
     flood_own_row();
+  } else if (host().links_final()) {
+    return;  // every later tick would compare these same rows
   }
   sense_timer_.arm_after(host().simulator(), cfg_.sense_period,
                          [this] { sense_links(); });
+}
+
+void LinkStateProtocol::resume_sensing() {
+  const sim::Time now = host().simulator().now();
+  if (sense_timer_.armed() || first_tick_ > now) return;
+  const std::int64_t ticks =
+      (now - first_tick_).nanos() / cfg_.sense_period.nanos() + 1;
+  sense_timer_.arm_at(host().simulator(),
+                      first_tick_ + cfg_.sense_period * ticks,
+                      [this] { sense_links(); });
 }
 
 void LinkStateProtocol::flood_own_row() {
@@ -97,38 +125,55 @@ void LinkStateProtocol::on_lsu(const net::LsuMsg& msg, net::NodeId from) {
 void LinkStateProtocol::recompute_if_stale() {
   if (routes_version_ == view_version_) return;
   const sim::Time now = host().simulator().now();
-  if (spf_ever_ran_ && now - last_spf_ < cfg_.spf_hold) {
+  if (spf_ever_ran_ && now - last_spf_ < kSpfHold) {
     return;  // SPF hold-down: keep forwarding on the previous tree
   }
   spf_ever_ran_ = true;
   last_spf_ = now;
   routes_version_ = view_version_;
+  host().count("ls.spf_runs");
 
   // Dijkstra with CSI hop-distance costs over the (possibly stale) view.
-  // Edges are taken as advertised by the tail terminal's row.
+  // Edges are taken as advertised by the tail terminal's row.  The costs
+  // are whole thirds, so Dial's bucket queue replaces the binary heap:
+  // bucket t % 16 collects the nodes reached at t thirds, and it is complete
+  // when the scan reaches it, because every edge costs at least 3.  Path
+  // sums stay in double, as before: 5/3 + 5/3 + 5/3 != 5 in double, so two
+  // paths of equal thirds can differ in their last bit, and that bit has
+  // always decided which one wins.  Sorting a bucket by (double sum, id)
+  // therefore settles nodes in exactly the heap's pop order, and every
+  // relaxation compares the same doubles, so the tree is the heap's tree.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t n = cfg_.num_nodes;
   std::vector<double> dist(n, kInf);
   std::vector<net::NodeId> first_hop(n, kNoNextHop);
   using Item = std::pair<double, net::NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  std::array<std::vector<Item>, kBuckets> buckets;
 
   const net::NodeId self = host().id();
   dist[self] = 0.0;
-  heap.emplace(0.0, self);
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d > dist[u]) continue;
-    for (const auto& [v, cls] : *view_[u]) {
-      if (v >= n) continue;
-      const double nd = d + channel::csi_hop_distance(cls);
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        first_hop[v] = u == self ? v : first_hop[u];
-        heap.emplace(nd, v);
+  buckets[0].emplace_back(0.0, self);
+  std::size_t queued = 1;
+  for (std::uint32_t thirds = 0; queued > 0; ++thirds) {
+    auto& bucket = buckets[thirds % kBuckets];
+    if (bucket.empty()) continue;
+    queued -= bucket.size();
+    std::sort(bucket.begin(), bucket.end());
+    for (const auto [d, u] : bucket) {
+      if (d > dist[u]) continue;  // reached again more cheaply since
+      for (const auto& [v, cls] : *view_[u]) {
+        if (v >= n) continue;
+        const double nd = d + channel::csi_hop_distance(cls);
+        if (nd < dist[v]) {
+          dist[v] = nd;
+          first_hop[v] = u == self ? v : first_hop[u];
+          const auto cost = kCost[static_cast<std::size_t>(cls)];
+          buckets[(thirds + cost) % kBuckets].emplace_back(nd, v);
+          ++queued;
+        }
       }
     }
+    bucket.clear();
   }
   next_hop_ = std::move(first_hop);
 }
@@ -173,6 +218,8 @@ void LinkStateProtocol::on_link_break(net::NodeId neighbor,
     own.erase(own.begin() + (it - row.begin()));
     ++view_version_;
     flood_own_row();
+    // The sensed row no longer matches: the next tick restores the link.
+    resume_sensing();
   }
 }
 

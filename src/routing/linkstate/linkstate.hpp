@@ -7,7 +7,10 @@
 //     through the common channel;
 //   * forwarding runs Dijkstra over the terminal's *current* view with
 //     CSI hop-distance costs (the paper notes Dijkstra's preference for
-//     high-throughput links, Fig. 5(a));
+//     high-throughput links, Fig. 5(a)), on Dial's bucket queue keyed by
+//     the costs' exact thirds (DESIGN.md §14);
+//   * in a static network a node's sensed row is final, so sensing stops
+//     once it matches the view and resumes only after a link break.
 //   * under mobility, flooding saturates the common channel, LSUs collide
 //     and queue-drop, views diverge, and routing loops form — producing the
 //     paper's delay/delivery collapse and the inflated hop counts of
@@ -29,12 +32,6 @@ namespace rica::routing {
 struct LinkStateConfig {
   std::size_t num_nodes = 50;
   sim::Time sense_period = sim::milliseconds(150);
-  /// Minimum spacing between Dijkstra recomputations (SPF hold-down, as in
-  /// deployed link-state routers).  Between recomputations a terminal
-  /// forwards on its previous tree even though newer LSUs have arrived —
-  /// with per-second CSI churn this is precisely what lets neighbouring
-  /// terminals disagree and routing loops form (§III-B).
-  sim::Time spf_hold = sim::milliseconds(3000);
 };
 
 class LinkStateProtocol final : public Protocol {
@@ -90,12 +87,17 @@ class LinkStateProtocol final : public Protocol {
   /// on; the first write copies the shared snapshot row.
   AdjacencyRow& owned_row(net::NodeId origin);
   void sense_links();
+  /// Re-arms sensing that a frozen channel stopped: at the next tick of this
+  /// node's grid (first_tick_ + k * sense_period) after now.
+  void resume_sensing();
   void flood_own_row();
   void recompute_if_stale();
   void on_lsu(const net::LsuMsg& msg, net::NodeId from);
 
   LinkStateConfig cfg_;
   sim::Timer sense_timer_;  ///< the periodic link-sensing tick
+  /// When the first tick fires; sim::Time::max() before start().
+  sim::Time first_tick_ = sim::Time::max();
   /// The shared t = 0 snapshot.  Read only through std::as_const: the
   /// non-const operator[] would detach a private copy of every row.
   Topology snapshot_;

@@ -56,6 +56,10 @@ class ProtocolHost {
   /// knowledge).  Valid until the next call.
   virtual const channel::LinkRow& link_row() = 0;
 
+  /// True when link_row() can never change again: the channel is frozen (no
+  /// node moves), so the first row sensed is final.
+  [[nodiscard]] virtual bool links_final() const = 0;
+
   /// Queues a data packet on the link buffer toward `next_hop`.
   virtual void forward_data(net::DataPacket pkt, net::NodeId next_hop) = 0;
 

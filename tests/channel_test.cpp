@@ -478,6 +478,67 @@ TEST_F(ChannelFixture, StaticRowsAreFinalAndMatchAFreshFirstRow) {
   EXPECT_EQ(channel_.draws(), draws);
 }
 
+/// `in_range` after every pair has been sampled at t = 0, against a fresh
+/// same-seed model (no pairs, so it answers from the distance) at 0, 1 and
+/// 60 s.  A static channel answers sampled pairs from its pair cache; a
+/// moving one must not, because its pairs drift out of range.
+class InRangeAfterSampling : public ::testing::TestWithParam<bool> {};
+
+TEST_P(InRangeAfterSampling, MatchesAFreshDistanceCheck) {
+  constexpr std::size_t kNodes = 30;
+  const bool moving = GetParam();
+  mobility::MobilityConfig wp;
+  wp.field = mobility::Field{1000.0, 1000.0};
+  wp.max_speed_mps = moving ? 20.0 : 0.0;
+  const sim::RngManager rng(17);
+  mobility::MobilityManager mobility(kNodes, wp, rng);
+  ChannelModel channel(ChannelConfig{}, mobility, rng);
+  ASSERT_EQ(channel.frozen(), !moving);
+  for (std::uint32_t a = 0; a < kNodes; ++a) {
+    for (std::uint32_t b = a + 1; b < kNodes; ++b) {
+      (void)channel.sample(a, b, sim::Time::zero());
+    }
+  }
+  ASSERT_GT(channel.live_pairs(), 0u);
+  std::vector<bool> at_zero(kNodes * kNodes);
+  {
+    mobility::MobilityManager fresh_mobility(kNodes, wp, rng);
+    ChannelModel fresh(ChannelConfig{}, fresh_mobility, rng);
+    for (std::uint32_t a = 0; a < kNodes; ++a) {
+      for (std::uint32_t b = 0; b < kNodes; ++b) {
+        at_zero[a * kNodes + b] = fresh.in_range(a, b, sim::Time::zero());
+      }
+    }
+  }
+
+  const std::array<sim::Time, 3> times = {sim::Time::zero(), sim::seconds(1),
+                                          sim::seconds(60)};
+  std::size_t in_range = 0;
+  std::size_t left_range = 0;  // sampled pairs out of range at t
+  for (const auto t : times) {
+    mobility::MobilityManager fresh_mobility(kNodes, wp, rng);
+    ChannelModel fresh(ChannelConfig{}, fresh_mobility, rng);
+    for (std::uint32_t a = 0; a < kNodes; ++a) {
+      for (std::uint32_t b = 0; b < kNodes; ++b) {
+        const bool expected = fresh.in_range(a, b, t);
+        ASSERT_EQ(channel.in_range(a, b, t), expected)
+            << a << "-" << b << " at " << t.seconds() << " s";
+        in_range += expected ? 1 : 0;
+        if (!expected && at_zero[a * kNodes + b]) ++left_range;
+      }
+    }
+    EXPECT_EQ(fresh.live_pairs(), 0u);
+  }
+  EXPECT_GT(in_range, 0u);
+  // Moving pairs do leave range, so the cache shortcut would be caught.
+  EXPECT_EQ(left_range > 0, moving);
+}
+
+INSTANTIATE_TEST_SUITE_P(Channel, InRangeAfterSampling, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Moving" : "Static";
+                         });
+
 /// Two nodes 50 m apart moving in parallel along x at 10 m/s each, so the
 /// pair keeps its distance (and mean SNR) while the channel sees a relative
 /// speed of 20 m/s (the sum of the two speeds).

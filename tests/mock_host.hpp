@@ -83,6 +83,8 @@ class MockHost : public routing::ProtocolHost {
     row_.assign(links_.begin(), links_.end());
     return row_;
   }
+  /// Scripted links can change at any time.
+  [[nodiscard]] bool links_final() const override { return false; }
   void forward_data(net::DataPacket pkt, net::NodeId next_hop) override {
     forwarded.push_back(ForwardedData{std::move(pkt), next_hop, sim_.now()});
   }
@@ -145,6 +147,9 @@ class ChannelHost : public MockHost {
   }
   const channel::LinkRow& link_row() override {
     return channel_.links_of(id(), sim().now());
+  }
+  [[nodiscard]] bool links_final() const override {
+    return channel_.frozen();
   }
 
  private:

@@ -3,7 +3,10 @@
 // protocols (RICA included) share, all against the scripted mock host.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
 #include <memory>
+#include <span>
 #include <ostream>
 #include <string>
 #include <type_traits>
@@ -11,12 +14,14 @@
 #include <vector>
 
 #include "core/rica.hpp"
+#include "harness/scenario.hpp"
 #include "mock_host.hpp"
 #include "routing/abr/abr.hpp"
 #include "routing/aodv/aodv.hpp"
 #include "routing/bgca/bgca.hpp"
 #include "routing/linkstate/linkstate.hpp"
 #include "routing/tables.hpp"
+#include "spf_oracle.hpp"
 
 namespace rica::routing {
 namespace {
@@ -976,6 +981,183 @@ TEST(LinkStateStaticChannel, StoredRowsStillFloodARestoredLink) {
   host.sim().run_until(period * 20);
   EXPECT_EQ(host.sent_count<net::LsuMsg>(), 2u);
   EXPECT_EQ(net.channel.draws(), draws);
+}
+
+// In a static channel a node stops sensing once its row matches the view
+// and resumes on its own tick grid after a link break.  A twin host that
+// never reports its links final keeps ticking; both must flood the same
+// rows at the same instants.
+class AlwaysSensingHost : public test::ChannelHost {
+ public:
+  using ChannelHost::ChannelHost;
+  [[nodiscard]] bool links_final() const override { return false; }
+};
+
+TEST(LinkStateStaticChannel, StoppedSensingFloodsLikeEndlessTicks) {
+  constexpr std::size_t kNodes = 6;
+  test::StaticChannel net(kNodes);
+  test::StaticChannel twin_net(kNodes);
+  test::ChannelHost host(0, net.channel);
+  AlwaysSensingHost twin(0, twin_net.channel);
+  ASSERT_TRUE(host.links_final());
+  LinkStateConfig cfg;
+  cfg.num_nodes = kNodes;
+  LinkStateProtocol proto(host, cfg);
+  LinkStateProtocol twin_proto(twin, cfg);
+  LinkStateProtocol::Topology topo(kNodes);
+  for (net::NodeId a = 0; a < kNodes; ++a) {
+    topo[a] = net.channel.links_of(a, sim::Time::zero());
+  }
+  for (net::NodeId a = 0; a < kNodes; ++a) {
+    ASSERT_EQ(twin_net.channel.links_of(a, sim::Time::zero()), topo[a]);
+  }
+  proto.install_topology(topo);
+  twin_proto.install_topology(topo);
+  proto.start();
+  twin_proto.start();
+
+  const auto period = cfg.sense_period;
+  const auto both_until = [&](sim::Time t) {
+    host.sim().run_until(t);
+    twin.sim().run_until(t);
+  };
+  const auto both_break = [&](net::NodeId neighbor) {
+    proto.on_link_break(neighbor, {});
+    twin_proto.on_link_break(neighbor, {});
+  };
+  both_until(period * 3);
+  EXPECT_EQ(host.sim().pending_events(), 0u);  // the quiet row stopped it
+  EXPECT_EQ(twin.sim().pending_events(), 1u);
+  both_until(period * 3 + sim::milliseconds(40));
+  both_break(3);
+  EXPECT_EQ(host.sim().pending_events(), 1u);
+  both_until(period * 7 + sim::milliseconds(90));
+  both_break(1);
+  both_break(2);  // the tick is already armed
+  both_until(period * 8 + sim::milliseconds(1));
+  both_break(4);
+  both_until(period * 20);
+  EXPECT_EQ(host.sim().pending_events(), 0u);
+  auto stale = topo;  // a view that disagrees with the sensed row
+  stale[0].pop_back();
+  proto.install_topology(stale);
+  twin_proto.install_topology(stale);
+  both_until(period * 22);
+  EXPECT_EQ(host.sim().pending_events(), 0u);
+
+  ASSERT_EQ(host.sent.size(), twin.sent.size());
+  // Four breaks, a restore at each tick that follows one, and a restore
+  // after the install.
+  EXPECT_GE(host.sent_count<net::LsuMsg>(), 7u);
+  for (std::size_t i = 0; i < host.sent.size(); ++i) {
+    EXPECT_EQ(host.sent[i].at, twin.sent[i].at) << "LSU " << i;
+    EXPECT_EQ(std::get<net::LsuMsg>(host.sent[i].pkt.payload).links,
+              std::get<net::LsuMsg>(twin.sent[i].pkt.payload).links)
+        << "LSU " << i;
+  }
+  EXPECT_EQ(proto.own_row(), topo[0]);
+  EXPECT_EQ(net.channel.draws(), twin_net.channel.draws());
+}
+
+// ---------------------------------------------------------------------------
+// Link-state SPF against the double-heap Dijkstra it replaced
+// ---------------------------------------------------------------------------
+
+/// Runs LinkStateProtocol's SPF from every terminal of `view` and counts the
+/// first hops that differ from the oracle's (each one is also a failure).
+/// Returns the number of first hops compared.
+std::size_t expect_oracle_first_hops(const LinkStateProtocol::Topology& view,
+                                     std::size_t& differ) {
+  std::size_t compared = 0;
+  const auto n = static_cast<net::NodeId>(view.size());
+  for (net::NodeId self = 0; self < n; ++self) {
+    MockHost host(self);
+    LinkStateConfig cfg;
+    cfg.num_nodes = n;
+    LinkStateProtocol proto(host, cfg);
+    proto.install_topology(view);
+    const auto want = oracle::spf_first_hops(view, self);
+    for (net::NodeId dst = 0; dst < n; ++dst) {
+      const auto got = proto.next_hop(dst).value_or(oracle::kNoNextHop);
+      ++compared;
+      if (got == want[dst]) continue;
+      ++differ;
+      ADD_FAILURE() << "self " << self << " dst " << dst << ": " << got
+                    << " vs oracle " << want[dst];
+    }
+  }
+  return compared;
+}
+
+/// A random view of `n` terminals: each advertises each other terminal with
+/// probability `p`, in a class drawn from `classes`; rows need not agree
+/// (views go stale), and a few name a terminal outside the view.
+LinkStateProtocol::Topology random_view(sim::RandomStream& rng,
+                                        std::size_t n, double p,
+                                        std::span<const CsiClass> classes) {
+  LinkStateProtocol::Topology view(n);
+  for (net::NodeId u = 0; u < n; ++u) {
+    auto& row = view[u];
+    for (net::NodeId v = 0; v < n + 2; ++v) {
+      if (v == u || !rng.chance(v < n ? p : 0.05)) continue;
+      const auto k = rng.uniform_int(
+          0, static_cast<std::int64_t>(classes.size()) - 1);
+      row.emplace_back(v, classes[static_cast<std::size_t>(k)]);
+    }
+  }
+  return view;
+}
+
+/// 150 random views of 10-60 terminals over `classes`.
+void expect_oracle_on_random_views(std::uint64_t seed,
+                                   std::span<const CsiClass> classes,
+                                   const char* label) {
+  sim::RandomStream rng(seed);
+  std::size_t compared = 0;
+  std::size_t differ = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(10, 60));
+    const double p = rng.uniform(0.05, 0.3);
+    compared += expect_oracle_first_hops(random_view(rng, n, p, classes),
+                                         differ);
+  }
+  std::printf("[spf] random %s views: %zu of %zu first hops differ\n", label,
+              differ, compared);
+  EXPECT_GT(compared, 100000u);
+}
+
+TEST(LinkStateSpf, MatchesTheHeapOnExactClasses) {
+  // Class A and D cost 1 and 5, exact in double, so every path sum is
+  // exact and equal-cost paths tie on (dist, id) alone.
+  constexpr std::array<CsiClass, 2> kExact = {CsiClass::A, CsiClass::D};
+  expect_oracle_on_random_views(2026, kExact, "class A/D");
+}
+
+TEST(LinkStateSpf, MatchesTheHeapOnMixedClasses) {
+  // 5/3 + 5/3 + 5/3 is 5.000000000000001 in double: paths of equal thirds
+  // differ in their last bit, and that bit must still pick the first hop.
+  constexpr std::array<CsiClass, 4> kAll = {CsiClass::A, CsiClass::B,
+                                            CsiClass::C, CsiClass::D};
+  expect_oracle_on_random_views(2027, kAll, "mixed-class");
+}
+
+TEST(LinkStateSpf, MatchesTheHeapOnTheMetroView) {
+  // The t = 0 view every terminal of a static metro run starts from (seed 1).
+  auto scenario = harness::preset_config("metro");
+  scenario.mean_speed_kmh = 0.0;
+  const sim::RngManager rng(1);
+  mobility::MobilityManager mobility(
+      scenario.num_nodes, harness::scenario_mobility_config(scenario), rng);
+  channel::ChannelModel channel({}, mobility, rng);
+  LinkStateProtocol::Topology view(scenario.num_nodes);
+  for (net::NodeId a = 0; a < scenario.num_nodes; ++a) {
+    view[a] = channel.links_of(a, sim::Time::zero());
+  }
+  std::size_t differ = 0;
+  const auto compared = expect_oracle_first_hops(view, differ);
+  std::printf("[spf] metro t = 0 view: %zu of %zu first hops differ\n",
+              differ, compared);
+  EXPECT_EQ(compared, scenario.num_nodes * scenario.num_nodes);
 }
 
 }  // namespace
