@@ -159,7 +159,7 @@ void LinkStateProtocol::recompute_if_stale() {
     if (bucket.empty()) continue;
     queued -= bucket.size();
     std::sort(bucket.begin(), bucket.end());
-    for (const auto [d, u] : bucket) {
+    for (const auto& [d, u] : bucket) {
       if (d > dist[u]) continue;  // reached again more cheaply since
       for (const auto& [v, cls] : *view_[u]) {
         if (v >= n) continue;

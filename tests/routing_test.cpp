@@ -984,7 +984,8 @@ TEST(LinkStateStaticChannel, StoredRowsStillFloodARestoredLink) {
 }
 
 // In a static channel a node stops sensing once its row matches the view
-// and resumes on its own tick grid after a link break.  A twin host that
+// and resumes on its own tick grid after a link break or a topology
+// install.  A twin host that
 // never reports its links final keeps ticking; both must flood the same
 // rows at the same instants.
 class AlwaysSensingHost : public test::ChannelHost {
@@ -1007,8 +1008,6 @@ TEST(LinkStateStaticChannel, StoppedSensingFloodsLikeEndlessTicks) {
   LinkStateProtocol::Topology topo(kNodes);
   for (net::NodeId a = 0; a < kNodes; ++a) {
     topo[a] = net.channel.links_of(a, sim::Time::zero());
-  }
-  for (net::NodeId a = 0; a < kNodes; ++a) {
     ASSERT_EQ(twin_net.channel.links_of(a, sim::Time::zero()), topo[a]);
   }
   proto.install_topology(topo);
@@ -1108,14 +1107,14 @@ LinkStateProtocol::Topology random_view(sim::RandomStream& rng,
   return view;
 }
 
-/// 150 random views of 10-60 terminals over `classes`.
+/// 60 random views of 10-60 terminals over `classes`.
 void expect_oracle_on_random_views(std::uint64_t seed,
                                    std::span<const CsiClass> classes,
                                    const char* label) {
   sim::RandomStream rng(seed);
   std::size_t compared = 0;
   std::size_t differ = 0;
-  for (int trial = 0; trial < 150; ++trial) {
+  for (int trial = 0; trial < 60; ++trial) {
     const auto n = static_cast<std::size_t>(rng.uniform_int(10, 60));
     const double p = rng.uniform(0.05, 0.3);
     compared += expect_oracle_first_hops(random_view(rng, n, p, classes),
@@ -1123,7 +1122,7 @@ void expect_oracle_on_random_views(std::uint64_t seed,
   }
   std::printf("[spf] random %s views: %zu of %zu first hops differ\n", label,
               differ, compared);
-  EXPECT_GT(compared, 100000u);
+  EXPECT_GT(compared, 40000u);
 }
 
 TEST(LinkStateSpf, MatchesTheHeapOnExactClasses) {
