@@ -71,19 +71,20 @@ std::optional<ChannelSample> ChannelModel::sample(std::uint32_t a,
                                                   std::uint32_t b,
                                                   sim::Time t) {
   if (a == b) return std::nullopt;
-  if (cfg_.use_neighbor_index) {
-    index_.ensure_fresh(t);
-    if (!index_.possibly_in_range(a, b)) return std::nullopt;
-  }
   const auto [lo, hi] = std::minmax(a, b);
   const auto key = pair_key(lo, hi);
   auto it = pairs_.find(key);
   // In a static network no pair moves (mobility contract 3), so distance and
   // disturbances are constant and a drawn pair's stored sample is final.  A
-  // pair is only created in range, so it is still in range.
+  // pair is only created in range, so it is still in range, and the index
+  // prefilter below could only agree.
   if (frozen_ && it != pairs_.end()) {
     const double snr = it->second.snr_db;
     return ChannelSample{snr, quantize(snr)};
+  }
+  if (cfg_.use_neighbor_index) {
+    index_.ensure_fresh(t);
+    if (!index_.possibly_in_range(a, b)) return std::nullopt;
   }
   const double dist = mobility_.node_distance(a, b, t);
   if (dist > cfg_.range_m) return std::nullopt;

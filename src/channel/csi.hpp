@@ -30,10 +30,25 @@ inline constexpr std::array<double, 4> kClassThroughputBps = {
   return kClassThroughputBps[static_cast<std::size_t>(c)];
 }
 
-/// CSI-based hop distance: transmission-delay ratio relative to class A
-/// (250/250=1, 250/150=1.67, 250/75=3.33, 250/50=5).
+/// CSI-based hop distances: the transmission-delay ratio of each class
+/// relative to class A (250/250=1, 250/150=1.67, 250/75=3.33, 250/50=5).
+/// Held as a table so that hot loops (link-state SPF relaxes ~15k edges per
+/// run) read a constant instead of dividing.  IEEE division is correctly
+/// rounded, so 5.0 / 3.0 is the same double as 250000.0 / 150000.0.
+inline constexpr std::array<double, 4> kHopDistance = {1.0, 5.0 / 3.0,
+                                                       10.0 / 3.0, 5.0};
+static_assert(
+    [] {
+      for (std::size_t c = 0; c < kHopDistance.size(); ++c) {
+        const double quotient = kClassThroughputBps[0] / kClassThroughputBps[c];
+        if (kHopDistance[c] != quotient) return false;
+      }
+      return true;
+    }(),
+    "each hop distance is the class-A throughput over the class's");
+
 [[nodiscard]] constexpr double csi_hop_distance(CsiClass c) {
-  return kClassThroughputBps[0] / throughput_bps(c);
+  return kHopDistance[static_cast<std::size_t>(c)];
 }
 
 /// The links one terminal senses: (neighbour id, class) pairs, ascending by

@@ -132,7 +132,11 @@ void NeighborIndex::build_list(std::uint32_t node) {
 
 bool NeighborIndex::possibly_in_range(std::uint32_t a, std::uint32_t b) const {
   // Each endpoint can have drifted up to slack_m_ since the snapshot.
-  return mobility::distance(positions_[a], positions_[b]) <= reach_m_;
+  // Squared, as in build_list: the kEpsilonM margin in reach_m_ dwarfs the
+  // rounding difference from the hypot, so the bound stays conservative.
+  const double dx = positions_[a].x - positions_[b].x;
+  const double dy = positions_[a].y - positions_[b].y;
+  return dx * dx + dy * dy <= reach_m_ * reach_m_;
 }
 
 }  // namespace rica::channel

@@ -19,7 +19,10 @@ LinkTransmitter::LinkTransmitter(net::NodeId self, sim::Simulator& sim,
 
 LinkTransmitter::Link& LinkTransmitter::link(net::NodeId neighbor) {
   const auto [it, inserted] = links_.try_emplace(neighbor);
-  if (inserted) it->second.q.bind(data_pool_);
+  if (inserted) {
+    it->second.peer = neighbor;
+    it->second.q.bind(data_pool_);
+  }
   return it->second;
 }
 
@@ -60,7 +63,7 @@ void LinkTransmitter::enqueue(net::DataPacket pkt, net::NodeId next_hop) {
   trace_pkt("enqueued", pkt, next_hop);
   link.q.emplace_back(Queued{std::move(pkt), sim_.now()});
   metrics_.observe_queue_depth(link.q.size());
-  pump(next_hop);
+  pump(link);
 }
 
 std::vector<net::DataPacket> LinkTransmitter::drain(net::NodeId neighbor) {
@@ -89,8 +92,7 @@ std::size_t LinkTransmitter::queue_length(net::NodeId neighbor) const {
   return it == links_.end() ? 0 : it->second.q.size();
 }
 
-void LinkTransmitter::pump(net::NodeId neighbor) {
-  auto& link = this->link(neighbor);
+void LinkTransmitter::pump(Link& link) {
   if (link.busy) return;
   // Enforce the 3 s residency bound lazily at service time.
   while (!link.q.empty() &&
@@ -100,16 +102,16 @@ void LinkTransmitter::pump(net::NodeId neighbor) {
   }
   if (link.q.empty()) return;
   link.busy = true;
-  tx_attempt(neighbor);
+  tx_attempt(link);
 }
 
-void LinkTransmitter::tx_attempt(net::NodeId neighbor) {
-  auto& link = this->link(neighbor);
+void LinkTransmitter::tx_attempt(Link& link) {
   assert(link.busy && !link.q.empty());
+  const net::NodeId neighbor = link.peer;
 
   const auto sample = channel_.sample(self_, neighbor, sim_.now());
   if (!sample) {
-    fail(neighbor, "no_channel");
+    fail(link, "no_channel");
     return;
   }
   const double rate = channel::throughput_bps(sample->csi);
@@ -134,54 +136,55 @@ void LinkTransmitter::tx_attempt(net::NodeId neighbor) {
                   "data", name, sim_.now(), data_time);
   }
 
-  link.timer.arm_after(sim_, data_time, [this, neighbor, csi, ack_time] {
-    auto& lnk = this->link(neighbor);
-    if (!lnk.busy || lnk.q.empty()) return;  // link was torn down meanwhile
-    if (!channel_.in_range(self_, neighbor, sim_.now())) {
+  Link* const lnk = &link;
+  link.timer.arm_after(sim_, data_time, [this, lnk, csi, ack_time] {
+    if (!lnk->busy || lnk->q.empty()) return;  // torn down meanwhile
+    const net::NodeId peer = lnk->peer;
+    if (!channel_.in_range(self_, peer, sim_.now())) {
       // Receiver moved away mid-packet: no ACK will come.
-      fail(neighbor, "receiver_moved");
+      fail(*lnk, "receiver_moved");
       return;
     }
     // Reception succeeded; the receiver acknowledges on PN(B,A).  ACK bits
     // count toward routing overhead (§III-A).
     metrics_.on_ack_tx(cfg_.ack_bytes * 8u);
-    net::DataPacket delivered = std::move(lnk.q.front().pkt);
-    lnk.q.pop_front();
-    lnk.retries = 0;
+    net::DataPacket delivered = std::move(lnk->q.front().pkt);
+    lnk->q.pop_front();
+    lnk->retries = 0;
     delivered.hops = static_cast<std::uint16_t>(delivered.hops + 1);
     delivered.tput_sum_bps += channel::throughput_bps(csi);
-    trace_pkt("tx_end", delivered, neighbor);
-    if (deliver_) deliver_(std::move(delivered), neighbor);
+    trace_pkt("tx_end", delivered, peer);
+    if (deliver_) deliver_(std::move(delivered), peer);
     // The sender frees the code once the ACK lands (rearming from inside
     // the timer's own callback: the airtime event is already dead).
-    this->link(neighbor).timer.arm_after(sim_, ack_time, [this, neighbor] {
-      this->link(neighbor).busy = false;
-      pump(neighbor);
+    lnk->timer.arm_after(sim_, ack_time, [this, lnk] {
+      lnk->busy = false;
+      pump(*lnk);
     });
   });
 }
 
-void LinkTransmitter::fail(net::NodeId neighbor, std::string_view cause) {
-  auto& link = this->link(neighbor);
-  if (!link.q.empty()) trace_pkt("tx_fail", link.q.front().pkt, neighbor, cause);
+void LinkTransmitter::fail(Link& link, std::string_view cause) {
+  if (!link.q.empty()) {
+    trace_pkt("tx_fail", link.q.front().pkt, link.peer, cause);
+  }
   ++link.retries;
   if (link.retries > cfg_.max_retries) {
-    declare_break(neighbor);
+    declare_break(link);
     return;
   }
-  link.timer.arm_after(sim_, cfg_.retry_backoff, [this, neighbor] {
-    auto& lnk = this->link(neighbor);
-    if (!lnk.busy) return;
-    if (lnk.q.empty()) {
-      lnk.busy = false;
+  Link* const lnk = &link;
+  link.timer.arm_after(sim_, cfg_.retry_backoff, [this, lnk] {
+    if (!lnk->busy) return;
+    if (lnk->q.empty()) {
+      lnk->busy = false;
       return;
     }
-    tx_attempt(neighbor);
+    tx_attempt(*lnk);
   });
 }
 
-void LinkTransmitter::declare_break(net::NodeId neighbor) {
-  auto& link = this->link(neighbor);
+void LinkTransmitter::declare_break(Link& link) {
   link.timer.cancel();  // O(1): whatever phase was in flight dies with the link
   std::vector<net::DataPacket> stranded;
   stranded.reserve(link.q.size());
@@ -189,7 +192,7 @@ void LinkTransmitter::declare_break(net::NodeId neighbor) {
   link.q.clear();
   link.busy = false;
   link.retries = 0;
-  if (on_break_) on_break_(neighbor, std::move(stranded));
+  if (on_break_) on_break_(link.peer, std::move(stranded));
 }
 
 }  // namespace rica::mac

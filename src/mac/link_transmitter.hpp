@@ -89,6 +89,7 @@ class LinkTransmitter {
     sim::Time enqueued;
   };
   struct Link {
+    net::NodeId peer = 0;  ///< the neighbour this link serves
     /// Per-link FIFO over the transmitter-wide free-list pool.
     util::PooledQueue<Queued> q;
     bool busy = false;
@@ -100,13 +101,15 @@ class LinkTransmitter {
   };
 
   /// The link toward `neighbor`, created (and its queue bound to the data
-  /// pool) on first touch.
+  /// pool) on first touch.  Links are never erased and FlatMap64 values
+  /// never move, so the serving chain below and its timer callbacks hold
+  /// the reference (or a pointer) instead of looking the link up again.
   Link& link(net::NodeId neighbor);
 
-  void pump(net::NodeId neighbor);
-  void tx_attempt(net::NodeId neighbor);
-  void fail(net::NodeId neighbor, std::string_view cause);
-  void declare_break(net::NodeId neighbor);
+  void pump(Link& link);
+  void tx_attempt(Link& link);
+  void fail(Link& link, std::string_view cause);
+  void declare_break(Link& link);
 
   /// Packet-lifecycle trace emission for this node's data plane (no-op
   /// with no sink attached).

@@ -34,6 +34,7 @@ LinkStateProtocol::LinkStateProtocol(ProtocolHost& host,
 }
 
 void LinkStateProtocol::install_topology(const Topology& topology) {
+  complete_tree();
   snapshot_ = topology;
   const auto& rows = std::as_const(snapshot_);
   for (std::size_t i = 0; i < view_.size(); ++i) {
@@ -56,6 +57,7 @@ const LinkStateProtocol::AdjacencyRow& LinkStateProtocol::row(
 
 LinkStateProtocol::AdjacencyRow& LinkStateProtocol::owned_row(
     net::NodeId origin) {
+  complete_tree();  // the caller is about to change the view
   if (own_rows_.empty()) own_rows_.resize(cfg_.num_nodes);
   auto& slot = own_rows_[origin];
   if (view_[origin] != &slot) {
@@ -122,7 +124,7 @@ void LinkStateProtocol::on_lsu(const net::LsuMsg& msg, net::NodeId from) {
   host().send_control(net::make_control(net::kBroadcastId, msg));
 }
 
-void LinkStateProtocol::recompute_if_stale() {
+void LinkStateProtocol::recompute_if_stale(net::NodeId dst) {
   if (routes_version_ == view_version_) return;
   const sim::Time now = host().simulator().now();
   if (spf_ever_ran_ && now - last_spf_ < kSpfHold) {
@@ -132,7 +134,14 @@ void LinkStateProtocol::recompute_if_stale() {
   last_spf_ = now;
   routes_version_ = view_version_;
   host().count("ls.spf_runs");
+  spf(dst);
+}
 
+void LinkStateProtocol::complete_tree() {
+  if (tree_partial_) spf(kNoNextHop);
+}
+
+void LinkStateProtocol::spf(net::NodeId target) {
   // Dijkstra with CSI hop-distance costs over the (possibly stale) view.
   // Edges are taken as advertised by the tail terminal's row.  The costs
   // are whole thirds, so Dial's bucket queue replaces the binary heap:
@@ -140,49 +149,86 @@ void LinkStateProtocol::recompute_if_stale() {
   // when the scan reaches it, because every edge costs at least 3.  Path
   // sums stay in double, as before: 5/3 + 5/3 + 5/3 != 5 in double, so two
   // paths of equal thirds can differ in their last bit, and that bit has
-  // always decided which one wins.  Sorting a bucket by (double sum, id)
-  // therefore settles nodes in exactly the heap's pop order, and every
-  // relaxation compares the same doubles, so the tree is the heap's tree.
+  // always decided which one wins.  No node of bucket t can relax another
+  // node of bucket t, so the order in which a bucket is scanned changes no
+  // distance, only which of several equal-sum relaxers is seen first.  The
+  // heap keeps the relaxer it pops first, the least (dist, id); so on an
+  // exact tie v takes u as parent when u precedes its current parent in that
+  // order, and the tree is the heap's tree, bit for bit (DESIGN.md §14).
+  //
+  // The scan stops as soon as `target` is final.  Every node not yet final
+  // then reads kUnsettled in next_hop_ until complete_tree() reruns the
+  // scan to the end on the same view.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t n = cfg_.num_nodes;
   std::vector<double> dist(n, kInf);
+  std::vector<net::NodeId> parent(n, kNoNextHop);
   std::vector<net::NodeId> first_hop(n, kNoNextHop);
   using Item = std::pair<double, net::NodeId>;
   std::array<std::vector<Item>, kBuckets> buckets;
+  const auto precedes = [&dist](net::NodeId a, net::NodeId b) {
+    return dist[a] < dist[b] || (dist[a] == dist[b] && a < b);
+  };
 
   const net::NodeId self = host().id();
   dist[self] = 0.0;
   buckets[0].emplace_back(0.0, self);
   std::size_t queued = 1;
-  for (std::uint32_t thirds = 0; queued > 0; ++thirds) {
+  std::uint64_t relaxed = 0;
+  // When the scan reaches bucket t, every node within t + 2 thirds is
+  // final: whatever could still reach it lies within t - 1 thirds and has
+  // been scanned.  3 * dist is within far less than 1/2 of a node's thirds.
+  const auto settled_at = [&dist](net::NodeId v, std::uint32_t thirds) {
+    return dist[v] * 3.0 < thirds + 2.5;
+  };
+  std::uint32_t thirds = 0;
+  bool partial = false;
+  for (; queued > 0; ++thirds) {
+    if (target < n && settled_at(target, thirds)) {
+      partial = true;
+      break;
+    }
     auto& bucket = buckets[thirds % kBuckets];
     if (bucket.empty()) continue;
     queued -= bucket.size();
-    std::sort(bucket.begin(), bucket.end());
     for (const auto& [d, u] : bucket) {
       if (d > dist[u]) continue;  // reached again more cheaply since
-      for (const auto& [v, cls] : *view_[u]) {
+      const auto& row = *view_[u];
+      relaxed += row.size();
+      const net::NodeId hop = first_hop[u];
+      for (const auto& [v, cls] : row) {
         if (v >= n) continue;
         const double nd = d + channel::csi_hop_distance(cls);
         if (nd < dist[v]) {
           dist[v] = nd;
-          first_hop[v] = u == self ? v : first_hop[u];
+          parent[v] = u;
+          first_hop[v] = u == self ? v : hop;
           const auto cost = kCost[static_cast<std::size_t>(cls)];
           buckets[(thirds + cost) % kBuckets].emplace_back(nd, v);
           ++queued;
+        } else if (nd == dist[v] && precedes(u, parent[v])) {
+          parent[v] = u;
+          first_hop[v] = u == self ? v : hop;
         }
       }
     }
     bucket.clear();
   }
+  host().count("ls.spf_relaxations", relaxed);
+  if (partial) {
+    for (net::NodeId v = 0; v < n; ++v) {
+      if (!settled_at(v, thirds)) first_hop[v] = kUnsettled;
+    }
+  }
+  tree_partial_ = partial;
   next_hop_ = std::move(first_hop);
 }
 
 std::optional<net::NodeId> LinkStateProtocol::next_hop(net::NodeId dst) {
-  recompute_if_stale();
-  if (dst >= next_hop_.size() || next_hop_[dst] == kNoNextHop) {
-    return std::nullopt;
-  }
+  recompute_if_stale(dst);
+  if (dst >= next_hop_.size()) return std::nullopt;
+  if (next_hop_[dst] == kUnsettled) complete_tree();
+  if (next_hop_[dst] == kNoNextHop) return std::nullopt;
   return next_hop_[dst];
 }
 

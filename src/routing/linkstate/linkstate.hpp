@@ -8,7 +8,8 @@
 //   * forwarding runs Dijkstra over the terminal's *current* view with
 //     CSI hop-distance costs (the paper notes Dijkstra's preference for
 //     high-throughput links, Fig. 5(a)), on Dial's bucket queue keyed by
-//     the costs' exact thirds (DESIGN.md §14);
+//     the costs' exact thirds, stopping once the queried destination is
+//     settled (DESIGN.md §14);
 //   * in a static network a node's sensed row is final, so sensing stops
 //     once it matches the view and resumes only after a link break.
 //   * under mobility, flooding saturates the common channel, LSUs collide
@@ -84,14 +85,24 @@ class LinkStateProtocol final : public Protocol {
 
  private:
   /// This node's own copy of `origin`'s row, which the view reads from now
-  /// on; the first write copies the shared snapshot row.
+  /// on; the first write copies the shared snapshot row.  The caller is
+  /// about to change the row, so a partial tree is completed first.
   AdjacencyRow& owned_row(net::NodeId origin);
   void sense_links();
   /// Re-arms sensing that a frozen channel stopped: at the next tick of this
   /// node's grid (first_tick_ + k * sense_period) after now.
   void resume_sensing();
   void flood_own_row();
-  void recompute_if_stale();
+  /// Runs SPF when the view changed and the hold-down allows it, stopping
+  /// once `dst` is settled.
+  void recompute_if_stale(net::NodeId dst);
+  /// SPF over the current view into next_hop_.  Stops once `target` is
+  /// settled and marks every unsettled node kUnsettled; a target outside
+  /// the view (kNoNextHop) runs the whole tree.
+  void spf(net::NodeId target);
+  /// Finishes a partial tree on the view it was started on (a second pass
+  /// from scratch: no Dijkstra state is kept between passes).
+  void complete_tree();
   void on_lsu(const net::LsuMsg& msg, net::NodeId from);
 
   LinkStateConfig cfg_;
@@ -112,8 +123,11 @@ class LinkStateProtocol final : public Protocol {
   std::uint64_t routes_version_ = 0;    ///< version the cache was built at
   sim::Time last_spf_{};                ///< last Dijkstra run (hold-down)
   bool spf_ever_ran_ = false;
-  std::vector<net::NodeId> next_hop_;   ///< Dijkstra cache, kInvalid = none
+  std::vector<net::NodeId> next_hop_;   ///< Dijkstra cache, kNoNextHop = none
+  /// next_hop_ holds kUnsettled entries: the last run stopped early.
+  bool tree_partial_ = false;
   static constexpr net::NodeId kNoNextHop = net::kBroadcastId;
+  static constexpr net::NodeId kUnsettled = net::kBroadcastId - 1;
 };
 
 }  // namespace rica::routing

@@ -3,7 +3,9 @@
 // protocols (RICA included) share, all against the scripted mock host.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <span>
@@ -1062,21 +1064,62 @@ TEST(LinkStateStaticChannel, StoppedSensingFloodsLikeEndlessTicks) {
 // Link-state SPF against the double-heap Dijkstra it replaced
 // ---------------------------------------------------------------------------
 
+/// The order in which a terminal is asked for its destinations.  The first
+/// query stops SPF at a different depth in each, and a later query for a
+/// node left unsettled must complete the same tree.
+enum class QueryOrder { kAscending, kFarFirst, kRandom };
+
+/// Every node of the view once, in `order`; far-first puts the farthest
+/// reachable node first and the unreachable ones last.
+std::vector<net::NodeId> query_order(QueryOrder order,
+                                     const std::vector<double>& dist,
+                                     sim::RandomStream& rng) {
+  std::vector<net::NodeId> ids(dist.size());
+  for (net::NodeId v = 0; v < ids.size(); ++v) ids[v] = v;
+  if (order == QueryOrder::kFarFirst) {
+    std::stable_sort(ids.begin(), ids.end(), [&dist](auto a, auto b) {
+      const bool fa = std::isfinite(dist[a]);
+      const bool fb = std::isfinite(dist[b]);
+      return fa != fb ? fa : dist[a] > dist[b];
+    });
+  } else if (order == QueryOrder::kRandom) {
+    for (std::size_t i = ids.size(); i > 1; --i) {
+      const auto j = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+      std::swap(ids[i - 1], ids[j]);
+    }
+  }
+  return ids;
+}
+
+/// Edges in the view, counting those that name a terminal outside it.
+std::uint64_t edge_count(const LinkStateProtocol::Topology& view) {
+  std::uint64_t edges = 0;
+  for (std::size_t u = 0; u < view.size(); ++u) edges += view[u].size();
+  return edges;
+}
+
 /// Runs LinkStateProtocol's SPF from every terminal of `view` and counts the
 /// first hops that differ from the oracle's (each one is also a failure).
-/// Returns the number of first hops compared.
+/// Terminal `self` asks for its destinations in QueryOrder(self % 3).  Each
+/// terminal must run SPF once, in at most two passes.  Returns the number
+/// of first hops compared.
 std::size_t expect_oracle_first_hops(const LinkStateProtocol::Topology& view,
                                      std::size_t& differ) {
   std::size_t compared = 0;
   const auto n = static_cast<net::NodeId>(view.size());
+  const auto edges = edge_count(view);
+  sim::RandomStream rng(n);
   for (net::NodeId self = 0; self < n; ++self) {
     MockHost host(self);
     LinkStateConfig cfg;
     cfg.num_nodes = n;
     LinkStateProtocol proto(host, cfg);
     proto.install_topology(view);
-    const auto want = oracle::spf_first_hops(view, self);
-    for (net::NodeId dst = 0; dst < n; ++dst) {
+    std::vector<double> dist;
+    const auto want = oracle::spf_first_hops(view, self, &dist);
+    const auto order = static_cast<QueryOrder>(self % 3);
+    for (const auto dst : query_order(order, dist, rng)) {
       const auto got = proto.next_hop(dst).value_or(oracle::kNoNextHop);
       ++compared;
       if (got == want[dst]) continue;
@@ -1084,6 +1127,9 @@ std::size_t expect_oracle_first_hops(const LinkStateProtocol::Topology& view,
       ADD_FAILURE() << "self " << self << " dst " << dst << ": " << got
                     << " vs oracle " << want[dst];
     }
+    EXPECT_EQ(host.counters["ls.spf_runs"], 1u) << "self " << self;
+    EXPECT_LE(host.counters["ls.spf_relaxations"], 2 * edges)
+        << "self " << self;
   }
   return compared;
 }
@@ -1157,6 +1203,105 @@ TEST(LinkStateSpf, MatchesTheHeapOnTheMetroView) {
   std::printf("[spf] metro t = 0 view: %zu of %zu first hops differ\n",
               differ, compared);
   EXPECT_EQ(compared, scenario.num_nodes * scenario.num_nodes);
+}
+
+// A terminal's first query stops SPF early.  When its view then changes
+// inside the hold-down, it must go on answering from the tree of the view
+// the run started on, and only the next run may see the change.
+class LinkStatePartialTreeTest : public ::testing::Test {
+ protected:
+  static constexpr net::NodeId kSelf = 0;
+  static constexpr std::size_t kNodes = 40;
+
+  LinkStatePartialTreeTest() : host_(kSelf), proto_(host_, config()) {
+    constexpr std::array<CsiClass, 4> kAll = {CsiClass::A, CsiClass::B,
+                                              CsiClass::C, CsiClass::D};
+    sim::RandomStream rng(2028);
+    view_ = random_view(rng, kNodes, 0.1, kAll);
+    proto_.install_topology(view_);
+    want_ = oracle::spf_first_hops(view_, kSelf, &dist_);
+    for (net::NodeId v = 0; v < kNodes; ++v) {
+      if (v == kSelf || !std::isfinite(dist_[v])) continue;
+      if (near_ == kSelf || dist_[v] < dist_[near_]) near_ = v;
+      if (far_ == kSelf || dist_[v] > dist_[far_]) far_ = v;
+    }
+  }
+
+  static LinkStateConfig config() {
+    LinkStateConfig cfg;
+    cfg.num_nodes = kNodes;
+    return cfg;
+  }
+
+  /// Asks for the near destination (a partial run), lets `change` edit the
+  /// view at the same instant, and checks every answer against the oracle:
+  /// on the old view inside the hold-down, on `changed` after it.
+  template <typename Change>
+  void expect_answers_across(const LinkStateProtocol::Topology& changed,
+                             Change change) {
+    ASSERT_NE(near_, kSelf);
+    ASSERT_NE(far_, want_[far_]);  // the far route has a relay
+    ASSERT_EQ(proto_.next_hop(near_), want_[near_]);
+    ASSERT_LT(host_.counters["ls.spf_relaxations"], edge_count(view_))
+        << "the first run must stop early";
+    const auto want_after = oracle::spf_first_hops(changed, kSelf);
+    ASSERT_NE(want_after[far_], want_[far_]);  // the change moves a route
+
+    change();
+    sim::RandomStream rng(1);
+    for (const auto dst : query_order(QueryOrder::kFarFirst, dist_, rng)) {
+      EXPECT_EQ(proto_.next_hop(dst).value_or(oracle::kNoNextHop),
+                want_[dst])
+          << "dst " << dst;
+    }
+    EXPECT_EQ(host_.counters["ls.spf_runs"], 1u);
+
+    host_.sim().run_until(sim::seconds(5));  // past the hold-down
+    for (net::NodeId dst = 0; dst < kNodes; ++dst) {
+      EXPECT_EQ(proto_.next_hop(dst).value_or(oracle::kNoNextHop),
+                want_after[dst])
+          << "dst " << dst;
+    }
+    EXPECT_EQ(host_.counters["ls.spf_runs"], 2u);
+  }
+
+  MockHost host_;
+  LinkStateProtocol proto_;
+  LinkStateProtocol::Topology view_;
+  std::vector<net::NodeId> want_;
+  std::vector<double> dist_;
+  net::NodeId near_ = kSelf;
+  net::NodeId far_ = kSelf;
+};
+
+TEST_F(LinkStatePartialTreeTest, LsuInsideHoldDownKeepsTheStartedView) {
+  // The relay on the far route advertises that it lost every link.
+  const net::NodeId relay = want_[far_];
+  auto changed = view_;
+  changed[relay].clear();
+  expect_answers_across(changed, [&] {
+    net::LsuMsg lsu;
+    lsu.origin = relay;
+    lsu.seq = 1;
+    proto_.on_control(net::make_control(net::kBroadcastId, lsu), relay);
+  });
+}
+
+TEST_F(LinkStatePartialTreeTest, LinkBreakInsideHoldDownKeepsTheStartedView) {
+  // The link to the far route's first hop breaks.
+  const net::NodeId relay = want_[far_];
+  auto changed = view_;
+  auto& own = changed[kSelf];
+  own.erase(std::find_if(own.begin(), own.end(),
+                         [relay](const auto& e) { return e.first == relay; }));
+  expect_answers_across(changed, [&] { proto_.on_link_break(relay, {}); });
+}
+
+TEST_F(LinkStatePartialTreeTest, ReinstallInsideHoldDownKeepsTheStartedView) {
+  // A new snapshot without the far route's first hop's links.
+  auto changed = view_;
+  changed[want_[far_]].clear();
+  expect_answers_across(changed, [&] { proto_.install_topology(changed); });
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // The link-state SPF that Dial's bucket queue replaced, kept verbatim as a
 // test oracle: Dijkstra over double CSI hop distances on a binary heap.
 // tests/routing_test.cpp compares LinkStateProtocol's first hops against it.
-// Its own namespace; never linked into rica_core.
+// It divides throughputs for each hop distance, as csi.hpp did before its
+// kHopDistance table, so the table is checked against the division rather
+// than shared with it.  Its own namespace; never linked into rica_core.
 #pragma once
 
 #include <cstddef>
@@ -19,10 +21,18 @@ namespace rica::oracle {
 
 inline constexpr net::NodeId kNoNextHop = net::kBroadcastId;
 
+/// CSI hop distance: transmission-delay ratio relative to class A.
+inline double hop_distance(channel::CsiClass c) {
+  return channel::kClassThroughputBps[0] / channel::throughput_bps(c);
+}
+
 /// First hop from `self` toward every node of `view` (kNoNextHop when
 /// unreachable), with edges taken as advertised by the tail terminal's row.
+/// `dist_out`, when given, receives each node's path sum (infinity when
+/// unreachable).
 inline std::vector<net::NodeId> spf_first_hops(
-    const routing::LinkStateProtocol::Topology& view, net::NodeId self) {
+    const routing::LinkStateProtocol::Topology& view, net::NodeId self,
+    std::vector<double>* dist_out = nullptr) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t n = view.size();
   std::vector<double> dist(n, kInf);
@@ -38,7 +48,7 @@ inline std::vector<net::NodeId> spf_first_hops(
     if (d > dist[u]) continue;
     for (const auto& [v, cls] : view[u]) {
       if (v >= n) continue;
-      const double nd = d + channel::csi_hop_distance(cls);
+      const double nd = d + hop_distance(cls);
       if (nd < dist[v]) {
         dist[v] = nd;
         first_hop[v] = u == self ? v : first_hop[u];
@@ -46,6 +56,7 @@ inline std::vector<net::NodeId> spf_first_hops(
       }
     }
   }
+  if (dist_out != nullptr) *dist_out = std::move(dist);
   return first_hop;
 }
 
