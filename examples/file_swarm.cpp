@@ -56,9 +56,8 @@ int main(int argc, char** argv) {
                           "chunks_received", "loss_%", "avg_delay_ms"});
     const auto& per_flow = network.metrics().flow_stats();
     for (const auto& flow : flows) {
-      const auto it = per_flow.find(flow.id);
-      if (it == per_flow.end()) continue;
-      const auto& st = it->second;
+      if (flow.id >= per_flow.size() || !per_flow[flow.id].seen()) continue;
+      const auto& st = per_flow[flow.id];
       const double loss =
           st.generated == 0
               ? 0.0

@@ -332,7 +332,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
       // the epoch start.
       std::uint64_t stalled = 0;
       const sim::Time epoch = network.metrics().epoch_start();
-      for (const auto& [id, f] : network.metrics().flow_stats()) {
+      for (const auto& f : network.metrics().flow_stats()) {
         if (f.generated <= f.delivered + f.dropped) continue;
         const sim::Time last =
             f.last_delivery > epoch ? f.last_delivery : epoch;

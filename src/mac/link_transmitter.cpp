@@ -11,6 +11,15 @@
 
 namespace rica::mac {
 
+namespace {
+/// ACK frame on the reverse code PN(B,A) (§III-A).
+constexpr std::uint16_t kAckBytes = 10;
+/// Consecutive failed attempts a link survives before it is declared broken.
+constexpr int kMaxRetries = 3;
+/// Wait before retrying a failed attempt.
+constexpr sim::Time kRetryBackoff = sim::milliseconds(25);
+}  // namespace
+
 LinkTransmitter::LinkTransmitter(net::NodeId self, sim::Simulator& sim,
                                  channel::ChannelModel& channel,
                                  stats::MetricsCollector& metrics,
@@ -66,21 +75,6 @@ void LinkTransmitter::enqueue(net::DataPacket pkt, net::NodeId next_hop) {
   pump(link);
 }
 
-std::vector<net::DataPacket> LinkTransmitter::drain(net::NodeId neighbor) {
-  std::vector<net::DataPacket> out;
-  const auto it = links_.find(neighbor);
-  if (it == links_.end()) return out;
-  auto& link = it->second;
-  // The head packet of a busy link is on the air; it stays.
-  const std::size_t keep = link.busy && !link.q.empty() ? 1 : 0;
-  std::size_t pos = 0;
-  for (auto& q : link.q) {
-    if (pos++ >= keep) out.push_back(std::move(q.pkt));
-  }
-  link.q.truncate(keep);
-  return out;
-}
-
 std::size_t LinkTransmitter::buffered() const {
   std::size_t total = 0;
   for (const auto& [_, link] : links_) total += link.q.size();
@@ -94,6 +88,18 @@ std::size_t LinkTransmitter::queue_length(net::NodeId neighbor) const {
 
 void LinkTransmitter::pump(Link& link) {
   if (link.busy) return;
+  if (link.ack_end) {
+    const sim::Reservation end = *link.ack_end;
+    link.ack_end.reset();
+    if (!sim_.passed(end)) {
+      // Still inside the ACK wait: the ACK end becomes an event at the
+      // (time, seq) it reserved, so the queue waits exactly as long, and a
+      // packet that arrives at the ACK's own instant is served after it.
+      link.busy = true;
+      arm_ack_end(link, end);
+      return;
+    }
+  }
   // Enforce the 3 s residency bound lazily at service time.
   while (!link.q.empty() &&
          sim_.now() - link.q.front().enqueued > cfg_.buffer_residency) {
@@ -105,24 +111,40 @@ void LinkTransmitter::pump(Link& link) {
   tx_attempt(link);
 }
 
+void LinkTransmitter::arm_ack_end(Link& link, sim::Reservation end) {
+  Link* const lnk = &link;
+  link.timer.arm(sim_, end, [this, lnk] {
+    lnk->busy = false;
+    pump(*lnk);
+  });
+}
+
 void LinkTransmitter::tx_attempt(Link& link) {
   assert(link.busy && !link.q.empty());
   const net::NodeId neighbor = link.peer;
 
-  const auto sample = channel_.sample(self_, neighbor, sim_.now());
-  if (!sample) {
-    fail(link, "no_channel");
-    return;
+  // In a frozen channel a link's first class is final: later hops reuse it
+  // and skip the pair lookup (`sample` would return the same stored SNR).
+  channel::CsiClass csi;
+  if (link.csi) {
+    csi = *link.csi;
+  } else {
+    const auto sample = channel_.sample(self_, neighbor, sim_.now());
+    if (!sample) {
+      fail(link, "no_channel");
+      return;
+    }
+    csi = sample->csi;
+    if (channel_.frozen()) link.csi = csi;
   }
-  const double rate = channel::throughput_bps(sample->csi);
+  const double rate = channel::throughput_bps(csi);
   const auto& pkt = link.q.front().pkt;
   // A frame on the air is the encoded header plus the payload — charging
   // the bare payload (as this path once did) undercounts data airtime
   // relative to the byte-exact control accounting.
   const std::size_t frame_bytes = net::wire::kDataHeaderBytes + pkt.size_bytes;
   const sim::Time data_time = sim::seconds_f(frame_bytes * 8.0 / rate);
-  const sim::Time ack_time = sim::seconds_f(cfg_.ack_bytes * 8.0 / rate);
-  const auto csi = sample->csi;
+  const sim::Time ack_time = sim::seconds_f(kAckBytes * 8.0 / rate);
   data_header_bits_ += net::wire::kDataHeaderBytes * 8u;
   // Every attempt's airtime, including attempts the receiver walks away
   // from mid-packet — wasted airtime belongs in the distribution.
@@ -138,16 +160,17 @@ void LinkTransmitter::tx_attempt(Link& link) {
 
   Link* const lnk = &link;
   link.timer.arm_after(sim_, data_time, [this, lnk, csi, ack_time] {
-    if (!lnk->busy || lnk->q.empty()) return;  // torn down meanwhile
+    assert(lnk->busy && !lnk->q.empty());
     const net::NodeId peer = lnk->peer;
-    if (!channel_.in_range(self_, peer, sim_.now())) {
+    // A link with a frozen class joins a pair that is in range for good.
+    if (!lnk->csi && !channel_.in_range(self_, peer, sim_.now())) {
       // Receiver moved away mid-packet: no ACK will come.
       fail(*lnk, "receiver_moved");
       return;
     }
     // Reception succeeded; the receiver acknowledges on PN(B,A).  ACK bits
     // count toward routing overhead (§III-A).
-    metrics_.on_ack_tx(cfg_.ack_bytes * 8u);
+    metrics_.on_ack_tx(kAckBytes * 8u);
     net::DataPacket delivered = std::move(lnk->q.front().pkt);
     lnk->q.pop_front();
     lnk->retries = 0;
@@ -155,12 +178,16 @@ void LinkTransmitter::tx_attempt(Link& link) {
     delivered.tput_sum_bps += channel::throughput_bps(csi);
     trace_pkt("tx_end", delivered, peer);
     if (deliver_) deliver_(std::move(delivered), peer);
-    // The sender frees the code once the ACK lands (rearming from inside
-    // the timer's own callback: the airtime event is already dead).
-    lnk->timer.arm_after(sim_, ack_time, [this, lnk] {
+    // The sender frees the code once the ACK lands.  With nothing queued
+    // the ACK end is only reserved: pump() attaches it if a packet arrives
+    // before it passes (DESIGN.md §16).
+    const sim::Reservation ack_end = sim_.reserve(sim_.now() + ack_time);
+    if (lnk->q.empty()) {
       lnk->busy = false;
-      pump(*lnk);
-    });
+      lnk->ack_end = ack_end;
+    } else {
+      arm_ack_end(*lnk, ack_end);
+    }
   });
 }
 
@@ -169,17 +196,13 @@ void LinkTransmitter::fail(Link& link, std::string_view cause) {
     trace_pkt("tx_fail", link.q.front().pkt, link.peer, cause);
   }
   ++link.retries;
-  if (link.retries > cfg_.max_retries) {
+  if (link.retries > kMaxRetries) {
     declare_break(link);
     return;
   }
   Link* const lnk = &link;
-  link.timer.arm_after(sim_, cfg_.retry_backoff, [this, lnk] {
-    if (!lnk->busy) return;
-    if (lnk->q.empty()) {
-      lnk->busy = false;
-      return;
-    }
+  link.timer.arm_after(sim_, kRetryBackoff, [this, lnk] {
+    assert(lnk->busy && !lnk->q.empty());
     tx_attempt(*lnk);
   });
 }

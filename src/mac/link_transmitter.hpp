@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "channel/channel_model.hpp"
@@ -31,9 +32,6 @@ namespace rica::mac {
 struct LinkConfig {
   std::size_t buffer_cap = 10;                  ///< packets per link buffer
   sim::Time buffer_residency = sim::seconds(3); ///< max queueing time
-  std::uint16_t ack_bytes = 10;
-  int max_retries = 3;
-  sim::Time retry_backoff = sim::milliseconds(25);
   std::uint16_t hop_cap = 64;  ///< safety bound on routing loops
 };
 
@@ -59,10 +57,6 @@ class LinkTransmitter {
   /// Enqueues a packet for `next_hop`.  Drops (and reports) on overflow or
   /// when the packet exceeded the hop cap.
   void enqueue(net::DataPacket pkt, net::NodeId next_hop);
-
-  /// Packets queued toward `neighbor` that have not begun transmission.
-  /// Removes and returns them (the in-flight head packet, if any, stays).
-  std::vector<net::DataPacket> drain(net::NodeId neighbor);
 
   /// Total packets buffered across all links (ABR's load metric).
   [[nodiscard]] std::size_t buffered() const;
@@ -94,6 +88,14 @@ class LinkTransmitter {
     util::PooledQueue<Queued> q;
     bool busy = false;
     int retries = 0;
+    /// Frozen channel only: the class of the link's first sample, final
+    /// from then on (DESIGN.md §16).
+    std::optional<channel::CsiClass> csi;
+    /// The end of an ACK wait that holds no event: the frame landed with
+    /// nothing queued behind it.  The next pump either attaches the ACK
+    /// event at this exact (time, seq) or, once it has passed, finds the
+    /// link free (DESIGN.md §16).
+    std::optional<sim::Reservation> ack_end;
     /// The link's single serial-server timer: at most one of {data airtime,
     /// ACK wait, retry backoff} is ever in flight, so one slot serves all
     /// three phases and declare_break() can kill the whole chain in O(1).
@@ -107,6 +109,8 @@ class LinkTransmitter {
   Link& link(net::NodeId neighbor);
 
   void pump(Link& link);
+  /// Schedules the ACK end at `end`: the link turns free and pumps.
+  void arm_ack_end(Link& link, sim::Reservation end);
   void tx_attempt(Link& link);
   void fail(Link& link, std::string_view cause);
   void declare_break(Link& link);

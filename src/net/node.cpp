@@ -91,10 +91,6 @@ void Node::drop_data(const DataPacket& pkt, stats::DropReason reason) {
   trace_packet("dropped", pkt, -1, stats::to_string(reason));
 }
 
-std::vector<DataPacket> Node::drain_queue(NodeId neighbor) {
-  return links_.drain(neighbor);
-}
-
 std::size_t Node::buffered_count() const { return links_.buffered(); }
 
 void Node::count(const std::string& name, std::uint64_t by) {

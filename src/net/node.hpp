@@ -86,7 +86,6 @@ class Node final : public routing::ProtocolHost {
   void forward_data(DataPacket pkt, NodeId next_hop) override;
   void deliver_local(const DataPacket& pkt) override;
   void drop_data(const DataPacket& pkt, stats::DropReason reason) override;
-  std::vector<DataPacket> drain_queue(NodeId neighbor) override;
   [[nodiscard]] std::size_t buffered_count() const override;
   void count(const std::string& name, std::uint64_t by = 1) override;
   void trace_route(std::string_view stage, NodeId src, NodeId dst,

@@ -70,10 +70,6 @@ class ProtocolHost {
   virtual void drop_data(const net::DataPacket& pkt,
                          stats::DropReason reason) = 0;
 
-  /// Removes and returns packets queued toward `neighbor` that have not yet
-  /// begun transmission (for re-routing or protocol-driven discard).
-  virtual std::vector<net::DataPacket> drain_queue(net::NodeId neighbor) = 0;
-
   /// Total data packets buffered at this node (ABR's load metric).
   [[nodiscard]] virtual std::size_t buffered_count() const = 0;
 

@@ -99,7 +99,8 @@ EventEngine::Fired EventEngine::fire_next() {
   pop();
   Slot& s = slot(e.slot);
   const Fired fired{e.at, make_id(e.slot, e.gen)};
-  fired_floor_ = e.at;
+  cursor_at_ = e.at;
+  cursor_seq_ = e.seq;
   // Move the callback out and recycle the record *before* invoking: the
   // callback may cancel its own (already dead) handle or re-arm into the
   // same slot.

@@ -16,6 +16,11 @@
 // Time must advance monotonically at the firing boundary: scheduling
 // earlier than an already-fired event asserts in debug builds (it would
 // break the exact pop order) and fires as soon as possible in release.
+//
+// A Reservation takes the schedule-seq an event scheduled now would take,
+// without scheduling anything.  Attached later, it schedules at exactly
+// that (time, seq), so it pops where the event would have; never attached,
+// it costs nothing.  passed() compares it with the firing cursor.
 #pragma once
 
 #include <cassert>
@@ -35,6 +40,13 @@ namespace rica::sim {
 /// slab slot (upper 32 bits, offset by one so 0 is never a valid handle)
 /// and the slot's generation at scheduling time (lower 32 bits).
 using EventId = std::uint64_t;
+
+/// A (time, schedule-seq) slot taken now for an event that may be
+/// scheduled later (see EventEngine::reserve).
+struct Reservation {
+  Time at;
+  std::uint64_t seq = 0;
+};
 
 /// Slab-backed binary-heap event engine.  See the file comment for the
 /// design; fire_next() invokes the callback in place (the record is
@@ -61,22 +73,41 @@ class EventEngine {
   /// Schedules `fn` at absolute time `at`. Returns a handle for cancel().
   template <typename F>
   EventId schedule(Time at, F&& fn) {
-    using D = std::decay_t<F>;
-    assert(at >= fired_floor_ &&
+    assert(at >= cursor_at_ &&
            "EventEngine: scheduling before an already-fired event");
-    const std::uint32_t idx = alloc_slot();
-    Slot& s = slot(idx);
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(s.storage)) D(std::forward<F>(fn));
-      s.ops = &InlineOps<D>::kOps;
-    } else {
-      ::new (static_cast<void*>(s.storage)) (D*)(new D(std::forward<F>(fn)));
-      s.ops = &HeapOps<D>::kOps;
-      ++heap_fallbacks_;
-    }
-    push(Entry{at, next_seq_++, idx, s.gen});
-    ++size_;
-    return make_id(idx, s.gen);
+    return emplace(at, next_seq_++, std::forward<F>(fn));
+  }
+
+  /// Takes the (at, seq) that schedule(at, ...) would take now, without
+  /// scheduling anything.
+  [[nodiscard]] Reservation reserve(Time at) {
+    assert(at >= cursor_at_ &&
+           "EventEngine: reserving before an already-fired event");
+    return Reservation{at, next_seq_++};
+  }
+
+  /// Schedules `fn` at exactly the reserved (at, seq).  The reservation
+  /// must not have passed.
+  template <typename F>
+  EventId schedule(Reservation r, F&& fn) {
+    assert(!passed(r) && "EventEngine: attaching a passed reservation");
+    return emplace(r.at, r.seq, std::forward<F>(fn));
+  }
+
+  /// True when the firing cursor is past `r`: an event scheduled at it
+  /// would already have fired.  The cursor is the (at, seq) of the event
+  /// being fired, or the one advance_cursor() set.
+  [[nodiscard]] bool passed(Reservation r) const {
+    return r.at != cursor_at_ ? r.at < cursor_at_ : r.seq < cursor_seq_;
+  }
+
+  /// Moves the cursor to `at`, past every seq taken so far (a run loop
+  /// that has fired everything up to `at` calls this).  Requires `at` to
+  /// be no earlier than the cursor.
+  void advance_cursor(Time at) {
+    assert(at >= cursor_at_);
+    cursor_at_ = at;
+    cursor_seq_ = next_seq_;
   }
 
   /// Cancels a pending event: its callback is destroyed and its slot
@@ -177,6 +208,24 @@ class EventEngine {
   /// Decodes a handle into a validated live-slot index, or kNil.
   [[nodiscard]] std::uint32_t decode(EventId id) const;
 
+  template <typename F>
+  EventId emplace(Time at, std::uint64_t seq, F&& fn) {
+    using D = std::decay_t<F>;
+    const std::uint32_t idx = alloc_slot();
+    Slot& s = slot(idx);
+    if constexpr (fits_inline<D>()) {
+      ::new (static_cast<void*>(s.storage)) D(std::forward<F>(fn));
+      s.ops = &InlineOps<D>::kOps;
+    } else {
+      ::new (static_cast<void*>(s.storage)) (D*)(new D(std::forward<F>(fn)));
+      s.ops = &HeapOps<D>::kOps;
+      ++heap_fallbacks_;
+    }
+    push(Entry{at, seq, idx, s.gen});
+    ++size_;
+    return make_id(idx, s.gen);
+  }
+
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t idx);
 
@@ -189,7 +238,10 @@ class EventEngine {
   std::uint32_t free_head_ = kNil;
   std::vector<Entry> heap_;  ///< binary min-heap by (at, seq)
 
-  Time fired_floor_ = Time::zero();  ///< guards the exact-order precondition
+  /// The firing cursor: (at, seq) of the last fired event, or where
+  /// advance_cursor() moved it.  Guards the exact-order precondition.
+  Time cursor_at_ = Time::zero();
+  std::uint64_t cursor_seq_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t size_ = 0;
   std::uint64_t heap_fallbacks_ = 0;

@@ -14,7 +14,11 @@ void Simulator::run_until(Time end) {
       observer_->on_kernel_window(now_, events_executed_, engine_.size());
     }
   }
-  if (end > now_) now_ = end;
+  if (end >= now_) {
+    // Every event at or before `end` has fired.
+    now_ = end;
+    engine_.advance_cursor(end);
+  }
 }
 
 }  // namespace rica::sim

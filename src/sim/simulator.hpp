@@ -9,9 +9,11 @@
 // Runs are therefore bit-identical for a fixed seed, and the golden test
 // suite pins full-stack stream hashes against captured references.  The
 // Simulator adds the clock, the run loop, the executed and peak-pending
-// counts, and an optional rate-limited KernelObserver.  The kernel is
-// single-threaded; cores are spent on independent runs
-// (harness::run_speed_sweep), never inside one.
+// counts, and an optional rate-limited KernelObserver.  A reservation
+// (reserve, at(reservation), passed) holds an event's place in that order
+// without scheduling it (DESIGN.md §5).  The kernel is single-threaded;
+// cores are spent on independent runs (harness::run_speed_sweep), never
+// inside one.
 #pragma once
 
 #include <cassert>
@@ -54,6 +56,31 @@ class Simulator {
     const EventId id = engine_.schedule(when, std::forward<F>(fn));
     if (engine_.size() > peak_pending_) peak_pending_ = engine_.size();
     return id;
+  }
+
+  /// Takes now the schedule-seq that at(when, ...) would take now, and
+  /// schedules nothing.  at(reservation, fn) later puts `fn` at exactly
+  /// that (time, seq); a reservation never attached costs no event.
+  [[nodiscard]] Reservation reserve(Time when) {
+    assert(when >= now_ && "cannot reserve in the past");
+    return engine_.reserve(when);
+  }
+
+  /// Schedules `fn` at a reservation's (time, seq).  Requires
+  /// !passed(reservation).
+  template <typename F>
+  EventId at(Reservation reservation, F&& fn) {
+    const EventId id = engine_.schedule(reservation, std::forward<F>(fn));
+    if (engine_.size() > peak_pending_) peak_pending_ = engine_.size();
+    return id;
+  }
+
+  /// True once an event at `reservation` would have fired: the firing
+  /// cursor, the (time, seq) of the event being fired, is past it.  Once
+  /// run_until(end) has returned the cursor is (end, infinity) for every
+  /// seq taken so far; a reservation taken after the return is not passed.
+  [[nodiscard]] bool passed(Reservation reservation) const {
+    return engine_.passed(reservation);
   }
 
   /// Schedules `fn` after a non-negative relative `delay`.

@@ -50,6 +50,14 @@ class Timer {
     id_ = sim.at(when, std::forward<F>(fn));
   }
 
+  /// Arms (or rearms) the timer at a reservation's exact (time, seq).
+  template <typename F>
+  void arm(Simulator& sim, Reservation reservation, F&& fn) {
+    cancel();
+    sim_ = &sim;
+    id_ = sim.at(reservation, std::forward<F>(fn));
+  }
+
   /// Arms (or rearms) the timer `delay` from now.
   template <typename F>
   void arm_after(Simulator& sim, Time delay, F&& fn) {

@@ -35,7 +35,7 @@ MetricsCollector::MetricsCollector() {
 
 void MetricsCollector::on_generated(const net::DataPacket& pkt) {
   ++generated_;
-  ++flows_[pkt.flow].generated;
+  ++flow(pkt.flow).generated;
   fold(1);
   fold((static_cast<std::uint64_t>(pkt.flow) << 32) | pkt.seq);
   fold(static_cast<std::uint64_t>(pkt.gen_time.nanos()));
@@ -48,7 +48,7 @@ void MetricsCollector::on_delivered(const net::DataPacket& pkt,
   hop_sum_ += pkt.hops;
   tput_sum_bps_ += pkt.tput_sum_bps;
   series_.add_bits(now, pkt.size_bytes * 8.0);
-  auto& f = flows_[pkt.flow];
+  auto& f = flow(pkt.flow);
   ++f.delivered;
   f.delay_sum_ms += (now - pkt.gen_time).millis();
   f.bits_delivered += pkt.size_bytes * 8.0;
@@ -65,7 +65,7 @@ void MetricsCollector::on_delivered(const net::DataPacket& pkt,
 void MetricsCollector::on_dropped(const net::DataPacket& pkt,
                                   DropReason reason) {
   ++drops_[static_cast<std::size_t>(reason)];
-  ++flows_[pkt.flow].dropped;
+  ++flow(pkt.flow).dropped;
   fold(3);
   fold((static_cast<std::uint64_t>(pkt.flow) << 32) | pkt.seq);
   fold(static_cast<std::uint64_t>(reason));
@@ -134,13 +134,16 @@ MetricsSummary MetricsCollector::finalize(sim::Time sim_duration) const {
   s.stream_hash = stream_hash_;
   s.measure_start = epoch_start_;
 
-  // Workload-axis metrics: per-flow table (map iteration is ascending flow
-  // id), fairness over per-flow delivered throughput, percentiles read
-  // from the log-bucketed delay histograms (nanoseconds -> milliseconds).
+  // Workload-axis metrics: per-flow table (ascending flow id, flows that
+  // saw an event only), fairness over per-flow delivered throughput,
+  // percentiles read from the log-bucketed delay histograms (nanoseconds
+  // -> milliseconds).
   std::vector<double> flow_tputs;
   s.flow_summaries.reserve(flows_.size());
   flow_tputs.reserve(flows_.size());
-  for (const auto& [flow_id, f] : flows_) {
+  for (std::uint32_t flow_id = 0; flow_id < flows_.size(); ++flow_id) {
+    const FlowStats& f = flows_[flow_id];
+    if (!f.seen()) continue;
     FlowSummary fs;
     fs.flow = flow_id;
     fs.generated = f.generated;

@@ -188,7 +188,8 @@ class MetricsCollector {
   [[nodiscard]] obs::Registry& registry() { return registry_; }
   [[nodiscard]] const obs::Registry& registry() const { return registry_; }
 
-  /// Per-flow tallies (keyed by the traffic generator's flow id).
+  /// Per-flow tallies, indexed by the traffic generator's flow id (the
+  /// generators number their flows 0..F-1).
   struct FlowStats {
     std::uint64_t generated = 0;
     std::uint64_t delivered = 0;
@@ -201,8 +202,15 @@ class MetricsCollector {
     /// preset) with a few hundred bytes of buckets per flow, at <=1/32
     /// relative percentile error.
     obs::LogHistogram delays;
+
+    /// True once the flow has seen an event this epoch.
+    [[nodiscard]] bool seen() const {
+      return generated + delivered + dropped > 0;
+    }
   };
-  [[nodiscard]] const std::map<std::uint32_t, FlowStats>& flow_stats() const {
+  /// Entry `id` is flow `id`'s tallies; an id that saw no event this
+  /// epoch reads all zero (`!seen()`), or lies past the end.
+  [[nodiscard]] const std::vector<FlowStats>& flow_stats() const {
     return flows_;
   }
 
@@ -245,6 +253,11 @@ class MetricsCollector {
 
  private:
   void fold(std::uint64_t v) { stream_hash_ = fnv1a(stream_hash_, v); }
+  /// Flow `id`'s tallies, growing the table to reach it.
+  FlowStats& flow(std::uint32_t id) {
+    if (id >= flows_.size()) flows_.resize(std::size_t{id} + 1);
+    return flows_[id];
+  }
 
   std::uint64_t generated_ = 0;
   std::uint64_t delivered_ = 0;
@@ -257,7 +270,7 @@ class MetricsCollector {
   std::uint64_t collision_count_ = 0;
   std::array<std::uint64_t, kNumDropReasons> drops_{};
   ThroughputSeries series_{};
-  std::map<std::uint32_t, FlowStats> flows_;
+  std::vector<FlowStats> flows_;  ///< indexed by flow id
   obs::Registry registry_;
   // Registry-owned, so reset_epoch and finalize reach them with the rest.
   obs::LogHistogram& delay_ns_ = registry_.histogram("delay_ns");

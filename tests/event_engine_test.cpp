@@ -2,7 +2,9 @@
 // differential model test against a sorted-map reference, the deterministic
 // FIFO tie-break, generation-counted handle reuse safety, lazy cancellation
 // (a cancelled entry at the heap top is skipped), the oversized-closure
-// fallback, far-future scheduling, and scheduling from inside a callback.
+// fallback, far-future scheduling, scheduling from inside a callback, and
+// reservations (attached later, attached at the cursor's own time, or
+// never attached) against the same reference.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -140,42 +142,83 @@ TEST(EventEngine, NextTimeSkipsCancelledTop) {
 
 // ---------------------------------------------------------------------------
 // Randomized differential model test: the engine vs a sorted-map reference,
-// over schedule/cancel/fire interleavings at adversarial time offsets (same
-// tick, same timestamp, every rung, overflow).
+// over schedule/cancel/fire/reserve/attach interleavings at adversarial time
+// offsets (same tick, same timestamp, every scale, far future).  A
+// reservation holds its (time, seq) key; passed() must agree with the
+// reference cursor, and an attached reservation must pop at its key.
 // ---------------------------------------------------------------------------
 
 TEST(EventEngine, RandomizedModelAgainstSortedMapReference) {
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+  int attached_later = 0;
+  int attached_at_cursor = 0;
+  int never_attached = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     EventEngine q;
     RandomStream rng(seed);
     // Reference: (time, seq) -> token, mirroring the engine's contract.
-    std::map<std::pair<std::int64_t, std::uint64_t>, int> ref;
+    std::map<Key, int> ref;
     struct Live {
       EventId id;
-      std::pair<std::int64_t, std::uint64_t> key;
+      Key key;
     };
     std::vector<Live> live;  // ids still cancellable
+    struct Held {
+      Reservation r;
+      Key key;
+      int fires_before;  // fired.size() when reserved
+    };
+    std::vector<Held> held;  // reservations not attached yet
     std::vector<int> fired;
-    std::int64_t now_ns = 0;
+    Key cursor{0, 0};  // (at, seq) of the last fired event
     std::uint64_t seq = 0;
     int token = 0;
+    const auto draw_time = [&] {
+      static constexpr std::int64_t kSpans[] = {
+          0, 1, 3'000, 400'000, 2'000'000, 40'000'000,
+          900'000'000, 30'000'000'000, 20'000'000'000'000};
+      const auto span = kSpans[rng.uniform_int(0, 8)];
+      return cursor.first + (span == 0 ? 0 : rng.uniform_int(0, span));
+    };
+    const auto schedule_ref = [&](EventId id, Key key, int tok) {
+      ref.emplace(key, tok);
+      live.push_back(Live{id, key});
+    };
 
     for (int op = 0; op < 4000; ++op) {
       const auto r = rng.uniform_int(0, 99);
-      if (r < 55 || ref.empty()) {  // schedule
-        static constexpr std::int64_t kSpans[] = {
-            0, 1, 3'000, 400'000, 2'000'000, 40'000'000,
-            900'000'000, 30'000'000'000, 20'000'000'000'000};
-        const auto span = kSpans[rng.uniform_int(0, 8)];
-        const std::int64_t at = now_ns + (span == 0 ? 0 : rng.uniform_int(0, span));
+      if (r < 45 || ref.empty()) {  // schedule
+        const std::int64_t at = draw_time();
         const int tok = token++;
         const EventId id = q.schedule(Time{at}, [tok, &fired] {
           fired.push_back(tok);
         });
-        ref.emplace(std::make_pair(at, seq), tok);
-        live.push_back(Live{id, {at, seq}});
-        ++seq;
+        schedule_ref(id, {at, seq++}, tok);
+      } else if (r < 55) {  // reserve
+        const std::int64_t at = draw_time();
+        const Reservation res = q.reserve(Time{at});
+        ASSERT_EQ(res.seq, seq);
+        held.push_back(Held{res, {at, seq++}, static_cast<int>(fired.size())});
+      } else if (r < 65 && !held.empty()) {  // attach (if not passed)
+        const auto pick = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(held.size()) - 1));
+        const Held h = held[pick];
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(pick));
+        const bool passed = h.key < cursor;
+        ASSERT_EQ(q.passed(h.r), passed);
+        if (passed) {
+          ++never_attached;
+        } else {
+          if (h.key.first == cursor.first) ++attached_at_cursor;
+          if (static_cast<int>(fired.size()) > h.fires_before) ++attached_later;
+          const int tok = token++;
+          const EventId id = q.schedule(h.r, [tok, &fired] {
+            fired.push_back(tok);
+          });
+          schedule_ref(id, h.key, tok);
+        }
       } else if (r < 75) {  // cancel (sometimes a stale handle)
+        if (live.empty()) continue;
         const auto pick =
             static_cast<std::size_t>(rng.uniform_int(
                 0, static_cast<std::int64_t>(live.size()) - 1));
@@ -192,8 +235,9 @@ TEST(EventEngine, RandomizedModelAgainstSortedMapReference) {
         ASSERT_EQ(fired.size(), before + 1);
         EXPECT_EQ(fired.back(), expect->second);
         EXPECT_EQ(f.at.nanos(), expect->first.first);
-        now_ns = expect->first.first;
+        cursor = expect->first;
         ref.erase(expect);
+        for (const Held& h : held) ASSERT_EQ(q.passed(h.r), h.key < cursor);
       }
       ASSERT_EQ(q.size(), ref.size());
     }
@@ -202,10 +246,36 @@ TEST(EventEngine, RandomizedModelAgainstSortedMapReference) {
       const auto expect = ref.begin();
       q.fire_next();
       EXPECT_EQ(fired.back(), expect->second);
+      cursor = expect->first;
       ref.erase(expect);
     }
     EXPECT_TRUE(q.empty());
+    // Reservations never attached left no trace in the engine.
+    for (const Held& h : held) EXPECT_EQ(q.passed(h.r), h.key < cursor);
+    never_attached += static_cast<int>(held.size());
   }
+  // Every reservation path was taken.
+  EXPECT_GT(attached_later, 0);
+  EXPECT_GT(attached_at_cursor, 0);
+  EXPECT_GT(never_attached, 0);
+}
+
+TEST(EventEngine, AdvanceCursorPassesEverySeqTakenSoFar) {
+  EventEngine q;
+  const Reservation before = q.reserve(milliseconds(3));
+  const Reservation later_time = q.reserve(milliseconds(4));
+  q.advance_cursor(milliseconds(3));
+  EXPECT_TRUE(q.passed(before));
+  EXPECT_FALSE(q.passed(later_time));
+  // Taken after the advance, at the cursor's own time: still ahead.
+  const Reservation after = q.reserve(milliseconds(3));
+  EXPECT_FALSE(q.passed(after));
+  int fired = 0;
+  q.schedule(after, [&] { ++fired; });
+  EXPECT_EQ(q.fire_next().at, milliseconds(3));
+  EXPECT_EQ(fired, 1);
+  q.advance_cursor(milliseconds(3));
+  EXPECT_TRUE(q.passed(after));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 // sense, queue bound, unicast retransmission, and the collision model on
 // pinned positions: hidden terminals, half duplex, touching frames, deferral)
 // and the per-link CDMA data transmitter (rate by class, ACK accounting,
-// buffer bound, residency expiry, retry-then-break).
+// buffer bound, residency expiry, retry-then-break, and a packet that
+// reaches a link before, at or after the end of its ACK wait).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 #include <vector>
 
 #include "mac/common_channel.hpp"
@@ -424,26 +426,6 @@ TEST(LinkTransmitter, OutOfRangeRetriesThenBreaks) {
   EXPECT_EQ(stranded.size(), 2u);
 }
 
-TEST(LinkTransmitter, DrainKeepsInFlightHead) {
-  LinkWorld w;
-  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, {});
-  int delivered = 0;
-  tx.set_deliver([&delivered](net::DataPacket, net::NodeId) { ++delivered; });
-  for (std::uint32_t i = 0; i < 4; ++i) tx.enqueue(data_pkt(i), 1);
-  // The head is on the air immediately; drain must spare it.
-  const auto drained = tx.drain(1);
-  EXPECT_EQ(drained.size(), 3u);
-  w.sim.run_until(sim::seconds(2));
-  EXPECT_EQ(delivered, 1);
-}
-
-TEST(LinkTransmitter, DrainUnknownNeighborIsEmpty) {
-  LinkWorld w;
-  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, {});
-  EXPECT_TRUE(tx.drain(3).empty());
-  EXPECT_EQ(tx.buffered(), 0u);
-}
-
 TEST(LinkTransmitter, BufferedCountsAllQueues) {
   LinkWorld w;
   LinkTransmitter tx(0, w.sim, w.channel, w.metrics, {});
@@ -451,6 +433,141 @@ TEST(LinkTransmitter, BufferedCountsAllQueues) {
   tx.enqueue(data_pkt(1), 1);
   tx.enqueue(data_pkt(2), 2);
   EXPECT_EQ(tx.buffered(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// LinkTransmitter: arrivals around the end of an ACK wait.  With nothing
+// queued, a link only reserves its ACK end (DESIGN.md §16); these cases pin
+// that a packet arriving before or at that end still waits for the ACK.
+// ---------------------------------------------------------------------------
+
+/// Transmissions started so far (each records one airtime sample).
+std::uint64_t tx_starts(World& w) {
+  return w.metrics.registry().histogram("airtime_ns").count();
+}
+
+/// Data and ACK airtime of a data_pkt() hop between a and b.
+struct HopTimes {
+  sim::Time data;
+  sim::Time ack;
+};
+HopTimes hop_times(World& w, net::NodeId a, net::NodeId b) {
+  const auto cls = w.channel.csi(a, b, w.sim.now());
+  EXPECT_TRUE(cls.has_value());
+  const double rate = channel::throughput_bps(cls.value_or(channel::CsiClass::D));
+  const double frame_bits = (net::wire::kDataHeaderBytes + 512) * 8.0;
+  return {sim::seconds_f(frame_bits / rate),
+          sim::seconds_f(10 * 8.0 / rate)};  // the paper's 10-byte ACK
+}
+
+TEST(LinkTransmitter, ArrivalAtTheAckEndIsServedAfterTheAck) {
+  // Chain a -> b -> c of equal-class links, two packets queued at a.  The
+  // first reaches c at 2D and b's link reserves its ACK end 2D + A.  The
+  // second leaves a after a's ACK and reaches b at D + A + D: exactly that
+  // ACK end.  Its arrival event holds the earlier seq, so it must not start
+  // the packet; the ACK event after it does, at the same instant.
+  LinkWorld w;
+  net::NodeId a = 0, b = 0, c = 0;
+  bool found = false;
+  for (net::NodeId i = 0; i < 5 && !found; ++i) {
+    for (net::NodeId j = 0; j < 5 && !found; ++j) {
+      for (net::NodeId k = 0; k < 5 && !found; ++k) {
+        if (i == j || j == k || i == k) continue;
+        found = w.channel.csi(i, j, w.sim.now()) ==
+                w.channel.csi(j, k, w.sim.now());
+        if (found) std::tie(a, b, c) = std::tie(i, j, k);
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+  const HopTimes t = hop_times(w, a, b);
+  LinkTransmitter up(a, w.sim, w.channel, w.metrics, {});
+  LinkTransmitter mid(b, w.sim, w.channel, w.metrics, {});
+  std::vector<sim::Time> at_b, at_c;
+  std::vector<bool> started_on_arrival;
+  up.set_deliver([&](net::DataPacket p, net::NodeId) {
+    at_b.push_back(w.sim.now());
+    const auto before = tx_starts(w);
+    mid.enqueue(std::move(p), c);
+    started_on_arrival.push_back(tx_starts(w) != before);
+  });
+  mid.set_deliver([&](net::DataPacket, net::NodeId) {
+    at_c.push_back(w.sim.now());
+  });
+  up.enqueue(data_pkt(0), b);
+  up.enqueue(data_pkt(1), b);
+  w.sim.run_until(sim::seconds(1));
+  ASSERT_EQ(at_b.size(), 2u);
+  ASSERT_EQ(at_c.size(), 2u);
+  EXPECT_EQ(at_b[0], t.data);
+  EXPECT_EQ(at_c[0], t.data + t.data);
+  EXPECT_EQ(at_b[1], at_c[0] + t.ack);  // the tie
+  EXPECT_EQ(started_on_arrival, (std::vector<bool>{true, false}));
+  EXPECT_EQ(at_c[1], at_b[1] + t.data);  // started at its arrival instant
+}
+
+/// One link 0 -> 1 that delivers packet 0, then takes packet 1 from
+/// `enqueue_second`; returns the two delivery times and whether packet 1
+/// started inside its own enqueue call.
+struct SecondPacket {
+  std::vector<sim::Time> delivered;
+  bool started_on_arrival = false;
+};
+template <typename Schedule>
+SecondPacket serve_second_packet(Schedule&& enqueue_second) {
+  LinkWorld w;
+  const HopTimes t = hop_times(w, 0, 1);
+  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, {});
+  SecondPacket out;
+  tx.set_deliver([&](net::DataPacket, net::NodeId) {
+    out.delivered.push_back(w.sim.now());
+  });
+  const auto enqueue = [&] {
+    const auto before = tx_starts(w);
+    tx.enqueue(data_pkt(1), 1);
+    out.started_on_arrival = tx_starts(w) != before;
+  };
+  tx.enqueue(data_pkt(0), 1);
+  enqueue_second(w, t, enqueue);
+  w.sim.run_until(sim::seconds(1));
+  return out;
+}
+
+TEST(LinkTransmitter, ArrivalInsideTheAckWaitStartsAtItsEnd) {
+  sim::Time ack_end;
+  const auto got = serve_second_packet([&](World& w, HopTimes t, auto& enq) {
+    ack_end = t.data + t.ack;
+    w.sim.run_until(t.data + sim::nanoseconds(t.ack.nanos() / 2));
+    enq();
+  });
+  ASSERT_EQ(got.delivered.size(), 2u);
+  EXPECT_FALSE(got.started_on_arrival);
+  EXPECT_EQ(got.delivered[1], ack_end + got.delivered[0]);
+}
+
+TEST(LinkTransmitter, ArrivalAfterTheAckWaitStartsAtOnce) {
+  sim::Time arrival;
+  const auto got = serve_second_packet([&](World& w, HopTimes t, auto& enq) {
+    arrival = t.data + t.ack + sim::nanoseconds(1);
+    w.sim.run_until(arrival);
+    enq();
+  });
+  ASSERT_EQ(got.delivered.size(), 2u);
+  EXPECT_TRUE(got.started_on_arrival);
+  EXPECT_EQ(got.delivered[1], arrival + got.delivered[0]);
+}
+
+TEST(LinkTransmitter, ArrivalAtTheAckEndAfterItsSeqStartsAtOnce) {
+  // The arrival is scheduled inside the ACK wait, so its seq follows the
+  // reserved one: at the shared instant the ACK has already ended.
+  sim::Time ack_end;
+  const auto got = serve_second_packet([&](World& w, HopTimes t, auto& enq) {
+    ack_end = t.data + t.ack;
+    w.sim.at(t.data + sim::nanoseconds(t.ack.nanos() / 2), [&w, ack_end, &enq] { w.sim.at(ack_end, enq); });
+  });
+  ASSERT_EQ(got.delivered.size(), 2u);
+  EXPECT_TRUE(got.started_on_arrival);
+  EXPECT_EQ(got.delivered[1], ack_end + got.delivered[0]);
 }
 
 }  // namespace

@@ -95,9 +95,6 @@ class MockHost : public routing::ProtocolHost {
                  stats::DropReason reason) override {
     dropped.emplace_back(pkt, reason);
   }
-  std::vector<net::DataPacket> drain_queue(net::NodeId) override {
-    return {};
-  }
   [[nodiscard]] std::size_t buffered_count() const override {
     return buffered;
   }
