@@ -34,7 +34,8 @@ bool ChannelModel::in_range(std::uint32_t a, std::uint32_t b, sim::Time t) {
     // evaluation entirely.
     if (!index_.possibly_in_range(a, b)) return false;
   }
-  return mobility_.node_distance(a, b, t) <= cfg_.range_m;
+  return within_range(mobility_.position(a, t), mobility_.position(b, t),
+                      cfg_.range_m);
 }
 
 void ChannelModel::advance(PairProcess& p, sim::Time t,
@@ -130,26 +131,8 @@ void ChannelModel::neighbors_of(std::uint32_t node, sim::Time t,
     out = neighbors_of_bruteforce(node, t);
     return;
   }
-  out.clear();
   index_.ensure_fresh(t);
-  const auto near = index_.near(node);
-  out.reserve(near.size());
-  // Sure entries are in range throughout the epoch; only the band between
-  // the sure and reach radii pays the exact mobility distance.  Skipping
-  // position queries is safe: positions are a pure function of time.
-  std::optional<mobility::Vec2> pos;
-  for (const auto entry : near) {
-    const auto other = entry & NeighborIndex::kIdMask;
-    if (entry & NeighborIndex::kSure) {
-      out.push_back(other);
-      continue;
-    }
-    if (!pos) pos = mobility_.position(node, t);
-    if (mobility::distance(*pos, mobility_.position(other, t)) <=
-        cfg_.range_m) {
-      out.push_back(other);
-    }
-  }
+  index_.neighbors_of(node, t, out);
 }
 
 const LinkRow& ChannelModel::links_of(std::uint32_t node, sim::Time t) {

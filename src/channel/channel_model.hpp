@@ -99,7 +99,7 @@ class ChannelModel {
 
   /// All nodes within range of `node` at time t, ascending by id.  Served
   /// from the node's per-epoch NeighborIndex list (O(degree), with an exact
-  /// distance check only for entries not flagged sure) unless
+  /// distance check only for entries whose decision has expired) unless
   /// `use_neighbor_index` is off.
   [[nodiscard]] std::vector<std::uint32_t> neighbors_of(std::uint32_t node,
                                                         sim::Time t);

@@ -1,7 +1,10 @@
 #include "channel/neighbor_index.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <optional>
+#include <span>
 
 namespace rica::channel {
 
@@ -14,8 +17,7 @@ NeighborIndex::NeighborIndex(mobility::MobilityManager& mobility,
                std::max(0.0, cfg.rebuild_epoch.seconds())),
       reach_m_(cfg.range_m + 2.0 * slack_m_ + kEpsilonM),
       static_(mobility.max_speed_mps() == 0.0) {
-  const double sure_m = cfg.range_m - 2.0 * slack_m_ - kEpsilonM;
-  sure_sq_ = sure_m > 0.0 ? sure_m * sure_m : -1.0;
+  ns_per_m_ = static_ ? 0.0 : 1e9 / (2.0 * mobility.max_speed_mps());
 }
 
 int NeighborIndex::cell_x(double x) const {
@@ -76,6 +78,8 @@ void NeighborIndex::rebuild(sim::Time t) {
   for (std::size_t c = 0; c < num_cells; ++c) {
     cell_start_[c + 1] += cell_start_[c];
   }
+  candidates_.assign((n + 63) / 64, 0);
+  candidate_d_sq_.resize(n);
   cell_ids_.resize(n);
   std::vector<std::uint32_t> cursor(cell_start_.begin(),
                                     cell_start_.end() - 1);
@@ -87,10 +91,44 @@ void NeighborIndex::rebuild(sim::Time t) {
   }
 }
 
-std::span<const std::uint32_t> NeighborIndex::near(std::uint32_t node) {
+void NeighborIndex::decide(Near& e, double d, sim::Time at) const {
+  const double margin = std::abs(d - cfg_.range_m) - kEpsilonM;
+  if (margin <= 0.0) {
+    e.until = kUndecided;
+    return;
+  }
+  e.in = d < cfg_.range_m;
+  // Each end moves at most max_speed, so the distance stays more than
+  // kEpsilonM from the edge for margin / (2 * max_speed) seconds; the
+  // floor to whole ns keeps the hold inside that bound.
+  const double hold_ns = margin * ns_per_m_;
+  e.until = static_ || hold_ns >= static_cast<double>(
+                                      (sim::Time::max() - at).nanos())
+                ? sim::Time::max()
+                : at + sim::Time{static_cast<std::int64_t>(hold_ns)};
+}
+
+void NeighborIndex::neighbors_of(std::uint32_t node, sim::Time t,
+                                 std::vector<std::uint32_t>& out) {
   if (lists_[node].epoch != rebuilds_) build_list(node);
   const List& list = lists_[node];
-  return {entries_.data() + list.begin, list.size};
+  out.clear();
+  out.reserve(list.size);
+  // Positions are a pure function of time, so the queries a held decision
+  // skips change nothing.
+  std::optional<mobility::Vec2> pos;
+  for (Near& e : std::span(entries_.data() + list.begin, list.size)) {
+    if (t > e.until) {
+      if (!pos) pos = mobility_.position(node, t);
+      const mobility::Vec2 other = mobility_.position(e.id, t);
+      const mobility::Vec2 d = *pos - other;
+      decide(e, std::sqrt(d.x * d.x + d.y * d.y), t);
+      // A decided pair is over kEpsilonM from the edge, where within_range
+      // reads the same root; nearer, it is the exact check.
+      if (e.until == kUndecided) e.in = within_range(*pos, other, cfg_.range_m);
+    }
+    if (e.in) out.push_back(e.id);
+  }
 }
 
 void NeighborIndex::build_list(std::uint32_t node) {
@@ -100,7 +138,8 @@ void NeighborIndex::build_list(std::uint32_t node) {
   const int x1 = cell_x(center.x + reach_m_);
   const int y0 = cell_y(center.y - reach_m_);
   const int y1 = cell_y(center.y + reach_m_);
-  const auto begin = static_cast<std::uint32_t>(entries_.size());
+  std::size_t lo = candidates_.size();
+  std::size_t hi = 0;
   for (int cy = y0; cy <= y1; ++cy) {
     for (int cx = x0; cx <= x1; ++cx) {
       const std::size_t cell =
@@ -112,20 +151,28 @@ void NeighborIndex::build_list(std::uint32_t node) {
         const double dx = positions_[id].x - center.x;
         const double dy = positions_[id].y - center.y;
         const double d_sq = dx * dx + dy * dy;
-        if (d_sq <= sure_sq_) {
-          entries_.push_back(id | kSure);
-        } else if (d_sq <= reach_sq) {
-          entries_.push_back(id);
-        }
+        if (d_sq > reach_sq) continue;
+        candidates_[id / 64] |= std::uint64_t{1} << (id % 64);
+        candidate_d_sq_[id] = d_sq;
+        lo = std::min<std::size_t>(lo, id / 64);
+        hi = std::max<std::size_t>(hi, id / 64);
       }
     }
   }
-  // Cells are visited row-major; restore the ascending-id order of the
-  // brute-force scan, which downstream event ordering depends on.
-  std::sort(entries_.begin() + begin, entries_.end(),
-            [](std::uint32_t a, std::uint32_t b) {
-              return (a & kIdMask) < (b & kIdMask);
-            });
+  // Cells are visited row-major; the bitset hands the candidates back in
+  // the ascending-id order of the brute-force scan, which downstream event
+  // ordering depends on.
+  const auto begin = static_cast<std::uint32_t>(entries_.size());
+  for (std::size_t w = lo; w <= hi; ++w) {
+    for (std::uint64_t bits = candidates_[w]; bits != 0; bits &= bits - 1) {
+      const auto id =
+          static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+      Near& e = entries_.emplace_back();
+      e.id = id;
+      decide(e, std::sqrt(candidate_d_sq_[id]), snap_time_);
+    }
+    candidates_[w] = 0;
+  }
   lists_[node] = List{rebuilds_, begin,
                       static_cast<std::uint32_t>(entries_.size() - begin)};
 }

@@ -12,21 +12,40 @@
 // The lists are a *conservative prefilter*, never an approximation: a node
 // drifts at most slack = max_speed * rebuild_epoch meters from its snapshot
 // position, so a pair whose snapshot distance exceeds range + 2*slack is out
-// of range at every instant of the epoch and is left out, and a pair within
-// range - 2*slack is in range at every instant and is flagged kSure.  Only
-// the band between needs the caller's exact distance check at query time.
+// of range at every instant of the epoch and is left out.  Every listed pair
+// carries a decision, in or out of range, and the time it holds until: two
+// nodes at distance d close or part at most 2*max_speed m/s, so a pair
+// farther than kEpsilonM from the range edge stays on its side for
+// (|d - range| - kEpsilonM) / (2*max_speed) seconds.  A query past that
+// time runs the exact check and decides again from the query's positions.
 // Results are therefore bit-identical to the brute-force scan (see the
 // equivalence tests in tests/scale_test.cpp and DESIGN.md §2).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "mobility/mobility_model.hpp"
 #include "sim/time.hpp"
 
 namespace rica::channel {
+
+/// Distance margin, m, around range_m inside which within_range asks
+/// hypot.  Outside it the square root of the squared sum, off hypot by an
+/// ulp or two (1e-12 m at kilometre distances), decides the same way.
+inline constexpr double kRangeEdgeM = 1e-7;
+
+/// The exact range predicate: hypot(a - b) <= range_m.  Decided from the
+/// square root of the squared sum away from the edge, so hypot runs only
+/// for pairs within kRangeEdgeM of it.
+[[nodiscard]] inline bool within_range(mobility::Vec2 a, mobility::Vec2 b,
+                                       double range_m) {
+  const mobility::Vec2 d = a - b;
+  const double root = std::sqrt(d.x * d.x + d.y * d.y);
+  if (std::abs(root - range_m) > kRangeEdgeM) return root < range_m;
+  return d.norm() <= range_m;
+}
 
 /// Tunables of the spatial grid.
 struct NeighborIndexConfig {
@@ -38,14 +57,8 @@ struct NeighborIndexConfig {
 /// Thread-compatible; not thread-safe (one index per single-threaded run).
 class NeighborIndex {
  public:
-  /// Flag bit of a near() entry: the pair is within range_m at every instant
-  /// the current snapshot covers, so no exact check is needed.  Node ids
-  /// stay below 2^24 (net::kMaxNodes), clear of this bit.
-  static constexpr std::uint32_t kSure = 1u << 31;
-  /// Mask that recovers the node id from a near() entry.
-  static constexpr std::uint32_t kIdMask = kSure - 1;
   /// Distance margin, m, that absorbs floating-point rounding in positions
-  /// and distances on both sides of the sure/band/out thresholds.
+  /// and distances on both sides of the list and decision thresholds.
   static constexpr double kEpsilonM = 1e-6;
 
   NeighborIndex(mobility::MobilityManager& mobility,
@@ -57,14 +70,13 @@ class NeighborIndex {
   /// in a discrete-event simulation.
   void ensure_fresh(sim::Time t);
 
-  /// Every other node whose snapshot distance to `node` is within
-  /// range_m + 2*slack + kEpsilonM, ascending by id, each entry flagged
-  /// kSure when that distance is within range_m - 2*slack - kEpsilonM.  Any
-  /// node truly within range_m of `node` at an instant of the current epoch
-  /// is present.  Built on the first call per node and epoch; the span stays
-  /// valid until the next near() or ensure_fresh() call.  Requires
-  /// ensure_fresh() first.
-  [[nodiscard]] std::span<const std::uint32_t> near(std::uint32_t node);
+  /// Fills `out` with every node within range_m of `node` at time t,
+  /// ascending by id: the brute-force scan's answer.  Reuses each listed
+  /// pair's decision while it holds and runs the exact check
+  /// (within_range) on the others.  The node's list is built on its first
+  /// query of the epoch.  Requires ensure_fresh(t) first.
+  void neighbors_of(std::uint32_t node, sim::Time t,
+                    std::vector<std::uint32_t>& out);
 
   /// False only when a and b are provably out of range at every instant the
   /// current snapshot covers (snapshot distance > range + 2*slack +
@@ -86,6 +98,16 @@ class NeighborIndex {
   [[nodiscard]] std::size_t rebuild_count() const { return rebuilds_; }
 
  private:
+  /// Precedes every query time: the decision it marks is never valid.
+  static constexpr sim::Time kUndecided{-1};
+  /// A listed pair: whether `id` is within range_m, valid while the query
+  /// time is at most `until`.
+  struct Near {
+    std::uint32_t id = 0;
+    bool in = false;
+    sim::Time until = kUndecided;
+  };
+
   /// One node's list for the current epoch: entries_[begin, begin + size).
   struct List {
     std::size_t epoch = 0;  ///< rebuild_count() it was built in; 0 = never
@@ -95,6 +117,10 @@ class NeighborIndex {
 
   void rebuild(sim::Time t);
   void build_list(std::uint32_t node);
+  /// Decides `e` from the pair's distance `d` at time `at`: in or out while
+  /// d is farther than kEpsilonM from range_m, for as long as the motion
+  /// bound keeps it on that side; undecided otherwise.
+  void decide(Near& e, double d, sim::Time at) const;
   [[nodiscard]] int cell_x(double x) const;
   [[nodiscard]] int cell_y(double y) const;
 
@@ -103,7 +129,8 @@ class NeighborIndex {
   double cell_m_;
   double slack_m_;
   double reach_m_;   ///< range + 2*slack + eps: list membership bound
-  double sure_sq_;   ///< (range - 2*slack - eps)^2, or -1 when no pair is sure
+  /// 1e9 / (2 * max_speed): ns a pair's distance takes to change by 1 m.
+  double ns_per_m_;
   bool static_;      ///< max_speed_mps() == 0: one snapshot serves forever
 
   // Snapshot state.
@@ -125,7 +152,11 @@ class NeighborIndex {
   // Per-epoch lists: built lazily, appended to one arena that each rebuild
   // clears.
   std::vector<List> lists_;  ///< by node id
-  std::vector<std::uint32_t> entries_;
+  std::vector<Near> entries_;
+  // build_list working set: a bitset of candidate ids and their squared
+  // snapshot distances, so a list comes out in ascending id order unsorted.
+  std::vector<std::uint64_t> candidates_;
+  std::vector<double> candidate_d_sq_;
 };
 
 }  // namespace rica::channel

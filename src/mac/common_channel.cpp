@@ -26,10 +26,10 @@ std::size_t CommonChannelMac::pool_high_water() const {
   return ctrl_pool_.high_water();
 }
 
-void CommonChannelMac::trace_control(std::string_view stage, net::NodeId node,
-                                     const net::ControlPacket& pkt) {
+void CommonChannelMac::emit_control_trace(std::string_view stage,
+                                          net::NodeId node,
+                                          const net::ControlPacket& pkt) {
   auto& tracer = metrics_.tracer();
-  if (!tracer.route_on()) return;
   const auto info = obs::control_info(pkt.payload);
   // size_bytes is the frame's exact encoded size (asserted in send()), so
   // control_tx records carry byte-exact on-air cost — trace_query.py joins

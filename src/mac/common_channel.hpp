@@ -130,9 +130,14 @@ class CommonChannelMac {
   void schedule_attempt(net::NodeId id, sim::Time delay);
   void attempt(net::NodeId id);
   /// Route-lifecycle trace emission for control transmissions and
-  /// collision losses (no-op with no sink attached).
+  /// collision losses.  The flag test is inline, so with no sink attached
+  /// a call costs one load and branch.
   void trace_control(std::string_view stage, net::NodeId node,
-                     const net::ControlPacket& pkt);
+                     const net::ControlPacket& pkt) {
+    if (metrics_.tracer().route_on()) emit_control_trace(stage, node, pkt);
+  }
+  void emit_control_trace(std::string_view stage, net::NodeId node,
+                          const net::ControlPacket& pkt);
   void start_tx(net::NodeId id);
   void end_of_tx(net::NodeId id);
   /// True while a frame covering `st` is on the air.

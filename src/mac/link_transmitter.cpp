@@ -39,15 +39,13 @@ std::size_t LinkTransmitter::pool_high_water() const {
   return data_pool_.high_water();
 }
 
-void LinkTransmitter::trace_pkt(std::string_view stage,
-                                const net::DataPacket& pkt, net::NodeId peer,
-                                std::string_view detail) {
-  auto& tracer = metrics_.tracer();
-  if (!tracer.packet_on()) return;
-  tracer.packet(obs::PacketTrace{stage, sim_.now(), pkt.flow, pkt.seq, self_,
-                                 pkt.src, pkt.dst,
-                                 static_cast<std::int64_t>(peer), pkt.hops,
-                                 pkt.size_bytes, detail});
+void LinkTransmitter::emit_pkt_trace(std::string_view stage,
+                                     const net::DataPacket& pkt,
+                                     net::NodeId peer,
+                                     std::string_view detail) {
+  metrics_.tracer().packet(obs::PacketTrace{
+      stage, sim_.now(), pkt.flow, pkt.seq, self_, pkt.src, pkt.dst,
+      static_cast<std::int64_t>(peer), pkt.hops, pkt.size_bytes, detail});
 }
 
 std::uint32_t LinkTransmitter::perfetto_tid(net::NodeId neighbor) {

@@ -115,10 +115,17 @@ class LinkTransmitter {
   void fail(Link& link, std::string_view cause);
   void declare_break(Link& link);
 
-  /// Packet-lifecycle trace emission for this node's data plane (no-op
-  /// with no sink attached).
+  /// Packet-lifecycle trace emission for this node's data plane.  The flag
+  /// test is inline, so with no sink attached a call costs one load and
+  /// branch.
   void trace_pkt(std::string_view stage, const net::DataPacket& pkt,
-                 net::NodeId peer, std::string_view detail = {});
+                 net::NodeId peer, std::string_view detail = {}) {
+    if (metrics_.tracer().packet_on()) {
+      emit_pkt_trace(stage, pkt, peer, detail);
+    }
+  }
+  void emit_pkt_trace(std::string_view stage, const net::DataPacket& pkt,
+                      net::NodeId peer, std::string_view detail);
   /// This directed link's Perfetto data-plane track (allocated lazily).
   std::uint32_t perfetto_tid(net::NodeId neighbor);
 

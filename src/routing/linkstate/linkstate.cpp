@@ -134,7 +134,9 @@ void LinkStateProtocol::recompute_if_stale(net::NodeId dst) {
   last_spf_ = now;
   routes_version_ = view_version_;
   host().count("ls.spf_runs");
-  spf(dst);
+  // Stopping early pays off only while the view holds still: on a moving
+  // channel the next query usually needs the rest of the tree anyway.
+  spf(host().links_final() ? dst : kNoNextHop);
 }
 
 void LinkStateProtocol::complete_tree() {

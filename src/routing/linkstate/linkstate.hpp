@@ -94,7 +94,8 @@ class LinkStateProtocol final : public Protocol {
   void resume_sensing();
   void flood_own_row();
   /// Runs SPF when the view changed and the hold-down allows it, stopping
-  /// once `dst` is settled.
+  /// once `dst` is settled when the host's links are final (a static
+  /// channel) and running the whole tree otherwise.
   void recompute_if_stale(net::NodeId dst);
   /// SPF over the current view into next_hop_.  Stops once `target` is
   /// settled and marks every unsettled node kUnsettled; a target outside

@@ -62,11 +62,26 @@ void EventEngine::free_slot(std::uint32_t idx) {
 }
 
 void EventEngine::push(const Entry& e) {
-  heap_.push_back(e);
-  std::push_heap(heap_.begin(), heap_.end(), later);
+  if (!root_free_) {
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), later);
+    return;
+  }
+  // Sift `e` down from the root, moving the earlier child up into the hole.
+  root_free_ = false;
+  const std::size_t n = heap_.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && later(heap_[child], heap_[child + 1])) ++child;
+    if (!later(e, heap_[child])) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = e;
 }
 
 void EventEngine::pop() {
+  root_free_ = false;
   std::pop_heap(heap_.begin(), heap_.end(), later);
   heap_.pop_back();
 }
@@ -96,24 +111,31 @@ Time EventEngine::next_time() {
 EventEngine::Fired EventEngine::fire_next() {
   drop_stale_top();
   const Entry e = heap_.front();
-  pop();
   Slot& s = slot(e.slot);
   const Fired fired{e.at, make_id(e.slot, e.gen)};
   cursor_at_ = e.at;
   cursor_seq_ = e.seq;
   // Move the callback out and recycle the record *before* invoking: the
   // callback may cancel its own (already dead) handle or re-arm into the
-  // same slot.
+  // same slot.  Freeing the slot makes the root entry stale, so it stays
+  // in place for the callback's first push.
   const CallableOps* ops = s.ops;
   alignas(std::max_align_t) unsigned char tmp[kInlineBytes];
   ops->relocate(s.storage, tmp);
   free_slot(e.slot);
   --size_;
-  struct Destroy {
+  root_free_ = true;
+  // Runs on return and on a throw alike, so the flag never outlives the
+  // callback.
+  struct Finish {
+    EventEngine& engine;
     const CallableOps* ops;
     void* p;
-    ~Destroy() { ops->destroy(p); }
-  } guard{ops, tmp};
+    ~Finish() {
+      ops->destroy(p);
+      if (engine.root_free_) engine.pop();
+    }
+  } guard{*this, ops, tmp};
   ops->invoke(tmp);
   return fired;
 }

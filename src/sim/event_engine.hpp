@@ -17,6 +17,13 @@
 // earlier than an already-fired event asserts in debug builds (it would
 // break the exact pop order) and fires as soon as possible in release.
 //
+// A fired event's heap entry stays at the root while its callback runs:
+// it is stale already, so the callback's first schedule() overwrites it and
+// sifts down once, and a re-arming event (a carrier-sense poll, a periodic
+// timer) costs one sift instead of a pop plus a push.  Any pop in between
+// hands the root back, and a callback that schedules nothing leaves the
+// root to be popped when it returns.
+//
 // A Reservation takes the schedule-seq an event scheduled now would take,
 // without scheduling anything.  Attached later, it schedules at exactly
 // that (time, seq), so it pops where the event would have; never attached,
@@ -229,6 +236,8 @@ class EventEngine {
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t idx);
 
+  /// Adds `e`: into the free root when the firing callback has not
+  /// scheduled yet (one sift down), else at the back (one sift up).
   void push(const Entry& e);
   void pop();
   /// Pops cancelled entries until the top is live. Requires !empty().
@@ -237,6 +246,9 @@ class EventEngine {
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t free_head_ = kNil;
   std::vector<Entry> heap_;  ///< binary min-heap by (at, seq)
+  /// heap_.front() is the stale entry of the event being fired, free for
+  /// the callback's first push.  Every pop clears it.
+  bool root_free_ = false;
 
   /// The firing cursor: (at, seq) of the last fired event, or where
   /// advance_cursor() moved it.  Guards the exact-order precondition.

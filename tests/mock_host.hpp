@@ -83,8 +83,10 @@ class MockHost : public routing::ProtocolHost {
     row_.assign(links_.begin(), links_.end());
     return row_;
   }
-  /// Scripted links can change at any time.
-  [[nodiscard]] bool links_final() const override { return false; }
+  /// Scripted links can change at any time, unless a test declares them
+  /// final.
+  [[nodiscard]] bool links_final() const override { return links_final_; }
+  void set_links_final(bool final_links) { links_final_ = final_links; }
   void forward_data(net::DataPacket pkt, net::NodeId next_hop) override {
     forwarded.push_back(ForwardedData{std::move(pkt), next_hop, sim_.now()});
   }
@@ -111,6 +113,7 @@ class MockHost : public routing::ProtocolHost {
   routing::FloodLog flood_log_;  ///< holds this host's history only
   std::map<net::NodeId, channel::CsiClass> links_;
   channel::LinkRow row_;  ///< link_row's result
+  bool links_final_ = false;
 };
 
 /// A real channel over `n` static nodes packed into a 1 m field, so every

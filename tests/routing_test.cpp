@@ -1112,6 +1112,7 @@ std::size_t expect_oracle_first_hops(const LinkStateProtocol::Topology& view,
   sim::RandomStream rng(n);
   for (net::NodeId self = 0; self < n; ++self) {
     MockHost host(self);
+    host.set_links_final(true);  // SPF stops early only on final links
     LinkStateConfig cfg;
     cfg.num_nodes = n;
     LinkStateProtocol proto(host, cfg);
@@ -1205,15 +1206,18 @@ TEST(LinkStateSpf, MatchesTheHeapOnTheMetroView) {
   EXPECT_EQ(compared, scenario.num_nodes * scenario.num_nodes);
 }
 
-// A terminal's first query stops SPF early.  When its view then changes
-// inside the hold-down, it must go on answering from the tree of the view
-// the run started on, and only the next run may see the change.
+// On final links (a static channel) a terminal's first query stops SPF
+// early.  When its view then changes inside the hold-down, it must go on
+// answering from the tree of the view the run started on, and only the next
+// run may see the change.  The host reports its links final, as a node on a
+// frozen channel does; a moving host runs whole trees.
 class LinkStatePartialTreeTest : public ::testing::Test {
  protected:
   static constexpr net::NodeId kSelf = 0;
   static constexpr std::size_t kNodes = 40;
 
   LinkStatePartialTreeTest() : host_(kSelf), proto_(host_, config()) {
+    host_.set_links_final(true);
     constexpr std::array<CsiClass, 4> kAll = {CsiClass::A, CsiClass::B,
                                               CsiClass::C, CsiClass::D};
     sim::RandomStream rng(2028);
@@ -1302,6 +1306,34 @@ TEST_F(LinkStatePartialTreeTest, ReinstallInsideHoldDownKeepsTheStartedView) {
   auto changed = view_;
   changed[want_[far_]].clear();
   expect_answers_across(changed, [&] { proto_.install_topology(changed); });
+}
+
+TEST_F(LinkStatePartialTreeTest, MovingHostRunsTheWholeTree) {
+  // Links that may change: the near query runs the whole tree, so every
+  // later answer comes from that one pass, with no kUnsettled entry left
+  // for a second pass to fill in.
+  host_.set_links_final(false);
+  ASSERT_NE(near_, kSelf);
+  ASSERT_EQ(proto_.next_hop(near_), want_[near_]);
+  const auto relaxed = host_.counters["ls.spf_relaxations"];
+  sim::RandomStream rng(1);
+  for (const auto dst : query_order(QueryOrder::kFarFirst, dist_, rng)) {
+    EXPECT_EQ(proto_.next_hop(dst).value_or(oracle::kNoNextHop), want_[dst])
+        << "dst " << dst;
+  }
+  EXPECT_EQ(host_.counters["ls.spf_runs"], 1u);
+  EXPECT_EQ(host_.counters["ls.spf_relaxations"], relaxed)
+      << "a second pass ran: the first left unsettled entries";
+
+  // The same view on final links stops early and needs the second pass.
+  MockHost stopping(kSelf);
+  stopping.set_links_final(true);
+  LinkStateProtocol proto(stopping, config());
+  proto.install_topology(view_);
+  ASSERT_EQ(proto.next_hop(near_), want_[near_]);
+  EXPECT_LT(stopping.counters["ls.spf_relaxations"], relaxed);
+  ASSERT_EQ(proto.next_hop(far_), want_[far_]);
+  EXPECT_GT(stopping.counters["ls.spf_relaxations"], relaxed);
 }
 
 }  // namespace

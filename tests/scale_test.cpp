@@ -183,6 +183,142 @@ TEST(TraceNeighborIndex, BandEdgePairsMatchBruteForce) {
   EXPECT_EQ(channel.neighbor_index().slack_m(), 0.0);
 }
 
+TEST(TraceNeighborIndex, HeadOnPairsFlipWhereBruteForceDoes) {
+  // Two pairs cross range_m mid-epoch at the full 2 * max_speed closing
+  // rate: one comes into range at exactly 0.1 s, one leaves after exactly
+  // 0.375 s.  The index must flip at the very ns the brute-force scan does,
+  // so a decision held a ns too long (a 1 * max_speed rate, no kEpsilonM in
+  // the expiry) answers wrong at the crossing.
+  const std::string spec =
+      "trace:file=" RICA_TEST_DATA_DIR "/neighbor_head_on.bonnmotion";
+  mobility::MobilityConfig wcfg = mobility::parse_mobility_spec(spec);
+  wcfg.field = mobility::Field{3000.0, 3000.0};
+  const sim::RngManager rng(73);
+  mobility::MobilityManager indexed_mgr(4, wcfg, rng);
+  mobility::MobilityManager brute_mgr(4, wcfg, rng);
+  ASSERT_EQ(indexed_mgr.max_speed_mps(), 10.0);
+  channel::ChannelModel indexed(channel::ChannelConfig{}, indexed_mgr, rng);
+  channel::ChannelModel brute(channel::ChannelConfig{}, brute_mgr, rng);
+
+  const auto closing = sim::milliseconds(100);
+  const auto parting = sim::milliseconds(375);
+  std::vector<sim::Time> times;
+  for (int ms = 0; ms <= 600; ++ms) times.push_back(sim::milliseconds(ms));
+  for (const auto crossing : {closing, parting}) {
+    for (int ns = -64; ns <= 64; ++ns) {
+      times.push_back(crossing + sim::nanoseconds(ns));
+    }
+  }
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+
+  using Ids = std::vector<std::uint32_t>;
+  for (const auto t : times) {
+    for (std::uint32_t node = 0; node < 4; ++node) {
+      const auto want = brute.neighbors_of_bruteforce(node, t);
+      ASSERT_EQ(indexed.neighbors_of(node, t), want)
+          << "node " << node << " at t = " << t.nanos() << " ns";
+    }
+    // The fixture's premises: each brute-force answer flips at its ns.
+    if (t == closing - sim::nanoseconds(1)) {
+      ASSERT_EQ(brute.neighbors_of_bruteforce(0, t), Ids{});
+    }
+    if (t == closing) {
+      ASSERT_EQ(brute.neighbors_of_bruteforce(0, t), Ids{1});
+    }
+    if (t == parting) {
+      ASSERT_EQ(brute.neighbors_of_bruteforce(2, t), Ids{3});
+    }
+    if (t == parting + sim::nanoseconds(1)) {
+      ASSERT_EQ(brute.neighbors_of_bruteforce(2, t), Ids{});
+    }
+  }
+  EXPECT_GT(indexed.neighbor_index().rebuild_count(), 2u);
+}
+
+/// Index == brute force when every node is queried at its own random
+/// instants, 1 to 3 ms apart to the ns, in global time order: decisions
+/// expire at arbitrary ns, and each expired one is re-decided from a query
+/// time rather than a snapshot.  Returns the number of queries whose answer
+/// differed from the node's previous one.
+std::size_t check_random_time_equivalence(const IndexCase& p,
+                                          sim::Time horizon) {
+  mobility::MobilityConfig wcfg = mobility::parse_mobility_spec(p.mobility);
+  wcfg.field = mobility::Field{p.field_m, p.field_m};
+  wcfg.max_speed_mps = p.max_speed_mps;
+  sim::RngManager rng(p.seed);
+  mobility::MobilityManager indexed_mgr(p.num_nodes, wcfg, rng);
+  mobility::MobilityManager brute_mgr(p.num_nodes, wcfg, rng);
+  channel::ChannelConfig ccfg;
+  ccfg.range_m = p.range_m;
+  channel::ChannelModel indexed(ccfg, indexed_mgr, rng);
+  channel::ChannelModel brute(ccfg, brute_mgr, rng);
+
+  std::mt19937_64 gen(p.seed);
+  std::uniform_int_distribution<std::int64_t> gap_ns(1'000'000, 3'000'000);
+  std::vector<sim::Time> next(p.num_nodes);
+  for (auto& t : next) t = sim::nanoseconds(gap_ns(gen) - 1'000'000);
+  std::vector<std::vector<std::uint32_t>> last(p.num_nodes);
+  std::size_t flips = 0;
+  for (;;) {
+    const auto it = std::min_element(next.begin(), next.end());
+    const auto t = *it;
+    if (t > horizon) break;
+    const auto node = static_cast<std::uint32_t>(it - next.begin());
+    auto got = indexed.neighbors_of(node, t);
+    const auto want = brute.neighbors_of_bruteforce(node, t);
+    EXPECT_EQ(got, want) << "node " << node << " at t = " << t.nanos()
+                         << " ns (" << p.mobility << ")";
+    if (got != want) return flips;
+    if (got != last[node]) ++flips;
+    last[node] = std::move(got);
+    *it = t + sim::nanoseconds(gap_ns(gen));
+  }
+  return flips;
+}
+
+class NeighborIndexRandomTimes : public ::testing::TestWithParam<IndexCase> {
+};
+
+TEST_P(NeighborIndexRandomTimes, GridMatchesBruteForceAtEveryQuery) {
+  EXPECT_GT(check_random_time_equivalence(GetParam(), sim::seconds(4)), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMobilityModels, NeighborIndexRandomTimes,
+    ::testing::Values(IndexCase{79, 60, 1000.0, 25.0, 250.0, "waypoint"},
+                      IndexCase{83, 60, 1000.0, 25.0, 250.0, "walk"},
+                      IndexCase{89, 60, 1000.0, 25.0, 250.0, "gauss-markov"},
+                      IndexCase{97, 60, 1000.0, 25.0, 250.0, "group"},
+                      IndexCase{101, 60, 1000.0, 25.0, 250.0, "manhattan"},
+                      IndexCase{103, 40, 1414.2, 35.0, 150.0, "walk:leg=3"}));
+
+TEST(TraceNeighborIndex, RandomTimesMatchBruteForce) {
+  mobility::MobilityConfig src = mobility::parse_mobility_spec("gauss-markov");
+  src.field = mobility::Field{1000.0, 1000.0};
+  src.max_speed_mps = 25.0;
+  const sim::RngManager rng(107);
+  const auto model = mobility::make_mobility_model(60, src, rng);
+  const auto path = (std::filesystem::temp_directory_path() /
+                     "rica_scale_random_times.trace")
+                        .string();
+  mobility::write_bonnmotion_trace(*model, sim::seconds(5),
+                                   sim::milliseconds(400), path);
+  EXPECT_GT(check_random_time_equivalence(
+                IndexCase{109, 60, 1000.0, 25.0, 250.0, "trace:file=" + path},
+                sim::seconds(4)),
+            0u);
+  std::remove(path.c_str());
+
+  // The head-on fixture, queried at random instants too.
+  EXPECT_GT(check_random_time_equivalence(
+                IndexCase{113, 4, 3000.0, 0.0, 250.0,
+                          "trace:file=" RICA_TEST_DATA_DIR
+                          "/neighbor_head_on.bonnmotion"},
+                sim::seconds(2)),
+            0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RandomizedConfigs, NeighborIndexEquivalence,
     ::testing::Values(
