@@ -94,10 +94,10 @@ std::vector<std::vector<std::uint8_t>> seed_frames() {
           seeds.emplace_back())),
      ...);
   }(std::make_index_sequence<std::variant_size_v<ControlPayload>>{});
+  rica::channel::LinkRow row;
+  for (NodeId n = 0; n < 6; ++n) row.emplace_back(n, rica::channel::CsiClass::B);
   LsuMsg lsu;
-  for (NodeId n = 0; n < 6; ++n) {
-    lsu.links.emplace_back(n, rica::channel::CsiClass::B);
-  }
+  lsu.links = share_row(std::move(row));
   wire::encode_control(make_control(3, lsu), seeds.emplace_back());
   wire::encode_data_header(DataPacket{}, seeds.emplace_back());
   return seeds;

@@ -72,22 +72,30 @@ std::optional<ChannelSample> ChannelModel::sample(std::uint32_t a,
                                                   std::uint32_t b,
                                                   sim::Time t) {
   if (a == b) return std::nullopt;
-  const auto [lo, hi] = std::minmax(a, b);
+  if (cfg_.use_neighbor_index) {
+    index_.ensure_fresh(t);
+    if (!index_.possibly_in_range(a, b)) return std::nullopt;
+  }
+  End end{a};
+  return sample_from(end, b, t);
+}
+
+std::optional<ChannelSample> ChannelModel::sample_from(End& a,
+                                                       std::uint32_t b,
+                                                       sim::Time t) {
+  const auto [lo, hi] = std::minmax(a.id, b);
   const auto key = pair_key(lo, hi);
   auto it = pairs_.find(key);
   // In a static network no pair moves (mobility contract 3), so distance and
   // disturbances are constant and a drawn pair's stored sample is final.  A
   // pair is only created in range, so it is still in range, and the index
-  // prefilter below could only agree.
+  // prefilter could only have agreed.
   if (frozen_ && it != pairs_.end()) {
     const double snr = it->second.snr_db;
     return ChannelSample{snr, quantize(snr)};
   }
-  if (cfg_.use_neighbor_index) {
-    index_.ensure_fresh(t);
-    if (!index_.possibly_in_range(a, b)) return std::nullopt;
-  }
-  const double dist = mobility_.node_distance(a, b, t);
+  if (!a.pos) a.pos = mobility_.position(a.id, t);
+  const double dist = mobility::distance(*a.pos, mobility_.position(b, t));
   if (dist > cfg_.range_m) return std::nullopt;
 
   if (it == pairs_.end()) {
@@ -101,7 +109,8 @@ std::optional<ChannelSample> ChannelModel::sample(std::uint32_t a,
   // Effective pair decorrelation speed: the sum of the two nodes' speeds
   // bounds the relative speed and preserves the key property that a fully
   // static pair sees a frozen channel.
-  const double rel_speed = mobility_.speed(a, t) + mobility_.speed(b, t);
+  if (!a.speed) a.speed = mobility_.speed(a.id, t);
+  const double rel_speed = *a.speed + mobility_.speed(b, t);
   advance(proc, t, rel_speed);
 
   const double mean_snr =
@@ -151,8 +160,14 @@ void ChannelModel::sense(std::uint32_t node, sim::Time t, LinkRow& out) {
   neighbors_of(node, t, scratch_ids_);
   out.clear();
   out.reserve(scratch_ids_.size());
+  // The index has just listed these neighbours at t, so `sample`'s freshness
+  // check and prefilter could only pass; `node`'s position and speed are
+  // evaluated once for the whole row.
+  End end{node};
   for (const auto other : scratch_ids_) {
-    if (const auto s = sample(node, other, t)) out.emplace_back(other, s->csi);
+    if (const auto s = sample_from(end, other, t)) {
+      out.emplace_back(other, s->csi);
+    }
   }
 }
 

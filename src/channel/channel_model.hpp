@@ -153,6 +153,19 @@ class ChannelModel {
   static_assert(sizeof(PairProcess) <= 48,
                 "a pair process is plain data; it holds no RNG engine");
   void advance(PairProcess& p, sim::Time t, double rel_speed_mps);
+  /// One end of a sample at its instant: the position and speed, each
+  /// evaluated on first use and reused across one `sense` row.
+  struct End {
+    explicit End(std::uint32_t node) : id(node) {}
+    std::uint32_t id;
+    std::optional<mobility::Vec2> pos;
+    std::optional<double> speed;
+  };
+  /// The channel model proper, for a pair that passed the index prefilter:
+  /// a frozen channel's drawn pair serves its stored SNR; otherwise the
+  /// range check, the pair's AR(1) step and the path loss.
+  std::optional<ChannelSample> sample_from(End& a, std::uint32_t b,
+                                           sim::Time t);
   [[nodiscard]] CsiClass quantize(double snr_db) const;
   /// Fills `out` with the links of `node` at time t (see links_of).
   void sense(std::uint32_t node, sim::Time t, LinkRow& out);

@@ -112,12 +112,18 @@ void NeighborIndex::neighbors_of(std::uint32_t node, sim::Time t,
                                  std::vector<std::uint32_t>& out) {
   if (lists_[node].epoch != rebuilds_) build_list(node);
   const List& list = lists_[node];
+  const std::span entries(entries_.data() + list.begin, list.size);
   out.clear();
   out.reserve(list.size);
+  if (static_) {
+    // A static list holds only the in-range ids, decided for good.
+    for (const Near& e : entries) out.push_back(e.id);
+    return;
+  }
   // Positions are a pure function of time, so the queries a held decision
   // skips change nothing.
   std::optional<mobility::Vec2> pos;
-  for (Near& e : std::span(entries_.data() + list.begin, list.size)) {
+  for (Near& e : entries) {
     if (t > e.until) {
       if (!pos) pos = mobility_.position(node, t);
       const mobility::Vec2 other = mobility_.position(e.id, t);
@@ -170,6 +176,14 @@ void NeighborIndex::build_list(std::uint32_t node) {
       Near& e = entries_.emplace_back();
       e.id = id;
       decide(e, std::sqrt(candidate_d_sq_[id]), snap_time_);
+      if (static_) {
+        // Nothing moves, so the snapshot decides every pair for good: the
+        // band-edge ones by the exact check, and out-of-range ones leave.
+        if (e.until == kUndecided) {
+          e.in = within_range(center, positions_[id], cfg_.range_m);
+        }
+        if (!e.in) entries_.pop_back();
+      }
     }
     candidates_[w] = 0;
   }

@@ -74,7 +74,9 @@ class NeighborIndex {
   /// ascending by id: the brute-force scan's answer.  Reuses each listed
   /// pair's decision while it holds and runs the exact check
   /// (within_range) on the others.  The node's list is built on its first
-  /// query of the epoch.  Requires ensure_fresh(t) first.
+  /// query of the epoch; in a static network it keeps only the in-range
+  /// ids, decided at build time, and is copied as is.  Requires
+  /// ensure_fresh(t) first.
   void neighbors_of(std::uint32_t node, sim::Time t,
                     std::vector<std::uint32_t>& out);
 

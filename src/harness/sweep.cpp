@@ -182,12 +182,15 @@ std::vector<SweepPoint> run_speed_sweep(
     }
   };
 
+  // Workers claim cells from the back of the grid: load and speed then run
+  // descending and LinkState, the last protocol, leads each group, so the
+  // heaviest cells start first and cheap static ones fill the tail.
   const auto worker = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1);
       if (i >= grid.size()) return;
       try {
-        run_cell(grid[i]);
+        run_cell(grid[grid.size() - 1 - i]);
       } catch (...) {
         const std::scoped_lock lock(error_mu);
         if (!first_error) first_error = std::current_exception();

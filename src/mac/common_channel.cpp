@@ -97,7 +97,7 @@ bool CommonChannelMac::land(NodeState& st, ActiveRx rx, sim::Time now) {
   // after it, a strict overlap.  Every such frame but the lone one landed
   // on a busy node and is already marked.
   if (st.lone.end > now && st.lone.slot != kOwnSlot) {
-    nodes_[st.lone.sender].rx_collided[st.lone.slot] = true;
+    nodes_[st.lone.sender].rx_collided[st.lone.slot] = 1;
   }
   st.busy_until = std::max(st.busy_until, rx.end);
   return true;

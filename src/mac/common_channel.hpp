@@ -122,7 +122,8 @@ class CommonChannelMac {
     QueuedControl in_flight;
     std::vector<net::NodeId> tx_receivers;
     /// rx_collided[i]: another frame overlapped this one at tx_receivers[i].
-    std::vector<bool> rx_collided;
+    /// Bytes, not vector<bool>: resized and read once per receiver per tx.
+    std::vector<std::uint8_t> rx_collided;
     sim::Time tx_start;
     sim::Time tx_end;
   };

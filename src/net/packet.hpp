@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -242,13 +243,29 @@ struct AodvRerrMsg {
   friend bool operator==(const AodvRerrMsg&, const AodvRerrMsg&) = default;
 };
 
+/// An immutable adjacency row, shared by every copy of the LSU that carries
+/// it and by every view that adopted it (DESIGN.md §14).
+using SharedLinkRow = std::shared_ptr<const channel::LinkRow>;
+
+[[nodiscard]] inline SharedLinkRow share_row(channel::LinkRow row) {
+  return std::make_shared<const channel::LinkRow>(std::move(row));
+}
+
 /// Link-state update: one origin's full adjacency row (neighbour, CSI class).
+/// The origin allocates the row once; relays re-flood that same row.
 struct LsuMsg {
   NodeId origin = 0;
   std::uint32_t seq = 0;
-  channel::LinkRow links;
+  SharedLinkRow links;  ///< null reads as an empty row
 
-  friend bool operator==(const LsuMsg&, const LsuMsg&) = default;
+  [[nodiscard]] const channel::LinkRow& row() const {
+    static const channel::LinkRow kEmpty;
+    return links ? *links : kEmpty;
+  }
+  /// By value: two LSUs are equal when their rows are, shared or not.
+  friend bool operator==(const LsuMsg& a, const LsuMsg& b) {
+    return a.origin == b.origin && a.seq == b.seq && a.row() == b.row();
+  }
 };
 
 using ControlPayload =

@@ -282,8 +282,8 @@ void get_body(ByteReader& r, AodvRerrMsg& m) {
 void put_body(ByteWriter& w, const LsuMsg& m) {
   put_node(w, m.origin);
   w.u32(m.seq);
-  w.u16(static_cast<std::uint16_t>(m.links.size()));
-  for (const auto& [neighbor, csi] : m.links) {
+  w.u16(static_cast<std::uint16_t>(m.row().size()));
+  for (const auto& [neighbor, csi] : m.row()) {
     put_node(w, neighbor);
     w.u8(static_cast<std::uint8_t>(csi));
   }
@@ -294,11 +294,13 @@ void get_body(ByteReader& r, LsuMsg& m) {
   const std::size_t count = r.u16();
   // The declared adjacency count must exactly match the bytes on the wire;
   // a short frame throws inside the loop, a long one in expect_end().
-  m.links.reserve(count);
+  channel::LinkRow row;
+  row.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const NodeId neighbor = get_node(r);
-    m.links.emplace_back(neighbor, get_csi(r));
+    row.emplace_back(neighbor, get_csi(r));
   }
+  m.links = share_row(std::move(row));
 }
 
 }  // namespace
@@ -310,7 +312,7 @@ double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 std::uint16_t encoded_control_size(const ControlPayload& payload) {
   std::size_t raw = kControlHeaderBytes + kControlBodyBytes[payload.index()];
   if (const auto* lsu = std::get_if<LsuMsg>(&payload)) {
-    raw += kLsuLinkBytes * lsu->links.size();
+    raw += kLsuLinkBytes * lsu->row().size();
   }
   // The wire-size field is u16.  A dense large-scale adjacency row can in
   // principle name 13 105+ neighbours and overflow it; that used to be a

@@ -55,16 +55,12 @@ const LinkStateProtocol::AdjacencyRow& LinkStateProtocol::row(
   return *view_.at(origin);
 }
 
-LinkStateProtocol::AdjacencyRow& LinkStateProtocol::owned_row(
-    net::NodeId origin) {
-  complete_tree();  // the caller is about to change the view
-  if (own_rows_.empty()) own_rows_.resize(cfg_.num_nodes);
-  auto& slot = own_rows_[origin];
-  if (view_[origin] != &slot) {
-    slot = *view_[origin];
-    view_[origin] = &slot;
-  }
-  return slot;
+void LinkStateProtocol::adopt(net::NodeId origin, net::SharedLinkRow row) {
+  complete_tree();  // the view is about to change
+  if (held_.empty()) held_.resize(cfg_.num_nodes);
+  view_[origin] = row ? row.get() : &kNoLinks;
+  held_[origin] = std::move(row);
+  ++view_version_;
 }
 
 void LinkStateProtocol::start() {
@@ -80,9 +76,7 @@ void LinkStateProtocol::sense_links() {
   // The host's row is only borrowed: copy it only when it floods.
   const auto& row = host().link_row();
   if (row != *view_[host().id()]) {
-    owned_row(host().id()) = row;
-    ++view_version_;
-    flood_own_row();
+    publish_own_row(row);
   } else if (host().links_final()) {
     return;  // every later tick would compare these same rows
   }
@@ -100,28 +94,26 @@ void LinkStateProtocol::resume_sensing() {
                       [this] { sense_links(); });
 }
 
-void LinkStateProtocol::flood_own_row() {
+void LinkStateProtocol::publish_own_row(AdjacencyRow row) {
+  auto shared = net::share_row(std::move(row));
+  adopt(host().id(), shared);
   ++own_seq_;
   seqs_[host().id()] = own_seq_;
-  net::LsuMsg msg;
-  msg.origin = host().id();
-  msg.seq = own_seq_;
-  msg.links = *view_[host().id()];
   host().count("ls.lsu_origin");
-  host().send_control(net::make_control(net::kBroadcastId, std::move(msg)));
+  host().send_control(net::make_control(
+      net::kBroadcastId, net::LsuMsg{host().id(), own_seq_, std::move(shared)}));
 }
 
-void LinkStateProtocol::on_lsu(const net::LsuMsg& msg, net::NodeId from) {
-  (void)from;
+void LinkStateProtocol::on_lsu(const net::LsuMsg& msg,
+                               std::uint16_t size_bytes) {
   if (msg.origin == host().id()) return;
   if (msg.origin >= cfg_.num_nodes) return;
   if (msg.seq <= seqs_[msg.origin]) return;  // duplicate or stale
   seqs_[msg.origin] = msg.seq;
-  owned_row(msg.origin) = msg.links;
-  ++view_version_;
+  adopt(msg.origin, msg.links);
   // Re-flood exactly once per (origin, seq): the seq check above is the
   // duplicate suppression.
-  host().send_control(net::make_control(net::kBroadcastId, msg));
+  host().send_control(net::ControlPacket{net::kBroadcastId, size_bytes, msg});
 }
 
 void LinkStateProtocol::recompute_if_stale(net::NodeId dst) {
@@ -262,10 +254,9 @@ void LinkStateProtocol::on_link_break(net::NodeId neighbor,
                                  return e.first == neighbor;
                                });
   if (it != row.end()) {
-    auto& own = owned_row(host().id());
-    own.erase(own.begin() + (it - row.begin()));
-    ++view_version_;
-    flood_own_row();
+    AdjacencyRow kept = row;
+    kept.erase(kept.begin() + (it - row.begin()));
+    publish_own_row(std::move(kept));
     // The sensed row no longer matches: the next tick restores the link.
     resume_sensing();
   }
@@ -273,8 +264,9 @@ void LinkStateProtocol::on_link_break(net::NodeId neighbor,
 
 void LinkStateProtocol::on_control(const net::ControlPacket& pkt,
                                    net::NodeId from) {
+  (void)from;
   if (const auto* lsu = std::get_if<net::LsuMsg>(&pkt.payload)) {
-    on_lsu(*lsu, from);
+    on_lsu(*lsu, pkt.size_bytes);
   }
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "channel/csi.hpp"
+#include "net/packet.hpp"
 #include "routing/protocol.hpp"
 #include "sim/timer.hpp"
 
@@ -84,15 +85,17 @@ class LinkStateProtocol final : public Protocol {
   [[nodiscard]] const AdjacencyRow& row(net::NodeId origin) const;
 
  private:
-  /// This node's own copy of `origin`'s row, which the view reads from now
-  /// on; the first write copies the shared snapshot row.  The caller is
-  /// about to change the row, so a partial tree is completed first.
-  AdjacencyRow& owned_row(net::NodeId origin);
+  /// Points the view's `origin` row at `row` (null reads as empty) and
+  /// holds it.  The view is about to change, so a partial tree is
+  /// completed first.
+  void adopt(net::NodeId origin, net::SharedLinkRow row);
   void sense_links();
   /// Re-arms sensing that a frozen channel stopped: at the next tick of this
   /// node's grid (first_tick_ + k * sense_period) after now.
   void resume_sensing();
-  void flood_own_row();
+  /// Makes `row` this node's own: one new shared row that is both the
+  /// view's row and the payload of the LSU it floods.
+  void publish_own_row(AdjacencyRow row);
   /// Runs SPF when the view changed and the hold-down allows it, stopping
   /// once `dst` is settled when the host's links are final (a static
   /// channel) and running the whole tree otherwise.
@@ -104,7 +107,9 @@ class LinkStateProtocol final : public Protocol {
   /// Finishes a partial tree on the view it was started on (a second pass
   /// from scratch: no Dijkstra state is kept between passes).
   void complete_tree();
-  void on_lsu(const net::LsuMsg& msg, net::NodeId from);
+  /// Adopts a fresh LSU's row and re-floods it in a frame of the received
+  /// `size_bytes`: the same row encodes to the same size.
+  void on_lsu(const net::LsuMsg& msg, std::uint16_t size_bytes);
 
   LinkStateConfig cfg_;
   sim::Timer sense_timer_;  ///< the periodic link-sensing tick
@@ -113,10 +118,11 @@ class LinkStateProtocol final : public Protocol {
   /// The shared t = 0 snapshot.  Read only through std::as_const: the
   /// non-const operator[] would detach a private copy of every row.
   Topology snapshot_;
-  /// Rows this node has changed itself (an LSU, sensing or a link break);
-  /// sized to num_nodes on the first change.
-  std::vector<AdjacencyRow> own_rows_;
-  /// The current view, one row per origin: into snapshot_ or own_rows_.
+  /// Rows that replaced the snapshot's (adopted from an LSU, or this
+  /// node's own published row), by origin; sized to num_nodes on the first
+  /// change.  Immutable: other terminals and frames in flight share them.
+  std::vector<net::SharedLinkRow> held_;
+  /// The current view, one row per origin: into snapshot_ or held_.
   std::vector<const AdjacencyRow*> view_;
   std::vector<std::uint32_t> seqs_;     ///< highest LSU seq seen per origin
   std::uint32_t own_seq_ = 0;

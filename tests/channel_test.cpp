@@ -123,7 +123,9 @@ TEST_F(ChannelFixture, FrozenWhenStatic) {
     const auto s1 = channel_.sample(0, b, sim::seconds(1));
     const auto s2 = channel_.sample(0, b, sim::seconds(100));
     ASSERT_EQ(s1.has_value(), s2.has_value());
-    if (s1) EXPECT_DOUBLE_EQ(s1->snr_db, s2->snr_db);
+    if (s1) {
+      EXPECT_DOUBLE_EQ(s1->snr_db, s2->snr_db);
+    }
   }
 }
 
@@ -451,6 +453,43 @@ INSTANTIATE_TEST_SUITE_P(Index, LinksOfMobile, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "Indexed" : "BruteForce";
                          });
+
+// `links_of` senses a row in one pass: the node's position and speed once,
+// and no freshness check or prefilter for the neighbours the index has just
+// listed.  A same-seed twin that samples each neighbour on its own must see
+// the same classes and make the same draws, instant by instant.
+TEST(LinksOfOnePass, MatchesAPerNeighbourSampleLoop) {
+  constexpr std::size_t kNodes = 50;
+  mobility::MobilityConfig wp;
+  wp.field = mobility::Field{1000.0, 1000.0};
+  wp.max_speed_mps = 20.0;
+  wp.pause = sim::seconds(1);
+  const sim::RngManager rng(31);
+  mobility::MobilityManager fast_mobility(kNodes, wp, rng);
+  mobility::MobilityManager twin_mobility(kNodes, wp, rng);
+  ChannelModel fast(ChannelConfig{}, fast_mobility, rng);
+  ChannelModel twin(ChannelConfig{}, twin_mobility, rng);
+  std::size_t links = 0;
+  for (int instant = 0; instant < 200; ++instant) {
+    // Irregular gaps, so instants fall anywhere in an index epoch.
+    const auto t = sim::milliseconds(instant * 97 + (instant * 37) % 61);
+    for (std::uint32_t node = instant % 5; node < kNodes; node += 5) {
+      LinkRow expected;
+      for (const auto other : twin.neighbors_of(node, t)) {
+        if (const auto s = twin.sample(node, other, t)) {
+          expected.emplace_back(other, s->csi);
+        }
+      }
+      ASSERT_EQ(fast.links_of(node, t), expected)
+          << "node " << node << " at " << t.seconds() << " s";
+      ASSERT_EQ(fast.draws(), twin.draws()) << "at " << t.seconds() << " s";
+      links += expected.size();
+    }
+  }
+  EXPECT_GT(links, 1000u);
+  EXPECT_EQ(fast.live_pairs(), twin.live_pairs());
+  EXPECT_GT(fast.draws(), fast.live_pairs());  // moving pairs kept stepping
+}
 
 TEST_F(ChannelFixture, StaticRowsAreFinalAndMatchAFreshFirstRow) {
   const std::array<sim::Time, 3> times = {sim::Time::zero(), sim::seconds(1),

@@ -70,11 +70,12 @@ net::ControlPacket frame(net::NodeId to, std::uint16_t size_bytes,
   net::LsuMsg lsu;
   lsu.origin = id;
   lsu.seq = id;
-  lsu.links.resize((size_bytes - kLsuBaseBytes) / kLsuLinkBytes);
-  for (std::size_t i = 0; i < lsu.links.size(); ++i) {
-    lsu.links[i] = {static_cast<net::NodeId>(i),
-                    static_cast<channel::CsiClass>(i % 4)};
+  channel::LinkRow row((size_bytes - kLsuBaseBytes) / kLsuLinkBytes);
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    row[i] = {static_cast<net::NodeId>(i),
+              static_cast<channel::CsiClass>(i % 4)};
   }
+  lsu.links = net::share_row(std::move(row));
   return net::make_control(to, std::move(lsu));
 }
 

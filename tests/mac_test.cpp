@@ -208,7 +208,7 @@ struct PinnedWorld {
   static net::ControlPacket frame(std::uint16_t size_bytes) {
     if (size_bytes == net::wire::kMinControlBytes) return broadcast_pkt();
     net::LsuMsg lsu;
-    lsu.links.resize((size_bytes - 15u) / 5u);
+    lsu.links = net::share_row(channel::LinkRow((size_bytes - 15u) / 5u));
     auto pkt = net::make_control(net::kBroadcastId, std::move(lsu));
     EXPECT_EQ(pkt.size_bytes, size_bytes);
     return pkt;

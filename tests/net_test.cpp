@@ -39,9 +39,11 @@ TEST(ControlSizes, BeaconIsSmallest) {
 
 TEST(ControlSizes, LsuGrowsWithAdjacency) {
   LsuMsg small;
-  small.links = {{1, channel::CsiClass::A}};
+  small.links = share_row({{1, channel::CsiClass::A}});
+  channel::LinkRow row;
+  for (NodeId i = 0; i < 10; ++i) row.emplace_back(i, channel::CsiClass::B);
   LsuMsg big;
-  for (NodeId i = 0; i < 10; ++i) big.links.emplace_back(i, channel::CsiClass::B);
+  big.links = share_row(std::move(row));
   EXPECT_LT(wire::encoded_control_size(small),
             wire::encoded_control_size(big));
 }
@@ -51,10 +53,10 @@ TEST(ControlSizes, DenseLsuStaysExactWithinTheWireField) {
   // old uint16 truncation hazard's comfort zone) must size exactly, not
   // wrap: 5 frame header + 10 fixed body + 5 * 500 = 2515 — and it must be
   // the encoder's real output, byte for byte.
+  channel::LinkRow row;
+  for (NodeId i = 0; i < 500; ++i) row.emplace_back(i, channel::CsiClass::D);
   LsuMsg dense;
-  for (NodeId i = 0; i < 500; ++i) {
-    dense.links.emplace_back(i, channel::CsiClass::D);
-  }
+  dense.links = share_row(std::move(row));
   EXPECT_EQ(wire::encoded_control_size(dense), 2515);
   std::vector<std::uint8_t> buf;
   EXPECT_EQ(wire::encode_control(make_control(kBroadcastId, dense), buf),
@@ -65,10 +67,10 @@ TEST(ControlSizes, OverflowingLsuThrowsInsteadOfClamping) {
   // 13 105+ links push the frame past the u16 wire-size field.  The old
   // Sizer clamped to 0xFFFF behind a Release-vanishing assert (silently
   // under-charging airtime); now it is a hard error in every build mode.
+  channel::LinkRow row;
+  for (NodeId i = 0; i < 13200; ++i) row.emplace_back(i, channel::CsiClass::A);
   LsuMsg huge;
-  for (NodeId i = 0; i < 13200; ++i) {
-    huge.links.emplace_back(i, channel::CsiClass::A);
-  }
+  huge.links = share_row(std::move(row));
   EXPECT_THROW((void)wire::encoded_control_size(ControlPayload{huge}),
                wire::WireError);
   EXPECT_THROW(make_control(kBroadcastId, huge), wire::WireError);

@@ -810,7 +810,7 @@ TEST_F(LinkStateTest, LsuUpdatesViewAndRefloods) {
   net::LsuMsg lsu;
   lsu.origin = 2;
   lsu.seq = 1;
-  lsu.links = {{1, CsiClass::A}};
+  lsu.links = net::share_row({{1, CsiClass::A}});
   proto_.on_control(net::make_control(net::kBroadcastId, lsu), 1);
   EXPECT_EQ(host_.sent_count<net::LsuMsg>(), 1u);  // re-flooded once
   // Wait out the SPF hold-down, then the route must avoid 2-3.
@@ -823,11 +823,11 @@ TEST_F(LinkStateTest, StaleLsuIgnored) {
   net::LsuMsg lsu;
   lsu.origin = 2;
   lsu.seq = 5;
-  lsu.links = {{1, CsiClass::A}};
+  lsu.links = net::share_row({{1, CsiClass::A}});
   proto_.on_control(net::make_control(net::kBroadcastId, lsu), 1);
   net::LsuMsg old = lsu;
   old.seq = 4;
-  old.links = line(CsiClass::A)[2];
+  old.links = net::share_row(line(CsiClass::A)[2]);
   proto_.on_control(net::make_control(net::kBroadcastId, old), 3);
   EXPECT_EQ(host_.sent_count<net::LsuMsg>(), 1u);  // the stale one died here
 }
@@ -838,7 +838,7 @@ TEST_F(LinkStateTest, SpfHoldDownDelaysRecomputation) {
   net::LsuMsg lsu;
   lsu.origin = 1;
   lsu.seq = 1;
-  lsu.links = {{0, CsiClass::A}};  // 1 lost its link to 2
+  lsu.links = net::share_row({{0, CsiClass::A}});  // 1 lost its link to 2
   proto_.on_control(net::make_control(net::kBroadcastId, lsu), 1);
   // Within the hold-down the stale tree still routes via 1.
   EXPECT_EQ(proto_.next_hop(4), 1u);
@@ -894,9 +894,9 @@ TEST_F(LinkStateSharedSnapshotTest, LsuChangesOnlyTheReceiversView) {
   net::LsuMsg lsu;
   lsu.origin = 2;
   lsu.seq = 1;
-  lsu.links = {{1, CsiClass::A}};  // 2 lost its link to 3
+  lsu.links = net::share_row({{1, CsiClass::A}});  // 2 lost its link to 3
   proto_.on_control(net::make_control(net::kBroadcastId, lsu), 1);
-  EXPECT_EQ(proto_.row(2), lsu.links);
+  EXPECT_EQ(proto_.row(2), lsu.row());
   EXPECT_EQ(peer_.row(2), topo_[2]);
   EXPECT_EQ(&proto_.row(3), &peer_.row(3));  // untouched rows stay shared
   host_.sim().run_until(sim::seconds(5));
@@ -927,7 +927,7 @@ TEST_F(LinkStateSharedSnapshotTest, SensedChangeFloodsOwnRowOnly) {
   host_.sim().run_until(sim::milliseconds(400));
   ASSERT_EQ(host_.sent_count<net::LsuMsg>(), 1u);
   const LinkStateProtocol::AdjacencyRow sensed = {{1, CsiClass::C}};
-  EXPECT_EQ(host_.last_sent<net::LsuMsg>()->links, sensed);
+  EXPECT_EQ(host_.last_sent<net::LsuMsg>()->row(), sensed);
   EXPECT_EQ(proto_.own_row(), sensed);
   EXPECT_EQ(peer_.row(0), topo_[0]);
 }
@@ -936,9 +936,82 @@ TEST_F(LinkStateSharedSnapshotTest, LinkBreakFloodsOwnRowOnly) {
   peer_.on_link_break(2, {});
   ASSERT_EQ(peer_host_.sent_count<net::LsuMsg>(), 1u);
   const LinkStateProtocol::AdjacencyRow kept = {{0, CsiClass::A}};
-  EXPECT_EQ(peer_host_.last_sent<net::LsuMsg>()->links, kept);
+  EXPECT_EQ(peer_host_.last_sent<net::LsuMsg>()->row(), kept);
   EXPECT_EQ(peer_.own_row(), kept);
   EXPECT_EQ(proto_.row(1), topo_[1]);
+}
+
+/// `proto`'s own view, as a topology the heap oracle can read.
+LinkStateProtocol::Topology view_of(const LinkStateProtocol& proto,
+                                    std::size_t n) {
+  LinkStateProtocol::Topology view(n);
+  for (net::NodeId origin = 0; origin < n; ++origin) {
+    view[origin] = proto.row(origin);
+  }
+  return view;
+}
+
+/// Every next hop of terminal `self` against the heap Dijkstra on its view.
+void expect_oracle_next_hops(LinkStateProtocol& proto, net::NodeId self,
+                             std::size_t n) {
+  const auto want = oracle::spf_first_hops(view_of(proto, n), self);
+  for (net::NodeId dst = 0; dst < n; ++dst) {
+    EXPECT_EQ(proto.next_hop(dst).value_or(oracle::kNoNextHop), want[dst])
+        << "dst " << dst;
+  }
+}
+
+// An LSU row is allocated once, by its origin: a relay adopts the received
+// row into its view and re-floods that same row in a frame of the received
+// size, and the origin's later changes publish new rows rather than write
+// into the one that others hold.
+TEST_F(LinkStateSharedSnapshotTest, RelayAdoptsAndRefloodsTheReceivedRow) {
+  expect_oracle_next_hops(proto_, 0, 5);
+  // Relays each LSU node 1 floods to terminal 0; returns the row it holds.
+  std::size_t relayed_count = 0;
+  const auto relay_last = [&] {
+    const net::ControlPacket flooded = peer_host_.sent.back().pkt;
+    const net::SharedLinkRow row = std::get<net::LsuMsg>(flooded.payload).links;
+    EXPECT_EQ(&peer_.own_row(), row.get());  // published, not copied
+    proto_.on_control(flooded, 1);
+    EXPECT_EQ(host_.sent_count<net::LsuMsg>(), ++relayed_count);
+    const net::ControlPacket& relayed = host_.sent.back().pkt;
+    EXPECT_EQ(std::get<net::LsuMsg>(relayed.payload).links, row);
+    EXPECT_EQ(relayed.size_bytes, flooded.size_bytes);
+    EXPECT_EQ(&proto_.row(1), row.get());
+    return row;
+  };
+
+  // Node 1 senses a new class toward 0 and floods its row.
+  peer_host_.set_link(0, CsiClass::C);
+  peer_host_.set_link(2, CsiClass::A);
+  peer_.start();
+  peer_host_.sim().run_until(sim::milliseconds(150));
+  ASSERT_EQ(peer_host_.sent_count<net::LsuMsg>(), 1u);
+  const auto sensed = relay_last();
+  const LinkStateProtocol::AdjacencyRow sensed_copy = *sensed;
+
+  // Its link to 2 breaks: a new row, and the one terminal 0 holds stays.
+  peer_.on_link_break(2, {});
+  ASSERT_EQ(peer_host_.sent_count<net::LsuMsg>(), 2u);
+  EXPECT_EQ(*sensed, sensed_copy);
+  const auto kept = relay_last();
+  const LinkStateProtocol::AdjacencyRow kept_copy = *kept;
+  EXPECT_EQ(kept_copy, (LinkStateProtocol::AdjacencyRow{{0, CsiClass::C}}));
+
+  // The next tick senses another class: again a new row.
+  peer_host_.clear_link(2);
+  peer_host_.set_link(0, CsiClass::D);
+  peer_host_.sim().run_until(sim::milliseconds(300));
+  ASSERT_EQ(peer_host_.sent_count<net::LsuMsg>(), 3u);
+  EXPECT_EQ(peer_.own_row(),
+            (LinkStateProtocol::AdjacencyRow{{0, CsiClass::D}}));
+  EXPECT_EQ(*kept, kept_copy);
+  EXPECT_EQ(&proto_.row(1), kept.get());
+
+  host_.sim().run_until(sim::seconds(5));  // past the SPF hold-down
+  expect_oracle_next_hops(proto_, 0, 5);
+  EXPECT_FALSE(proto_.next_hop(4).has_value());  // the line is cut at 1-2
 }
 
 // Sensing over a real static channel, whose rows are final once sensed and
@@ -971,14 +1044,14 @@ TEST(LinkStateStaticChannel, StoredRowsStillFloodARestoredLink) {
   ASSERT_EQ(host.sent_count<net::LsuMsg>(), 1u);
   LinkStateProtocol::AdjacencyRow shortened = sensed;
   shortened.erase(shortened.begin() + 2);  // ids 1..5: neighbour 3
-  EXPECT_EQ(host.last_sent<net::LsuMsg>()->links, shortened);
+  EXPECT_EQ(host.last_sent<net::LsuMsg>()->row(), shortened);
   EXPECT_EQ(proto.own_row(), shortened);
 
   // The eleventh tick senses the stored row again, which now differs from
   // the view: it floods the restored row, once.
   host.sim().run_until(period * 11);
   ASSERT_EQ(host.sent_count<net::LsuMsg>(), 2u);
-  EXPECT_EQ(host.last_sent<net::LsuMsg>()->links, sensed);
+  EXPECT_EQ(host.last_sent<net::LsuMsg>()->row(), sensed);
   EXPECT_EQ(proto.own_row(), sensed);
   host.sim().run_until(period * 20);
   EXPECT_EQ(host.sent_count<net::LsuMsg>(), 2u);
@@ -1052,8 +1125,8 @@ TEST(LinkStateStaticChannel, StoppedSensingFloodsLikeEndlessTicks) {
   EXPECT_GE(host.sent_count<net::LsuMsg>(), 7u);
   for (std::size_t i = 0; i < host.sent.size(); ++i) {
     EXPECT_EQ(host.sent[i].at, twin.sent[i].at) << "LSU " << i;
-    EXPECT_EQ(std::get<net::LsuMsg>(host.sent[i].pkt.payload).links,
-              std::get<net::LsuMsg>(twin.sent[i].pkt.payload).links)
+    EXPECT_EQ(std::get<net::LsuMsg>(host.sent[i].pkt.payload).row(),
+              std::get<net::LsuMsg>(twin.sent[i].pkt.payload).row())
         << "LSU " << i;
   }
   EXPECT_EQ(proto.own_row(), topo[0]);
@@ -1284,10 +1357,16 @@ TEST_F(LinkStatePartialTreeTest, LsuInsideHoldDownKeepsTheStartedView) {
   auto changed = view_;
   changed[relay].clear();
   expect_answers_across(changed, [&] {
-    net::LsuMsg lsu;
-    lsu.origin = relay;
-    lsu.seq = 1;
-    proto_.on_control(net::make_control(net::kBroadcastId, lsu), relay);
+    const net::LsuMsg lsu{relay, 1, net::share_row(changed[relay])};
+    const auto frame = net::make_control(net::kBroadcastId, lsu);
+    proto_.on_control(frame, relay);
+    // The view adopts the LSU's own row, and the re-flood carries that row
+    // in a frame of the received size.
+    EXPECT_EQ(&proto_.row(relay), lsu.links.get());
+    ASSERT_EQ(host_.sent_count<net::LsuMsg>(), 1u);
+    const net::ControlPacket& relayed = host_.sent.back().pkt;
+    EXPECT_EQ(std::get<net::LsuMsg>(relayed.payload).links, lsu.links);
+    EXPECT_EQ(relayed.size_bytes, frame.size_bytes);
   });
 }
 

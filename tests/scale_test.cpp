@@ -326,7 +326,8 @@ INSTANTIATE_TEST_SUITE_P(
         IndexCase{5, 25, 1414.2, 0.0, 250.0},    // static sparse-rural
         IndexCase{7, 60, 1000.0, 25.0, 250.0},   // fast paper-density
         IndexCase{11, 40, 2000.0, 15.0, 100.0},  // short range, big field
-        IndexCase{13, 120, 1000.0, 40.0, 250.0}  // dense-urban, very fast
+        IndexCase{13, 120, 1000.0, 40.0, 250.0},  // dense-urban, very fast
+        IndexCase{17, 300, 1000.0, 0.0, 250.0}    // static, dense
         ));
 
 INSTANTIATE_TEST_SUITE_P(
@@ -480,23 +481,28 @@ TEST(ParallelSweep, BitIdenticalToSerial) {
   serial.threads = 1;
   serial.verbose = false;
 
-  harness::BenchScale parallel = serial;
-  parallel.threads = 4;
-
+  // Workers claim cells from the back of the grid; each cell still lands in
+  // its own slot, so every pool size returns the serial grid.
   const std::vector<double> speeds{0.0, 36.0};
-  const std::vector<double> loads{10.0};
+  const std::vector<double> loads{10.0, 20.0};
   const auto grid_serial = harness::run_speed_sweep(speeds, loads, serial);
-  const auto grid_parallel = harness::run_speed_sweep(speeds, loads, parallel);
-
-  ASSERT_EQ(grid_serial.size(), grid_parallel.size());
   ASSERT_EQ(grid_serial.size(),
             speeds.size() * loads.size() * harness::kAllProtocols.size());
-  for (std::size_t i = 0; i < grid_serial.size(); ++i) {
-    SCOPED_TRACE("cell " + std::to_string(i));
-    EXPECT_EQ(grid_serial[i].protocol, grid_parallel[i].protocol);
-    EXPECT_EQ(grid_serial[i].mean_speed_kmh, grid_parallel[i].mean_speed_kmh);
-    EXPECT_EQ(grid_serial[i].pkts_per_s, grid_parallel[i].pkts_per_s);
-    expect_identical(grid_serial[i].result, grid_parallel[i].result);
+  for (const int threads : {2, 4}) {
+    harness::BenchScale parallel = serial;
+    parallel.threads = threads;
+    const auto grid_parallel =
+        harness::run_speed_sweep(speeds, loads, parallel);
+    ASSERT_EQ(grid_serial.size(), grid_parallel.size());
+    for (std::size_t i = 0; i < grid_serial.size(); ++i) {
+      SCOPED_TRACE("cell " + std::to_string(i) + ", " +
+                   std::to_string(threads) + " threads");
+      EXPECT_EQ(grid_serial[i].protocol, grid_parallel[i].protocol);
+      EXPECT_EQ(grid_serial[i].mean_speed_kmh,
+                grid_parallel[i].mean_speed_kmh);
+      EXPECT_EQ(grid_serial[i].pkts_per_s, grid_parallel[i].pkts_per_s);
+      expect_identical(grid_serial[i].result, grid_parallel[i].result);
+    }
   }
 }
 

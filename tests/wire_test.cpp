@@ -126,9 +126,11 @@ LsuMsg random_msg(Rng& g) {
   m.origin = rand_node(g);
   m.seq = rand_u32(g);
   const std::size_t n = std::uniform_int_distribution<std::size_t>(0, 40)(g);
+  channel::LinkRow row;
   for (std::size_t i = 0; i < n; ++i) {
-    m.links.emplace_back(rand_node(g), rand_csi(g));
+    row.emplace_back(rand_node(g), rand_csi(g));
   }
+  m.links = share_row(std::move(row));
   return m;
 }
 
@@ -160,6 +162,28 @@ void round_trip_all(Rng& g) {
 TEST(WireRoundTrip, EveryAlternativeRandomized) {
   Rng g(0x51CA0001);
   for (int iter = 0; iter < 200; ++iter) round_trip_all(g);
+}
+
+TEST(WireRoundTrip, SharedLsuRowDecodesToAnEqualFreshRow) {
+  // Every copy of a flooded LSU shares its origin's row; the codec still
+  // moves it by value, and the decoded row is a new one.
+  const auto row = share_row({{2, channel::CsiClass::A},
+                              {9, channel::CsiClass::D},
+                              {40, channel::CsiClass::B}});
+  const LsuMsg msg{7, 3, row};
+  const LsuMsg relayed = msg;
+  ASSERT_EQ(relayed.links.get(), row.get());
+  expect_round_trip(relayed, kBroadcastId);
+  std::vector<std::uint8_t> buf;
+  wire::encode_control(make_control(kBroadcastId, relayed), buf);
+  const auto back = std::get<LsuMsg>(wire::decode_control(buf).payload);
+  EXPECT_NE(back.links.get(), row.get());
+  EXPECT_EQ(back, msg);
+  EXPECT_EQ(*back.links, *row);
+  // A null row reads as empty, on the wire and in the comparison.
+  expect_round_trip(LsuMsg{7, 4, nullptr}, kBroadcastId);
+  EXPECT_EQ((LsuMsg{7, 4, nullptr}), (LsuMsg{7, 4, share_row({})}));
+  EXPECT_NE((LsuMsg{7, 4, nullptr}), (LsuMsg{7, 4, row}));
 }
 
 TEST(WireRoundTrip, DataHeader) {
@@ -286,7 +310,7 @@ TEST(WireReject, OutOfRangeNodeIds) {
 
 TEST(WireReject, BadCsiClass) {
   LsuMsg m;
-  m.links = {{4, channel::CsiClass::B}};
+  m.links = share_row({{4, channel::CsiClass::B}});
   std::vector<std::uint8_t> buf;
   wire::encode_control(make_control(kBroadcastId, m), buf);
   // Frame: 5 header + origin(4) + seq(4) + count(2), then link 0's id(4)
@@ -297,7 +321,7 @@ TEST(WireReject, BadCsiClass) {
 
 TEST(WireReject, LsuCountFrameLengthMismatch) {
   LsuMsg m;
-  m.links = {{4, channel::CsiClass::B}, {5, channel::CsiClass::C}};
+  m.links = share_row({{4, channel::CsiClass::B}, {5, channel::CsiClass::C}});
   std::vector<std::uint8_t> buf;
   wire::encode_control(make_control(kBroadcastId, m), buf);
   auto bad = buf;
