@@ -190,41 +190,26 @@ void BM_NeighborScan(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborScan);
 
-// Neighbor query scaling: the per-epoch neighbor lists vs the brute-force
-// O(N) scan, at 50/200/500 nodes (paper / dense-urban / large-scale
-// densities).
-// The scale-out acceptance bar is >=5x at 500 nodes (BENCH_scale.json).
-void neighbor_query_bench(benchmark::State& state, bool use_index) {
+// Neighbor query scaling: the per-epoch neighbor lists at 50/200/500 nodes
+// (paper / dense-urban / large-scale densities).
+void BM_NeighborQueryGrid(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   sim::RngManager rng(13);
   mobility::MobilityConfig wcfg;
   wcfg.field = mobility::Field{field_for(n), field_for(n)};
   wcfg.max_speed_mps = 10.0;
   mobility::MobilityManager mgr(static_cast<std::size_t>(n), wcfg, rng);
-  channel::ChannelConfig ccfg;
-  ccfg.use_neighbor_index = use_index;
-  channel::ChannelModel channel(ccfg, mgr, rng);
+  channel::ChannelModel channel(channel::ChannelConfig{}, mgr, rng);
   std::int64_t t = 0;
   std::uint32_t node = 0;
   for (auto _ : state) {
     t += 1'000'000;  // 1 ms forward: amortizes index rebuilds as a run does
     node = (node + 1) % static_cast<std::uint32_t>(n);
-    benchmark::DoNotOptimize(
-        use_index ? channel.neighbors_of(node, sim::Time{t})
-                  : channel.neighbors_of_bruteforce(node, sim::Time{t}));
+    benchmark::DoNotOptimize(channel.neighbors_of(node, sim::Time{t}));
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_NeighborQueryGrid(benchmark::State& state) {
-  neighbor_query_bench(state, /*use_index=*/true);
-}
 BENCHMARK(BM_NeighborQueryGrid)->Arg(50)->Arg(200)->Arg(500);
-
-void BM_NeighborQueryBrute(benchmark::State& state) {
-  neighbor_query_bench(state, /*use_index=*/false);
-}
-BENCHMARK(BM_NeighborQueryBrute)->Arg(50)->Arg(200)->Arg(500);
 
 void BM_FullStackScenario(benchmark::State& state) {
   // One second of simulated network per iteration, full 50-node stack.

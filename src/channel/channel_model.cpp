@@ -9,6 +9,17 @@ namespace {
 constexpr std::uint64_t pair_key(std::uint32_t lo, std::uint32_t hi) {
   return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
+
+/// The CSI class of an SNR: at or above a class's threshold selects it.
+CsiClass quantize(double snr_db) {
+  constexpr double kClassADb = 18.0;
+  constexpr double kClassBDb = 12.0;
+  constexpr double kClassCDb = 6.0;
+  if (snr_db >= kClassADb) return CsiClass::A;
+  if (snr_db >= kClassBDb) return CsiClass::B;
+  if (snr_db >= kClassCDb) return CsiClass::C;
+  return CsiClass::D;
+}
 }  // namespace
 
 ChannelModel::ChannelModel(const ChannelConfig& cfg,
@@ -17,9 +28,7 @@ ChannelModel::ChannelModel(const ChannelConfig& cfg,
     : cfg_(cfg),
       mobility_(mobility),
       rng_(rng),
-      index_(mobility,
-             NeighborIndexConfig{cfg.range_m,
-                                 sim::seconds_f(cfg.index_epoch_s)}),
+      index_(mobility, cfg.range_m),
       frozen_(mobility.max_speed_mps() <= 0.0) {}
 
 bool ChannelModel::in_range(std::uint32_t a, std::uint32_t b, sim::Time t) {
@@ -28,12 +37,10 @@ bool ChannelModel::in_range(std::uint32_t a, std::uint32_t b, sim::Time t) {
     const auto [lo, hi] = std::minmax(a, b);
     if (pairs_.find(pair_key(lo, hi)) != pairs_.end()) return true;
   }
-  if (cfg_.use_neighbor_index) {
-    index_.ensure_fresh(t);
-    // Snapshot prefilter: provably-distant pairs skip the exact mobility
-    // evaluation entirely.
-    if (!index_.possibly_in_range(a, b)) return false;
-  }
+  index_.ensure_fresh(t);
+  // Snapshot prefilter: provably-distant pairs skip the exact mobility
+  // evaluation entirely.
+  if (!index_.possibly_in_range(a, b)) return false;
   return within_range(mobility_.position(a, t), mobility_.position(b, t),
                       cfg_.range_m);
 }
@@ -61,21 +68,12 @@ void ChannelModel::advance(PairProcess& p, sim::Time t,
                     cfg_.fading_sigma_db;
 }
 
-CsiClass ChannelModel::quantize(double snr_db) const {
-  if (snr_db >= cfg_.class_a_db) return CsiClass::A;
-  if (snr_db >= cfg_.class_b_db) return CsiClass::B;
-  if (snr_db >= cfg_.class_c_db) return CsiClass::C;
-  return CsiClass::D;
-}
-
 std::optional<ChannelSample> ChannelModel::sample(std::uint32_t a,
                                                   std::uint32_t b,
                                                   sim::Time t) {
   if (a == b) return std::nullopt;
-  if (cfg_.use_neighbor_index) {
-    index_.ensure_fresh(t);
-    if (!index_.possibly_in_range(a, b)) return std::nullopt;
-  }
+  index_.ensure_fresh(t);
+  if (!index_.possibly_in_range(a, b)) return std::nullopt;
   End end{a};
   return sample_from(end, b, t);
 }
@@ -136,10 +134,6 @@ std::vector<std::uint32_t> ChannelModel::neighbors_of(std::uint32_t node,
 
 void ChannelModel::neighbors_of(std::uint32_t node, sim::Time t,
                                 std::vector<std::uint32_t>& out) {
-  if (!cfg_.use_neighbor_index) {
-    out = neighbors_of_bruteforce(node, t);
-    return;
-  }
   index_.ensure_fresh(t);
   index_.neighbors_of(node, t, out);
 }
@@ -169,19 +163,6 @@ void ChannelModel::sense(std::uint32_t node, sim::Time t, LinkRow& out) {
       out.emplace_back(other, s->csi);
     }
   }
-}
-
-std::vector<std::uint32_t> ChannelModel::neighbors_of_bruteforce(
-    std::uint32_t node, sim::Time t) {
-  std::vector<std::uint32_t> out;
-  const auto n = static_cast<std::uint32_t>(mobility_.size());
-  for (std::uint32_t other = 0; other < n; ++other) {
-    if (other != node &&
-        mobility_.node_distance(node, other, t) <= cfg_.range_m) {
-      out.push_back(other);
-    }
-  }
-  return out;
 }
 
 }  // namespace rica::channel

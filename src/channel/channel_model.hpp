@@ -45,7 +45,8 @@ namespace rica::channel {
 /// distance) and roughly uniform across A-D.  That reproduces the paper's
 /// route-quality numbers: channel-agnostic protocols (ABR/AODV) see the
 /// unconditioned ~130 kbps mean link throughput, while channel-adaptive ones
-/// can harvest class-A/B links at any range.
+/// can harvest class-A/B links at any range.  The class thresholds (18, 12
+/// and 6 dB) are constants of the quantizer in channel_model.cpp.
 struct ChannelConfig {
   double range_m = 250.0;          ///< hard transmission/carrier-sense range
   double path_loss_exponent = 2.0; ///< log-distance exponent
@@ -57,16 +58,6 @@ struct ChannelConfig {
                                    ///< classes flicker on sub-second scales
                                    ///< when nodes move (paper §II-A)
   double fading_decorr_m = 2.0;    ///< residual decorrelation distance
-  double class_a_db = 18.0;        ///< SNR >= this -> class A
-  double class_b_db = 12.0;        ///< SNR >= this -> class B
-  double class_c_db = 6.0;         ///< SNR >= this -> class C (else D)
-  /// Route range queries through the spatial NeighborIndex (bit-identical to
-  /// the brute-force scan; see DESIGN.md).  Off = always scan all N nodes.
-  bool use_neighbor_index = true;
-  /// How often the neighbor index re-snapshots mobility, seconds.  Larger
-  /// epochs rebuild less often but widen the search slack by
-  /// max_speed * epoch meters.
-  double index_epoch_s = 0.25;
 };
 
 /// A sampled link state.
@@ -99,8 +90,7 @@ class ChannelModel {
 
   /// All nodes within range of `node` at time t, ascending by id.  Served
   /// from the node's per-epoch NeighborIndex list (O(degree), with an exact
-  /// distance check only for entries whose decision has expired) unless
-  /// `use_neighbor_index` is off.
+  /// distance check only for entries whose decision has expired).
   [[nodiscard]] std::vector<std::uint32_t> neighbors_of(std::uint32_t node,
                                                         sim::Time t);
 
@@ -116,11 +106,6 @@ class ChannelModel {
   /// valid until the next call, except in a static network, where a node's
   /// first row is stored and every later call returns that same row.
   [[nodiscard]] const LinkRow& links_of(std::uint32_t node, sim::Time t);
-
-  /// The original O(N) scan, kept as the reference implementation for the
-  /// index equivalence tests and the micro-benchmarks.
-  [[nodiscard]] std::vector<std::uint32_t> neighbors_of_bruteforce(
-      std::uint32_t node, sim::Time t);
 
   /// True when no node ever moves (max_speed_mps() <= 0): every pair's
   /// first sample and every node's first `links_of` row are final.
@@ -166,7 +151,6 @@ class ChannelModel {
   /// range check, the pair's AR(1) step and the path loss.
   std::optional<ChannelSample> sample_from(End& a, std::uint32_t b,
                                            sim::Time t);
-  [[nodiscard]] CsiClass quantize(double snr_db) const;
   /// Fills `out` with the links of `node` at time t (see links_of).
   void sense(std::uint32_t node, sim::Time t, LinkRow& out);
 

@@ -9,13 +9,12 @@
 namespace rica::channel {
 
 NeighborIndex::NeighborIndex(mobility::MobilityManager& mobility,
-                             const NeighborIndexConfig& cfg)
+                             double range_m)
     : mobility_(mobility),
-      cfg_(cfg),
-      cell_m_(std::max(cfg.range_m, 1.0)),
-      slack_m_(mobility.max_speed_mps() *
-               std::max(0.0, cfg.rebuild_epoch.seconds())),
-      reach_m_(cfg.range_m + 2.0 * slack_m_ + kEpsilonM),
+      range_m_(range_m),
+      cell_m_(std::max(range_m, 1.0)),
+      slack_m_(mobility.max_speed_mps() * kRebuildEpoch.seconds()),
+      reach_m_(range_m + 2.0 * slack_m_ + kEpsilonM),
       static_(mobility.max_speed_mps() == 0.0) {
   ns_per_m_ = static_ ? 0.0 : 1e9 / (2.0 * mobility.max_speed_mps());
 }
@@ -31,7 +30,7 @@ int NeighborIndex::cell_y(double y) const {
 }
 
 void NeighborIndex::ensure_fresh(sim::Time t) {
-  if (built_ && (static_ || t - snap_time_ <= cfg_.rebuild_epoch)) return;
+  if (built_ && (static_ || t - snap_time_ <= kRebuildEpoch)) return;
   rebuild(t);
 }
 
@@ -92,12 +91,12 @@ void NeighborIndex::rebuild(sim::Time t) {
 }
 
 void NeighborIndex::decide(Near& e, double d, sim::Time at) const {
-  const double margin = std::abs(d - cfg_.range_m) - kEpsilonM;
+  const double margin = std::abs(d - range_m_) - kEpsilonM;
   if (margin <= 0.0) {
     e.until = kUndecided;
     return;
   }
-  e.in = d < cfg_.range_m;
+  e.in = d < range_m_;
   // Each end moves at most max_speed, so the distance stays more than
   // kEpsilonM from the edge for margin / (2 * max_speed) seconds; the
   // floor to whole ns keeps the hold inside that bound.
@@ -131,7 +130,7 @@ void NeighborIndex::neighbors_of(std::uint32_t node, sim::Time t,
       decide(e, std::sqrt(d.x * d.x + d.y * d.y), t);
       // A decided pair is over kEpsilonM from the edge, where within_range
       // reads the same root; nearer, it is the exact check.
-      if (e.until == kUndecided) e.in = within_range(*pos, other, cfg_.range_m);
+      if (e.until == kUndecided) e.in = within_range(*pos, other, range_m_);
     }
     if (e.in) out.push_back(e.id);
   }
@@ -180,7 +179,7 @@ void NeighborIndex::build_list(std::uint32_t node) {
         // Nothing moves, so the snapshot decides every pair for good: the
         // band-edge ones by the exact check, and out-of-range ones leave.
         if (e.until == kUndecided) {
-          e.in = within_range(center, positions_[id], cfg_.range_m);
+          e.in = within_range(center, positions_[id], range_m_);
         }
         if (!e.in) entries_.pop_back();
       }

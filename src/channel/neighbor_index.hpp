@@ -4,13 +4,13 @@
 // The brute-force range query costs O(N) mobility evaluations per call and is
 // on the hot path of every CSMA broadcast, so at 200-500 nodes it dominates
 // the simulation.  This index takes a MobilityManager::snapshot at most once
-// per `rebuild_epoch` (once ever when nodes cannot move), buckets it into a
+// per kRebuildEpoch (once ever when nodes cannot move), buckets it into a
 // grid (cell size = the radio range), and answers "who could be within range
 // of this node during the epoch?" with a per-node list built on the node's
 // first query of the epoch and reused by every later one.
 //
 // The lists are a *conservative prefilter*, never an approximation: a node
-// drifts at most slack = max_speed * rebuild_epoch meters from its snapshot
+// drifts at most slack = max_speed * kRebuildEpoch meters from its snapshot
 // position, so a pair whose snapshot distance exceeds range + 2*slack is out
 // of range at every instant of the epoch and is left out.  Every listed pair
 // carries a decision, in or out of range, and the time it holds until: two
@@ -47,12 +47,6 @@ inline constexpr double kRangeEdgeM = 1e-7;
   return d.norm() <= range_m;
 }
 
-/// Tunables of the spatial grid.
-struct NeighborIndexConfig {
-  double range_m = 250.0;  ///< query radius; also the grid cell size
-  sim::Time rebuild_epoch = sim::milliseconds(250);
-};
-
 /// Per-epoch neighbor lists over mobility snapshots.
 /// Thread-compatible; not thread-safe (one index per single-threaded run).
 class NeighborIndex {
@@ -60,9 +54,13 @@ class NeighborIndex {
   /// Distance margin, m, that absorbs floating-point rounding in positions
   /// and distances on both sides of the list and decision thresholds.
   static constexpr double kEpsilonM = 1e-6;
+  /// How often the index re-snapshots mobility.  A longer epoch rebuilds
+  /// less often but widens the search slack by max_speed * epoch meters;
+  /// epochs of 0.125, 0.5 and 1 s each ran slower end to end.
+  static constexpr sim::Time kRebuildEpoch = sim::milliseconds(250);
 
-  NeighborIndex(mobility::MobilityManager& mobility,
-                const NeighborIndexConfig& cfg);
+  /// `range_m` is the query radius and also the grid cell size.
+  NeighborIndex(mobility::MobilityManager& mobility, double range_m);
 
   /// Re-snapshots when the current snapshot is older than the rebuild epoch
   /// (or absent); a static network (max_speed_mps() == 0) keeps its first
@@ -127,7 +125,7 @@ class NeighborIndex {
   [[nodiscard]] int cell_y(double y) const;
 
   mobility::MobilityManager& mobility_;
-  NeighborIndexConfig cfg_;
+  double range_m_;
   double cell_m_;
   double slack_m_;
   double reach_m_;   ///< range + 2*slack + eps: list membership bound

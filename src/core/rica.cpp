@@ -10,6 +10,11 @@ namespace rica::core {
 namespace {
 constexpr std::uint8_t kTagRreq = 1;
 constexpr std::uint8_t kTagCheck = 2;
+/// The source gathers a round's CSI-checking copies for this long (§II-C).
+constexpr sim::Time kSourceWait = sim::milliseconds(40);
+/// After a route switch, data packets keep carrying the update flag for this
+/// long, so the re-anchoring survives the loss of the first packet.
+constexpr sim::Time kUpdateFlagWindow = sim::milliseconds(100);
 }  // namespace
 
 RicaProtocol::RicaProtocol(routing::ProtocolHost& host, const RicaConfig& cfg)
@@ -235,7 +240,7 @@ void RicaProtocol::on_rrep(const net::RrepMsg& msg, net::NodeId from) {
     host().trace_route("established", msg.src, msg.dst, msg.bid,
                        msg.csi_hops);
     // The first packets announce the (new) route to the relays.
-    s.update_flag_until = now() + cfg_.update_flag_window;
+    s.update_flag_until = now() + kUpdateFlagWindow;
     flush_pending(flow, s);
     return;
   }
@@ -268,8 +273,9 @@ void RicaProtocol::arm_checks(net::FlowKey flow) {
 }
 
 void RicaProtocol::broadcast_check(net::FlowKey flow) {
+  constexpr sim::Time kFlowActiveTimeout = sim::seconds(3);
   auto& d = dests_[flow];
-  if (now() - d.last_data > cfg_.flow_active_timeout) {
+  if (now() - d.last_data > kFlowActiveTimeout) {
     return;  // flow went idle; the timer stays disarmed (§II-C)
   }
   const std::uint32_t bid = next_check_bid_++;
@@ -311,9 +317,10 @@ void RicaProtocol::on_check(const net::CsiCheckMsg& msg, net::NodeId from) {
   // arm the PN-code detection window.  This applies even to duplicate
   // copies that are otherwise discarded.
   if (msg.received_from == host().id() && msg.src != host().id()) {
+    constexpr sim::Time kDetectWindow = sim::milliseconds(100);
     auto& r = relays_[flow];
     r.cand_upstream = from;
-    r.cand_upstream_expiry = now() + cfg_.detect_window;
+    r.cand_upstream_expiry = now() + kDetectWindow;
   }
 
   // A relay drops a duplicate before sampling the link; the source weighs
@@ -333,7 +340,7 @@ void RicaProtocol::on_check(const net::CsiCheckMsg& msg, net::NodeId from) {
     // ones that forward only once.
     auto& s = sources_[flow];
     s.last_check_seen = now();
-    s.checks.collect(host().simulator(), cfg_.source_wait, msg.bid,
+    s.checks.collect(host().simulator(), kSourceWait, msg.bid,
                      Candidate{from, csi_hops, topo},
                      [this, flow] { close_source_window(flow); });
     return;
@@ -370,11 +377,12 @@ void RicaProtocol::close_source_window(net::FlowKey flow) {
       s.route_csi_cost = c.csi_hops;
     }
   }
-  // Hysteresis: abandon a working route only for a meaningfully shorter
-  // one; otherwise equal-cost candidates arriving in CSMA-jitter order
-  // would flip the route every round.
+  // Hysteresis: abandon a working route only for one shorter by the switch
+  // margin (CSI distance); otherwise equal-cost candidates arriving in
+  // CSMA-jitter order would flip the route every round.
+  constexpr double kSwitchMargin = 0.5;
   const bool keep =
-      s.valid && chosen.csi_hops > s.route_csi_cost - cfg_.switch_margin;
+      s.valid && chosen.csi_hops > s.route_csi_cost - kSwitchMargin;
   s.last_candidates = std::move(candidates);
   s.last_window_close = now();
 
@@ -390,7 +398,7 @@ void RicaProtocol::switch_route(net::FlowKey flow, SourceState& s,
   s.valid = true;
   s.next_hop = chosen.first_hop;
   s.route_csi_cost = chosen.csi_hops;
-  s.update_flag_until = now() + cfg_.update_flag_window;
+  s.update_flag_until = now() + kUpdateFlagWindow;
   host().count("rica.route_switch");
   host().trace_route("repaired", net::flow_src(flow), net::flow_dst(flow), 0,
                      chosen.csi_hops);
@@ -401,7 +409,7 @@ void RicaProtocol::switch_route(net::FlowKey flow, SourceState& s,
 
 bool RicaProtocol::try_candidate_fallback(net::FlowKey flow, SourceState& s,
                                           net::NodeId exclude) {
-  if (now() - s.last_window_close > cfg_.check_period + cfg_.source_wait) {
+  if (now() - s.last_window_close > cfg_.check_period + kSourceWait) {
     return false;  // stale: no recent checking round
   }
   const Candidate* best = nullptr;

@@ -8,6 +8,10 @@ namespace rica::routing {
 namespace {
 constexpr std::uint8_t kTagBq = 1;
 constexpr std::uint8_t kTagLq = 2;
+/// Every terminal beacons once per period.
+constexpr sim::Time kBeaconPeriod = sim::seconds(1);
+/// A neighbour unheard for this long has lost its association.
+constexpr sim::Time kNeighborTimeout = sim::milliseconds(2500);
 
 /// The destination's route-selection order (§III: stability first, then
 /// load, then length).
@@ -30,7 +34,7 @@ sim::Time AbrProtocol::now() const {
 std::uint32_t AbrProtocol::ticks(net::NodeId neighbor) const {
   const auto it = neighbors_.find(neighbor);
   if (it == neighbors_.end()) return 0;
-  if (now() - it->second.last_beacon > cfg_.neighbor_timeout) return 0;
+  if (now() - it->second.last_beacon > kNeighborTimeout) return 0;
   return it->second.ticks;
 }
 
@@ -44,23 +48,23 @@ void AbrProtocol::start() {
   // Random phase desynchronizes beacons network-wide.
   const auto phase = sim::Time{static_cast<std::int64_t>(
       host().protocol_rng().uniform(
-          0.0, static_cast<double>(cfg_.beacon_period.nanos())))};
+          0.0, static_cast<double>(kBeaconPeriod.nanos())))};
   beacon_timer_.arm_after(host().simulator(), phase, [this] { send_beacon(); });
 }
 
 void AbrProtocol::send_beacon() {
   host().send_control(
       net::make_control(net::kBroadcastId, net::AbrBeaconMsg{host().id()}));
-  beacon_timer_.arm_after(host().simulator(), cfg_.beacon_period,
+  beacon_timer_.arm_after(host().simulator(), kBeaconPeriod,
                           [this] { send_beacon(); });
 }
 
 void AbrProtocol::on_beacon(net::NodeId from) {
   auto& n = neighbors_[from];
-  if (now() - n.last_beacon > cfg_.neighbor_timeout) {
+  if (now() - n.last_beacon > kNeighborTimeout) {
     n.ticks = 0;  // the association lapsed; start counting afresh
   }
-  n.ticks = std::min(n.ticks + 1, cfg_.tick_cap);
+  n.ticks = std::min(n.ticks + 1, kTickCap);
   n.last_beacon = now();
 }
 
@@ -212,11 +216,13 @@ void AbrProtocol::start_local_query(net::FlowKey flow) {
   msg.src = net::flow_src(flow);
   msg.dst = net::flow_dst(flow);
   msg.bid = bid;
-  msg.ttl = cfg_.lq_ttl;
+  constexpr std::int16_t kLqTtl = 3;  // the localized query's reach, hops
+  msg.ttl = kLqTtl;
   msg.origin_hops_to_dst = e.hops_to_dst;
   host().send_control(net::make_control(net::kBroadcastId, msg));
 
-  e.lq_timer.arm_after(host().simulator(), cfg_.lq_timeout,
+  constexpr sim::Time kLqTimeout = sim::milliseconds(150);
+  e.lq_timer.arm_after(host().simulator(), kLqTimeout,
                        [this, flow, bid] { finish_local_query(flow, bid); });
 }
 

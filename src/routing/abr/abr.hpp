@@ -29,18 +29,15 @@ namespace rica::routing {
 
 /// ABR tunables.
 struct AbrConfig {
-  sim::Time beacon_period = sim::seconds(1);
-  sim::Time neighbor_timeout = sim::milliseconds(2500);
-  std::uint32_t tick_cap = 20;       ///< per-link associativity saturation;
-                                     ///< links that survived ~20 beacon
-                                     ///< periods count as fully stable
   sim::Time discovery_timeout = sim::milliseconds(300);
-  std::int16_t lq_ttl = 3;
-  sim::Time lq_timeout = sim::milliseconds(150);
 };
 
 class AbrProtocol final : public Protocol {
  public:
+  /// Per-link associativity saturation: links that survived ~20 beacon
+  /// periods count as fully stable.
+  static constexpr std::uint32_t kTickCap = 20;
+
   AbrProtocol(ProtocolHost& host, const AbrConfig& cfg = {});
 
   void start() override;

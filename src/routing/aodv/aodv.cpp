@@ -92,9 +92,15 @@ void AodvProtocol::on_rreq(const net::AodvRreqMsg& msg, net::NodeId from) {
   if (msg.hops + 1 >= kDiscoveryTtl) return;  // flood scope exhausted
   net::AodvRreqMsg fwd = msg;
   fwd.hops = static_cast<std::uint16_t>(msg.hops + 1);
+  // Random broadcast-forwarding jitter (standard in AODV implementations to
+  // de-synchronize rebroadcasts).  It also means the first RREQ copy the
+  // destination hears travelled a random tree, not the shortest path — the
+  // paper: "chooses the path this RREQ has gone through although this route
+  // is usually not the shortest one".
+  constexpr sim::Time kForwardJitterMax = sim::milliseconds(5);
   const auto jitter = sim::Time{static_cast<std::int64_t>(
       host().protocol_rng().uniform(
-          0.0, static_cast<double>(cfg_.forward_jitter_max.nanos())))};
+          0.0, static_cast<double>(kForwardJitterMax.nanos())))};
   host().simulator().after(jitter, [this, fwd] {
     host().send_control(net::make_control(net::kBroadcastId, fwd));
   });

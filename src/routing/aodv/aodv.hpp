@@ -22,12 +22,6 @@ namespace rica::routing {
 struct AodvConfig {
   sim::Time discovery_timeout = sim::milliseconds(200);  ///< RREP wait
   sim::Time route_expiry = sim::seconds(3);  ///< active-route timeout
-  /// Random broadcast-forwarding jitter (standard in AODV implementations
-  /// to de-synchronize rebroadcasts).  It also means the first RREQ copy
-  /// the destination hears travelled a random tree, not the shortest path —
-  /// the paper: "chooses the path this RREQ has gone through although this
-  /// route is usually not the shortest one".
-  sim::Time forward_jitter_max = sim::milliseconds(5);
 };
 
 class AodvProtocol final : public Protocol {

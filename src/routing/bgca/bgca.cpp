@@ -8,6 +8,8 @@ namespace rica::routing {
 namespace {
 constexpr std::uint8_t kTagRreq = 1;
 constexpr std::uint8_t kTagLq = 2;
+/// The bandwidth guard samples every route's downstream link this often.
+constexpr sim::Time kMonitorPeriod = sim::milliseconds(500);
 }  // namespace
 
 BgcaProtocol::BgcaProtocol(ProtocolHost& host, const BgcaConfig& cfg)
@@ -17,11 +19,19 @@ sim::Time BgcaProtocol::now() const {
   return const_cast<BgcaProtocol*>(this)->host().simulator().now();
 }
 
+double BgcaProtocol::requirement_bps() const {
+  // 1.5 x 41 kbps puts class D below the bar at 10 pkt/s, and C at 20.
+  constexpr double kBandwidthFactor = 1.5;
+  return kBandwidthFactor * cfg_.flow_rate_bps;
+}
+
 sim::Time BgcaProtocol::forward_jitter(channel::CsiClass cls) {
+  // CSI-aware flood jitter per unit of excess CSI hop distance.
+  constexpr sim::Time kCsiJitter = sim::milliseconds(10);
   const double excess = channel::csi_hop_distance(cls) - 1.0;
   const double dither = host().protocol_rng().uniform(0.0, 0.5e6);
   return sim::Time{static_cast<std::int64_t>(
-             excess * static_cast<double>(cfg_.csi_jitter.nanos()) + dither)};
+             excess * static_cast<double>(kCsiJitter.nanos()) + dither)};
 }
 
 std::optional<net::NodeId> BgcaProtocol::downstream(net::FlowKey flow) const {
@@ -34,7 +44,7 @@ void BgcaProtocol::start() {
   // Desynchronize the monitors across nodes.
   const auto phase = sim::Time{static_cast<std::int64_t>(
       host().protocol_rng().uniform(0.0,
-                                    static_cast<double>(cfg_.monitor_period.nanos())))};
+                                    static_cast<double>(kMonitorPeriod.nanos())))};
   monitor_timer_.arm_after(host().simulator(), phase,
                            [this] { monitor_links(); });
 }
@@ -180,17 +190,21 @@ void BgcaProtocol::flush_pending(net::FlowKey flow) {
 // ---------------------------------------------------------------------------
 
 void BgcaProtocol::monitor_links() {
+  constexpr sim::Time kLqCooldown = sim::seconds(2);
+  // Consecutive below-requirement samples before a local query: filters
+  // sub-period fade flickers.
+  constexpr int kGuardStrikes = 3;
   for (auto& [flow, e] : entries_) {
     if (!e.valid || e.repairing) continue;
     if (net::flow_dst(flow) == host().id()) continue;
-    if (now() - e.last_lq < cfg_.lq_cooldown) continue;
+    if (now() - e.last_lq < kLqCooldown) continue;
     const auto cls = host().link_csi(e.downstream);
     if (!cls) continue;  // range exit is the data plane's business
     if (channel::throughput_bps(*cls) < requirement_bps()) {
       // Only a *persistent* deficiency (deep fade) triggers the repair; a
       // single sub-period flicker does not (the paper calls BGCA
       // deliberately "passive").
-      if (++e.strikes >= cfg_.guard_strikes) {
+      if (++e.strikes >= kGuardStrikes) {
         e.strikes = 0;
         host().count("bgca.guard_trigger");
         start_local_query(flow, /*broken=*/false);
@@ -199,7 +213,7 @@ void BgcaProtocol::monitor_links() {
       e.strikes = 0;
     }
   }
-  monitor_timer_.arm_after(host().simulator(), cfg_.monitor_period,
+  monitor_timer_.arm_after(host().simulator(), kMonitorPeriod,
                            [this] { monitor_links(); });
 }
 
@@ -221,13 +235,15 @@ void BgcaProtocol::start_local_query(net::FlowKey flow, bool broken) {
   msg.src = net::flow_src(flow);
   msg.dst = net::flow_dst(flow);
   msg.bid = bid;
-  msg.ttl = cfg_.lq_ttl;
+  constexpr std::int16_t kLqTtl = 3;  // the local query's reach, hops
+  msg.ttl = kLqTtl;
   msg.csi_hops = 0.0;
   msg.topo_hops = 0;
   msg.origin_hops_to_dst = e.hops_to_dst;
   host().send_control(net::make_control(net::kBroadcastId, msg));
 
-  e.lq_timer.arm_after(host().simulator(), cfg_.lq_timeout,
+  constexpr sim::Time kLqTimeout = sim::milliseconds(100);
+  e.lq_timer.arm_after(host().simulator(), kLqTimeout,
                        [this, flow, bid] { finish_local_query(flow, bid); });
 }
 

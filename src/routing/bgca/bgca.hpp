@@ -26,17 +26,7 @@ namespace rica::routing {
 /// offered traffic so the bandwidth guard has a requirement to enforce.
 struct BgcaConfig {
   double flow_rate_bps = 41'000.0;     ///< offered bits/s per flow
-  double bandwidth_factor = 1.5;       ///< requirement = factor * flow rate
-                                       ///< (1.5 x 41 kbps puts class D below
-                                       ///< the bar at 10 pkt/s, and C at 20)
-  sim::Time monitor_period = sim::milliseconds(500);
-  int guard_strikes = 3;  ///< consecutive below-requirement samples before a
-                          ///< local query (filters sub-period fade flickers)
-  sim::Time lq_timeout = sim::milliseconds(100);
-  sim::Time lq_cooldown = sim::seconds(2);
-  std::int16_t lq_ttl = 3;
   sim::Time discovery_timeout = sim::milliseconds(200);
-  sim::Time csi_jitter = sim::milliseconds(10);  ///< CSI-aware flood jitter
 };
 
 class BgcaProtocol final : public Protocol {
@@ -52,9 +42,7 @@ class BgcaProtocol final : public Protocol {
   [[nodiscard]] double table_load() const override;
 
   /// The bandwidth requirement the guard enforces, bits/s.
-  [[nodiscard]] double requirement_bps() const {
-    return cfg_.bandwidth_factor * cfg_.flow_rate_bps;
-  }
+  [[nodiscard]] double requirement_bps() const;
 
   // -- white-box accessors for tests ----------------------------------------
   [[nodiscard]] std::optional<net::NodeId> downstream(net::FlowKey flow) const;

@@ -66,7 +66,7 @@ void LinkStateProtocol::adopt(net::NodeId origin, net::SharedLinkRow row) {
 void LinkStateProtocol::start() {
   const auto phase = sim::Time{static_cast<std::int64_t>(
       host().protocol_rng().uniform(
-          0.0, static_cast<double>(cfg_.sense_period.nanos())))};
+          0.0, static_cast<double>(kSensePeriod.nanos())))};
   first_tick_ = host().simulator().now() + phase;
   sense_timer_.arm_at(host().simulator(), first_tick_,
                       [this] { sense_links(); });
@@ -80,7 +80,7 @@ void LinkStateProtocol::sense_links() {
   } else if (host().links_final()) {
     return;  // every later tick would compare these same rows
   }
-  sense_timer_.arm_after(host().simulator(), cfg_.sense_period,
+  sense_timer_.arm_after(host().simulator(), kSensePeriod,
                          [this] { sense_links(); });
 }
 
@@ -88,9 +88,9 @@ void LinkStateProtocol::resume_sensing() {
   const sim::Time now = host().simulator().now();
   if (sense_timer_.armed() || first_tick_ > now) return;
   const std::int64_t ticks =
-      (now - first_tick_).nanos() / cfg_.sense_period.nanos() + 1;
+      (now - first_tick_).nanos() / kSensePeriod.nanos() + 1;
   sense_timer_.arm_at(host().simulator(),
-                      first_tick_ + cfg_.sense_period * ticks,
+                      first_tick_ + kSensePeriod * ticks,
                       [this] { sense_links(); });
 }
 

@@ -33,11 +33,12 @@ namespace rica::routing {
 /// Link-state tunables.
 struct LinkStateConfig {
   std::size_t num_nodes = 50;
-  sim::Time sense_period = sim::milliseconds(150);
 };
 
 class LinkStateProtocol final : public Protocol {
  public:
+  /// Each terminal senses its own links once per period (§III-A).
+  static constexpr sim::Time kSensePeriod = sim::milliseconds(150);
   /// One terminal's adjacency: (neighbour, advertised class) pairs,
   /// ascending by neighbour.
   using AdjacencyRow = channel::LinkRow;
@@ -91,7 +92,7 @@ class LinkStateProtocol final : public Protocol {
   void adopt(net::NodeId origin, net::SharedLinkRow row);
   void sense_links();
   /// Re-arms sensing that a frozen channel stopped: at the next tick of this
-  /// node's grid (first_tick_ + k * sense_period) after now.
+  /// node's grid (first_tick_ + k * kSensePeriod) after now.
   void resume_sensing();
   /// Makes `row` this node's own: one new shared row that is both the
   /// view's row and the payload of the LSU it floods.

@@ -416,13 +416,10 @@ LinkRow neighbors_then_csi(ChannelModel& channel, std::uint32_t node,
 }
 
 /// `links_of` on a moving network against the oracle on a second same-seed
-/// model queried at the same times; the parameter turns the index on.
-class LinksOfMobile : public ::testing::TestWithParam<bool> {};
-
-TEST_P(LinksOfMobile, MatchesNeighborsThenCsi) {
+/// model queried at the same times.
+TEST(LinksOfMobile, MatchesNeighborsThenCsi) {
   constexpr std::size_t kNodes = 40;
-  ChannelConfig cfg;
-  cfg.use_neighbor_index = GetParam();
+  const ChannelConfig cfg;
   mobility::MobilityConfig wp;
   wp.field = mobility::Field{800.0, 800.0};
   wp.max_speed_mps = 20.0;
@@ -448,11 +445,6 @@ TEST_P(LinksOfMobile, MatchesNeighborsThenCsi) {
   EXPECT_EQ(fast.draws(), oracle.draws());
   EXPECT_GT(fast.draws(), fast.live_pairs());  // moving pairs kept stepping
 }
-
-INSTANTIATE_TEST_SUITE_P(Index, LinksOfMobile, ::testing::Bool(),
-                         [](const auto& info) {
-                           return info.param ? "Indexed" : "BruteForce";
-                         });
 
 // `links_of` senses a row in one pass: the node's position and speed once,
 // and no freshness check or prefilter for the neighbours the index has just

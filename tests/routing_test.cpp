@@ -408,7 +408,6 @@ class BgcaTest : public ::testing::Test {
 TEST_F(BgcaTest, RequirementScalesWithFlowRate) {
   BgcaConfig cfg;
   cfg.flow_rate_bps = 82'000.0;  // 20 pkt/s of 512 B
-  cfg.bandwidth_factor = 1.5;
   MockHost host(5);
   BgcaProtocol proto(host, cfg);
   EXPECT_DOUBLE_EQ(proto.requirement_bps(), 123'000.0);
@@ -652,14 +651,13 @@ TEST_F(AbrTest, TicksResetAfterSilence) {
 }
 
 TEST_F(AbrTest, TicksSaturateAtCap) {
-  AbrConfig cfg;
   MockHost host(5);
-  AbrProtocol proto(host, cfg);
-  for (std::uint32_t i = 0; i < cfg.tick_cap + 10; ++i) {
+  AbrProtocol proto(host);
+  for (std::uint32_t i = 0; i < AbrProtocol::kTickCap + 10; ++i) {
     proto.on_control(net::make_control(net::kBroadcastId, net::AbrBeaconMsg{4}),
                      4);
   }
-  EXPECT_EQ(proto.ticks(4), cfg.tick_cap);
+  EXPECT_EQ(proto.ticks(4), AbrProtocol::kTickCap);
 }
 
 TEST_F(AbrTest, StartBroadcastsPeriodicBeacons) {
@@ -1034,7 +1032,7 @@ TEST(LinkStateStaticChannel, StoredRowsStillFloodARestoredLink) {
   const auto draws = net.channel.draws();
 
   // The first tick falls in [0, period), so ten periods hold ten ticks.
-  const auto period = cfg.sense_period;
+  const auto period = LinkStateProtocol::kSensePeriod;
   proto.start();
   host.sim().run_until(period * 10);
   EXPECT_EQ(host.sent_count<net::LsuMsg>(), 0u);
@@ -1090,7 +1088,7 @@ TEST(LinkStateStaticChannel, StoppedSensingFloodsLikeEndlessTicks) {
   proto.start();
   twin_proto.start();
 
-  const auto period = cfg.sense_period;
+  const auto period = LinkStateProtocol::kSensePeriod;
   const auto both_until = [&](sim::Time t) {
     host.sim().run_until(t);
     twin.sim().run_until(t);
