@@ -27,7 +27,7 @@ ChannelModel::ChannelModel(const ChannelConfig& cfg,
                            const sim::RngManager& rng)
     : cfg_(cfg),
       mobility_(mobility),
-      rng_(rng),
+      channel_key_(rng.name_key("channel")),
       index_(mobility, cfg.range_m),
       frozen_(mobility.max_speed_mps() <= 0.0) {}
 
@@ -97,10 +97,9 @@ std::optional<ChannelSample> ChannelModel::sample_from(End& a,
   if (dist > cfg_.range_m) return std::nullopt;
 
   if (it == pairs_.end()) {
-    // Deriving the stream key hashes the stream name, so only a new pair
-    // pays it.
     it = pairs_
-             .emplace(key, PairProcess{.rng = rng_.stream("channel", lo, hi)})
+             .emplace(key, PairProcess{.rng = sim::RngManager::stream_at(
+                                           channel_key_, lo, hi)})
              .first;
   }
   auto& proc = it->second;

@@ -156,7 +156,9 @@ class ChannelModel {
 
   ChannelConfig cfg_;
   mobility::MobilityManager& mobility_;
-  sim::RngManager rng_;
+  /// rng.name_key("channel"): pair (lo, hi) draws from stream_at(key, lo,
+  /// hi), so a new pair hashes only its two indices.
+  std::uint64_t channel_key_;
   NeighborIndex index_;
   /// Keyed by lo << 32 | hi.  Never iterated, so its layout cannot reach
   /// the event stream.

@@ -29,11 +29,6 @@ int NeighborIndex::cell_y(double y) const {
   return std::clamp(c, 0, rows_ - 1);
 }
 
-void NeighborIndex::ensure_fresh(sim::Time t) {
-  if (built_ && (static_ || t - snap_time_ <= kRebuildEpoch)) return;
-  rebuild(t);
-}
-
 void NeighborIndex::rebuild(sim::Time t) {
   mobility_.snapshot(t, positions_);
   snap_time_ = t;
@@ -188,15 +183,6 @@ void NeighborIndex::build_list(std::uint32_t node) {
   }
   lists_[node] = List{rebuilds_, begin,
                       static_cast<std::uint32_t>(entries_.size() - begin)};
-}
-
-bool NeighborIndex::possibly_in_range(std::uint32_t a, std::uint32_t b) const {
-  // Each endpoint can have drifted up to slack_m_ since the snapshot.
-  // Squared, as in build_list: the kEpsilonM margin in reach_m_ dwarfs the
-  // rounding difference from the hypot, so the bound stays conservative.
-  const double dx = positions_[a].x - positions_[b].x;
-  const double dy = positions_[a].y - positions_[b].y;
-  return dx * dx + dy * dy <= reach_m_ * reach_m_;
 }
 
 }  // namespace rica::channel

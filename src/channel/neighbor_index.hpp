@@ -65,8 +65,12 @@ class NeighborIndex {
   /// Re-snapshots when the current snapshot is older than the rebuild epoch
   /// (or absent); a static network (max_speed_mps() == 0) keeps its first
   /// snapshot for good.  Must be called with non-decreasing t, which holds
-  /// in a discrete-event simulation.
-  void ensure_fresh(sim::Time t);
+  /// in a discrete-event simulation.  Inline: every `sample` calls it, and
+  /// it rebuilds only once per epoch.
+  void ensure_fresh(sim::Time t) {
+    if (built_ && (static_ || t - snap_time_ <= kRebuildEpoch)) return;
+    rebuild(t);
+  }
 
   /// Fills `out` with every node within range_m of `node` at time t,
   /// ascending by id: the brute-force scan's answer.  Reuses each listed
@@ -82,7 +86,15 @@ class NeighborIndex {
   /// current snapshot covers (snapshot distance > range + 2*slack +
   /// kEpsilonM).  A true result means "possibly in range" and needs the
   /// exact check.
-  [[nodiscard]] bool possibly_in_range(std::uint32_t a, std::uint32_t b) const;
+  [[nodiscard]] bool possibly_in_range(std::uint32_t a,
+                                       std::uint32_t b) const {
+    // Each endpoint can have drifted up to slack_m_ since the snapshot.
+    // Squared, as in build_list: the kEpsilonM margin in reach_m_ dwarfs the
+    // rounding difference from the hypot, so the bound stays conservative.
+    const double dx = positions_[a].x - positions_[b].x;
+    const double dy = positions_[a].y - positions_[b].y;
+    return dx * dx + dy * dy <= reach_m_ * reach_m_;
+  }
 
   /// Max distance a node can have drifted from its snapshot position, m.
   [[nodiscard]] double slack_m() const { return slack_m_; }

@@ -24,15 +24,6 @@ sim::Time RicaProtocol::now() const {
   return const_cast<RicaProtocol*>(this)->host().simulator().now();
 }
 
-bool RicaProtocol::relay_entry_live(const RelayState& r) const {
-  // Validity gates forwarding; the idle expiry (§II-C "the original route at
-  // last automatically expires") only garbage-collects abandoned entries so
-  // their stale state cannot hijack later traffic.  An entry that is still
-  // receiving data is never expired mid-stream: a 10-deep queue on a 50 kbps
-  // class-D link legitimately spaces packets ~1 s apart.
-  return r.valid;
-}
-
 sim::Time RicaProtocol::forward_jitter(channel::CsiClass cls) {
   const double excess = channel::csi_hop_distance(cls) - 1.0;
   const double dither = host().protocol_rng().uniform(0.0, 0.5e6);  // <=0.5ms
@@ -51,7 +42,7 @@ std::optional<net::NodeId> RicaProtocol::source_next_hop(
 std::optional<net::NodeId> RicaProtocol::relay_downstream(
     net::FlowKey flow) const {
   const auto it = relays_.find(flow);
-  if (it == relays_.end() || !relay_entry_live(it->second)) {
+  if (it == relays_.end() || !it->second.valid) {
     return std::nullopt;
   }
   return it->second.downstream;
@@ -118,13 +109,12 @@ void RicaProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
       r.upstream = from;
       r.downstream = r.check_next;
       r.valid = true;
-      r.last_used = now();
       host().forward_data(std::move(pkt), r.downstream);
       return;
     }
   }
 
-  if (!relay_entry_live(r) || r.downstream == from) {
+  if (!r.valid || r.downstream == from) {
     // No live entry.  §II-C: a terminal remembers the downstream it first
     // received a checking packet from and "in the future it can use the
     // corresponding PN code to send packets to this downstream terminal" —
@@ -133,7 +123,6 @@ void RicaProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
       r.upstream = from;
       r.downstream = r.check_next;
       r.valid = true;
-      r.last_used = now();
       host().count("rica.salvage");
       host().forward_data(std::move(pkt), r.downstream);
       return;
@@ -144,7 +133,6 @@ void RicaProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
     return;
   }
   r.upstream = from;
-  r.last_used = now();
   host().forward_data(std::move(pkt), r.downstream);
 }
 
@@ -249,7 +237,6 @@ void RicaProtocol::on_rrep(const net::RrepMsg& msg, net::NodeId from) {
   r.valid = true;
   r.downstream = from;
   r.hops_to_dst = static_cast<std::uint16_t>(msg.topo_hops + 1);
-  r.last_used = now();
 
   const auto up = rreq_upstream_.find(msg.src, msg.bid);
   if (!up) return;  // reverse path lost
@@ -442,7 +429,6 @@ void RicaProtocol::on_rupd(const net::RupdMsg& msg, net::NodeId from) {
     r.downstream = r.check_next;
     r.valid = true;
   }
-  r.last_used = now();
 }
 
 void RicaProtocol::on_reer(const net::ReerMsg& msg, net::NodeId from) {

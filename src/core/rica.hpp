@@ -101,11 +101,13 @@ class RicaProtocol final : public routing::Protocol {
     sim::Time last_window_close{};
     sim::Time last_check_seen{};
   };
+  /// A relay's entry for one flow.  Entries never expire: `valid` alone
+  /// gates forwarding, and only a REER from the downstream or a break of
+  /// the downstream link clears it.
   struct RelayState {
     bool valid = false;
     net::NodeId upstream = 0;
     net::NodeId downstream = 0;
-    sim::Time last_used{};
     std::uint16_t hops_to_dst = 0;
     // first CSI check of the latest broadcast id seen here
     std::uint32_t check_bid = 0;
@@ -155,7 +157,6 @@ class RicaProtocol final : public routing::Protocol {
   void on_reer(const net::ReerMsg& msg, net::NodeId from);
 
   [[nodiscard]] sim::Time now() const;
-  [[nodiscard]] bool relay_entry_live(const RelayState& r) const;
   /// CSI-proportional flood-forwarding delay for the link class `cls`.
   [[nodiscard]] sim::Time forward_jitter(channel::CsiClass cls);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 namespace rica::routing {
@@ -23,27 +24,36 @@ constexpr std::array<std::uint32_t, 4> kCost = {3, 5, 10, 15};
 /// never holds two distances at once.
 constexpr std::uint32_t kBuckets = 16;
 static_assert(kCost.back() < kBuckets);
+
+/// SPF's working arrays.  One set per thread, shared by every terminal the
+/// thread simulates; each run clears them first, so no state passes from
+/// one run (or terminal) to the next.
+struct SpfWorkspace {
+  std::vector<double> dist;
+  std::vector<net::NodeId> parent;
+  /// Dial's buckets: (path sum, node) entries reached at t thirds, t % 16.
+  std::array<std::vector<std::pair<double, net::NodeId>>, kBuckets> buckets;
+};
+
+SpfWorkspace& spf_workspace() {
+  thread_local SpfWorkspace workspace;
+  return workspace;
+}
 }  // namespace
 
 LinkStateProtocol::LinkStateProtocol(ProtocolHost& host,
                                      const LinkStateConfig& cfg)
-    : Protocol(host), cfg_(cfg) {
-  view_.assign(cfg_.num_nodes, &kNoLinks);
-  seqs_.assign(cfg_.num_nodes, 0);
-  next_hop_.assign(cfg_.num_nodes, kNoNextHop);
-}
+    : Protocol(host), cfg_(cfg) {}
 
 void LinkStateProtocol::install_topology(const Topology& topology) {
   complete_tree();
   snapshot_ = topology;
-  const auto& rows = std::as_const(snapshot_);
-  for (std::size_t i = 0; i < view_.size(); ++i) {
-    view_[i] = i < rows.size() ? &rows[i] : &kNoLinks;
-  }
+  view_.clear();  // read the new snapshot's rows until the next adopt
+  held_.clear();
   ++view_version_;
   resume_sensing();  // a stopped tick must compare the new own row
   host().trace_route("topology_install", host().id(), 0, 0,
-                     static_cast<double>(view_.size()));
+                     static_cast<double>(cfg_.num_nodes));
 }
 
 const LinkStateProtocol::AdjacencyRow& LinkStateProtocol::own_row() const {
@@ -52,12 +62,29 @@ const LinkStateProtocol::AdjacencyRow& LinkStateProtocol::own_row() const {
 
 const LinkStateProtocol::AdjacencyRow& LinkStateProtocol::row(
     net::NodeId origin) const {
-  return *view_.at(origin);
+  if (origin >= cfg_.num_nodes) {
+    throw std::out_of_range("LinkStateProtocol::row: origin outside the view");
+  }
+  return view_row(origin);
+}
+
+const LinkStateProtocol::AdjacencyRow& LinkStateProtocol::view_row(
+    net::NodeId origin) const {
+  if (!view_.empty()) return *view_[origin];
+  const auto& rows = std::as_const(snapshot_);
+  return origin < rows.size() ? rows[origin] : kNoLinks;
 }
 
 void LinkStateProtocol::adopt(net::NodeId origin, net::SharedLinkRow row) {
   complete_tree();  // the view is about to change
-  if (held_.empty()) held_.resize(cfg_.num_nodes);
+  if (view_.empty()) {  // the first change: a private view of the snapshot
+    const auto& rows = std::as_const(snapshot_);
+    view_.reserve(cfg_.num_nodes);
+    for (std::size_t i = 0; i < cfg_.num_nodes; ++i) {
+      view_.push_back(i < rows.size() ? &rows[i] : &kNoLinks);
+    }
+    held_.resize(cfg_.num_nodes);
+  }
   view_[origin] = row ? row.get() : &kNoLinks;
   held_[origin] = std::move(row);
   ++view_version_;
@@ -75,7 +102,7 @@ void LinkStateProtocol::start() {
 void LinkStateProtocol::sense_links() {
   // The host's row is only borrowed: copy it only when it floods.
   const auto& row = host().link_row();
-  if (row != *view_[host().id()]) {
+  if (row != view_row(host().id())) {
     publish_own_row(row);
   } else if (host().links_final()) {
     return;  // every later tick would compare these same rows
@@ -98,7 +125,6 @@ void LinkStateProtocol::publish_own_row(AdjacencyRow row) {
   auto shared = net::share_row(std::move(row));
   adopt(host().id(), shared);
   ++own_seq_;
-  seqs_[host().id()] = own_seq_;
   host().count("ls.lsu_origin");
   host().send_control(net::make_control(
       net::kBroadcastId, net::LsuMsg{host().id(), own_seq_, std::move(shared)}));
@@ -108,6 +134,7 @@ void LinkStateProtocol::on_lsu(const net::LsuMsg& msg,
                                std::uint16_t size_bytes) {
   if (msg.origin == host().id()) return;
   if (msg.origin >= cfg_.num_nodes) return;
+  if (seqs_.empty()) seqs_.assign(cfg_.num_nodes, 0);
   if (msg.seq <= seqs_[msg.origin]) return;  // duplicate or stale
   seqs_[msg.origin] = msg.seq;
   adopt(msg.origin, msg.links);
@@ -152,14 +179,19 @@ void LinkStateProtocol::spf(net::NodeId target) {
   //
   // The scan stops as soon as `target` is final.  Every node not yet final
   // then reads kUnsettled in next_hop_ until complete_tree() reruns the
-  // scan to the end on the same view.
+  // scan to the end on the same view.  A partial run leaves entries in the
+  // buckets, so every run clears the workspace before it starts.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::size_t n = cfg_.num_nodes;
-  std::vector<double> dist(n, kInf);
-  std::vector<net::NodeId> parent(n, kNoNextHop);
-  std::vector<net::NodeId> first_hop(n, kNoNextHop);
-  using Item = std::pair<double, net::NodeId>;
-  std::array<std::vector<Item>, kBuckets> buckets;
+  SpfWorkspace& ws = spf_workspace();
+  auto& dist = ws.dist;
+  auto& parent = ws.parent;
+  auto& buckets = ws.buckets;
+  dist.assign(n, kInf);
+  parent.assign(n, kNoNextHop);
+  for (auto& bucket : buckets) bucket.clear();
+  auto& first_hop = next_hop_;  // the tree is written in place
+  first_hop.assign(n, kNoNextHop);
   const auto precedes = [&dist](net::NodeId a, net::NodeId b) {
     return dist[a] < dist[b] || (dist[a] == dist[b] && a < b);
   };
@@ -187,7 +219,7 @@ void LinkStateProtocol::spf(net::NodeId target) {
     queued -= bucket.size();
     for (const auto& [d, u] : bucket) {
       if (d > dist[u]) continue;  // reached again more cheaply since
-      const auto& row = *view_[u];
+      const auto& row = view_row(u);
       relaxed += row.size();
       const net::NodeId hop = first_hop[u];
       for (const auto& [v, cls] : row) {
@@ -215,7 +247,6 @@ void LinkStateProtocol::spf(net::NodeId target) {
     }
   }
   tree_partial_ = partial;
-  next_hop_ = std::move(first_hop);
 }
 
 std::optional<net::NodeId> LinkStateProtocol::next_hop(net::NodeId dst) {
@@ -248,7 +279,7 @@ void LinkStateProtocol::on_link_break(net::NodeId neighbor,
     host().drop_data(p, stats::DropReason::kLinkBreak);
   }
   // Remove the dead link from our row immediately and flood the change.
-  const auto& row = *view_[host().id()];
+  const auto& row = view_row(host().id());
   const auto it = std::find_if(row.begin(), row.end(),
                                [neighbor](const auto& e) {
                                  return e.first == neighbor;

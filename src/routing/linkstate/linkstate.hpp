@@ -82,12 +82,17 @@ class LinkStateProtocol final : public Protocol {
   [[nodiscard]] std::optional<net::NodeId> next_hop(net::NodeId dst);
   /// This node's current advertised adjacency row.
   [[nodiscard]] const AdjacencyRow& own_row() const;
-  /// `origin`'s row in this node's current view.
+  /// `origin`'s row in this node's current view: the installed snapshot's
+  /// own row object until this node adopts a row.  Throws std::out_of_range
+  /// for an origin outside the network.
   [[nodiscard]] const AdjacencyRow& row(net::NodeId origin) const;
 
  private:
+  /// `origin`'s row in the current view (origin < num_nodes).
+  [[nodiscard]] const AdjacencyRow& view_row(net::NodeId origin) const;
   /// Points the view's `origin` row at `row` (null reads as empty) and
-  /// holds it.  The view is about to change, so a partial tree is
+  /// holds it, first giving this node a private view if it reads the
+  /// snapshot's.  The view is about to change, so a partial tree is
   /// completed first.
   void adopt(net::NodeId origin, net::SharedLinkRow row);
   void sense_links();
@@ -101,9 +106,10 @@ class LinkStateProtocol final : public Protocol {
   /// once `dst` is settled when the host's links are final (a static
   /// channel) and running the whole tree otherwise.
   void recompute_if_stale(net::NodeId dst);
-  /// SPF over the current view into next_hop_.  Stops once `target` is
-  /// settled and marks every unsettled node kUnsettled; a target outside
-  /// the view (kNoNextHop) runs the whole tree.
+  /// SPF over the current view into next_hop_, in this thread's one
+  /// workspace.  Stops once `target` is settled and marks every unsettled
+  /// node kUnsettled; a target outside the view (kNoNextHop) runs the whole
+  /// tree.
   void spf(net::NodeId target);
   /// Finishes a partial tree on the view it was started on (a second pass
   /// from scratch: no Dijkstra state is kept between passes).
@@ -120,18 +126,22 @@ class LinkStateProtocol final : public Protocol {
   /// non-const operator[] would detach a private copy of every row.
   Topology snapshot_;
   /// Rows that replaced the snapshot's (adopted from an LSU, or this
-  /// node's own published row), by origin; sized to num_nodes on the first
-  /// change.  Immutable: other terminals and frames in flight share them.
+  /// node's own published row), by origin; sized with view_.  Immutable:
+  /// other terminals and frames in flight share them.
   std::vector<net::SharedLinkRow> held_;
-  /// The current view, one row per origin: into snapshot_ or held_.
+  /// The current view, one row per origin: into snapshot_ or held_.  Empty
+  /// (and held_ too) until the first adopt() after an install: until then
+  /// the view is snapshot_ itself.
   std::vector<const AdjacencyRow*> view_;
-  std::vector<std::uint32_t> seqs_;     ///< highest LSU seq seen per origin
+  /// Highest LSU seq seen per origin; empty until the first LSU.
+  std::vector<std::uint32_t> seqs_;
   std::uint32_t own_seq_ = 0;
   std::uint64_t view_version_ = 1;
   std::uint64_t routes_version_ = 0;    ///< version the cache was built at
   sim::Time last_spf_{};                ///< last Dijkstra run (hold-down)
   bool spf_ever_ran_ = false;
-  std::vector<net::NodeId> next_hop_;   ///< Dijkstra cache, kNoNextHop = none
+  /// Dijkstra cache, kNoNextHop = none; empty until the first SPF.
+  std::vector<net::NodeId> next_hop_;
   /// next_hop_ holds kUnsettled entries: the last run stopped early.
   bool tree_partial_ = false;
   static constexpr net::NodeId kNoNextHop = net::kBroadcastId;

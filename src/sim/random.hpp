@@ -124,36 +124,43 @@ class RngManager {
 
   /// Stream for a named component ("mobility", "traffic", ...).
   [[nodiscard]] RandomStream stream(std::string_view name) const {
-    return RandomStream{derive(name, 0, 0)};
+    return stream_at(name_key(name), 0, 0);
   }
 
   /// Stream for a named component and one index (e.g. per node).
   [[nodiscard]] RandomStream stream(std::string_view name,
                                     std::uint64_t index) const {
-    return RandomStream{derive(name, index, 0)};
+    return stream_at(name_key(name), index, 0);
   }
 
   /// Stream for a named component and an index pair (e.g. per link).
   [[nodiscard]] RandomStream stream(std::string_view name, std::uint64_t a,
                                     std::uint64_t b) const {
-    return RandomStream{derive(name, a, b)};
+    return stream_at(name_key(name), a, b);
+  }
+
+  /// The hash of `name` that every stream (name, a, b) starts from.  A
+  /// component that derives many index streams hashes its name once here
+  /// and calls stream_at.
+  [[nodiscard]] std::uint64_t name_key(std::string_view name) const {
+    std::uint64_t h = master_;
+    for (const char c : name) {
+      h = splitmix64(h ^ static_cast<std::uint64_t>(c));
+    }
+    return h;
+  }
+
+  /// Stream (name, a, b), given name_key(name).
+  [[nodiscard]] static RandomStream stream_at(std::uint64_t name_key,
+                                              std::uint64_t a,
+                                              std::uint64_t b) {
+    const std::uint64_t h = splitmix64(name_key ^ a);
+    return RandomStream{splitmix64(h ^ (b + 0x51ed2701a3c5e691ULL))};
   }
 
   [[nodiscard]] std::uint64_t master_seed() const { return master_; }
 
  private:
-  /// The key of stream (name, a, b).
-  [[nodiscard]] std::uint64_t derive(std::string_view name, std::uint64_t a,
-                                     std::uint64_t b) const {
-    std::uint64_t h = master_;
-    for (const char c : name) {
-      h = splitmix64(h ^ static_cast<std::uint64_t>(c));
-    }
-    h = splitmix64(h ^ a);
-    h = splitmix64(h ^ (b + 0x51ed2701a3c5e691ULL));
-    return h;
-  }
-
   std::uint64_t master_;
 };
 

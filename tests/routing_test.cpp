@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <ostream>
 #include <string>
 #include <type_traits>
@@ -887,6 +888,32 @@ TEST_F(LinkStateSharedSnapshotTest, TerminalsReadOneRowStore) {
   }
 }
 
+// A terminal keeps no table of its own for the view until it changes a row:
+// through SPF runs it reads the installed snapshot's own row objects, and an
+// LSU then moves only the row it carries.
+TEST_F(LinkStateSharedSnapshotTest, ReadsTheSnapshotUntilItsFirstLsu) {
+  ASSERT_EQ(proto_.next_hop(4), 1u);
+  for (net::NodeId origin = 0; origin < 5; ++origin) {
+    EXPECT_EQ(&proto_.row(origin), &topo_[origin]) << "origin " << origin;
+  }
+  EXPECT_THROW((void)proto_.row(5), std::out_of_range);
+
+  const net::LsuMsg lsu{2, 1, net::share_row({{1, CsiClass::A}})};
+  proto_.on_control(net::make_control(net::kBroadcastId, lsu), 1);
+  for (net::NodeId origin = 0; origin < 5; ++origin) {
+    const auto* want = origin == 2 ? lsu.links.get() : &topo_[origin];
+    EXPECT_EQ(&proto_.row(origin), want) << "origin " << origin;
+    EXPECT_EQ(&peer_.row(origin), &topo_[origin]) << "origin " << origin;
+  }
+  EXPECT_THROW((void)proto_.row(5), std::out_of_range);
+
+  // Before any install every row reads empty, and the bound still holds.
+  MockHost fresh_host(3);
+  const LinkStateProtocol fresh(fresh_host, config());
+  EXPECT_TRUE(fresh.row(4).empty());
+  EXPECT_THROW((void)fresh.row(5), std::out_of_range);
+}
+
 TEST_F(LinkStateSharedSnapshotTest, LsuChangesOnlyTheReceiversView) {
   ASSERT_EQ(peer_.next_hop(4), 2u);
   net::LsuMsg lsu;
@@ -1383,6 +1410,35 @@ TEST_F(LinkStatePartialTreeTest, ReinstallInsideHoldDownKeepsTheStartedView) {
   auto changed = view_;
   changed[want_[far_]].clear();
   expect_answers_across(changed, [&] { proto_.install_topology(changed); });
+}
+
+// Every terminal a thread simulates runs SPF in the thread's one workspace.
+// Terminal 0 stops early and leaves queued entries behind; another terminal
+// then runs a whole tree, and 0 completes its own after that: each run must
+// start from a cleared workspace.
+TEST_F(LinkStatePartialTreeTest, TerminalsShareOneSpfWorkspace) {
+  ASSERT_NE(near_, kSelf);
+  ASSERT_EQ(proto_.next_hop(near_), want_[near_]);
+  ASSERT_LT(host_.counters["ls.spf_relaxations"], edge_count(view_))
+      << "the first run must stop early";
+
+  MockHost other_host(far_);  // links not final: one whole tree
+  LinkStateProtocol other(other_host, config());
+  other.install_topology(view_);
+  const auto other_want = oracle::spf_first_hops(view_, far_);
+  for (net::NodeId dst = 0; dst < kNodes; ++dst) {
+    EXPECT_EQ(other.next_hop(dst).value_or(oracle::kNoNextHop),
+              other_want[dst])
+        << "terminal " << far_ << " dst " << dst;
+  }
+  EXPECT_EQ(other_host.counters["ls.spf_runs"], 1u);
+
+  sim::RandomStream rng(1);
+  for (const auto dst : query_order(QueryOrder::kFarFirst, dist_, rng)) {
+    EXPECT_EQ(proto_.next_hop(dst).value_or(oracle::kNoNextHop), want_[dst])
+        << "terminal " << kSelf << " dst " << dst;
+  }
+  EXPECT_EQ(host_.counters["ls.spf_runs"], 1u);
 }
 
 TEST_F(LinkStatePartialTreeTest, MovingHostRunsTheWholeTree) {

@@ -316,6 +316,28 @@ TEST(Random, NamedStreamsAreIndependent) {
   EXPECT_LT(same13, 5);
 }
 
+TEST(Random, NameKeyStreamsMatchNamedStreams) {
+  // A component that hashes its name once must draw exactly what the named
+  // stream draws, for every index pair.
+  const RngManager mgr(31);
+  const std::uint64_t key = mgr.name_key("channel");
+  RandomStream pick(7);
+  for (int pair = 0; pair < 500; ++pair) {
+    const auto a = static_cast<std::uint64_t>(pick.uniform_int(0, 20000));
+    const auto b = static_cast<std::uint64_t>(pick.uniform_int(0, 20000));
+    auto named = mgr.stream("channel", a, b);
+    auto keyed = RngManager::stream_at(key, a, b);
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_EQ(keyed.next(), named.next()) << "pair (" << a << ", " << b
+                                            << ") draw " << i;
+    }
+  }
+  EXPECT_EQ(RngManager::stream_at(mgr.name_key("mobility"), 3, 0).next(),
+            mgr.stream("mobility", 3).next());
+  EXPECT_EQ(RngManager::stream_at(mgr.name_key("traffic"), 0, 0).next(),
+            mgr.stream("traffic").next());
+}
+
 TEST(Random, SplitMixAvalanche) {
   // Single-bit input changes must flip roughly half the output bits.
   const std::uint64_t h1 = splitmix64(0x1234);
