@@ -67,6 +67,9 @@ int main(int argc, char** argv) {
   using namespace rica;
   try {
     const harness::Flags flags(argc, argv);
+    flags.require_known({"trials", "sim-time", "seed", "paper-scale",
+                         "threads", "preset", "mobility", "traffic", "pause",
+                         "warmup", "speed", "rate", "models", "trace"});
     const harness::BenchScale scale =
         harness::bench_scale(flags, /*def_trials=*/3, /*def_sim_s=*/100.0);
     const double speed = flags.get("speed", 36.0);

@@ -7,6 +7,7 @@
 //                         a dense 300-node variant of the paper field)
 //        --mobility SPEC  model driving the moving pair (default waypoint)
 //        --speed MPS      pair speed for the time series (default 10)
+//        --seed K         seed of the static sample (default 1)
 #include <algorithm>
 #include <array>
 #include <exception>
@@ -23,6 +24,7 @@ int main(int argc, char** argv) {
   using namespace rica;
   try {
     const harness::Flags flags(argc, argv);
+    flags.require_known({"preset", "mobility", "speed", "seed"});
 
     // Part 1: class population by distance, from a large static sample.
     // With --preset the sample uses that scenario's field and population

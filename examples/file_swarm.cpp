@@ -4,6 +4,7 @@
 // protocol via --protocol) and report per-transfer outcomes.
 //
 // Flags: --protocol NAME --pairs N --rate PKTS --mean-speed KMH --sim-time S
+//        --seed K
 #include <exception>
 #include <iostream>
 
@@ -18,6 +19,8 @@ using namespace rica;
 int main(int argc, char** argv) {
   try {
     const harness::Flags flags(argc, argv);
+    flags.require_known(
+        {"protocol", "pairs", "rate", "mean-speed", "sim-time", "seed"});
     const auto kind =
         harness::protocol_from_string(flags.get("protocol", "rica"));
     const auto pairs = static_cast<std::size_t>(flags.get("pairs", 10));

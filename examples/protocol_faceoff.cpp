@@ -1,14 +1,19 @@
-// Head-to-head comparison of all five protocols on one identical scenario
-// (same seed => same mobility, same channel realization, same traffic).
-// This is the condensed form of the paper's §III comparison.
+// Head-to-head comparison of all five protocols on one scenario setting
+// (same preset, mobility model, speed and load).  Each protocol's trials
+// draw their own seeds (trial_seed hashes the protocol), as the paper's
+// figure cells do.  This is the condensed form of the paper's §III
+// comparison.  The five protocols run side by side on every core
+// (harness::run_cells).
 //
 // Flags: --preset NAME --mobility SPEC --pause S --mean-speed KMH
 //        --rate PKTS --sim-time S --trials N --seed K
 #include <exception>
 #include <iostream>
+#include <vector>
 
 #include "harness/flags.hpp"
 #include "harness/scenario.hpp"
+#include "harness/sweep.hpp"
 #include "harness/table.hpp"
 #include "mobility/mobility_model.hpp"
 
@@ -16,6 +21,8 @@ int main(int argc, char** argv) {
   using namespace rica;
   try {
     const harness::Flags flags(argc, argv);
+    flags.require_known({"preset", "mobility", "pause", "mean-speed", "rate",
+                         "sim-time", "trials", "seed"});
     harness::ScenarioConfig cfg =
         harness::preset_config(flags.get("preset", "paper"));
     cfg.mobility = flags.get("mobility", cfg.mobility);
@@ -35,11 +42,15 @@ int main(int argc, char** argv) {
 
     harness::Table table({"protocol", "delivery_%", "delay_ms",
                           "overhead_kbps", "link_tput_kbps", "hops"});
+    std::vector<harness::ScenarioConfig> cells;
     for (const auto proto : harness::kAllProtocols) {
       cfg.protocol = proto;
-      std::cerr << "running " << harness::to_string(proto) << "...\n";
-      const auto r = harness::run_trials(cfg, trials);
-      table.add_row({std::string(harness::to_string(proto)),
+      cells.push_back(cfg);
+    }
+    std::cerr << "running the five protocols...\n";
+    for (const auto& cell : harness::run_cells(cells, trials, /*threads=*/0)) {
+      const auto& r = cell.result;
+      table.add_row({std::string(harness::to_string(cell.protocol)),
                      harness::fmt(r.delivery_pct, 1),
                      harness::fmt(r.avg_delay_ms, 1),
                      harness::fmt(r.overhead_kbps, 1),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <utility>
 
 namespace rica::core {
@@ -75,19 +74,6 @@ void RicaProtocol::handle_data(net::DataPacket pkt, net::NodeId from) {
     auto& d = dests_[flow];
     d.last_data = now();
     d.route_hops = std::max<std::uint16_t>(pkt.hops, 1);
-    if (cfg_.adaptive_checks) {
-      // Route volatility signal: a different last hop or a clearly
-      // different per-hop throughput means the route moved.
-      const double tput =
-          pkt.hops > 0 ? pkt.tput_sum_bps / pkt.hops : 0.0;
-      if (d.last_hop_seen != net::kBroadcastId &&
-          (d.last_hop_seen != from ||
-           std::abs(tput - d.last_route_tput) > 25'000.0)) {
-        d.route_changed_since_check = true;
-      }
-      d.last_hop_seen = from;
-      d.last_route_tput = tput;
-    }
     host().deliver_local(pkt);
     arm_checks(flow);
     return;
@@ -254,13 +240,15 @@ void RicaProtocol::arm_checks(net::FlowKey flow) {
   auto& d = dests_[flow];
   if (d.check_timer.armed()) return;
   d.last_data = now();
-  if (d.check_period == sim::Time::zero()) d.check_period = cfg_.check_period;
-  d.check_timer.arm_after(host().simulator(), d.check_period,
+  d.check_timer.arm_after(host().simulator(), cfg_.check_period,
                           [this, flow] { broadcast_check(flow); });
 }
 
 void RicaProtocol::broadcast_check(net::FlowKey flow) {
   constexpr sim::Time kFlowActiveTimeout = sim::seconds(3);
+  // A check may travel this many hops past the delivered route's length,
+  // so routes slightly longer in hops but shorter in CSI distance compete.
+  constexpr std::int16_t kCheckTtlSlack = 2;
   auto& d = dests_[flow];
   if (now() - d.last_data > kFlowActiveTimeout) {
     return;  // flow went idle; the timer stays disarmed (§II-C)
@@ -273,24 +261,11 @@ void RicaProtocol::broadcast_check(net::FlowKey flow) {
   msg.bid = bid;
   msg.csi_hops = 0.0;
   msg.topo_hops = 0;
-  msg.ttl = static_cast<std::int16_t>(d.route_hops + cfg_.check_ttl_slack);
+  msg.ttl = static_cast<std::int16_t>(d.route_hops + kCheckTtlSlack);
   msg.received_from = host().id();
   host().send_control(net::make_control(net::kBroadcastId, msg));
   host().count("rica.check_sent");
-
-  if (cfg_.adaptive_checks) {
-    // Volatile channel -> check faster; quiet channel -> back off.
-    const auto nanos = static_cast<double>(d.check_period.nanos());
-    d.check_period = d.route_changed_since_check
-                         ? std::max(cfg_.check_period_min,
-                                    sim::Time{static_cast<std::int64_t>(
-                                        nanos / 2.0)})
-                         : std::min(cfg_.check_period_max,
-                                    sim::Time{static_cast<std::int64_t>(
-                                        nanos * 1.25)});
-    d.route_changed_since_check = false;
-  }
-  d.check_timer.arm_after(host().simulator(), d.check_period,
+  d.check_timer.arm_after(host().simulator(), cfg_.check_period,
                           [this, flow] { broadcast_check(flow); });
 }
 

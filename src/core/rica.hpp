@@ -42,20 +42,12 @@ namespace rica::core {
 struct RicaConfig {
   sim::Time check_period = sim::seconds(1);
   sim::Time discovery_timeout = sim::milliseconds(200);
-  std::int16_t check_ttl_slack = 2;
   /// Forwarding of RREQ/CSI-check floods is deferred proportionally to the
   /// CSI hop distance of the incoming link (plus a small random dither), so
   /// the first copy to arrive anywhere travelled an approximately
   /// CSI-shortest path.  This is how the first-copy-forwarding rule of §II
   /// ends up electing channel-adaptive routes.
   sim::Time csi_jitter = sim::milliseconds(10);
-  /// §II-C hints the checking period "has to be decided by the change speed
-  /// of the link CSI".  When enabled, the destination adapts its period:
-  /// halved when the delivered packets' route visibly changed since the
-  /// last check (volatile channel), stretched by 25% when it stayed put.
-  bool adaptive_checks = false;
-  sim::Time check_period_min = sim::milliseconds(250);
-  sim::Time check_period_max = sim::seconds(4);
 };
 
 class RicaProtocol final : public routing::Protocol {
@@ -125,11 +117,6 @@ class RicaProtocol final : public routing::Protocol {
     sim::Time last_data{};
     std::uint16_t route_hops = 4;  ///< TTL basis, refreshed by delivered data
     routing::CandidateWindow<Candidate> rreqs;  ///< RREQ collection window
-    // adaptive checking (extension): track route volatility between checks
-    sim::Time check_period{};
-    net::NodeId last_hop_seen = net::kBroadcastId;
-    double last_route_tput = 0.0;
-    bool route_changed_since_check = false;
   };
 
   // -- source side -----------------------------------------------------------

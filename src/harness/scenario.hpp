@@ -61,7 +61,8 @@ struct ScenarioConfig {
   /// measures the whole run, bit-identical to the pre-warmup harness.
   double warmup_s = 0.0;
   std::uint64_t seed = 1;
-  /// RICA tunables used when protocol == kRica (ablation studies).
+  /// RICA settings used when protocol == kRica (the claims gate runs
+  /// variants of them).
   core::RicaConfig rica{};
   // -- observability (all off by default) -----------------------------------
   // None of these fields joins trial_seed hashing or perturbs the event

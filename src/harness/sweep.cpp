@@ -73,45 +73,15 @@ std::vector<SweepPoint> run_speed_sweep(
                          scale);
 }
 
-std::vector<SweepPoint> run_speed_sweep(
-    const std::vector<double>& speeds_kmh, const std::vector<double>& loads,
-    const std::vector<std::string>& mobilities,
-    const std::vector<std::string>& traffics, const BenchScale& scale) {
-  // Resolve the preset and model specs up front so a bad name fails before
-  // any work starts.  Trace specs go further: the file is loaded (and
-  // validated against the preset's field) here, so an unreadable or
-  // malformed trace aborts before minutes of synthetic-model cells run —
-  // and the parse lands in the shared cache before worker threads race,
-  // so the whole sweep reuses this one load.
-  const ScenarioConfig base = preset_config(scale.preset);
-  for (const auto& mobility : mobilities) {
-    const auto mob = mobility::parse_mobility_spec(mobility);
-    if (mob.model == mobility::ModelKind::kTrace) {
-      (void)mobility::load_trace_shared(
-          mob.trace_file, mobility::Field{base.field_m, base.field_m});
-    }
-  }
-  for (const auto& traffic : traffics) {
-    (void)traffic::parse_traffic_spec(traffic);
-  }
-
-  // Lay out the grid in the canonical (traffic, mobility, load, speed,
-  // protocol) order; each cell owns a fixed output slot so worker
-  // scheduling never reorders (or otherwise perturbs) the results.
-  std::vector<SweepPoint> grid;
-  grid.reserve(traffics.size() * mobilities.size() * speeds_kmh.size() *
-               loads.size() * kAllProtocols.size());
-  for (const auto& traffic : traffics) {
-    for (const auto& mobility : mobilities) {
-      for (const double load : loads) {
-        for (const double speed : speeds_kmh) {
-          for (const ProtocolKind proto : kAllProtocols) {
-            grid.push_back(
-                SweepPoint{proto, mobility, traffic, speed, load, {}, {}});
-          }
-        }
-      }
-    }
+std::vector<SweepPoint> run_cells(const std::vector<ScenarioConfig>& cells,
+                                  int trials, int threads, bool verbose) {
+  // Each cell owns a fixed output slot, so worker scheduling never reorders
+  // (or otherwise perturbs) the results.
+  std::vector<SweepPoint> points;
+  points.reserve(cells.size());
+  for (const auto& cfg : cells) {
+    points.push_back(SweepPoint{cfg.protocol, cfg.mobility, cfg.traffic,
+                                cfg.mean_speed_kmh, cfg.pkts_per_s, {}, {}});
   }
 
   std::atomic<std::size_t> next{0};
@@ -119,27 +89,16 @@ std::vector<SweepPoint> run_speed_sweep(
   std::mutex error_mu;
   std::exception_ptr first_error;
 
-  const auto run_cell = [&](SweepPoint& cell) {
-    ScenarioConfig cfg = base;
-    cfg.protocol = cell.protocol;
-    cfg.mobility = cell.mobility;
-    cfg.traffic = cell.traffic;
-    cfg.mean_speed_kmh = cell.mean_speed_kmh;
-    cfg.pkts_per_s = cell.pkts_per_s;
-    cfg.pause_s = scale.pause_s;
-    cfg.sim_s = scale.sim_s;
-    cfg.warmup_s = scale.warmup_s;
-    cfg.seed = scale.seed;
-    if (scale.verbose) {
+  const auto run_cell = [&](const ScenarioConfig& cfg, SweepPoint& cell) {
+    if (verbose) {
       const std::scoped_lock lock(log_mu);
       std::fprintf(stderr, "[sweep] %-9s %-12s %-12s speed=%5.1f km/h"
                            " load=%4.1f pkt/s (%d trials x %.0f s)\n",
                    std::string(to_string(cell.protocol)).c_str(),
                    cell.mobility.c_str(), cell.traffic.c_str(),
-                   cell.mean_speed_kmh, cell.pkts_per_s, scale.trials,
-                   scale.sim_s);
+                   cell.mean_speed_kmh, cell.pkts_per_s, trials, cfg.sim_s);
     }
-    auto runs = run_trial_set(cfg, scale.trials);
+    auto runs = run_trial_set(cfg, trials);
     cell.result = average(runs);
     cell.trials.reserve(runs.size());
     for (auto& r : runs) {
@@ -150,7 +109,7 @@ std::vector<SweepPoint> run_speed_sweep(
       r.histograms = {};
       cell.trials.push_back(std::move(r));
     }
-    if (scale.verbose) {
+    if (verbose) {
       // Kernel observability per cell: total events fired across the cell's
       // trials, the worst trial's pending-event and pool high-water marks,
       // the closures that spilled past the inline buffer, and the
@@ -182,15 +141,13 @@ std::vector<SweepPoint> run_speed_sweep(
     }
   };
 
-  // Workers claim cells from the back of the grid: load and speed then run
-  // descending and LinkState, the last protocol, leads each group, so the
-  // heaviest cells start first and cheap static ones fill the tail.
   const auto worker = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1);
-      if (i >= grid.size()) return;
+      if (i >= cells.size()) return;
+      const std::size_t slot = cells.size() - 1 - i;
       try {
-        run_cell(grid[grid.size() - 1 - i]);
+        run_cell(cells[slot], points[slot]);
       } catch (...) {
         const std::scoped_lock lock(error_mu);
         if (!first_error) first_error = std::current_exception();
@@ -199,9 +156,8 @@ std::vector<SweepPoint> run_speed_sweep(
   };
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t num_workers =
-      std::min(grid.size(), static_cast<std::size_t>(
-                                scale.threads > 0 ? scale.threads : hw));
+  const std::size_t num_workers = std::min(
+      cells.size(), static_cast<std::size_t>(threads > 0 ? threads : hw));
   if (num_workers <= 1) {
     worker();
   } else {
@@ -211,7 +167,67 @@ std::vector<SweepPoint> run_speed_sweep(
     for (auto& t : pool) t.join();
   }
   if (first_error) std::rethrow_exception(first_error);
-  return grid;
+  return points;
+}
+
+std::vector<ScenarioConfig> sweep_cells(
+    const std::vector<double>& speeds_kmh, const std::vector<double>& loads,
+    const std::vector<std::string>& mobilities,
+    const std::vector<std::string>& traffics, const BenchScale& scale) {
+  // Resolve the preset and model specs up front so a bad name fails before
+  // any work starts.  Trace specs go further: the file is loaded (and
+  // validated against the preset's field) here, so an unreadable or
+  // malformed trace aborts before minutes of synthetic-model cells run —
+  // and the parse lands in the shared cache before worker threads race,
+  // so the whole sweep reuses this one load.
+  const ScenarioConfig base = preset_config(scale.preset);
+  for (const auto& mobility : mobilities) {
+    const auto mob = mobility::parse_mobility_spec(mobility);
+    if (mob.model == mobility::ModelKind::kTrace) {
+      (void)mobility::load_trace_shared(
+          mob.trace_file, mobility::Field{base.field_m, base.field_m});
+    }
+  }
+  for (const auto& traffic : traffics) {
+    (void)traffic::parse_traffic_spec(traffic);
+  }
+
+  // Lay out the grid in the canonical (traffic, mobility, load, speed,
+  // protocol) order.  run_cells claims from the back: load and speed then
+  // run descending and LinkState, the last protocol, leads each group, so
+  // the heaviest cells start first and cheap static ones fill the tail.
+  std::vector<ScenarioConfig> cells;
+  cells.reserve(traffics.size() * mobilities.size() * speeds_kmh.size() *
+                loads.size() * kAllProtocols.size());
+  for (const auto& traffic : traffics) {
+    for (const auto& mobility : mobilities) {
+      for (const double load : loads) {
+        for (const double speed : speeds_kmh) {
+          for (const ProtocolKind proto : kAllProtocols) {
+            ScenarioConfig& cfg = cells.emplace_back(base);
+            cfg.protocol = proto;
+            cfg.mobility = mobility;
+            cfg.traffic = traffic;
+            cfg.mean_speed_kmh = speed;
+            cfg.pkts_per_s = load;
+            cfg.pause_s = scale.pause_s;
+            cfg.sim_s = scale.sim_s;
+            cfg.warmup_s = scale.warmup_s;
+            cfg.seed = scale.seed;
+          }
+        }
+      }
+    }
+  }
+  return cells;
+}
+
+std::vector<SweepPoint> run_speed_sweep(
+    const std::vector<double>& speeds_kmh, const std::vector<double>& loads,
+    const std::vector<std::string>& mobilities,
+    const std::vector<std::string>& traffics, const BenchScale& scale) {
+  return run_cells(sweep_cells(speeds_kmh, loads, mobilities, traffics, scale),
+                   scale.trials, scale.threads, scale.verbose);
 }
 
 void print_figure(std::ostream& os, const std::vector<SweepPoint>& grid,

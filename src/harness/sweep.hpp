@@ -5,12 +5,13 @@
 // sweep runner executes that grid once (multi-trial averaged), and
 // bench/paper_figs prints every figure's table from it.
 //
-// Every grid cell is an independent Network owning its full stack, so the
-// runner executes cells on a worker pool (`BenchScale::threads`; 0 = one per
-// core).  Per-cell seeds are hashed from the cell coordinates (see
-// trial_seed) and results land in pre-assigned slots, so the output is
-// bit-identical to a serial run for a fixed seed regardless of thread count
-// or scheduling.
+// Every grid cell is an independent Network owning its full stack, so one
+// worker pool (run_cells; 0 threads = one per core) executes any list of
+// cells: the sweep grids, the claims gate's mechanism variants, the
+// examples' protocol line-ups.  Per-cell seeds are hashed from the cell
+// coordinates (see trial_seed) and results land in pre-assigned slots, so
+// the output is bit-identical to a serial run for a fixed seed regardless
+// of thread count or scheduling.
 //
 // Each cell also keeps its per-trial metrics, so the tables print a
 // Student-t confidence interval next to every mean and a comparison between
@@ -44,7 +45,9 @@ struct Interval {
 /// The 95% Student-t interval of the mean of `samples`.
 [[nodiscard]] Interval t_interval(const std::vector<double>& samples);
 
-/// One grid cell: traffic model x mobility model x protocol x speed x load.
+/// One cell's results: traffic model x mobility model x protocol x speed x
+/// load (a run_cells cell may also differ in settings it does not record,
+/// such as `ScenarioConfig::rica`).
 struct SweepPoint {
   ProtocolKind protocol;
   std::string mobility;  ///< model spec, e.g. "waypoint", "gauss-markov"
@@ -61,11 +64,23 @@ struct SweepPoint {
       const std::function<double(const ScenarioResult&)>& metric) const;
 };
 
+/// Runs `trials` trials of every config in `cells` on `threads` workers
+/// (0 = one per core) and returns one SweepPoint per cell, in `cells`'
+/// order.  A cell's trials run in trial order on one worker (run_trial_set),
+/// so every result equals the serial one whatever the thread count.
+/// Workers claim cells from the back of the list, so a caller that lists
+/// its heaviest cells last starts them first.  The first exception a cell
+/// throws is rethrown once every worker has stopped.  `verbose` prints a
+/// progress note per cell to stderr.
+[[nodiscard]] std::vector<SweepPoint> run_cells(
+    const std::vector<ScenarioConfig>& cells, int trials, int threads,
+    bool verbose = false);
+
 /// The paper's x-axis: mean speeds 0..72 km/h (MAXSPEED 0..144).
 [[nodiscard]] std::vector<double> paper_speeds();
 
-/// Runs the full grid on `scale.threads` workers over `scale.preset`'s
-/// population under `scale.mobility`.  Progress notes go to stderr (unless
+/// Runs the full grid through run_cells on `scale.threads` workers over
+/// `scale.preset`'s population under `scale.mobility`.  Progress notes go to stderr (unless
 /// `scale.verbose` is off) so stdout stays a clean table stream.
 [[nodiscard]] std::vector<SweepPoint> run_speed_sweep(
     const std::vector<double>& speeds_kmh, const std::vector<double>& loads,
@@ -78,6 +93,15 @@ struct SweepPoint {
 [[nodiscard]] std::vector<SweepPoint> run_speed_sweep(
     const std::vector<double>& speeds_kmh, const std::vector<double>& loads,
     const std::vector<std::string>& mobilities, const BenchScale& scale);
+
+/// The configs of run_speed_sweep's grid, in its (traffic, mobility, load,
+/// speed, protocol) order, with every spec checked (and trace files loaded)
+/// up front.  A caller that adds cells of its own to one run_cells call
+/// starts from this.
+[[nodiscard]] std::vector<ScenarioConfig> sweep_cells(
+    const std::vector<double>& speeds_kmh, const std::vector<double>& loads,
+    const std::vector<std::string>& mobilities,
+    const std::vector<std::string>& traffics, const BenchScale& scale);
 
 /// The full grid with explicit mobility *and* traffic axes: every traffic
 /// spec in `traffics` runs the whole {mobility x load x speed x protocol}

@@ -15,8 +15,11 @@ namespace {
 // mobility/channel state is allocated.
 const NetworkConfig& validate(const NetworkConfig& cfg) {
   // The wire layout constants back airtime accounting; refuse to build any
-  // network if they drifted from the live encoders.
-  wire::check_wire_invariants();
+  // network if they drifted from the live encoders.  The codecs are fixed
+  // at compile time, so one check per process suffices (a throw leaves the
+  // static unset, and the next network checks again).
+  static const bool wire_ok = (wire::check_wire_invariants(), true);
+  (void)wire_ok;
   if (cfg.num_nodes > kMaxNodes) {
     throw std::invalid_argument(
         "NetworkConfig.num_nodes = " + std::to_string(cfg.num_nodes) +

@@ -30,9 +30,9 @@
 // The smallest encodable frame is derived *here*: `kMinControlBytes` is the
 // minimum over every codec's smallest frame — the floor on any control
 // frame's airtime — checked against the live encoders by
-// check_wire_invariants() at network construction, so it can never drift
-// from what the codecs emit (it used to be a hand-synced constant in
-// packet.hpp).
+// check_wire_invariants() when a process builds its first network, so it
+// can never drift from what the codecs emit (it used to be a hand-synced
+// constant in packet.hpp).
 #pragma once
 
 #include <array>
@@ -279,8 +279,8 @@ std::size_t encode_data_header(const DataPacket& pkt,
 /// minimum over them must equal kMinControlBytes, and the data header must
 /// encode to kDataHeaderBytes.  Throws std::logic_error naming the
 /// offending type on any drift — the frame-size floor and airtime
-/// accounting both lean on these constants.  Called by the Network
-/// constructor, so no simulation can run with a drifted table.
+/// accounting both lean on these constants.  Called by the first Network
+/// constructor of a process, so no simulation can run with a drifted table.
 void check_wire_invariants();
 
 }  // namespace rica::net::wire

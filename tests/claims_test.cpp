@@ -1,6 +1,7 @@
-// Paper-claims gate: the orderings the paper's figures 2-5 state, checked
-// on a reduced fixed-seed grid with 95% Student-t intervals over trials
-// (the multi-trial comparison method of arXiv:1410.4700).
+// Paper-claims gate: the orderings the paper's figures 2-6 state, and the
+// two RICA mechanisms they rest on, checked on a reduced fixed-seed grid
+// with 95% Student-t intervals over trials (the multi-trial comparison
+// method of arXiv:1410.4700).
 //
 // Every claim is "cell A beats cell B on metric M", judged per comparison:
 //   * the intervals separate in the claimed direction: the claim holds;
@@ -14,6 +15,7 @@
 // gate checks that a deliberate re-record still says what the paper says.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <iostream>
 #include <set>
@@ -33,31 +35,57 @@ constexpr double kStill = 0.0;
 constexpr double kMid = 36.0;
 constexpr double kFast = 72.0;
 
+/// A RICA cell with one mechanism turned down from its default.
+enum class Variant { kDefault, kCheckEvery4s, kNoCsiJitter };
+constexpr std::size_t kVariants = 2;
+
 /// The reduced grid: three speeds x both loads x all five protocols, 16
 /// trials x 30 s each (6 s warmup, the 20% cap bench_scale applies).  At
 /// 8 trials the pinned comparisons separated at seed 1 only; 16 keeps them
 /// separated at seeds 1-8, so the gate judges a re-record, not its seed.
-const std::vector<SweepPoint>& grid() {
-  static const std::vector<SweepPoint> g = [] {
+/// After the grid come its RICA cell at 72 km/h, 10 pkt/s once per
+/// non-default Variant, in enum order, on the same pool.  trial_seed does
+/// not hash RicaConfig, so every variant trial replays the mobility,
+/// channel and traffic of the grid trial it is compared with.
+const std::vector<SweepPoint>& points() {
+  static const std::vector<SweepPoint> all = [] {
     BenchScale scale{};
     scale.trials = 16;
     scale.sim_s = 30.0;
     scale.warmup_s = 6.0;
     scale.seed = 1;
     scale.verbose = false;
-    return run_speed_sweep({kStill, kMid, kFast}, {10.0, 20.0}, scale);
+    auto cells = sweep_cells({kStill, kMid, kFast}, {10.0, 20.0},
+                             {scale.mobility}, {scale.traffic}, scale);
+    const ScenarioConfig rica = *std::find_if(
+        cells.begin(), cells.end(), [](const ScenarioConfig& c) {
+          return c.protocol == ProtocolKind::kRica &&
+                 c.mean_speed_kmh == kFast && c.pkts_per_s == 10.0;
+        });
+    cells.push_back(rica);
+    cells.back().rica.check_period = sim::seconds(4);
+    cells.push_back(rica);
+    cells.back().rica.csi_jitter = sim::Time::zero();
+    return run_cells(cells, scale.trials, scale.threads);
   }();
-  return g;
+  return all;
 }
 
 struct Cell {
   ProtocolKind proto;
   double speed;
   double load;
+  Variant variant = Variant::kDefault;
 };
 
 const SweepPoint& find(const Cell& c) {
-  for (const auto& p : grid()) {
+  const auto& all = points();
+  const std::size_t grid_size = all.size() - kVariants;
+  if (c.variant != Variant::kDefault) {
+    return all[grid_size - 1 + static_cast<std::size_t>(c.variant)];
+  }
+  for (std::size_t i = 0; i < grid_size; ++i) {
+    const SweepPoint& p = all[i];
     if (p.protocol == c.proto && p.mean_speed_kmh == c.speed &&
         p.pkts_per_s == c.load) {
       return p;
@@ -69,6 +97,8 @@ const SweepPoint& find(const Cell& c) {
 std::string describe(const Cell& c) {
   std::ostringstream os;
   os << to_string(c.proto) << "@" << c.speed << "km/h," << c.load << "pkt/s";
+  if (c.variant == Variant::kCheckEvery4s) os << ",check=4s";
+  if (c.variant == Variant::kNoCsiJitter) os << ",csi_jitter=0";
   return os.str();
 }
 
@@ -147,6 +177,11 @@ const Metric kOverhead = [](const ScenarioResult& r) {
 const Metric kLinkTput = [](const ScenarioResult& r) {
   return r.avg_link_tput_kbps;
 };
+/// Aggregate throughput over the measurement window, as packets delivered
+/// (every cell of the grid shares one window and packet size).
+const Metric kDelivered = [](const ScenarioResult& r) {
+  return static_cast<double>(r.delivered);
+};
 
 constexpr auto kRica = ProtocolKind::kRica;
 constexpr auto kAodv = ProtocolKind::kAodv;
@@ -217,6 +252,35 @@ TEST(PaperClaims, Fig5ChannelAdaptiveRoutesUseFasterLinks) {
   judge(across_protocols("fig5 link throughput", kLinkTput,
                          /*lower_is_better=*/false, kRica, {kAodv, kAbr},
                          {kFast}, every({kAodv, kAbr}, {kFast})));
+}
+
+TEST(PaperClaims, Fig6RicaCarriesTheMostAggregateThroughput) {
+  // Fig 6's 36 km/h, 20 pkt/s point, measured after the grid's warmup.
+  // BGCA is unpinned: it ties RICA on half of seeds 1-8.
+  std::vector<Comparison> cs;
+  for (const auto other : {kAodv, kBgca, kAbr, kLs}) {
+    cs.push_back(Comparison{"fig6 aggregate throughput", kDelivered, false,
+                            Cell{kRica, kMid, 20.0}, Cell{other, kMid, 20.0},
+                            other != kBgca});
+  }
+  judge(cs);
+}
+
+TEST(PaperClaims, RicaDeliveryRestsOnTheOneSecondCheckingPeriod) {
+  // §II-C: the destination's periodic CSI checks keep the route on good
+  // links.  Checking every 4 s instead of the paper's 1 s loses delivery.
+  judge({Comparison{"II-C checking period delivery", kDelivery, false,
+                    Cell{kRica, kFast, 10.0},
+                    Cell{kRica, kFast, 10.0, Variant::kCheckEvery4s}, true}});
+}
+
+TEST(PaperClaims, CsiProportionalFloodJitterElectsFasterLinks) {
+  // §II-B: deferring each flood copy in proportion to its link's CSI hop
+  // distance makes the first copy the CSI-shortest one.  Without the
+  // deferral first copies race at uniform speed and routes use slower links.
+  judge({Comparison{"II-B flood jitter link throughput", kLinkTput, false,
+                    Cell{kRica, kFast, 10.0},
+                    Cell{kRica, kFast, 10.0, Variant::kNoCsiJitter}, true}});
 }
 
 }  // namespace

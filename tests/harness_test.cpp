@@ -1,8 +1,8 @@
 // Harness units: flag parsing, table rendering, bench scales, the RICA
-// adaptive-checking extension plumbed through the scenario config, the
-// --warmup measurement window (epoch-reset semantics: a warmed-up run's
-// counters equal the post-window deltas of a cold run), and the strict
-// trace/spec error paths (file:line diagnostics, never a silent clamp).
+// settings plumbed through the scenario config, the --warmup measurement
+// window (epoch-reset semantics: a warmed-up run's counters equal the
+// post-window deltas of a cold run), and the strict trace/spec error paths
+// (file:line diagnostics, never a silent clamp).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -653,34 +653,6 @@ TEST(TableTest, AlignsColumns) {
 TEST(TableTest, FmtPrecision) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(10.0, 0), "10");
-}
-
-TEST(AdaptiveChecks, ReducesIdleOverheadAtZeroMobility) {
-  // With a frozen channel the adaptive destination backs off toward the
-  // 4 s maximum, spending less of the common channel than the fixed 1 s
-  // schedule, without giving up delivery.
-  ScenarioConfig fixed;
-  fixed.protocol = ProtocolKind::kRica;
-  fixed.mean_speed_kmh = 0.0;
-  fixed.sim_s = 40.0;
-  fixed.seed = 3;
-  ScenarioConfig adaptive = fixed;
-  adaptive.rica.adaptive_checks = true;
-
-  const auto rf = run_scenario(fixed);
-  const auto ra = run_scenario(adaptive);
-  EXPECT_LT(ra.overhead_kbps, rf.overhead_kbps);
-  EXPECT_GT(ra.delivery_pct, rf.delivery_pct - 3.0);
-}
-
-TEST(AdaptiveChecks, StillDeliversUnderMobility) {
-  ScenarioConfig cfg;
-  cfg.protocol = ProtocolKind::kRica;
-  cfg.mean_speed_kmh = 54.0;
-  cfg.sim_s = 30.0;
-  cfg.rica.adaptive_checks = true;
-  const auto r = run_scenario(cfg);
-  EXPECT_GT(r.delivery_pct, 70.0);
 }
 
 // ---------------------------------------------------------------------------

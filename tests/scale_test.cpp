@@ -506,6 +506,54 @@ TEST(ParallelSweep, BitIdenticalToSerial) {
   }
 }
 
+TEST(ParallelSweep, RicaVariantsEveryTrialBitIdenticalToSerial) {
+  // run_cells takes any list of configs, settings the sweep grid never
+  // varies included: every trial of every RICA variant hashes the same at
+  // 1 and 4 workers.
+  harness::ScenarioConfig base = harness::preset_config("paper");
+  base.protocol = harness::ProtocolKind::kRica;
+  base.mean_speed_kmh = 72.0;
+  base.sim_s = 3.0;
+  base.seed = 5;
+  std::vector<harness::ScenarioConfig> cells;
+  for (const auto period : {sim::milliseconds(500), sim::seconds(4)}) {
+    cells.push_back(base);
+    cells.back().rica.check_period = period;
+  }
+  cells.push_back(base);
+  cells.back().rica.csi_jitter = sim::Time::zero();
+  cells.push_back(base);
+  cells.back().rica.discovery_timeout = sim::milliseconds(50);
+  cells.push_back(base);
+
+  const auto serial = harness::run_cells(cells, 2, 1);
+  const auto parallel = harness::run_cells(cells, 2, 4);
+  ASSERT_EQ(serial.size(), cells.size());
+  ASSERT_EQ(parallel.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    ASSERT_EQ(serial[i].trials.size(), 2u);
+    ASSERT_EQ(parallel[i].trials.size(), 2u);
+    for (std::size_t t = 0; t < 2; ++t) {
+      EXPECT_EQ(serial[i].trials[t].stream_hash,
+                parallel[i].trials[t].stream_hash)
+          << "trial " << t;
+    }
+    expect_identical(serial[i].result, parallel[i].result);
+  }
+  // The variants really differ: a 4 s checking period is another run.
+  EXPECT_NE(serial[1].result.stream_hash, serial[4].result.stream_hash);
+}
+
+TEST(ParallelSweep, RunCellsRethrowsACellsError) {
+  harness::ScenarioConfig good = harness::preset_config("paper");
+  good.sim_s = 1.0;
+  harness::ScenarioConfig bad = good;
+  bad.sim_s = -1.0;
+  EXPECT_THROW((void)harness::run_cells({good, bad, good}, 1, 3),
+               std::invalid_argument);
+}
+
 TEST(ParallelSweep, MobilityAxisBitIdenticalToSerial) {
   // The new mobility axis must preserve the determinism guarantee: a
   // parallel sweep over every model equals the serial enumeration.
