@@ -9,6 +9,8 @@
 //        --rate PKTS --sim-time S --trials N --seed K
 #include <exception>
 #include <iostream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "harness/flags.hpp"
@@ -33,6 +35,10 @@ int main(int argc, char** argv) {
     cfg.sim_s = flags.get("sim-time", 100.0);
     cfg.seed = flags.get("seed", static_cast<std::uint64_t>(1));
     const int trials = flags.get("trials", 3);
+    if (trials < 1) {
+      throw std::invalid_argument("--trials must be >= 1, got " +
+                                  std::to_string(trials));
+    }
 
     std::cout << "Five-protocol face-off: " << cfg.num_nodes << " nodes, "
               << cfg.mobility << " mobility, " << cfg.mean_speed_kmh

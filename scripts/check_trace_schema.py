@@ -20,6 +20,13 @@ names strictly ascending within one timestamp, finite values, and the
 flight-recorder dump (one `type:flight` header line whose `retained` count
 matches the record lines that follow, which are themselves schema-checked).
 
+With the trace, `--perfetto` and `--series` all given, it also checks the
+three sampled outputs against each other: one registry sampler writes them,
+so the trace's `kernel` record `t_ns` (when the trace has any), the Perfetto
+`kernel.events_executed` counter `ts` and the CSV's `t_s` must be the same
+set of instants, and `events_executed` must equal the CSV's
+`kernel.events_executed` at each.
+
 Stdlib only.  Exit status 0 when every check passes, 1 otherwise.
 
 Usage: check_trace_schema.py TRACE.jsonl [--perfetto FILE] [--series FILE]
@@ -277,6 +284,74 @@ def check_series(path):
     return errors
 
 
+def events_by_instant_jsonl(path):
+    """Kernel records: t_ns -> events_executed."""
+    out = {}
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                rec = json.loads(raw)
+            except json.JSONDecodeError:
+                continue  # reported by check_jsonl
+            if rec.get("type") == "kernel":
+                out[rec["t_ns"]] = rec["events_executed"]
+    return out
+
+
+def events_by_instant_perfetto(path):
+    """kernel.events_executed counter samples: t_ns -> value."""
+    try:
+        with open(path, "rb") as fh:
+            events = json.load(fh).get("traceEvents", [])
+    except json.JSONDecodeError:
+        return {}  # reported by check_perfetto
+    return {round(e["ts"] * 1000): e["args"]["value"] for e in events
+            if e.get("ph") == "C" and e.get("name") ==
+            "kernel.events_executed"}
+
+
+def events_by_instant_series(path):
+    """CSV kernel.events_executed rows: t_ns -> value."""
+    out = {}
+    with open(path) as fh:
+        fh.readline()
+        for line in fh:
+            cells = line.rstrip("\n").split(",")
+            if len(cells) == 3 and cells[1] == "kernel.events_executed":
+                try:
+                    out[round(float(cells[0]) * 1e9)] = float(cells[2])
+                except ValueError:
+                    continue  # reported by check_series
+    return out
+
+
+def check_sampled_outputs(trace, perfetto, series):
+    """The three outputs of the one registry sampler must agree."""
+    errors = []
+    csv = events_by_instant_series(series)
+    for label, got in (("kernel records", events_by_instant_jsonl(trace)),
+                       ("perfetto counters",
+                        events_by_instant_perfetto(perfetto))):
+        if label == "kernel records" and not got:
+            continue  # a trace filter without `kernel` writes none
+        if set(got) != set(csv):
+            only_got = sorted(set(got) - set(csv))[:3]
+            only_csv = sorted(set(csv) - set(got))[:3]
+            errors.append(f"{label}: {len(got)} instants, series CSV "
+                          f"{len(csv)}; only in {label} (ns): {only_got}, "
+                          f"only in the CSV: {only_csv}")
+            continue
+        for t in sorted(csv):
+            if got[t] != csv[t]:
+                errors.append(f"{label}: events_executed {got[t]} != "
+                              f"CSV {csv[t]:.15g} at t_ns {t}")
+                break
+    if not errors:
+        print(f"sampled outputs: {len(csv)} instants agree across the "
+              "trace, Perfetto and series files")
+    return errors
+
+
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("trace", help="JSONL trace from --trace-out")
@@ -292,6 +367,9 @@ def main(argv):
         errors += check_series(args.series)
     if args.flight:
         errors += check_flight(args.flight)
+    if args.perfetto and args.series:
+        errors += check_sampled_outputs(args.trace, args.perfetto,
+                                        args.series)
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
     return 1 if errors else 0

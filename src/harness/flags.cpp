@@ -1,6 +1,7 @@
 #include "harness/flags.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 #include <stdexcept>
 
@@ -9,6 +10,26 @@
 #include "traffic/traffic_model.hpp"
 
 namespace rica::harness {
+
+namespace {
+
+/// Parses all of `text` as a T, or throws std::invalid_argument naming the
+/// flag and the value: a malformed, partly numeric or out-of-range value,
+/// or a negative one for an unsigned T.
+template <typename T>
+T parse_whole(const std::string& name, const std::string& text,
+              const char* what) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, err] = std::from_chars(text.data(), end, value);
+  if (err != std::errc{} || stop != end) {
+    throw std::invalid_argument("--" + name + ": '" + text + "' is not " +
+                                what);
+  }
+  return value;
+}
+
+}  // namespace
 
 Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -52,25 +73,33 @@ std::string Flags::get(const std::string& name,
 
 double Flags::get(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stod(it->second);
+  return it == values_.end()
+             ? fallback
+             : parse_whole<double>(name, it->second, "a number");
 }
 
 int Flags::get(const std::string& name, int fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stoi(it->second);
+  return it == values_.end()
+             ? fallback
+             : parse_whole<int>(name, it->second, "an integer");
 }
 
 std::uint64_t Flags::get(const std::string& name,
                          std::uint64_t fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stoull(it->second);
+  return it == values_.end() ? fallback
+                             : parse_whole<std::uint64_t>(
+                                   name, it->second, "a non-negative integer");
 }
 
 std::vector<double> Flags::get_list(const std::string& name,
                                     const std::vector<double>& fallback) const {
   if (!has(name)) return fallback;
   std::vector<double> out;
-  for (const auto& item : get_strings(name, {})) out.push_back(std::stod(item));
+  for (const auto& item : get_strings(name, {})) {
+    out.push_back(parse_whole<double>(name, item, "a number"));
+  }
   return out;
 }
 
@@ -97,9 +126,17 @@ BenchScale bench_scale(const Flags& flags, int def_trials, double def_sim_s) {
     scale.sim_s = def_sim_s;
   }
   scale.trials = flags.get("trials", scale.trials);
+  if (scale.trials < 1) {
+    throw std::invalid_argument("--trials must be >= 1, got " +
+                                std::to_string(scale.trials));
+  }
   scale.sim_s = flags.get("sim-time", scale.sim_s);
   scale.seed = flags.get("seed", static_cast<std::uint64_t>(1));
   scale.threads = flags.get("threads", 0);
+  if (scale.threads < 0) {
+    throw std::invalid_argument("--threads must be >= 0 (0 = one per core), "
+                                "got " + std::to_string(scale.threads));
+  }
   scale.preset = flags.get("preset", scale.preset);
   scale.mobility = flags.get("mobility", scale.mobility);
   // Validate the specs eagerly: a typo should fail with the known-model

@@ -21,6 +21,9 @@ class Flags {
   Flags(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(const std::string& name) const;
+  /// The flag's value, or `fallback` when absent.  A numeric value must
+  /// parse whole, or the getter throws std::invalid_argument naming the
+  /// flag and the value.
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
   [[nodiscard]] double get(const std::string& name, double fallback) const;
@@ -51,11 +54,13 @@ class Flags {
 };
 
 /// Common scale flags shared by every figure bench:
-///   --trials N        independent seeds per point (default `def_trials`)
+///   --trials N        independent seeds per point, >= 1 (default
+///                     `def_trials`)
 ///   --sim-time S      seconds of simulated time (default `def_sim_s`)
 ///   --seed S          base seed
 ///   --paper-scale     shorthand for the paper's 25 trials x 500 s
-///   --threads N       worker threads for the sweep grid (0 = one per core)
+///   --threads N       worker threads for the sweep grid, >= 0 (0 = one per
+///                     core)
 ///   --preset NAME     scenario preset: paper, dense-urban, sparse-rural,
 ///                     metro, large-scale (see scenario_presets())
 ///   --mobility SPEC   mobility model "model[:k=v,...]": waypoint, walk,

@@ -239,6 +239,18 @@ void check_time_field(const char* name, double s) {
   }
 }
 
+/// The JSONL trace's filter; kNone when no trace is written.
+obs::TraceFilter trace_filter_of(const ScenarioConfig& cfg) {
+  return cfg.trace_out.empty() ? obs::TraceFilter::kNone
+                               : obs::parse_trace_filter(cfg.trace_filter);
+}
+
+/// True when an output takes registry samples.
+bool samples_registry(const ScenarioConfig& cfg, obs::TraceFilter filter) {
+  return !cfg.series_out.empty() || !cfg.perfetto_out.empty() ||
+         obs::has(filter, obs::TraceFilter::kKernel);
+}
+
 }  // namespace
 
 void validate_scenario(const ScenarioConfig& cfg) {
@@ -273,6 +285,13 @@ void validate_scenario(const ScenarioConfig& cfg) {
         "flight_dump requires flight_recorder > 0 (nothing records without "
         "a ring)");
   }
+  const obs::TraceFilter filter = trace_filter_of(cfg);
+  if (cfg.sample_dt_s > 0.0 && !samples_registry(cfg, filter)) {
+    throw std::invalid_argument(
+        "sample_dt_s = " + fmt_m(cfg.sample_dt_s) +
+        " s needs a sampled output: series_out, perfetto_out, or a trace "
+        "whose filter includes kernel");
+  }
 }
 
 ScenarioResult run_scenario(const ScenarioConfig& cfg) {
@@ -290,16 +309,14 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   // detached before this function returns (see below), so their lifetimes
   // never have to outlast the network.
   obs::Tracer& tracer = network.metrics().tracer();
-  obs::TraceFilter filter = obs::TraceFilter::kNone;
+  const obs::TraceFilter filter = trace_filter_of(cfg);
   std::unique_ptr<obs::JsonlTraceSink> trace_sink;
   std::unique_ptr<obs::PerfettoWriter> perfetto;
-  std::unique_ptr<obs::KernelProbe> probe;
-  std::unique_ptr<obs::SeriesSampler> sampler;
+  std::unique_ptr<obs::Sampler> sampler;
   std::unique_ptr<obs::FlightRecorder> recorder;
   std::unique_ptr<obs::SpanBook> span_book;
   std::unique_ptr<obs::AnomalyMonitor> watchdog;
   if (!cfg.trace_out.empty()) {
-    filter = obs::parse_trace_filter(cfg.trace_filter);
     trace_sink = std::make_unique<obs::JsonlTraceSink>(cfg.trace_out);
     tracer.attach(trace_sink.get(), filter);
   }
@@ -315,21 +332,10 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     tracer.set_span_book(span_book.get());
   }
   if (cfg.watchdogs) {
-    obs::AnomalySources sources;
-    sources.dropped_total = [&network] {
-      return network.metrics().dropped_total();
-    };
-    sources.discovery_failures = [&network] {
-      return static_cast<std::uint64_t>(
-          network.registry().read("routing.discovery_failed"));
-    };
-    sources.buffered_packets = [&network] {
-      return static_cast<std::uint64_t>(network.buffered_packets());
-    };
-    sources.stalled_flows = [&network](sim::Time cutoff) {
-      // A flow is stalled when it holds in-flight packets but has not
-      // delivered since `cutoff`; flows that never delivered count from
-      // the epoch start.
+    // A flow is stalled when it holds in-flight packets but has not
+    // delivered since `cutoff`; flows that never delivered count from the
+    // epoch start.
+    auto stalled_flows = [&network](sim::Time cutoff) {
       std::uint64_t stalled = 0;
       const sim::Time epoch = network.metrics().epoch_start();
       for (const auto& f : network.metrics().flow_stats()) {
@@ -341,7 +347,7 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
       return stalled;
     };
     watchdog = std::make_unique<obs::AnomalyMonitor>(
-        cfg.anomaly, std::move(sources), network.registry());
+        cfg.anomaly, network.registry(), std::move(stalled_flows));
     watchdog->set_recorder(recorder.get(), cfg.flight_dump);
     watchdog->start(network.simulator(), sim::seconds_f(cfg.sim_s));
   }
@@ -349,20 +355,9 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
     perfetto = std::make_unique<obs::PerfettoWriter>(cfg.perfetto_out);
     tracer.set_perfetto(perfetto.get());
   }
-  if (perfetto != nullptr || obs::has(filter, obs::TraceFilter::kKernel)) {
-    probe = std::make_unique<obs::KernelProbe>(&tracer, perfetto.get(),
-                                               network.registry());
-    // ~200 observation windows per run keeps the kernel series readable at
-    // any simulated duration (the observer throttles to this interval).
-    network.simulator().set_kernel_observer(
-        probe.get(), sim::seconds_f(cfg.sim_s / 200.0));
-  }
-  if (cfg.sample_dt_s > 0.0 && cfg.series_out.empty()) {
-    throw std::invalid_argument("--sample-dt requires --series-out FILE");
-  }
-  if (!cfg.series_out.empty()) {
-    sampler = std::make_unique<obs::SeriesSampler>(cfg.series_out,
-                                                   network.registry());
+  if (samples_registry(cfg, filter)) {
+    sampler = std::make_unique<obs::Sampler>(
+        network.registry(), cfg.series_out, perfetto.get(), &tracer);
     const double dt_s = cfg.sample_dt_s > 0.0 ? cfg.sample_dt_s : 1.0;
     sampler->start(network.simulator(), sim::seconds_f(dt_s),
                    sim::seconds_f(cfg.sim_s));
@@ -405,7 +400,6 @@ ScenarioResult run_scenario(const ScenarioConfig& cfg) {
   tracer.attach_recorder(nullptr, obs::TraceFilter::kNone);
   tracer.set_span_book(nullptr);
   tracer.set_perfetto(nullptr);
-  network.simulator().set_kernel_observer(nullptr, sim::Time::zero());
   return summary;
 }
 

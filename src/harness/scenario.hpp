@@ -74,7 +74,7 @@ struct ScenarioConfig {
   std::string trace_filter = "all";  ///< packet|route|kernel|span|all list
   std::string perfetto_out;  ///< Chrome trace_event JSON path ("" = off)
   std::string series_out;    ///< time-series CSV path ("" = off)
-  double sample_dt_s = 0.0;  ///< series sampling period; 0 = 1 s default
+  double sample_dt_s = 0.0;  ///< registry sampling period; 0 = 1 s default
   /// Always-on flight recorder: ring capacity in records, 0 = off.  The
   /// recorder sees every record family (spans included) and costs a struct
   /// copy per record — cheap enough to leave on in long runs.
@@ -134,9 +134,10 @@ struct ScenarioPreset {
 /// bounds (0 < num_nodes <= 2^24, mirroring the Network's node-id packing
 /// limit), every time field (sim, warmup, sample period, pause) within
 /// sim::Time's range, the measurement window (0 <= warmup < sim time), the
-/// offered load (0 < pkts_per_s <= 1e9), and the flight-recorder pairing.  Throws std::invalid_argument with a
-/// message naming the offending value; run_scenario calls this first, so
-/// every entry point fails identically before a network is built.
+/// offered load (0 < pkts_per_s <= 1e9), the trace filter, and the
+/// flight-recorder and sampling pairings.  Throws std::invalid_argument
+/// naming the offending value; run_scenario calls this first, so every
+/// entry point fails identically before a network is built.
 void validate_scenario(const ScenarioConfig& cfg);
 
 /// Installs `cfg.protocol` on every terminal of `network`.  BGCA gets the

@@ -73,6 +73,9 @@ Network::Network(const NetworkConfig& cfg)
   reg.gauge_fn("stack.buffered_packets", [this] {
     return static_cast<double>(buffered_packets());
   });
+  reg.gauge_fn("routing.flood_log_bytes", [this] {
+    return static_cast<double>(flood_log_.bytes());
+  });
   // Encoded data-frame header bytes charged on top of every data payload
   // (net/wire.hpp).
   reg.counter_fn("net.data_header_bytes", [this] {

@@ -6,10 +6,29 @@
 
 namespace rica::obs {
 
-AnomalyMonitor::AnomalyMonitor(const AnomalyConfig& cfg,
-                               AnomalySources sources, Registry& registry)
+namespace {
+
+/// The evaluation period: every monitor judges one window of this length.
+constexpr double kWindowS = 1.0;
+
+/// The window's share of a cumulative registry count.  A total below the
+/// last one means the collector opened a fresh measurement epoch (warmup
+/// reset), so the whole new total is the window's.
+std::uint64_t in_window(const Registry& registry, const char* name,
+                        std::uint64_t& last) {
+  const auto total = static_cast<std::uint64_t>(registry.read(name));
+  const std::uint64_t delta = total >= last ? total - last : total;
+  last = total;
+  return delta;
+}
+
+}  // namespace
+
+AnomalyMonitor::AnomalyMonitor(const AnomalyConfig& cfg, Registry& registry,
+                               StalledFlowsFn stalled_flows)
     : cfg_(cfg),
-      sources_(std::move(sources)),
+      registry_(registry),
+      count_stalled_(std::move(stalled_flows)),
       drop_spike_(registry.counter("anomaly.drop_spike")),
       discovery_storm_(registry.counter("anomaly.discovery_storm")),
       stalled_flows_(registry.counter("anomaly.stalled_flows")),
@@ -17,14 +36,14 @@ AnomalyMonitor::AnomalyMonitor(const AnomalyConfig& cfg,
       dumps_(registry.counter("anomaly.dumps")) {}
 
 void AnomalyMonitor::start(sim::Simulator& sim, sim::Time end) {
-  window_ = sim::seconds_f(cfg_.window_s > 0.0 ? cfg_.window_s : 1.0);
   end_ = end;
   arm(sim);
 }
 
 void AnomalyMonitor::arm(sim::Simulator& sim) {
-  if (sim.now() + window_ > end_) return;
-  sim.after(window_, [this, &sim] {
+  const sim::Time window = sim::seconds_f(kWindowS);
+  if (sim.now() + window > end_) return;
+  sim.after(window, [this, &sim] {
     tick(sim);
     arm(sim);
   });
@@ -33,7 +52,6 @@ void AnomalyMonitor::arm(sim::Simulator& sim) {
 void AnomalyMonitor::fire(std::string_view monitor, Counter& counter,
                           sim::Time now) {
   counter.add(1);
-  ++triggers_;
   if (dumped_ || recorder_ == nullptr || dump_path_.empty()) return;
   // First violation only: the onset window is what a postmortem wants, and
   // a single artifact per run keeps reruns byte-comparable.
@@ -44,38 +62,26 @@ void AnomalyMonitor::fire(std::string_view monitor, Counter& counter,
 
 void AnomalyMonitor::tick(sim::Simulator& sim) {
   const sim::Time now = sim.now();
-  if (sources_.dropped_total) {
-    const std::uint64_t total = sources_.dropped_total();
-    // total < last means the collector opened a fresh measurement epoch
-    // (warmup reset); the whole new total is this window's delta.
-    const std::uint64_t in_window =
-        total >= last_drops_ ? total - last_drops_ : total;
-    last_drops_ = total;
-    const auto threshold = static_cast<std::uint64_t>(
-        std::ceil(cfg_.drop_rate_per_s * cfg_.window_s));
-    if (cfg_.drop_rate_per_s > 0.0 && threshold > 0 &&
-        in_window >= threshold) {
-      fire("drop_spike", drop_spike_, now);
-    }
+  const std::uint64_t drops = in_window(registry_, "net.dropped", last_drops_);
+  if (cfg_.drop_rate_per_s > 0.0 &&
+      drops >= static_cast<std::uint64_t>(
+                   std::ceil(cfg_.drop_rate_per_s * kWindowS))) {
+    fire("drop_spike", drop_spike_, now);
   }
-  if (sources_.discovery_failures) {
-    const std::uint64_t total = sources_.discovery_failures();
-    const std::uint64_t in_window = total >= last_discovery_failures_
-                                        ? total - last_discovery_failures_
-                                        : total;
-    last_discovery_failures_ = total;
-    if (cfg_.discovery_failures > 0 && in_window >= cfg_.discovery_failures) {
-      fire("discovery_storm", discovery_storm_, now);
-    }
+  const std::uint64_t failures = in_window(
+      registry_, "routing.discovery_failed", last_discovery_failures_);
+  if (cfg_.discovery_failures > 0 && failures >= cfg_.discovery_failures) {
+    fire("discovery_storm", discovery_storm_, now);
   }
-  if (sources_.stalled_flows && cfg_.stall_s > 0.0) {
+  if (cfg_.stall_s > 0.0) {
     const sim::Time bound = sim::seconds_f(cfg_.stall_s);
-    if (now >= bound && sources_.stalled_flows(now - bound) > 0) {
+    if (now >= bound && count_stalled_(now - bound) > 0) {
       fire("stalled_flows", stalled_flows_, now);
     }
   }
-  if (sources_.buffered_packets && cfg_.queue_backlog > 0 &&
-      sources_.buffered_packets() >= cfg_.queue_backlog) {
+  if (cfg_.queue_backlog > 0 &&
+      static_cast<std::uint64_t>(registry_.read("stack.buffered_packets")) >=
+          cfg_.queue_backlog) {
     fire("queue_backlog", queue_backlog_, now);
   }
 }

@@ -1,17 +1,17 @@
 // Anomaly watchdogs: windowed health monitors that turn "the run degraded
 // at t=380s" from a postmortem into an artifact.
 //
-// An AnomalyMonitor schedules a real simulation event every window (like
-// SeriesSampler it moves events_executed but only *reads* network state, so
-// the metrics stream hash — and every golden fingerprint — is untouched)
-// and evaluates four monitors against caller-supplied sources:
+// An AnomalyMonitor schedules a real simulation event every 1 s window
+// (like obs::Sampler it moves events_executed but only *reads* network
+// state, so the metrics stream hash — and every golden fingerprint — is
+// untouched) and evaluates four monitors, three on registry stats:
 //
-//   * drop_spike       — drops within the window >= drop_rate_per_s * window
-//   * discovery_storm  — discovery failures within the window >= threshold
+//   * drop_spike       — `net.dropped` within the window >= drop_rate_per_s
+//   * discovery_storm  — `routing.discovery_failed` within the window >=
+//                        threshold
 //   * stalled_flows    — a flow holds undelivered packets and saw no
-//                        delivery for stall_s
-//   * queue_backlog    — instantaneous buffered packets across all link
-//                        queues >= threshold
+//                        delivery for stall_s (a caller-supplied count)
+//   * queue_backlog    — `stack.buffered_packets` >= threshold
 //
 // Each trigger bumps a registry counter (anomaly.drop_spike, ...); the
 // counters read as "windows in violation", so a sustained stall is visible
@@ -36,27 +36,21 @@ class FlightRecorder;
 
 /// Watchdog thresholds; a non-positive threshold disables its monitor.
 struct AnomalyConfig {
-  double window_s = 1.0;            ///< evaluation period
   double drop_rate_per_s = 50.0;    ///< drop_spike: drops/s within a window
   std::uint64_t discovery_failures = 8;  ///< discovery_storm: per window
   double stall_s = 5.0;             ///< stalled_flows: silence bound
   std::uint64_t queue_backlog = 256;  ///< queue_backlog: buffered packets
 };
 
-/// Read-only state probes, wired by the harness.
-struct AnomalySources {
-  std::function<std::uint64_t()> dropped_total;       ///< cumulative
-  std::function<std::uint64_t()> discovery_failures;  ///< cumulative
-  std::function<std::uint64_t()> buffered_packets;    ///< instantaneous
-  /// Flows holding undelivered packets whose last delivery precedes the
-  /// given cutoff time.
-  std::function<std::uint64_t(sim::Time cutoff)> stalled_flows;
-};
-
 class AnomalyMonitor {
  public:
-  AnomalyMonitor(const AnomalyConfig& cfg, AnomalySources sources,
-                 Registry& registry);
+  /// Flows holding undelivered packets whose last delivery precedes the
+  /// given cutoff time.
+  using StalledFlowsFn = std::function<std::uint64_t(sim::Time cutoff)>;
+
+  /// Reads its sources from `registry` and registers its counters there.
+  AnomalyMonitor(const AnomalyConfig& cfg, Registry& registry,
+                 StalledFlowsFn stalled_flows);
   AnomalyMonitor(const AnomalyMonitor&) = delete;
   AnomalyMonitor& operator=(const AnomalyMonitor&) = delete;
 
@@ -68,11 +62,9 @@ class AnomalyMonitor {
   }
 
   /// Arms the periodic evaluation event (call before the run; ticks every
-  /// window_s until `end`).
+  /// 1 s until `end`).
   void start(sim::Simulator& sim, sim::Time end);
 
-  /// Monitor violations so far (sum over all four monitors).
-  [[nodiscard]] std::uint64_t triggers() const { return triggers_; }
   /// True once the first trigger has dumped the flight recorder.
   [[nodiscard]] bool dumped() const { return dumped_; }
 
@@ -82,7 +74,8 @@ class AnomalyMonitor {
   void fire(std::string_view monitor, Counter& counter, sim::Time now);
 
   AnomalyConfig cfg_;
-  AnomalySources sources_;
+  const Registry& registry_;
+  StalledFlowsFn count_stalled_;
   Counter& drop_spike_;
   Counter& discovery_storm_;
   Counter& stalled_flows_;
@@ -90,11 +83,9 @@ class AnomalyMonitor {
   Counter& dumps_;
   const FlightRecorder* recorder_ = nullptr;
   std::string dump_path_;
-  sim::Time window_{};
   sim::Time end_{};
   std::uint64_t last_drops_ = 0;
   std::uint64_t last_discovery_failures_ = 0;
-  std::uint64_t triggers_ = 0;
   bool dumped_ = false;
 };
 

@@ -4,8 +4,8 @@
 // Track layout (chosen so no track ever holds overlapping "X" slices):
 //
 //   pid 0 "kernel"          — counter tracks only: one per registered
-//                             obs::Registry scalar, sampled at each
-//                             Simulator KernelObserver window.
+//                             obs::Registry scalar, written by obs::Sampler
+//                             at the series CSV's instants.
 //   pid 1 "control-channel" — one thread per terminal; the common channel
 //                             is half-duplex per node, so a node's control
 //                             transmissions never overlap.

@@ -20,56 +20,52 @@ struct SecondsStr {
 
 }  // namespace
 
-SeriesSampler::SeriesSampler(const std::string& path,
-                             const Registry& registry)
-    : registry_(registry) {
-  file_ = std::fopen(path.c_str(), "wb");
+Sampler::Sampler(const Registry& registry, const std::string& series_path,
+                 PerfettoWriter* perfetto, Tracer* tracer)
+    : registry_(registry), perfetto_(perfetto), tracer_(tracer) {
+  if (series_path.empty()) return;
+  file_ = std::fopen(series_path.c_str(), "wb");
   if (file_ == nullptr) {
-    throw std::runtime_error("cannot open series output file: " + path);
+    throw std::runtime_error("cannot open series output file: " +
+                             series_path);
   }
   std::fputs("t_s,stat,value\n", file_);
 }
 
-SeriesSampler::~SeriesSampler() {
+Sampler::~Sampler() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-void SeriesSampler::flush() {
-  if (file_ != nullptr) std::fflush(file_);
-}
-
-void SeriesSampler::start(sim::Simulator& sim, sim::Time dt, sim::Time end) {
+void Sampler::start(sim::Simulator& sim, sim::Time dt, sim::Time end) {
   if (dt <= sim::Time::zero()) return;
   dt_ = dt;
   end_ = end;
   arm(sim);
 }
 
-void SeriesSampler::arm(sim::Simulator& sim) {
+void Sampler::arm(sim::Simulator& sim) {
   const sim::Time next = sim.now() + dt_;
   if (next > end_) return;
   timer_.arm_at(sim, next, [this, &sim] {
-    sample(sim.now());
+    sample(sim);
     arm(sim);
   });
 }
 
-void SeriesSampler::sample(sim::Time now) {
+void Sampler::sample(const sim::Simulator& sim) {
+  const sim::Time now = sim.now();
+  if (tracer_ != nullptr && tracer_->kernel_on()) {
+    tracer_->kernel(KernelTrace{
+        now, sim.events_executed(),
+        static_cast<std::uint64_t>(sim.pending_events())});
+  }
+  if (file_ == nullptr && perfetto_ == nullptr) return;
   const SecondsStr t(now);
   for (const auto& s : registry_.snapshot()) {
-    std::fprintf(file_, "%s,%s,%.15g\n", t.buf, s.name.c_str(), s.value);
-  }
-}
-
-void KernelProbe::on_kernel_window(sim::Time now,
-                                   std::uint64_t events_executed,
-                                   std::size_t pending) {
-  if (tracer_ != nullptr && tracer_->kernel_on()) {
-    tracer_->kernel(KernelTrace{now, events_executed,
-                                static_cast<std::uint64_t>(pending)});
-  }
-  if (perfetto_ != nullptr) {
-    for (const auto& s : registry_.snapshot()) {
+    if (file_ != nullptr) {
+      std::fprintf(file_, "%s,%s,%.15g\n", t.buf, s.name.c_str(), s.value);
+    }
+    if (perfetto_ != nullptr) {
       perfetto_->counter(PerfettoWriter::kKernelPid, s.name, now, s.value);
     }
   }

@@ -1,22 +1,26 @@
-// Time-series sampling and the kernel profiling probe.
+// Periodic registry sampling: the one path from obs::Registry to every
+// time-stamped output.
 //
-// `SeriesSampler` dumps a periodic per-run CSV (`--sample-dt S`) in long
-// format, `t_s,stat,value`: at each sample, one row per registered
-// obs::Registry scalar, in name order.  A new registration adds its rows
-// with no edit here.  Rates are deltas between samples (e.g. delivery rate
-// from `net.delivered`, control overhead from `net.control_bytes_on_air`).
-// The sampler schedules *real* simulation events — a run with sampling
-// enabled executes more kernel events than one without
-// (kernel.events_executed moves) but never touches the metrics stream
-// hash, because the sample callback only reads.
+// A `Sampler` schedules a real simulation event at t = k·dt for every
+// k >= 1 with t <= end.  Each tick reads `registry.snapshot()` once and
+// writes it to whichever outputs are present:
 //
-// `KernelProbe` adapts the Simulator's `sim::KernelObserver` hook to the
-// trace layer: each observation window becomes a JSONL kernel record and
-// one Perfetto counter sample per registered scalar on the "kernel"
-// process track.
+//   * the series CSV (`--series-out`, `--sample-dt S`), long format
+//     `t_s,stat,value`: one row per registered scalar, in name order;
+//   * the Perfetto profile: one counter sample per scalar on the *kernel*
+//     process track (PerfettoWriter::kKernelPid);
+//   * the trace: one JSONL `kernel` record (events executed, pending
+//     events) when the tracer's kernel records are on.
+//
+// So the three outputs carry the same instants, and a new registration
+// reaches all of them with no edit here.  Rates are deltas between samples
+// (e.g. delivery rate from `net.delivered`, control overhead from
+// `net.control_bytes_on_air`).  The sampler's events are real — a sampled
+// run executes more kernel events than a bare one (kernel.events_executed
+// moves) — but the callback only reads, so the metrics stream hash never
+// moves.
 #pragma once
 
-#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -28,51 +32,34 @@
 
 namespace rica::obs {
 
-class SeriesSampler {
+class Sampler {
  public:
-  /// Opens `path` and writes the CSV header; `registry` must outlive the
-  /// sampler.  Throws std::runtime_error when the file cannot be opened.
-  SeriesSampler(const std::string& path, const Registry& registry);
-  ~SeriesSampler();
-  SeriesSampler(const SeriesSampler&) = delete;
-  SeriesSampler& operator=(const SeriesSampler&) = delete;
+  /// Any output may be absent: an empty `series_path`, a null `perfetto`,
+  /// a null `tracer` (or one whose kernel records are off).  Opens
+  /// `series_path` and writes the CSV header when given; throws
+  /// std::runtime_error when it cannot be opened.  `registry` and the
+  /// outputs must outlive the sampler.
+  Sampler(const Registry& registry, const std::string& series_path,
+          PerfettoWriter* perfetto, Tracer* tracer);
+  ~Sampler();
+  Sampler(const Sampler&) = delete;
+  Sampler& operator=(const Sampler&) = delete;
 
   /// Arms periodic sampling every `dt` until `end` (inclusive), starting at
   /// `dt`.  Must be called before the run.
   void start(sim::Simulator& sim, sim::Time dt, sim::Time end);
 
-  /// Flushes buffered rows (also done on destruction).
-  void flush();
-
  private:
-  void sample(sim::Time now);
+  void sample(const sim::Simulator& sim);
   void arm(sim::Simulator& sim);
 
-  std::FILE* file_ = nullptr;
   const Registry& registry_;
+  std::FILE* file_ = nullptr;
+  PerfettoWriter* perfetto_;
+  Tracer* tracer_;
   sim::Timer timer_;
   sim::Time dt_{};
   sim::Time end_{};
-};
-
-/// Bridges sim::KernelObserver into the trace layer.  Install with
-/// Simulator::set_kernel_observer(&probe, interval).
-class KernelProbe final : public sim::KernelObserver {
- public:
-  /// Either sink may be null; the probe feeds whichever are present.
-  /// `registry` supplies the Perfetto counter tracks and must outlive the
-  /// probe.
-  KernelProbe(Tracer* tracer, PerfettoWriter* perfetto,
-              const Registry& registry)
-      : tracer_(tracer), perfetto_(perfetto), registry_(registry) {}
-
-  void on_kernel_window(sim::Time now, std::uint64_t events_executed,
-                        std::size_t pending) override;
-
- private:
-  Tracer* tracer_;
-  PerfettoWriter* perfetto_;
-  const Registry& registry_;
 };
 
 }  // namespace rica::obs

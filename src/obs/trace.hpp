@@ -10,8 +10,8 @@
 //     transmission (RREQ/reply hops, checks, local queries), route
 //     established, link break, repair, emitted by the five protocols and
 //     the common-channel MAC;
-//   * kernel samples — events executed / batch vs spill fires / pending
-//     count, emitted by the Simulator's kernel observer at a bounded rate;
+//   * kernel samples — events executed and pending count, emitted by the
+//     registry sampler (obs/sampler.hpp) at the series CSV's instants;
 //   * causal spans — derived intervals with trace/span/parent ids that
 //     decompose a packet's end-to-end delay into discovery-wait, queue,
 //     backoff, retry, and airtime components (see obs/span.hpp).
@@ -103,7 +103,7 @@ struct RouteTrace {
   std::uint32_t bytes = 0;
 };
 
-/// One kernel observation window (see sim::KernelObserver).
+/// One kernel sample, taken by obs::Sampler at each of its ticks.
 struct KernelTrace {
   sim::Time at{};
   std::uint64_t events_executed = 0;

@@ -58,6 +58,13 @@ class FloodLog {
   /// Floods indexed so far.
   [[nodiscard]] std::size_t floods() const { return floods_; }
 
+  /// Bytes the log holds: its index slots plus one bit row per flood.  It
+  /// only grows, since floods are never forgotten.
+  [[nodiscard]] std::size_t bytes() const {
+    return slots_.size() * sizeof(Slot) +
+           bits_.size() * sizeof(std::uint64_t);
+  }
+
   /// Index occupancy (floods over probe capacity), kept below 3/4.
   [[nodiscard]] double load_factor() const {
     return slots_.empty() ? 0.0

@@ -9,10 +9,6 @@ void Simulator::run_until(Time end) {
     now_ = t;
     ++events_executed_;
     engine_.fire_next();
-    if (observer_ != nullptr && now_ >= next_observation_) {
-      next_observation_ = now_ + observer_interval_;
-      observer_->on_kernel_window(now_, events_executed_, engine_.size());
-    }
   }
   if (end >= now_) {
     // Every event at or before `end` has fired.

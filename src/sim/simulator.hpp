@@ -8,12 +8,14 @@
 // binary min-heap, which pops in exact (timestamp, schedule-seq) order.
 // Runs are therefore bit-identical for a fixed seed, and the golden test
 // suite pins full-stack stream hashes against captured references.  The
-// Simulator adds the clock, the run loop, the executed and peak-pending
-// counts, and an optional rate-limited KernelObserver.  A reservation
-// (reserve, at(reservation), passed) holds an event's place in that order
-// without scheduling it (DESIGN.md §5).  The kernel is single-threaded;
-// cores are spent on independent runs (harness::run_speed_sweep), never
-// inside one.
+// Simulator adds the clock, the run loop, and the executed and
+// peak-pending counts.  A reservation (reserve, at(reservation), passed)
+// holds an event's place in that order without scheduling it (DESIGN.md
+// §5).  Scheduled callbacks (at, after, reservations, sim::Timer) are the
+// kernel's only callback surface: a component that watches the run, such
+// as obs::Sampler, schedules events like any other, so run_until() tests
+// nothing per event beyond the heap.  The kernel is single-threaded; cores
+// are spent on independent runs (harness::run_cells), never inside one.
 #pragma once
 
 #include <cassert>
@@ -24,20 +26,6 @@
 #include "sim/time.hpp"
 
 namespace rica::sim {
-
-/// Observes the kernel's firing loop at a bounded sim-time rate.  Declared
-/// here (and implemented by obs::KernelProbe) so the kernel has no
-/// dependency on the observability layer; with no observer installed the
-/// run loop pays one pointer test per fired event.
-class KernelObserver {
- public:
-  virtual ~KernelObserver() = default;
-  /// Called after a fired event once at least the configured interval of
-  /// sim time has elapsed since the previous call (and after the first
-  /// fired event).  `pending` is the queue size after the fire.
-  virtual void on_kernel_window(Time now, std::uint64_t events_executed,
-                                std::size_t pending) = 0;
-};
 
 /// Discrete-event simulation kernel: clock + event core + run loop.
 class Simulator {
@@ -119,24 +107,11 @@ class Simulator {
     return engine_.heap_fallbacks();
   }
 
-  /// Installs (or removes, with nullptr) a kernel observer.  The observer
-  /// is invoked from the run loop at most once per `min_interval` of sim
-  /// time — it must not schedule or cancel events.
-  void set_kernel_observer(KernelObserver* observer, Time min_interval) {
-    observer_ = observer;
-    observer_interval_ = min_interval;
-    next_observation_ = Time::zero();
-  }
-
  private:
   EventEngine engine_;
   Time now_ = Time::zero();
   std::uint64_t events_executed_ = 0;
   std::size_t peak_pending_ = 0;
-
-  KernelObserver* observer_ = nullptr;
-  Time observer_interval_ = Time::zero();
-  Time next_observation_ = Time::zero();
 };
 
 }  // namespace rica::sim

@@ -46,6 +46,7 @@ TEST(FloodHistory, SeenLooksUpWithoutRecording) {
 
 TEST(FloodLog, TerminalsOnEitherSideOfAWordBoundaryStayApart) {
   FloodLog log(130);
+  EXPECT_EQ(log.bytes(), 0u);  // no index, no rows until the first flood
   const std::vector<net::NodeId> edges = {0, 63, 64, 127, 128, 129};
   for (const net::NodeId n : edges) {
     EXPECT_FALSE(log.seen_or_insert(n, 5, 9, 1)) << n;
@@ -54,6 +55,10 @@ TEST(FloodLog, TerminalsOnEitherSideOfAWordBoundaryStayApart) {
     }
   }
   EXPECT_EQ(log.floods(), 1u);  // one flood, one bit per terminal
+  // A second flood fits the index and adds one row of three bit words.
+  const std::size_t one_flood = log.bytes();
+  EXPECT_FALSE(log.seen_or_insert(0, 6, 9, 1));
+  EXPECT_EQ(log.bytes() - one_flood, 3 * sizeof(std::uint64_t));
   EXPECT_FALSE(log.seen(1, 5, 9, 1));
   EXPECT_FALSE(log.seen(62, 5, 9, 1));
   EXPECT_FALSE(log.seen(65, 5, 9, 1));

@@ -97,6 +97,63 @@ TEST(Flags, DefaultsWhenAbsent) {
   EXPECT_EQ(f.get("name", std::string{"x"}), "x");
 }
 
+/// The message of the std::invalid_argument `fn` throws ("" if none).
+template <typename Fn>
+std::string rejection(Fn fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(Flags, MalformedNumbersNameTheFlagAndTheValue) {
+  const auto f = parse({"--threads", "abc", "--trials", "3abc", "--sim-time",
+                        "2.5s", "--seed", "-1", "--speeds", "0,abc,72",
+                        "--rate", "1e999"});
+  EXPECT_EQ(rejection([&f] { (void)f.get("threads", 0); }),
+            "--threads: 'abc' is not an integer");
+  EXPECT_EQ(rejection([&f] { (void)f.get("trials", 0); }),
+            "--trials: '3abc' is not an integer");
+  EXPECT_EQ(rejection([&f] { (void)f.get("sim-time", 0.0); }),
+            "--sim-time: '2.5s' is not a number");
+  EXPECT_EQ(rejection([&f] { (void)f.get("seed", std::uint64_t{1}); }),
+            "--seed: '-1' is not a non-negative integer");
+  EXPECT_EQ(rejection([&f] { (void)f.get_list("speeds", {}); }),
+            "--speeds: 'abc' is not a number");
+  EXPECT_EQ(rejection([&f] { (void)f.get("rate", 10.0); }),
+            "--rate: '1e999' is not a number");  // out of double range
+  // Whole values, including the non-finite spellings validate_scenario
+  // rejects with its own message, still parse.
+  const auto ok = parse({"--trials", "-3", "--sim-time", "nan", "--seed",
+                         "18446744073709551615", "--rate", "1e300"});
+  EXPECT_EQ(ok.get("trials", 0), -3);
+  EXPECT_TRUE(std::isnan(ok.get("sim-time", 0.0)));
+  EXPECT_EQ(ok.get("seed", std::uint64_t{1}),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_DOUBLE_EQ(ok.get("rate", 0.0), 1e300);
+}
+
+TEST(BenchScale, CountsBelowTheirRangeAreRejected) {
+  EXPECT_EQ(rejection([] { (void)bench_scale(parse({"--trials", "0"}), 3,
+                                             100.0); }),
+            "--trials must be >= 1, got 0");
+  EXPECT_EQ(rejection([] { (void)bench_scale(parse({"--trials", "-3"}), 3,
+                                             100.0); }),
+            "--trials must be >= 1, got -3");
+  EXPECT_EQ(rejection([] { (void)bench_scale(parse({"--threads", "-2"}), 3,
+                                             100.0); }),
+            "--threads must be >= 0 (0 = one per core), got -2");
+  EXPECT_EQ(rejection([] { (void)bench_scale(parse({"--threads", "abc"}), 3,
+                                             100.0); }),
+            "--threads: 'abc' is not an integer");
+  const auto s = bench_scale(parse({"--trials", "1", "--threads", "0"}), 3,
+                             100.0);
+  EXPECT_EQ(s.trials, 1);
+  EXPECT_EQ(s.threads, 0);
+}
+
 TEST(BenchScale, DefaultsApply) {
   const auto f = parse({});
   const auto s = bench_scale(f, 3, 100.0);

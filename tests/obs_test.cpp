@@ -141,6 +141,18 @@ TEST(TraceFilter, ParsesCategoriesAndLists) {
   EXPECT_THROW((void)obs::parse_trace_filter(""), std::invalid_argument);
 }
 
+TEST(TraceFilter, TypoFailsScenarioValidation) {
+  // validate_scenario parses the filter whenever a trace is written, so a
+  // typo fails before any network is built.
+  auto cfg = short_config();
+  cfg.trace_out = "unused_trace.jsonl";
+  cfg.trace_filter = "packet,kernal";
+  EXPECT_THROW(harness::validate_scenario(cfg), std::invalid_argument);
+  // No trace, no filter to parse.
+  cfg.trace_out.clear();
+  EXPECT_NO_THROW(harness::validate_scenario(cfg));
+}
+
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
@@ -423,13 +435,11 @@ TEST(Registry, OneRegistrationReachesSummarySeriesAndPerfetto) {
   TempFile trace("one_reg_perfetto");
   const sim::Time end = sim::seconds(2);
   {
-    obs::SeriesSampler sampler(series.path, network.registry());
     obs::PerfettoWriter perfetto(trace.path);
-    obs::KernelProbe probe(nullptr, &perfetto, network.registry());
+    obs::Sampler sampler(network.registry(), series.path, &perfetto,
+                         nullptr);
     sampler.start(sim, sim::seconds_f(0.5), end);
-    sim.set_kernel_observer(&probe, sim::seconds_f(0.5));
     sim.run_until(end);
-    sim.set_kernel_observer(nullptr, sim::Time::zero());
   }
 
   const auto summary = network.metrics().finalize(end);
@@ -487,10 +497,10 @@ TEST(Perfetto, EmitsWellFormedTraceEventJson) {
 }
 
 // ---------------------------------------------------------------------------
-// Series sampler
+// Sampler
 // ---------------------------------------------------------------------------
 
-TEST(SeriesSampler, WritesOneRowPerPeriodWithStableColumns) {
+TEST(Sampler, WritesOneRowPerPeriodWithStableColumns) {
   TempFile out("series");
   auto cfg = short_config();
   cfg.series_out = out.path;
@@ -549,10 +559,104 @@ TEST(SeriesSampler, WritesOneRowPerPeriodWithStableColumns) {
   EXPECT_EQ(slurp(out.path), slurp(again.path));
 }
 
-TEST(SeriesSampler, SampleDtWithoutPathIsRejected) {
+TEST(Sampler, SampleDtWithoutPathIsRejected) {
   auto cfg = short_config();
   cfg.sample_dt_s = 0.5;
   EXPECT_THROW((void)harness::run_scenario(cfg), std::invalid_argument);
+  // validate_scenario rejects it before any network is built, also when
+  // only outputs that take no samples are set.
+  cfg.flight_recorder = 64;
+  cfg.flight_dump = "unused_flight.jsonl";
+  EXPECT_THROW(harness::validate_scenario(cfg), std::invalid_argument);
+  cfg.trace_out = "unused_trace.jsonl";
+  cfg.trace_filter = "packet,route,span";
+  EXPECT_THROW(harness::validate_scenario(cfg), std::invalid_argument);
+  // Each sampled output makes the period valid on its own.
+  cfg.trace_filter = "route,kernel";
+  EXPECT_NO_THROW(harness::validate_scenario(cfg));
+  cfg.trace_out.clear();
+  cfg.perfetto_out = "unused_perfetto.json";
+  EXPECT_NO_THROW(harness::validate_scenario(cfg));
+  cfg.perfetto_out.clear();
+  cfg.series_out = "unused_series.csv";
+  EXPECT_NO_THROW(harness::validate_scenario(cfg));
+}
+
+TEST(Sampler, OutputsShareTheSeriesInstants) {
+  // One sampler feeds the CSV, the Perfetto counters and the kernel trace
+  // records: the same instants, and the same events_executed at each.
+  TempFile trace("shared_trace");
+  TempFile perfetto("shared_perfetto");
+  TempFile series("shared_series");
+  auto cfg = short_config();
+  cfg.trace_out = trace.path;
+  cfg.trace_filter = "all";
+  cfg.perfetto_out = perfetto.path;
+  cfg.series_out = series.path;
+  cfg.sample_dt_s = 0.5;
+  (void)harness::run_scenario(cfg);
+
+  std::map<std::int64_t, std::string> csv;  // t_ns -> events_executed
+  for (const auto& line : lines_of(slurp(series.path))) {
+    const auto c1 = line.find(',');
+    const auto c2 = line.find(',', c1 + 1);
+    if (line.substr(c1 + 1, c2 - c1 - 1) != "kernel.events_executed") {
+      continue;
+    }
+    const auto t_ns =
+        static_cast<std::int64_t>(std::llround(std::stod(line) * 1e9));
+    csv[t_ns] = line.substr(c2 + 1);
+  }
+  std::map<std::int64_t, std::string> kernel;
+  for (const auto& line : lines_of(slurp(trace.path))) {
+    if (field_of(line, "type") != "kernel") continue;
+    kernel[std::stoll(field_of(line, "t_ns"))] =
+        field_of(line, "events_executed");
+  }
+  std::map<std::int64_t, std::string> counters;
+  const std::string prefix =
+      "{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"name\":"
+      "\"kernel.events_executed\",\"ts\":";
+  const auto json = slurp(perfetto.path);
+  for (auto at = json.find(prefix); at != std::string::npos;
+       at = json.find(prefix, at + 1)) {
+    const auto ts = at + prefix.size();
+    const auto value = json.find("\"value\":", ts) + 8;
+    // ts is microseconds with three decimals: drop the point for ns.
+    std::string us = json.substr(ts, json.find(',', ts) - ts);
+    us.erase(us.find('.'), 1);
+    counters[std::stoll(us)] =
+        json.substr(value, json.find('}', value) - value);
+  }
+
+  // 3 s at 0.5 s: six instants, 0.5 s .. 3 s.
+  ASSERT_EQ(csv.size(), 6u);
+  for (int k = 1; k <= 6; ++k) {
+    EXPECT_EQ(csv.count(k * 500'000'000LL), 1u) << k;
+  }
+  EXPECT_EQ(kernel, csv);
+  EXPECT_EQ(counters, csv);
+}
+
+TEST(Sampler, FloodLogBytesGrowThroughARicaRun) {
+  // routing.flood_log_bytes reaches the CSV through its one registration;
+  // floods are never forgotten, so the log only grows.
+  TempFile series("flood_bytes");
+  auto cfg = short_config();
+  cfg.series_out = series.path;
+  cfg.sample_dt_s = 0.5;
+  (void)harness::run_scenario(cfg);
+  std::vector<double> bytes;
+  const std::string stat = ",routing.flood_log_bytes,";
+  for (const auto& line : lines_of(slurp(series.path))) {
+    const auto at = line.find(stat);
+    if (at != std::string::npos) {
+      bytes.push_back(std::stod(line.substr(at + stat.size())));
+    }
+  }
+  ASSERT_EQ(bytes.size(), 6u);
+  EXPECT_GT(bytes.front(), 0.0);
+  EXPECT_TRUE(std::is_sorted(bytes.begin(), bytes.end()));
 }
 
 }  // namespace

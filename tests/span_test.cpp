@@ -280,7 +280,6 @@ harness::ScenarioConfig drop_storm_config() {
   cfg.sim_s = 20.0;
   cfg.seed = 11;
   cfg.watchdogs = true;
-  cfg.anomaly.window_s = 1.0;
   cfg.anomaly.drop_rate_per_s = 1.0;  // any drop in a window trips it
   cfg.anomaly.discovery_failures = 1;
   cfg.anomaly.stall_s = 0.0;      // focus the test on the drop monitors
