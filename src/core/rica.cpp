@@ -177,8 +177,7 @@ void RicaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
     return;
   }
 
-  if (history_.seen_or_insert(msg.src, msg.bid, kTagRreq)) return;
-  rreq_upstream_.record(msg.src, msg.bid, from);
+  if (history_.seen_or_insert(msg.src, msg.bid, kTagRreq, from)) return;
 
   if (topo >= routing::kDiscoveryTtl) return;
   net::RreqMsg fwd = msg;
@@ -224,8 +223,8 @@ void RicaProtocol::on_rrep(const net::RrepMsg& msg, net::NodeId from) {
   r.downstream = from;
   r.hops_to_dst = static_cast<std::uint16_t>(msg.topo_hops + 1);
 
-  const auto up = rreq_upstream_.find(msg.src, msg.bid);
-  if (!up) return;  // reverse path lost
+  const auto up = history_.upstream(msg.src, msg.bid, kTagRreq);
+  if (!up) return;  // relayed no copy of this flood
   r.upstream = *up;
   net::RrepMsg fwd = msg;
   fwd.topo_hops = static_cast<std::uint16_t>(msg.topo_hops + 1);
@@ -435,7 +434,6 @@ double RicaProtocol::table_load() const {
   lf = std::max(lf, sources_.load_factor());
   lf = std::max(lf, relays_.load_factor());
   lf = std::max(lf, dests_.load_factor());
-  lf = std::max(lf, rreq_upstream_.load_factor());
   return lf;
 }
 

@@ -152,7 +152,6 @@ class RicaProtocol final : public routing::Protocol {
   util::FlatMap64<SourceState> sources_;
   util::FlatMap64<RelayState> relays_;
   util::FlatMap64<DestState> dests_;
-  routing::ReversePaths rreq_upstream_;
   std::uint32_t next_bid_ = 1;
   /// CSI checks are keyed (destination, bid) in the flood history, so the
   /// checks of every flow this terminal terminates draw from one counter:

@@ -143,8 +143,7 @@ void AbrProtocol::on_bq(const net::AbrBqMsg& msg, net::NodeId from) {
                          [this, flow] { close_dest_window(flow); });
     return;
   }
-  if (history_.seen_or_insert(msg.src, msg.bid, kTagBq)) return;
-  bq_upstream_.record(msg.src, msg.bid, from);
+  if (history_.seen_or_insert(msg.src, msg.bid, kTagBq, from)) return;
   if (topo >= kDiscoveryTtl) return;
   net::AbrBqMsg fwd = msg;
   fwd.tick_sum = tick_sum;
@@ -187,7 +186,7 @@ void AbrProtocol::on_reply(const net::AbrReplyMsg& msg, net::NodeId from) {
     flush_repair(flow);
     return;
   }
-  const auto up = bq_upstream_.find(msg.src, msg.bid);
+  const auto up = history_.upstream(msg.src, msg.bid, kTagBq);
   if (!up) return;
   e.upstream = *up;
   net::AbrReplyMsg fwd = msg;
@@ -228,10 +227,9 @@ void AbrProtocol::start_local_query(net::FlowKey flow) {
 
 void AbrProtocol::on_lq(const net::AbrLqMsg& msg, net::NodeId from) {
   if (msg.origin == host().id()) return;
-  if (history_.seen_or_insert(msg.origin, msg.bid, kTagLq)) return;
+  if (history_.seen_or_insert(msg.origin, msg.bid, kTagLq, from)) return;
 
   const auto topo = static_cast<std::uint16_t>(msg.topo_hops + 1);
-  lq_upstream_.record(msg.origin, msg.bid, from);
 
   const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
   const auto it = entries_.find(flow);
@@ -272,7 +270,7 @@ void AbrProtocol::on_lq_reply(const net::AbrLqReplyMsg& msg,
   e.downstream = from;
   e.hops_to_dst = static_cast<std::uint16_t>(msg.join_hops_to_dst + 1);
   e.repairing = false;
-  const auto up = lq_upstream_.find(msg.origin, msg.bid);
+  const auto up = history_.upstream(msg.origin, msg.bid, kTagLq);
   if (!up) return;
   e.upstream = *up;
   net::AbrLqReplyMsg fwd = msg;
@@ -345,8 +343,6 @@ double AbrProtocol::table_load() const {
   lf = std::max(lf, sources_.load_factor());
   lf = std::max(lf, dests_.load_factor());
   lf = std::max(lf, repair_pending_.load_factor());
-  lf = std::max(lf, bq_upstream_.load_factor());
-  lf = std::max(lf, lq_upstream_.load_factor());
   return lf;
 }
 

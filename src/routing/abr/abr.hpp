@@ -103,8 +103,6 @@ class AbrProtocol final : public Protocol {
   util::FlatMap64<SourceDiscovery> sources_;
   util::FlatMap64<CandidateWindow<Candidate>> dests_;  ///< BQ windows
   RepairHold repair_pending_;
-  ReversePaths bq_upstream_;
-  ReversePaths lq_upstream_;
   std::uint32_t next_bid_ = 1;
 };
 

@@ -79,8 +79,7 @@ void AodvProtocol::on_control(const net::ControlPacket& pkt,
 
 void AodvProtocol::on_rreq(const net::AodvRreqMsg& msg, net::NodeId from) {
   if (msg.src == host().id()) return;  // our own flood echoed back
-  if (history_.seen_or_insert(msg.src, msg.bid, kTagRreq)) return;
-  reverse_.record(msg.src, msg.bid, from);
+  if (history_.seen_or_insert(msg.src, msg.bid, kTagRreq, from)) return;
 
   if (msg.dst == host().id()) {
     // Paper: "the destination responds only the first RREQ and chooses the
@@ -118,8 +117,8 @@ void AodvProtocol::on_rrep(const net::AodvRrepMsg& msg, net::NodeId from) {
     flush_pending(msg.dst);
     return;
   }
-  const auto up = reverse_.find(msg.src, msg.bid);
-  if (!up) return;  // reverse path evaporated
+  const auto up = history_.upstream(msg.src, msg.bid, kTagRreq);
+  if (!up) return;  // relayed no copy of this flood
   net::AodvRrepMsg fwd = msg;
   fwd.hops = static_cast<std::uint16_t>(msg.hops + 1);
   host().send_control(net::make_control(*up, fwd));
@@ -159,7 +158,6 @@ void AodvProtocol::flush_pending(net::NodeId dst) {
 double AodvProtocol::table_load() const {
   double lf = history_.load_factor();
   lf = std::max(lf, routes_.load_factor());
-  lf = std::max(lf, reverse_.load_factor());
   lf = std::max(lf, discovery_.load_factor());
   lf = std::max(lf, precursor_.load_factor());
   return lf;

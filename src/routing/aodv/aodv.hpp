@@ -58,7 +58,6 @@ class AodvProtocol final : public Protocol {
   AodvConfig cfg_;
   FloodHistory history_;
   util::FlatMap64<Route> routes_;         // dst -> entry
-  ReversePaths reverse_;
   util::FlatMap64<SourceDiscovery> discovery_;  // dst -> state
   // Upstream of the most recent data packet per destination; RERRs retrace
   // this path toward the source (a light-weight precursor list).

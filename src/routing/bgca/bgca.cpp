@@ -129,8 +129,7 @@ void BgcaProtocol::on_rreq(const net::RreqMsg& msg, net::NodeId from) {
                          [this, flow] { close_dest_window(flow); });
     return;
   }
-  if (history_.seen_or_insert(msg.src, msg.bid, kTagRreq)) return;
-  rreq_upstream_.record(msg.src, msg.bid, from);
+  if (history_.seen_or_insert(msg.src, msg.bid, kTagRreq, from)) return;
   if (topo >= kDiscoveryTtl) return;
   net::RreqMsg fwd = msg;
   fwd.csi_hops = csi_hops;
@@ -166,7 +165,7 @@ void BgcaProtocol::on_rrep(const net::RrepMsg& msg, net::NodeId from) {
     flush_pending(flow);
     return;
   }
-  const auto up = rreq_upstream_.find(msg.src, msg.bid);
+  const auto up = history_.upstream(msg.src, msg.bid, kTagRreq);
   if (!up) return;
   e.upstream = *up;
   net::RrepMsg fwd = msg;
@@ -254,11 +253,10 @@ void BgcaProtocol::on_lq(const net::BgcaLqMsg& msg, net::NodeId from) {
   if (history_.seen(msg.origin, msg.bid, kTagLq)) return;
   const auto cls = host().link_csi(from);
   if (!cls) return;
-  history_.seen_or_insert(msg.origin, msg.bid, kTagLq);
+  history_.seen_or_insert(msg.origin, msg.bid, kTagLq, from);
 
   const double csi_hops = msg.csi_hops + channel::csi_hop_distance(*cls);
   const auto topo = static_cast<std::uint16_t>(msg.topo_hops + 1);
-  lq_upstream_.record(msg.origin, msg.bid, from);
 
   const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
   const auto it = entries_.find(flow);
@@ -306,7 +304,7 @@ void BgcaProtocol::on_lq_reply(const net::BgcaLqReplyMsg& msg,
   e.downstream = from;
   e.hops_to_dst = static_cast<std::uint16_t>(msg.join_hops_to_dst + 1);
   e.repairing = false;
-  const auto up = lq_upstream_.find(msg.origin, msg.bid);
+  const auto up = history_.upstream(msg.origin, msg.bid, kTagLq);
   if (!up) return;
   e.upstream = *up;
   net::BgcaLqReplyMsg fwd = msg;
@@ -379,8 +377,6 @@ double BgcaProtocol::table_load() const {
   lf = std::max(lf, sources_.load_factor());
   lf = std::max(lf, dests_.load_factor());
   lf = std::max(lf, repair_pending_.load_factor());
-  lf = std::max(lf, rreq_upstream_.load_factor());
-  lf = std::max(lf, lq_upstream_.load_factor());
   return lf;
 }
 

@@ -93,8 +93,6 @@ class BgcaProtocol final : public Protocol {
   util::FlatMap64<SourceDiscovery> sources_;
   util::FlatMap64<CandidateWindow<Candidate>> dests_;  ///< RREQ windows
   RepairHold repair_pending_;
-  ReversePaths rreq_upstream_;
-  ReversePaths lq_upstream_;
   std::uint32_t next_bid_ = 1;
 };
 

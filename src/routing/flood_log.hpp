@@ -1,20 +1,21 @@
-// The §II-B history table of every terminal, kept as one network-wide log:
-// "checks whether it has seen this packet before by looking up its history
-// table".
+// The §II-B per-flood state of every terminal, kept as one network-wide
+// log: the history table ("checks whether it has seen this packet before
+// by looking up its history table") and the relays' reverse paths.
 //
 // Every terminal asks the same question about the same few floods — the
 // RREQs, CSI checks, BQs and LQs on the air — so the log indexes each flood
 // once, by its packed (tag, origin, bid) key, and keeps one bit per
-// terminal for it: ⌈N/64⌉ words per flood.  A lookup is one probe of a
-// small shared index plus one word, where a table per terminal touched N
-// separate hash sets that together outgrew the cache.  DESIGN.md §15
-// describes the layout and its memory cost; tests/flood_log_test.cpp checks
-// it against N independent per-terminal sets.
+// terminal for it (⌈N/64⌉ words) and a list of its relays' upstreams.  A
+// lookup is one probe of a small shared index plus one word, where a table
+// per terminal touched N separate hash sets that together outgrew the
+// cache.  DESIGN.md §15 describes the layout and its memory cost;
+// tests/flood_log_test.cpp checks it against N per-terminal tables.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -22,9 +23,9 @@
 
 namespace rica::routing {
 
-/// Which terminals have processed which broadcast packets, for a network of
-/// a fixed size.  Floods are never forgotten (the per-terminal tables never
-/// erased either).  Single-threaded, like the simulator that owns it.
+/// Which terminals have processed which broadcast packets, and the upstream
+/// of each relay's first copy, for a network of a fixed size.  Floods are
+/// never forgotten.  Single-threaded, like the simulator that owns it.
 class FloodLog {
  public:
   explicit FloodLog(std::size_t num_nodes)
@@ -33,17 +34,20 @@ class FloodLog {
   FloodLog& operator=(const FloodLog&) = delete;
 
   /// Returns true if `node` already recorded (origin, bid) under `tag`;
-  /// otherwise records it and returns false.
+  /// otherwise records it, with `upstream` when given, and returns false.
+  /// A duplicate records nothing, so the upstream kept is the first copy's.
   bool seen_or_insert(net::NodeId node, net::NodeId origin, std::uint32_t bid,
-                      std::uint8_t tag) {
+                      std::uint8_t tag,
+                      std::optional<net::NodeId> upstream = std::nullopt) {
     const std::uint64_t k = key(origin, bid, tag);
     std::uint32_t flood = find(k);
     if (flood == kNone) flood = insert(k);
     std::uint64_t& word = bits_[word_index(flood, node)];
     const std::uint64_t bit = std::uint64_t{1} << (node % 64);
-    const bool seen = (word & bit) != 0;
+    if ((word & bit) != 0) return true;
     word |= bit;
-    return seen;
+    if (upstream) upstreams_[flood].push_back(Upstream{node, *upstream});
+    return false;
   }
 
   /// True if `node` already recorded (origin, bid) under `tag`; records
@@ -55,20 +59,35 @@ class FloodLog {
            (bits_[word_index(flood, node)] >> (node % 64) & 1) != 0;
   }
 
-  /// Floods indexed so far.
-  [[nodiscard]] std::size_t floods() const { return floods_; }
+  /// The upstream `node` recorded with (origin, bid) under `tag`, if any.
+  [[nodiscard]] std::optional<net::NodeId> upstream(
+      net::NodeId node, net::NodeId origin, std::uint32_t bid,
+      std::uint8_t tag) const {
+    const std::uint32_t flood = find(key(origin, bid, tag));
+    if (flood == kNone) return std::nullopt;
+    for (const Upstream& u : upstreams_[flood]) {
+      if (u.node == node) return u.from;
+    }
+    return std::nullopt;
+  }
 
-  /// Bytes the log holds: its index slots plus one bit row per flood.  It
-  /// only grows, since floods are never forgotten.
+  /// Floods indexed so far.
+  [[nodiscard]] std::size_t floods() const { return upstreams_.size(); }
+
+  /// Bytes the log holds: its index, and per flood a bit row and an upstream
+  /// list with its capacity.  It only grows: floods are never forgotten.
   [[nodiscard]] std::size_t bytes() const {
-    return slots_.size() * sizeof(Slot) +
-           bits_.size() * sizeof(std::uint64_t);
+    std::size_t n = slots_.size() * sizeof(Slot) +
+                    bits_.size() * sizeof(std::uint64_t) +
+                    upstreams_.size() * sizeof(UpstreamList);
+    for (const auto& l : upstreams_) n += l.capacity() * sizeof(Upstream);
+    return n;
   }
 
   /// Index occupancy (floods over probe capacity), kept below 3/4.
   [[nodiscard]] double load_factor() const {
     return slots_.empty() ? 0.0
-                          : static_cast<double>(floods_) /
+                          : static_cast<double>(floods()) /
                                 static_cast<double>(slots_.size());
   }
 
@@ -82,6 +101,13 @@ class FloodLog {
     std::uint64_t key = 0;
     std::uint32_t flood_plus_one = 0;
   };
+
+  /// A terminal that recorded a flood, and the neighbour it came from.
+  struct Upstream {
+    net::NodeId node;
+    net::NodeId from;
+  };
+  using UpstreamList = std::vector<Upstream>;
 
   // Node ids are small (< 2^24, enforced at network construction), so
   // (tag, origin, bid) packs losslessly.
@@ -112,9 +138,10 @@ class FloodLog {
 
   /// Indexes a new flood with no terminal's bit set; `k` must be absent.
   std::uint32_t insert(std::uint64_t k) {
-    if ((floods_ + 1) * 4 > slots_.size() * 3) grow();
-    const auto flood = static_cast<std::uint32_t>(floods_++);
+    if ((floods() + 1) * 4 > slots_.size() * 3) grow();
+    const auto flood = static_cast<std::uint32_t>(floods());
     bits_.resize(bits_.size() + words_, 0);
+    upstreams_.emplace_back();
     place(k, flood);
     return flood;
   }
@@ -136,22 +163,24 @@ class FloodLog {
 
   std::size_t num_nodes_;
   std::size_t words_;        ///< ⌈num_nodes / 64⌉ bit words per flood
-  std::size_t floods_ = 0;
   std::vector<Slot> slots_;  ///< open-addressing index, a power of two
   std::vector<std::uint64_t> bits_;  ///< flood-major: words_ per flood
+  std::vector<UpstreamList> upstreams_;  ///< one list per flood, in order
 };
 
-/// One terminal's history table: its view of the network's flood log.
+/// One terminal's history table and reverse paths: a view of the flood log.
 class FloodHistory {
  public:
   FloodHistory(FloodLog& log, net::NodeId node) : log_(log), node_(node) {}
 
   /// Returns true if (origin, bid) was already recorded; otherwise records
-  /// it and returns false.  Scoped by a small tag so different packet kinds
-  /// (RREQ vs CSI check vs LQ) never collide.
+  /// it, with a relay's `upstream` (the neighbour the copy came from), and
+  /// returns false.  Scoped by a small tag so different packet kinds (RREQ
+  /// vs CSI check vs LQ) never collide.
   bool seen_or_insert(net::NodeId origin, std::uint32_t bid,
-                      std::uint8_t tag = 0) {
-    return log_.seen_or_insert(node_, origin, bid, tag);
+                      std::uint8_t tag = 0,
+                      std::optional<net::NodeId> upstream = std::nullopt) {
+    return log_.seen_or_insert(node_, origin, bid, tag, upstream);
   }
 
   /// True if (origin, bid) was already recorded; records nothing.  Lets a
@@ -160,6 +189,12 @@ class FloodHistory {
   [[nodiscard]] bool seen(net::NodeId origin, std::uint32_t bid,
                           std::uint8_t tag = 0) const {
     return log_.seen(node_, origin, bid, tag);
+  }
+
+  /// The reverse path of (origin, bid): the upstream recorded, if any.
+  [[nodiscard]] std::optional<net::NodeId> upstream(
+      net::NodeId origin, std::uint32_t bid, std::uint8_t tag = 0) const {
+    return log_.upstream(node_, origin, bid, tag);
   }
 
   /// The shared log's index occupancy.

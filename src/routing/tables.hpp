@@ -1,16 +1,16 @@
 // Shared building blocks for the on-demand protocols (RICA, BGCA, ABR,
-// AODV): the RREQ/BQ history table (a view of the network's flood log,
-// routing/flood_log.hpp), the pending-packet buffer, and the §II-B
-// discovery skeleton the four protocols share — the source's retry policy,
-// the destination's candidate window, the relays' reverse paths, and the
-// repair hold.  DESIGN.md §15 describes the policy and its order.
+// AODV): the pending-packet buffer and the §II-B discovery skeleton the
+// four protocols share — the source's retry policy, the destination's
+// candidate window, and the repair hold.  The per-flood state, each
+// terminal's history table and the relays' reverse paths, is a view of the
+// network's flood log (routing/flood_log.hpp).  DESIGN.md §15 describes
+// the policy and its order.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -257,32 +257,6 @@ inline const CsiCandidate& csi_shortest(const std::vector<CsiCandidate>& c) {
                              return a.csi_hops < b.csi_hops;
                            });
 }
-
-/// A relay's reverse paths: for each flood (origin, bid) it forwarded, the
-/// neighbour it first heard the flood from, so the reply can retrace it.
-class ReversePaths {
- public:
-  void record(net::NodeId origin, std::uint32_t bid, net::NodeId upstream) {
-    up_[key(origin, bid)] = upstream;
-  }
-
-  /// The upstream of flood (origin, bid), if this relay forwarded it.
-  [[nodiscard]] std::optional<net::NodeId> find(net::NodeId origin,
-                                                std::uint32_t bid) const {
-    const auto it = up_.find(key(origin, bid));
-    if (it == up_.end()) return std::nullopt;
-    return it->second;
-  }
-
-  [[nodiscard]] double load_factor() const { return up_.load_factor(); }
-
- private:
-  static constexpr std::uint64_t key(net::NodeId origin, std::uint32_t bid) {
-    return (static_cast<std::uint64_t>(origin) << 32) | bid;
-  }
-
-  util::FlatMap64<net::NodeId> up_;
-};
 
 /// The packets a repairing terminal holds per flow while its local query
 /// runs (BGCA, ABR).

@@ -1,10 +1,10 @@
 // Open-addressing hash tables over packed 64-bit keys.
 //
-// Every per-node routing table in the stack (route entries, reverse paths,
-// discovery state, RREQ/BQ upstreams, per-link queues) is keyed by a value
-// that packs losslessly into 64 bits: a NodeId, a FlowKey (src << 32 | dst),
-// or an (origin, bid) flood key — node ids are bounded below 2^24 at
-// construction (net::kMaxNodes), so all of these fit with room to spare.
+// Every per-node routing table in the stack (route entries, discovery
+// state, per-link queues) is keyed by a value that packs losslessly into
+// 64 bits: a NodeId or a FlowKey (src << 32 | dst) — node ids are bounded
+// below 2^24 at construction (net::kMaxNodes), so both fit with room to
+// spare.
 // std::unordered_map spends a pointer chase plus an allocation per entry on
 // such keys; these tables instead probe a flat power-of-two index with
 // linear probing (one cache line covers several probes).

@@ -1,13 +1,15 @@
-// The per-terminal history table the network-wide flood log replaced, kept
-// verbatim as a test oracle: one open-addressing set of packed
-// (tag, origin, bid) keys per terminal.  tests/flood_log_test.cpp drives
-// routing::FloodLog against one of these per node.  Its own namespace; never
-// linked into rica_core.
+// The per-terminal tables the network-wide flood log replaced, kept
+// verbatim as test oracles: the history table (one open-addressing set of
+// packed (tag, origin, bid) keys per terminal) and the reverse paths (one
+// (origin, bid) -> upstream map per terminal and packet kind).
+// tests/flood_log_test.cpp drives routing::FloodLog against one of each per
+// node.  Their own namespace; never linked into rica_core.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -112,6 +114,32 @@ class HistoryTable {
   }
 
   FlatSet64 seen_;
+};
+
+/// A relay's reverse paths: for each flood (origin, bid) it forwarded, the
+/// neighbour it first heard the flood from, so the reply can retrace it.
+class ReversePaths {
+ public:
+  void record(net::NodeId origin, std::uint32_t bid, net::NodeId upstream) {
+    up_[key(origin, bid)] = upstream;
+  }
+
+  /// The upstream of flood (origin, bid), if this relay forwarded it.
+  [[nodiscard]] std::optional<net::NodeId> find(net::NodeId origin,
+                                                std::uint32_t bid) const {
+    const auto it = up_.find(key(origin, bid));
+    if (it == up_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  [[nodiscard]] double load_factor() const { return up_.load_factor(); }
+
+ private:
+  static constexpr std::uint64_t key(net::NodeId origin, std::uint32_t bid) {
+    return (static_cast<std::uint64_t>(origin) << 32) | bid;
+  }
+
+  util::FlatMap64<net::NodeId> up_;
 };
 
 }  // namespace rica::oracle

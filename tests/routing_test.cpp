@@ -99,17 +99,6 @@ TEST(CandidateWindow, NewerFloodRestartsTheWindow) {
   EXPECT_EQ(w.bid(), 2u);
 }
 
-TEST(ReversePaths, RemembersUpstreamPerOriginAndBid) {
-  ReversePaths r;
-  r.record(3, 7, 4);
-  r.record(3, 8, 5);
-  r.record(2, 7, 6);
-  EXPECT_EQ(r.find(3, 7), 4u);
-  EXPECT_EQ(r.find(3, 8), 5u);
-  EXPECT_EQ(r.find(2, 7), 6u);
-  EXPECT_FALSE(r.find(2, 8).has_value());
-}
-
 TEST(RepairHold, DiscardRecordsExpiredAndFreshPackets) {
   MockHost host(5);
   RepairHold hold;
