@@ -41,8 +41,7 @@ bool ChannelModel::in_range(std::uint32_t a, std::uint32_t b, sim::Time t) {
   // Snapshot prefilter: provably-distant pairs skip the exact mobility
   // evaluation entirely.
   if (!index_.possibly_in_range(a, b)) return false;
-  return within_range(mobility_.position(a, t), mobility_.position(b, t),
-                      cfg_.range_m);
+  return within_range(position(a, t), position(b, t), cfg_.range_m);
 }
 
 void ChannelModel::advance(PairProcess& p, sim::Time t,
@@ -68,16 +67,6 @@ void ChannelModel::advance(PairProcess& p, sim::Time t,
                     cfg_.fading_sigma_db;
 }
 
-std::optional<ChannelSample> ChannelModel::sample(std::uint32_t a,
-                                                  std::uint32_t b,
-                                                  sim::Time t) {
-  if (a == b) return std::nullopt;
-  index_.ensure_fresh(t);
-  if (!index_.possibly_in_range(a, b)) return std::nullopt;
-  End end{a};
-  return sample_from(end, b, t);
-}
-
 std::optional<ChannelSample> ChannelModel::sample_from(End& a,
                                                        std::uint32_t b,
                                                        sim::Time t) {
@@ -92,8 +81,8 @@ std::optional<ChannelSample> ChannelModel::sample_from(End& a,
     const double snr = it->second.snr_db;
     return ChannelSample{snr, quantize(snr)};
   }
-  if (!a.pos) a.pos = mobility_.position(a.id, t);
-  const double dist = mobility::distance(*a.pos, mobility_.position(b, t));
+  if (!a.pos) a.pos = position(a.id, t);
+  const double dist = mobility::distance(*a.pos, position(b, t));
   if (dist > cfg_.range_m) return std::nullopt;
 
   if (it == pairs_.end()) {
@@ -105,9 +94,13 @@ std::optional<ChannelSample> ChannelModel::sample_from(End& a,
   auto& proc = it->second;
   // Effective pair decorrelation speed: the sum of the two nodes' speeds
   // bounds the relative speed and preserves the key property that a fully
-  // static pair sees a frozen channel.
-  if (!a.speed) a.speed = mobility_.speed(a.id, t);
-  const double rel_speed = *a.speed + mobility_.speed(b, t);
+  // static pair sees a frozen channel.  A frozen channel reaches here only
+  // for a new pair, whose first draw has rho = 0 at any speed.
+  double rel_speed = 0.0;
+  if (!frozen_) {
+    if (!a.speed) a.speed = mobility_.speed(a.id, t);
+    rel_speed = *a.speed + mobility_.speed(b, t);
+  }
   advance(proc, t, rel_speed);
 
   const double mean_snr =

@@ -81,9 +81,17 @@ class ChannelModel {
   /// Samples the (symmetric) channel between a and b at time t.  Returns
   /// nullopt when out of range.  Within range, every link has at least
   /// class D (the paper's links never drop below class D while in range;
-  /// breaks come from leaving the transmission range).
+  /// breaks come from leaving the transmission range).  The self-pair and
+  /// index prefilter rejects are inline: most pairs a full scan asks about
+  /// are far apart, and each is rejected without a call.
   std::optional<ChannelSample> sample(std::uint32_t a, std::uint32_t b,
-                                      sim::Time t);
+                                      sim::Time t) {
+    if (a == b) return std::nullopt;
+    index_.ensure_fresh(t);
+    if (!index_.possibly_in_range(a, b)) return std::nullopt;
+    End end{a};
+    return sample_from(end, b, t);
+  }
 
   /// Convenience: the CSI class, or nullopt if out of range.
   std::optional<CsiClass> csi(std::uint32_t a, std::uint32_t b, sim::Time t);
@@ -151,6 +159,12 @@ class ChannelModel {
   /// range check, the pair's AR(1) step and the path loss.
   std::optional<ChannelSample> sample_from(End& a, std::uint32_t b,
                                            sim::Time t);
+  /// Position of `id` at t.  A frozen channel reads the index's snapshot,
+  /// which is the same bits: the snapshot is position_at for each id, and
+  /// no node moves.  Requires index_.ensure_fresh(t) first.
+  [[nodiscard]] mobility::Vec2 position(std::uint32_t id, sim::Time t) {
+    return frozen_ ? index_.snapshot_position(id) : mobility_.position(id, t);
+  }
   /// Fills `out` with the links of `node` at time t (see links_of).
   void sense(std::uint32_t node, sim::Time t, LinkRow& out);
 

@@ -26,6 +26,8 @@ std::size_t CommonChannelMac::pool_high_water() const {
   return ctrl_pool_.high_water();
 }
 
+std::size_t CommonChannelMac::pool_bytes() const { return ctrl_pool_.bytes(); }
+
 void CommonChannelMac::emit_control_trace(std::string_view stage,
                                           net::NodeId node,
                                           const net::ControlPacket& pkt) {

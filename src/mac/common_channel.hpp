@@ -83,6 +83,8 @@ class CommonChannelMac {
 
   /// Peak live control-queue entries across the whole MAC (pool gauge).
   [[nodiscard]] std::size_t pool_high_water() const;
+  /// Bytes the control-queue pool holds in chunks (pool gauge).
+  [[nodiscard]] std::size_t pool_bytes() const;
 
  private:
   /// A frame covering a node: its sender's transmission until `end`.

@@ -23,8 +23,13 @@ constexpr sim::Time kRetryBackoff = sim::milliseconds(25);
 LinkTransmitter::LinkTransmitter(net::NodeId self, sim::Simulator& sim,
                                  channel::ChannelModel& channel,
                                  stats::MetricsCollector& metrics,
-                                 const LinkConfig& cfg)
-    : self_(self), sim_(sim), channel_(channel), metrics_(metrics), cfg_(cfg) {}
+                                 DataPool& pool, const LinkConfig& cfg)
+    : self_(self),
+      sim_(sim),
+      channel_(channel),
+      metrics_(metrics),
+      cfg_(cfg),
+      data_pool_(pool) {}
 
 LinkTransmitter::Link& LinkTransmitter::link(net::NodeId neighbor) {
   const auto [it, inserted] = links_.try_emplace(neighbor);
@@ -33,10 +38,6 @@ LinkTransmitter::Link& LinkTransmitter::link(net::NodeId neighbor) {
     it->second.q.bind(data_pool_);
   }
   return it->second;
-}
-
-std::size_t LinkTransmitter::pool_high_water() const {
-  return data_pool_.high_water();
 }
 
 void LinkTransmitter::emit_pkt_trace(std::string_view stage,

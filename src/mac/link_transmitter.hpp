@@ -46,9 +46,21 @@ class LinkTransmitter {
   /// A queued packet was dropped (overflow / residency expiry).
   using DropFn = std::function<void(const net::DataPacket&, stats::DropReason)>;
 
+  /// One buffered data packet.
+  struct Queued {
+    net::DataPacket pkt;
+    sim::Time enqueued;
+  };
+  /// The node pool every link queue draws from.  One pool serves a whole
+  /// network (net::Network owns it), so a receiver's enqueue reuses the
+  /// node its sender just released.
+  using DataPool = util::FreeListPool<Queued>;
+
+  /// `pool` must outlive the transmitter.
   LinkTransmitter(net::NodeId self, sim::Simulator& sim,
                   channel::ChannelModel& channel,
-                  stats::MetricsCollector& metrics, const LinkConfig& cfg);
+                  stats::MetricsCollector& metrics, DataPool& pool,
+                  const LinkConfig& cfg);
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
   void set_on_break(LinkBreakFn fn) { on_break_ = std::move(fn); }
@@ -64,9 +76,6 @@ class LinkTransmitter {
   /// Packets buffered toward one neighbour.
   [[nodiscard]] std::size_t queue_length(net::NodeId neighbor) const;
 
-  /// Peak live buffered data packets across all links (pool gauge).
-  [[nodiscard]] std::size_t pool_high_water() const;
-
   /// Encoded data-frame header bits this node has put on the air (every
   /// transmission attempt charges wire::kDataHeaderBytes on top of the
   /// payload; the stats registry sums this across nodes).
@@ -78,13 +87,9 @@ class LinkTransmitter {
   [[nodiscard]] double table_load() const { return links_.load_factor(); }
 
  private:
-  struct Queued {
-    net::DataPacket pkt;
-    sim::Time enqueued;
-  };
   struct Link {
     net::NodeId peer = 0;  ///< the neighbour this link serves
-    /// Per-link FIFO over the transmitter-wide free-list pool.
+    /// Per-link FIFO over the network's data pool.
     util::PooledQueue<Queued> q;
     bool busy = false;
     int retries = 0;
@@ -135,8 +140,7 @@ class LinkTransmitter {
   stats::MetricsCollector& metrics_;
   LinkConfig cfg_;
   std::uint64_t data_header_bits_ = 0;
-  /// Shared data-queue node pool; must outlive links_ (declared first).
-  util::FreeListPool<Queued> data_pool_;
+  DataPool& data_pool_;
   util::FlatMap64<Link> links_;
   DeliverFn deliver_;
   LinkBreakFn on_break_;

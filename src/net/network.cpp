@@ -41,7 +41,7 @@ Network::Network(const NetworkConfig& cfg)
   for (std::size_t i = 0; i < cfg.num_nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>(
         static_cast<NodeId>(i), sim_, channel_, common_mac_, flood_log_,
-        metrics_, cfg.link, rng_.stream("protocol", i)));
+        metrics_, data_pool_, cfg.link, rng_.stream("protocol", i)));
   }
   for (auto& node : nodes_) {
     node->set_peer_delivery([this](NodeId to, DataPacket pkt, NodeId from) {
@@ -69,6 +69,9 @@ Network::Network(const NetworkConfig& cfg)
   reg.gauge_fn("stack.pool_high_water", [this] {
     return static_cast<double>(pool_high_water());
   });
+  reg.gauge_fn("stack.pool_bytes", [this] {
+    return static_cast<double>(pool_bytes());
+  });
   reg.gauge_fn("stack.table_load", [this] { return table_load(); });
   reg.gauge_fn("stack.buffered_packets", [this] {
     return static_cast<double>(buffered_packets());
@@ -86,9 +89,11 @@ Network::Network(const NetworkConfig& cfg)
 }
 
 std::size_t Network::pool_high_water() const {
-  std::size_t hw = common_mac_.pool_high_water();
-  for (const auto& n : nodes_) hw = std::max(hw, n->pool_high_water());
-  return hw;
+  return std::max(common_mac_.pool_high_water(), data_pool_.high_water());
+}
+
+std::size_t Network::pool_bytes() const {
+  return common_mac_.pool_bytes() + data_pool_.bytes();
 }
 
 double Network::table_load() const {

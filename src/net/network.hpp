@@ -55,10 +55,18 @@ class Network {
   /// Starts every node's protocol.  Call after installing protocols.
   void start();
 
-  /// Peak live pooled entries across the whole stack: the control-queue
-  /// pool of the common MAC and every node's data-queue pool (the
-  /// stack.pool_high_water gauge).
+  /// Peak live pooled entries: the larger high-water mark of the network's
+  /// two pools, the common MAC's control queues and the data queues of
+  /// every node's links (the stack.pool_high_water gauge).
   [[nodiscard]] std::size_t pool_high_water() const;
+
+  /// Chunk bytes of the two pools together (the stack.pool_bytes gauge).
+  [[nodiscard]] std::size_t pool_bytes() const;
+
+  /// The pool every node's link queues draw from.
+  [[nodiscard]] const mac::LinkTransmitter::DataPool& data_pool() const {
+    return data_pool_;
+  }
 
   /// Max open-addressing table occupancy across all nodes (routing tables,
   /// link tables) and the shared flood log's index.
@@ -90,6 +98,8 @@ class Network {
   mac::CommonChannelMac common_mac_;
   /// Every terminal's flood history; outlives the nodes (declared first).
   routing::FloodLog flood_log_;
+  /// Every node's link queues draw from this pool; outlives the nodes.
+  mac::LinkTransmitter::DataPool data_pool_;
   std::vector<std::unique_ptr<Node>> nodes_;
 };
 

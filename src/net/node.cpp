@@ -7,8 +7,9 @@ namespace rica::net {
 
 Node::Node(NodeId id, sim::Simulator& sim, channel::ChannelModel& channel,
            mac::CommonChannelMac& common_mac, routing::FloodLog& flood_log,
-           stats::MetricsCollector& metrics, const mac::LinkConfig& link_cfg,
-           sim::RandomStream rng)
+           stats::MetricsCollector& metrics,
+           mac::LinkTransmitter::DataPool& pool,
+           const mac::LinkConfig& link_cfg, sim::RandomStream rng)
     : id_(id),
       sim_(sim),
       channel_(channel),
@@ -16,7 +17,7 @@ Node::Node(NodeId id, sim::Simulator& sim, channel::ChannelModel& channel,
       flood_log_(flood_log),
       metrics_(metrics),
       rng_(std::move(rng)),
-      links_(id, sim, channel, metrics, link_cfg) {
+      links_(id, sim, channel, metrics, pool, link_cfg) {
   links_.set_deliver([this](DataPacket pkt, NodeId to) {
     if (peer_delivery_) peer_delivery_(to, std::move(pkt), id_);
   });

@@ -28,8 +28,8 @@ class Node final : public routing::ProtocolHost {
 
   Node(NodeId id, sim::Simulator& sim, channel::ChannelModel& channel,
        mac::CommonChannelMac& common_mac, routing::FloodLog& flood_log,
-       stats::MetricsCollector& metrics, const mac::LinkConfig& link_cfg,
-       sim::RandomStream rng);
+       stats::MetricsCollector& metrics, mac::LinkTransmitter::DataPool& pool,
+       const mac::LinkConfig& link_cfg, sim::RandomStream rng);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -54,11 +54,6 @@ class Node final : public routing::ProtocolHost {
 
   /// A data packet arrived over a link from `from`.
   void receive_data(DataPacket pkt, NodeId from);
-
-  /// Peak live entries in this node's data-queue pool (observability).
-  [[nodiscard]] std::size_t pool_high_water() const {
-    return links_.pool_high_water();
-  }
 
   /// Encoded data-frame header bits this node has put on the air.
   [[nodiscard]] std::uint64_t data_header_bits() const {

@@ -16,9 +16,12 @@
 //     the binding, so this holds by construction);
 //   * pools are single-threaded, like the simulator that owns them.
 //
-// high_water() reports the peak number of live values, which is the pool's
-// real memory commitment (chunks are never returned); it is surfaced as
-// `pool_hw` in MetricsSummary / verbose sweep rows.
+// high_water() reports the peak number of live values, and bytes() the
+// chunk memory it cost (chunks are never returned).  A network owns two
+// pools, the MAC's control queues and the link layer's data queues; the
+// `stack.pool_high_water` gauge reads the larger high-water mark of the two
+// (`pool_hw` in verbose sweep rows) and `stack.pool_bytes` their summed
+// bytes().
 #pragma once
 
 #include <cassert>
@@ -81,6 +84,8 @@ class FreeListPool {
   [[nodiscard]] std::size_t capacity() const {
     return chunks_.size() * kChunkNodes;
   }
+  /// Bytes held in chunks: capacity() nodes of sizeof(Node) each.
+  [[nodiscard]] std::size_t bytes() const { return capacity() * sizeof(Node); }
 
  private:
   static constexpr std::size_t kChunkNodes = 64;

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -569,6 +570,187 @@ INSTANTIATE_TEST_SUITE_P(Channel, InRangeAfterSampling, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "Moving" : "Static";
                          });
+
+/// A frozen channel reads positions from its index snapshot and gives a new
+/// pair speed 0.  The oracle evaluates every pair's first sample the long
+/// way, through MobilityManager::position and speed: the exact range
+/// predicate, the pair's first normal_pair at rho = 0 (the stationary law),
+/// path loss and the quantizer.  Each model takes its snapshot at t = 0 and
+/// samples first at 60 s.
+class FrozenFirstSamples : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kNodes = 300;
+  static constexpr sim::Time kAt = sim::seconds(60);
+
+  struct Expected {
+    bool in = false;
+    double snr_db = 0.0;
+    CsiClass csi = CsiClass::D;
+  };
+
+  static mobility::MobilityConfig config() {
+    mobility::MobilityConfig cfg;
+    cfg.field = mobility::Field{2000.0, 2000.0};
+    cfg.max_speed_mps = 0.0;
+    return cfg;
+  }
+
+  /// A model with its own mobility, its index snapshot taken at t = 0.
+  struct Model {
+    explicit Model(const sim::RngManager& rng)
+        : mobility(kNodes, config(), rng),
+          channel(ChannelConfig{}, mobility, rng) {
+      (void)channel.neighbors_of(0, sim::Time::zero());
+      EXPECT_TRUE(channel.frozen());
+    }
+    mobility::MobilityManager mobility;
+    ChannelModel channel;
+  };
+
+  FrozenFirstSamples() : rng_(29), expected_(kNodes * kNodes) {
+    const ChannelConfig cfg;
+    mobility::MobilityManager mobility(kNodes, config(), rng_);
+    const std::uint64_t key = rng_.name_key("channel");
+    for (std::uint32_t lo = 0; lo < kNodes; ++lo) {
+      for (std::uint32_t hi = lo + 1; hi < kNodes; ++hi) {
+        const auto pa = mobility.position(lo, kAt);
+        const auto pb = mobility.position(hi, kAt);
+        Expected e;
+        e.in = within_range(pa, pb, cfg.range_m);
+        const double rel_speed =
+            mobility.speed(lo, kAt) + mobility.speed(hi, kAt);
+        EXPECT_EQ(rel_speed, 0.0);
+        auto stream = sim::RngManager::stream_at(key, lo, hi);
+        const auto [zs, zf] = stream.normal_pair();
+        const double dist = mobility::distance(pa, pb);
+        const double mean_snr =
+            cfg.snr0_db -
+            10.0 * cfg.path_loss_exponent * std::log10(std::max(dist, 1.0));
+        e.snr_db = mean_snr + zs * cfg.shadow_sigma_db +
+                   zf * cfg.fading_sigma_db;
+        e.csi = e.snr_db >= 18.0   ? CsiClass::A
+                : e.snr_db >= 12.0 ? CsiClass::B
+                : e.snr_db >= 6.0  ? CsiClass::C
+                                   : CsiClass::D;
+        expected_[lo * kNodes + hi] = e;
+        expected_[hi * kNodes + lo] = e;
+      }
+    }
+  }
+
+  [[nodiscard]] const Expected& expected(std::uint32_t a,
+                                         std::uint32_t b) const {
+    return expected_[a * kNodes + b];
+  }
+
+  /// Checks one sample of (a, b) against the oracle; returns whether the
+  /// pair is in range.
+  bool check(const std::optional<ChannelSample>& s, std::uint32_t a,
+             std::uint32_t b) const {
+    const auto& e = expected(a, b);
+    EXPECT_EQ(s.has_value(), e.in) << a << "-" << b;
+    if (!s || !e.in) return false;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s->snr_db),
+              std::bit_cast<std::uint64_t>(e.snr_db))
+        << a << "-" << b;
+    EXPECT_EQ(s->csi, e.csi) << a << "-" << b;
+    return true;
+  }
+
+  [[nodiscard]] std::size_t in_range_pairs() const {
+    std::size_t n = 0;
+    for (std::uint32_t a = 0; a < kNodes; ++a) {
+      for (std::uint32_t b = a + 1; b < kNodes; ++b) n += expected(a, b).in;
+    }
+    return n;
+  }
+
+  sim::RngManager rng_;
+  std::vector<Expected> expected_;  ///< by a * kNodes + b, both orders
+};
+
+TEST_F(FrozenFirstSamples, SampleInBothOrdersMatchesTheOracle) {
+  // Ascending loops draw each pair first as (lo, hi), descending ones as
+  // (hi, lo); the second order then reads the stored sample.
+  Model up(rng_);
+  Model down(rng_);
+  std::size_t in = 0;
+  for (std::uint32_t a = 0; a < kNodes; ++a) {
+    for (std::uint32_t b = 0; b < kNodes; ++b) {
+      in += check(up.channel.sample(a, b, kAt), a, b);
+      const std::uint32_t ra = kNodes - 1 - a;
+      const std::uint32_t rb = kNodes - 1 - b;
+      (void)check(down.channel.sample(ra, rb, kAt), ra, rb);
+    }
+  }
+  EXPECT_EQ(in, 2 * in_range_pairs());
+  EXPECT_GT(in_range_pairs(), 1000u);
+  EXPECT_EQ(up.channel.live_pairs(), in_range_pairs());
+  EXPECT_EQ(down.channel.live_pairs(), in_range_pairs());
+  EXPECT_EQ(up.channel.draws(), up.channel.live_pairs());
+  EXPECT_EQ(down.channel.draws(), down.channel.live_pairs());
+}
+
+TEST_F(FrozenFirstSamples, LinksOfMatchesTheOracle) {
+  Model model(rng_);
+  for (std::uint32_t node = 0; node < kNodes; ++node) {
+    LinkRow row;
+    for (std::uint32_t other = 0; other < kNodes; ++other) {
+      if (other != node && expected(node, other).in) {
+        row.emplace_back(other, expected(node, other).csi);
+      }
+    }
+    EXPECT_EQ(model.channel.links_of(node, kAt), row) << "node " << node;
+  }
+  EXPECT_EQ(model.channel.live_pairs(), in_range_pairs());
+  // Each stored pair holds the oracle's SNR.
+  for (std::uint32_t a = 0; a < kNodes; ++a) {
+    for (std::uint32_t b = 0; b < kNodes; ++b) {
+      (void)check(model.channel.sample(a, b, kAt), a, b);
+    }
+  }
+  EXPECT_EQ(model.channel.draws(), in_range_pairs());
+}
+
+TEST_F(FrozenFirstSamples, InRangeMatchesTheOracle) {
+  // Undrawn pairs answer from the snapshot distance; drawn pairs from the
+  // pair table.
+  Model model(rng_);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::uint32_t a = 0; a < kNodes; ++a) {
+      for (std::uint32_t b = 0; b < kNodes; ++b) {
+        EXPECT_EQ(model.channel.in_range(a, b, kAt),
+                  a != b && expected(a, b).in)
+            << a << "-" << b << " pass " << pass;
+      }
+    }
+    EXPECT_EQ(model.channel.live_pairs(), pass == 0 ? 0u : in_range_pairs());
+    for (std::uint32_t a = 0; a < kNodes; ++a) {
+      for (std::uint32_t b = a + 1; b < kNodes; ++b) {
+        (void)model.channel.sample(a, b, kAt);
+      }
+    }
+  }
+}
+
+TEST_F(FrozenFirstSamples, SampleIsNulloptExactlyWhereWithinRangeRejects) {
+  Model model(rng_);
+  mobility::MobilityManager mobility(kNodes, config(), rng_);
+  std::size_t rejected = 0;
+  for (std::uint32_t a = 0; a < kNodes; ++a) {
+    for (std::uint32_t b = 0; b < kNodes; ++b) {
+      if (a == b) continue;
+      const bool in = within_range(mobility.position(a, kAt),
+                                   mobility.position(b, kAt),
+                                   ChannelConfig{}.range_m);
+      EXPECT_EQ(model.channel.sample(a, b, kAt).has_value(), in)
+          << a << "-" << b;
+      rejected += !in;
+    }
+  }
+  EXPECT_EQ(rejected, kNodes * (kNodes - 1) - 2 * in_range_pairs());
+  EXPECT_GT(rejected, kNodes * (kNodes - 1) / 2);
+}
 
 /// Two nodes 50 m apart moving in parallel along x at 10 m/s each, so the
 /// pair keeps its distance (and mean SNR) while the channel sees a relative

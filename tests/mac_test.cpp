@@ -39,6 +39,7 @@ struct World {
   channel::ChannelModel channel;
   sim::Simulator sim;
   stats::MetricsCollector metrics;
+  LinkTransmitter::DataPool pool;  ///< outlives the tests' transmitters
 };
 
 net::ControlPacket broadcast_pkt() {
@@ -327,7 +328,7 @@ net::DataPacket data_pkt(std::uint32_t seq = 0) {
 TEST(LinkTransmitter, DeliversWithClassRateAndAck) {
   LinkWorld w;
   LinkConfig cfg;
-  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, cfg);
+  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, w.pool, cfg);
   std::vector<net::DataPacket> delivered;
   tx.set_deliver([&delivered](net::DataPacket p, net::NodeId to) {
     EXPECT_EQ(to, 1u);
@@ -347,7 +348,7 @@ TEST(LinkTransmitter, DeliversWithClassRateAndAck) {
 
 TEST(LinkTransmitter, ServesFifo) {
   LinkWorld w;
-  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, {});
+  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, w.pool, {});
   std::vector<std::uint32_t> order;
   tx.set_deliver([&order](net::DataPacket p, net::NodeId) {
     order.push_back(p.seq);
@@ -361,7 +362,7 @@ TEST(LinkTransmitter, BufferCapDropsOverflow) {
   LinkWorld w;
   LinkConfig cfg;
   cfg.buffer_cap = 10;
-  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, cfg);
+  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, w.pool, cfg);
   int drops = 0;
   tx.set_on_drop([&drops](const net::DataPacket&, stats::DropReason r) {
     EXPECT_EQ(r, stats::DropReason::kBufferOverflow);
@@ -376,7 +377,7 @@ TEST(LinkTransmitter, HopCapDropsLoopers) {
   LinkWorld w;
   LinkConfig cfg;
   cfg.hop_cap = 4;
-  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, cfg);
+  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, w.pool, cfg);
   int drops = 0;
   tx.set_on_drop([&drops](const net::DataPacket&, stats::DropReason r) {
     EXPECT_EQ(r, stats::DropReason::kLoopCap);
@@ -394,7 +395,7 @@ TEST(LinkTransmitter, ResidencyBoundExpiresStalePackets) {
   LinkWorld w;
   LinkConfig cfg;
   cfg.buffer_residency = sim::milliseconds(100);
-  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, cfg);
+  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, w.pool, cfg);
   int expired = 0;
   int delivered = 0;
   tx.set_on_drop([&expired](const net::DataPacket&, stats::DropReason r) {
@@ -411,7 +412,7 @@ TEST(LinkTransmitter, ResidencyBoundExpiresStalePackets) {
 TEST(LinkTransmitter, OutOfRangeRetriesThenBreaks) {
   World w(20000.0);  // target unreachable
   LinkConfig cfg;
-  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, cfg);
+  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, w.pool, cfg);
   bool broke = false;
   std::vector<net::DataPacket> stranded;
   tx.set_on_break([&](net::NodeId neighbor, std::vector<net::DataPacket> s) {
@@ -428,7 +429,7 @@ TEST(LinkTransmitter, OutOfRangeRetriesThenBreaks) {
 
 TEST(LinkTransmitter, BufferedCountsAllQueues) {
   LinkWorld w;
-  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, {});
+  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, w.pool, {});
   tx.enqueue(data_pkt(0), 1);
   tx.enqueue(data_pkt(1), 1);
   tx.enqueue(data_pkt(2), 2);
@@ -481,8 +482,8 @@ TEST(LinkTransmitter, ArrivalAtTheAckEndIsServedAfterTheAck) {
   }
   ASSERT_TRUE(found);
   const HopTimes t = hop_times(w, a, b);
-  LinkTransmitter up(a, w.sim, w.channel, w.metrics, {});
-  LinkTransmitter mid(b, w.sim, w.channel, w.metrics, {});
+  LinkTransmitter up(a, w.sim, w.channel, w.metrics, w.pool, {});
+  LinkTransmitter mid(b, w.sim, w.channel, w.metrics, w.pool, {});
   std::vector<sim::Time> at_b, at_c;
   std::vector<bool> started_on_arrival;
   up.set_deliver([&](net::DataPacket p, net::NodeId) {
@@ -517,7 +518,7 @@ template <typename Schedule>
 SecondPacket serve_second_packet(Schedule&& enqueue_second) {
   LinkWorld w;
   const HopTimes t = hop_times(w, 0, 1);
-  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, {});
+  LinkTransmitter tx(0, w.sim, w.channel, w.metrics, w.pool, {});
   SecondPacket out;
   tx.set_deliver([&](net::DataPacket, net::NodeId) {
     out.delivered.push_back(w.sim.now());

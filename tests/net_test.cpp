@@ -1,12 +1,16 @@
 // net layer: packet formats and wire sizes, flow keys, Node <-> MAC glue,
-// and full Network assembly.
+// full Network assembly, and the data plane's one pool per network.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "core/rica.hpp"
 #include "net/network.hpp"
 #include "net/packet.hpp"
 #include "net/wire.hpp"
 #include "routing/aodv/aodv.hpp"
+#include "routing/protocol.hpp"
 
 namespace rica::net {
 namespace {
@@ -204,6 +208,176 @@ TEST(NetworkTest, IdenticalSeedsGiveIdenticalRuns) {
   };
   EXPECT_EQ(run(11), run(11));
   EXPECT_NE(std::get<1>(run(11)), std::get<1>(run(12)));
+}
+
+// ---------------------------------------------------------------------------
+// Data plane: one pool per network, and per-neighbour link queues
+// ---------------------------------------------------------------------------
+
+/// Forwards every transit packet to one fixed next hop; the destination
+/// delivers it.
+class FixedNextHop final : public routing::Protocol {
+ public:
+  FixedNextHop(routing::ProtocolHost& host, NodeId next)
+      : Protocol(host), next_(next) {}
+  void handle_data(DataPacket pkt, NodeId) override {
+    if (pkt.dst == host().id()) {
+      host().deliver_local(pkt);
+    } else {
+      host().forward_data(std::move(pkt), next_);
+    }
+  }
+  void on_control(const ControlPacket&, NodeId) override {}
+  void on_link_break(NodeId, std::vector<DataPacket>) override {}
+  [[nodiscard]] std::string_view name() const override { return "fixed"; }
+
+ private:
+  NodeId next_;
+};
+
+TEST(NetworkDataPool, ForwardingDrawsFromOnePoolAndReturnsEveryNode) {
+  NetworkConfig cfg = small_config();
+  cfg.num_nodes = 3;
+  cfg.mobility.field = mobility::Field{10.0, 10.0};  // all in range
+  Network net(cfg);
+  for (NodeId id = 0; id < net.size(); ++id) {
+    net.node(id).set_protocol(
+        std::make_unique<FixedNextHop>(net.node(id), id + 1));
+  }
+  net.start();
+  constexpr std::uint32_t kPackets = 5;
+  for (std::uint32_t i = 0; i < kPackets; ++i) {
+    DataPacket pkt;
+    pkt.src = 0;
+    pkt.dst = 2;
+    pkt.seq = i;
+    pkt.size_bytes = 512;
+    net.node(0).originate(pkt);
+  }
+  EXPECT_EQ(net.data_pool().live(), kPackets);
+  // Every packet buffered at 0 -> 1 or 1 -> 2 lives in the network's pool.
+  std::size_t both_hops_busy = 0;
+  for (int ms = 5; ms < 2000; ms += 5) {
+    net.simulator().run_until(sim::milliseconds(ms));
+    EXPECT_EQ(net.data_pool().live(), net.buffered_packets()) << ms << " ms";
+    both_hops_busy += net.node(0).buffered_count() > 0 &&
+                      net.node(1).buffered_count() > 0;
+  }
+  EXPECT_GT(both_hops_busy, 0u);
+  EXPECT_EQ(net.metrics().delivered(), kPackets);
+  EXPECT_EQ(net.data_pool().live(), 0u);
+  EXPECT_EQ(net.data_pool().high_water(), kPackets);
+  // Both forwarding nodes drew from one chunk.
+  EXPECT_EQ(net.data_pool().bytes(),
+            64 * sizeof(mac::LinkTransmitter::DataPool::Node));
+  EXPECT_EQ(net.pool_bytes(),
+            net.common_mac().pool_bytes() + net.data_pool().bytes());
+}
+
+TEST(NetworkDataPool, PoolHighWaterIsTheLargerOfControlAndData) {
+  Network net(small_config());
+  for (NodeId id = 0; id < net.size(); ++id) {
+    net.node(id).set_protocol(
+        std::make_unique<routing::AodvProtocol>(net.node(id)));
+  }
+  net.start();
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    net.simulator().after(sim::milliseconds(20 * i), [&net, i] {
+      DataPacket pkt;
+      pkt.src = 0;
+      pkt.dst = 5;
+      pkt.seq = i;
+      pkt.size_bytes = 512;
+      pkt.gen_time = net.simulator().now();
+      net.node(0).originate(pkt);
+    });
+  }
+  net.simulator().run_until(sim::seconds(5));
+  const auto control_hw = net.common_mac().pool_high_water();
+  const auto data_hw = net.data_pool().high_water();
+  EXPECT_GT(control_hw, 0u);
+  EXPECT_GT(data_hw, 0u);
+  const auto s = net.metrics().finalize(sim::seconds(5));
+  EXPECT_EQ(s.stat("stack.pool_high_water"),
+            static_cast<double>(std::max(control_hw, data_hw)));
+  EXPECT_EQ(s.stat("stack.pool_bytes"),
+            static_cast<double>(net.common_mac().pool_bytes() +
+                                net.data_pool().bytes()));
+}
+
+/// Enqueues alternate between a neighbour in range and one out of range,
+/// whose link breaks after its retries.  A lookup that served the wrong
+/// link would put a packet on the wrong queue: both queue lengths and both
+/// delivery orders would show it.
+TEST(LinkTransmitterQueues, AlternatingNeighboursKeepTheirOwnQueues) {
+  constexpr std::size_t kNodes = 20;
+  mobility::MobilityConfig wp;
+  wp.field = mobility::Field{1000.0, 1000.0};
+  wp.max_speed_mps = 0.0;
+  const sim::RngManager rng(7);
+  mobility::MobilityManager mobility(kNodes, wp, rng);
+  channel::ChannelModel channel(channel::ChannelConfig{}, mobility, rng);
+  sim::Simulator sim;
+  stats::MetricsCollector metrics;
+  mac::LinkTransmitter::DataPool pool;
+  // Node 0's first neighbour in range and first node out of range.
+  NodeId near = 0, far = 0;
+  for (NodeId id = 1; id < kNodes; ++id) {
+    const bool in = channel.in_range(0, id, sim::Time::zero());
+    if (in && near == 0) near = id;
+    if (!in && far == 0) far = id;
+  }
+  ASSERT_NE(near, 0u);
+  ASSERT_NE(far, 0u);
+
+  mac::LinkTransmitter tx(0, sim, channel, metrics, pool, {});
+  std::vector<std::uint32_t> delivered;
+  std::vector<std::vector<std::uint32_t>> stranded;
+  tx.set_deliver([&](DataPacket p, NodeId to) {
+    EXPECT_EQ(to, near);
+    delivered.push_back(p.seq);
+  });
+  tx.set_on_break([&](NodeId neighbor, std::vector<DataPacket> s) {
+    EXPECT_EQ(neighbor, far);
+    stranded.emplace_back();
+    for (const auto& p : s) stranded.back().push_back(p.seq);
+  });
+  std::size_t to_near = 0, to_far = 0;
+  const auto enqueue = [&](std::uint32_t seq, NodeId to) {
+    DataPacket p;
+    p.src = 0;
+    p.dst = to;
+    p.seq = seq;
+    p.size_bytes = 512;
+    tx.enqueue(std::move(p), to);
+    ++(to == near ? to_near : to_far);
+    EXPECT_EQ(tx.queue_length(near), to_near) << "after packet " << seq;
+    EXPECT_EQ(tx.queue_length(far), to_far) << "after packet " << seq;
+  };
+  for (std::uint32_t seq = 0; seq < 6; ++seq) {
+    enqueue(seq, seq % 2 == 0 ? near : far);
+  }
+  sim.run_until(sim::seconds(2));
+  EXPECT_EQ(delivered, (std::vector<std::uint32_t>{0, 2, 4}));
+  ASSERT_EQ(stranded.size(), 1u);
+  EXPECT_EQ(stranded[0], (std::vector<std::uint32_t>{1, 3, 5}));
+  EXPECT_EQ(tx.queue_length(near), 0u);
+  EXPECT_EQ(tx.queue_length(far), 0u);
+
+  // The broken link serves again, also for repeats to one neighbour.
+  to_near = to_far = 0;
+  enqueue(6, far);
+  enqueue(7, near);
+  enqueue(8, near);
+  enqueue(9, far);
+  enqueue(10, far);
+  enqueue(11, near);
+  sim.run_until(sim::seconds(4));
+  EXPECT_EQ(delivered, (std::vector<std::uint32_t>{0, 2, 4, 7, 8, 11}));
+  ASSERT_EQ(stranded.size(), 2u);
+  EXPECT_EQ(stranded[1], (std::vector<std::uint32_t>{6, 9, 10}));
+  EXPECT_EQ(tx.buffered(), 0u);
+  EXPECT_EQ(pool.live(), 0u);
 }
 
 }  // namespace
