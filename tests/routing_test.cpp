@@ -367,18 +367,17 @@ TEST_F(AodvTest, RerrFromNonDownstreamIgnored) {
 }
 
 TEST_F(AodvTest, RouteExpiresWhenUnused) {
-  AodvConfig cfg;
-  cfg.route_expiry = sim::milliseconds(100);
-  MockHost host(5);
-  AodvProtocol proto(host, cfg);
-  proto.on_control(
+  proto_.on_control(
       net::make_control(net::kBroadcastId, net::AodvRreqMsg{kSrc, kDst, 1, 0}),
       4);
-  proto.on_control(net::make_control(5, net::AodvRrepMsg{kSrc, kDst, 1, 0}),
-                   6);
-  ASSERT_TRUE(proto.next_hop(kDst).has_value());
-  host.sim().run_until(sim::milliseconds(200));
-  EXPECT_FALSE(proto.next_hop(kDst).has_value());
+  proto_.on_control(net::make_control(5, net::AodvRrepMsg{kSrc, kDst, 1, 0}),
+                    6);
+  ASSERT_TRUE(proto_.next_hop(kDst).has_value());
+  // The active-route timeout is 3 s of disuse.
+  host_.sim().run_until(sim::seconds(3) - sim::milliseconds(1));
+  EXPECT_TRUE(proto_.next_hop(kDst).has_value());
+  host_.sim().run_until(sim::seconds(3) + sim::milliseconds(1));
+  EXPECT_FALSE(proto_.next_hop(kDst).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -736,6 +735,321 @@ TEST_F(AbrTest, RnFromDownstreamTriggersOwnRepair) {
                     6);
   proto_.on_control(net::make_control(5, net::AbrRnMsg{kSrc, kDst, 6}), 6);
   EXPECT_GE(host_.sent_count<net::AbrLqMsg>(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Local query, one mechanism for BGCA and ABR
+// ---------------------------------------------------------------------------
+
+/// One protocol as the local-query suite drives it, at relay 5 of a route
+/// 4 -> 5 -> 6 that is 3 hops from the destination.
+struct LocalQueryCase {
+  std::string name;
+  std::string stat;  ///< the counter prefix
+  std::unique_ptr<Protocol> (*make)(MockHost& host);
+  /// Installs the route: a flood from 4, then its reply from 6.
+  void (*install)(Protocol& p);
+  std::optional<net::NodeId> (*downstream)(const Protocol& p);
+  /// A query for kFlow from `origin`, `origin_hops` from the destination.
+  net::ControlPacket (*query)(net::NodeId origin, std::uint32_t bid,
+                              std::uint16_t origin_hops);
+  /// An answer to `origin`'s query `bid` (ABR's reply carries no CSI).
+  net::ControlPacket (*reply)(net::NodeId origin, std::uint32_t bid,
+                              double csi_hops, std::uint16_t join_hops);
+  /// The winner among replies from 7 {csi 1.0, join 2}, 8 {csi 3.0, join 1}
+  /// and 9 {csi 1.0, join 1}: BGCA ranks by CSI distance, ABR by join hops,
+  /// and the earliest of equals wins.
+  net::NodeId best;
+  std::uint16_t best_hops_to_dst;
+};
+
+void PrintTo(const LocalQueryCase& c, std::ostream* os) { *os << c.name; }
+
+template <typename P>
+std::optional<net::NodeId> downstream_of(const Protocol& p) {
+  return static_cast<const P&>(p).downstream(kFlow);
+}
+
+template <typename Lq>
+net::ControlPacket make_query(net::NodeId origin, std::uint32_t bid,
+                              std::uint16_t origin_hops) {
+  Lq lq;
+  lq.origin = origin;
+  lq.src = kSrc;
+  lq.dst = kDst;
+  lq.bid = bid;
+  lq.ttl = 3;
+  lq.origin_hops_to_dst = origin_hops;
+  return net::make_control(net::kBroadcastId, lq);
+}
+
+std::vector<LocalQueryCase> local_query_cases() {
+  return {
+      {"BGCA", "bgca",
+       [](MockHost& h) -> std::unique_ptr<Protocol> {
+         return std::make_unique<BgcaProtocol>(h);
+       },
+       [](Protocol& p) {
+         p.on_control(net::make_control(net::kBroadcastId,
+                                        net::RreqMsg{kSrc, kDst, 1, 0.0, 0}),
+                      4);
+         p.on_control(
+             net::make_control(5, net::RrepMsg{kSrc, kDst, 1, 2.0, 2}), 6);
+       },
+       downstream_of<BgcaProtocol>, make_query<net::BgcaLqMsg>,
+       [](net::NodeId origin, std::uint32_t bid, double csi_hops,
+          std::uint16_t join_hops) {
+         net::BgcaLqReplyMsg r;
+         r.origin = origin;
+         r.src = kSrc;
+         r.dst = kDst;
+         r.bid = bid;
+         r.csi_hops = csi_hops;
+         r.join_hops_to_dst = join_hops;
+         return net::make_control(origin, r);
+       },
+       7, 3},
+      {"ABR", "abr",
+       [](MockHost& h) -> std::unique_ptr<Protocol> {
+         return std::make_unique<AbrProtocol>(h);
+       },
+       [](Protocol& p) {
+         p.on_control(net::make_control(net::kBroadcastId,
+                                        net::AbrBqMsg{kSrc, kDst, 1, 0, 0, 0}),
+                      4);
+         p.on_control(net::make_control(5, net::AbrReplyMsg{kSrc, kDst, 1, 2}),
+                      6);
+       },
+       downstream_of<AbrProtocol>, make_query<net::AbrLqMsg>,
+       [](net::NodeId origin, std::uint32_t bid, double,
+          std::uint16_t join_hops) {
+         net::AbrLqReplyMsg r;
+         r.origin = origin;
+         r.src = kSrc;
+         r.dst = kDst;
+         r.bid = bid;
+         r.join_hops_to_dst = join_hops;
+         return net::make_control(origin, r);
+       },
+       8, 2},
+  };
+}
+
+class LocalQueryTest : public ::testing::TestWithParam<LocalQueryCase> {
+ protected:
+  LocalQueryTest() : proto_(GetParam().make(host_)) {
+    host_.set_link(4, CsiClass::B);
+    host_.set_link(6, CsiClass::A);
+  }
+
+  /// The fields both protocols' queries and replies carry.
+  struct Sent {
+    net::NodeId to;
+    net::NodeId origin;
+    std::uint32_t bid;
+    std::int16_t ttl;  ///< queries only
+    std::uint16_t hops;  ///< a query's origin_hops_to_dst, a reply's join hops
+    sim::Time at;
+  };
+
+  /// The local queries (`replies` false) or their replies this host sent.
+  std::vector<Sent> sent(bool replies) const {
+    std::vector<Sent> out;
+    for (const auto& s : host_.sent) {
+      std::visit(
+          [&](const auto& m) {
+            using M = std::decay_t<decltype(m)>;
+            if constexpr (std::is_same_v<M, net::BgcaLqMsg> ||
+                          std::is_same_v<M, net::AbrLqMsg>) {
+              if (!replies) {
+                out.push_back(Sent{s.pkt.to, m.origin, m.bid, m.ttl,
+                                   m.origin_hops_to_dst, s.at});
+              }
+            } else if constexpr (std::is_same_v<M, net::BgcaLqReplyMsg> ||
+                                 std::is_same_v<M, net::AbrLqReplyMsg>) {
+              if (replies) {
+                out.push_back(Sent{s.pkt.to, m.origin, m.bid, 0,
+                                   m.join_hops_to_dst, s.at});
+              }
+            }
+          },
+          s.pkt.payload);
+    }
+    return out;
+  }
+
+  std::uint64_t counter(const char* suffix) {
+    return host_.counters[GetParam().stat + suffix];
+  }
+
+  /// Installs the route, breaks its link to 6 with one packet stranded, and
+  /// returns the query the break started.
+  Sent break_route() {
+    GetParam().install(*proto_);
+    EXPECT_EQ(GetParam().downstream(*proto_), 6u);
+    proto_->on_link_break(6, {make_data(kSrc, kDst, 0)});
+    const auto q = sent(false);
+    EXPECT_EQ(q.size(), 1u);
+    return q.empty() ? Sent{} : q.back();
+  }
+
+  MockHost host_{5};
+  std::unique_ptr<Protocol> proto_;
+};
+
+TEST_P(LocalQueryTest, BreakStartsOneQueryWithTtl3) {
+  const Sent q = break_route();
+  EXPECT_EQ(q.to, net::kBroadcastId);
+  EXPECT_EQ(q.origin, 5u);
+  EXPECT_EQ(q.ttl, 3);
+  EXPECT_EQ(q.hops, 3u);  // the origin's own hops to the destination
+  EXPECT_EQ(counter(".lq"), 1u);
+}
+
+TEST_P(LocalQueryTest, ReplyForAnotherBidIsIgnored) {
+  const Sent q = break_route();
+  proto_->on_control(GetParam().reply(5, q.bid + 7, 1.0, 0), 7);
+  host_.sim().run_until(sim::seconds(1));
+  EXPECT_EQ(counter(".lq_success"), 0u);
+  EXPECT_NE(GetParam().downstream(*proto_), std::optional<net::NodeId>(7));
+  for (const auto& f : host_.forwarded) EXPECT_NE(f.next_hop, 7u);
+}
+
+TEST_P(LocalQueryTest, BestCandidateIsInstalledAndHeldPacketsFlush) {
+  const Sent q = break_route();
+  proto_->handle_data(make_data(kSrc, kDst, 1), 4);  // held during repair
+  EXPECT_TRUE(host_.forwarded.empty());
+  proto_->on_control(GetParam().reply(5, q.bid, 1.0, 2), 7);
+  proto_->on_control(GetParam().reply(5, q.bid, 3.0, 1), 8);
+  proto_->on_control(GetParam().reply(5, q.bid, 1.0, 1), 9);
+  EXPECT_TRUE(host_.forwarded.empty());  // the deadline picks, not a reply
+  host_.sim().run_until(sim::seconds(1));
+  EXPECT_EQ(GetParam().downstream(*proto_), GetParam().best);
+  EXPECT_EQ(counter(".lq_success"), 1u);
+  ASSERT_EQ(host_.forwarded.size(), 2u);
+  for (const auto& f : host_.forwarded) {
+    EXPECT_EQ(f.next_hop, GetParam().best);
+  }
+  // The spliced route is the join's hops plus one: a query from a terminal
+  // one hop farther is answered with them.
+  proto_->on_control(
+      GetParam().query(3, 40, static_cast<std::uint16_t>(
+                                  GetParam().best_hops_to_dst + 1)),
+      4);
+  const auto r = sent(true);
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].to, 4u);
+  EXPECT_EQ(r[0].hops, GetParam().best_hops_to_dst);
+}
+
+TEST_P(LocalQueryTest, RelaySplicesTheReplyToItsUpstream) {
+  // Relay 5 has no route: it passes the query of origin 3 on, then the
+  // answer from 7 comes back through it.
+  proto_->on_control(GetParam().query(3, 11, 4), 4);
+  host_.sim().run_until(sim::milliseconds(100));
+  ASSERT_EQ(sent(false).size(), 1u);
+  proto_->on_control(GetParam().reply(3, 11, 2.0, 1), 7);
+  EXPECT_EQ(GetParam().downstream(*proto_), 7u);
+  const auto r = sent(true);
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].to, 4u);  // the flood-log upstream of the query
+  EXPECT_EQ(r[0].origin, 3u);
+  EXPECT_EQ(r[0].bid, 11u);
+  EXPECT_EQ(r[0].hops, 2u);  // the join's 1 hop plus this relay's
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OnDemand, LocalQueryTest, ::testing::ValuesIn(local_query_cases()),
+    [](const ::testing::TestParamInfo<LocalQueryCase>& info) {
+      return info.param.name;
+    });
+
+TEST_F(BgcaTest, GuardQueryThatFindsNothingKeepsTheLiveRoute) {
+  host_.set_link(6, CsiClass::D);  // below the 61.5 kbps requirement
+  proto_.start();
+  proto_.on_control(
+      net::make_control(net::kBroadcastId, net::RreqMsg{kSrc, kDst, 1, 0.0, 0}),
+      4);
+  proto_.on_control(net::make_control(5, net::RrepMsg{kSrc, kDst, 1, 5.0, 1}),
+                    6);
+  host_.sim().run_until(sim::seconds(4));
+  ASSERT_GE(host_.counters["bgca.lq"], 1u);
+  EXPECT_EQ(host_.counters["bgca.lq_success"], 0u);
+  EXPECT_EQ(host_.sent_count<net::ReerMsg>(), 0u);
+  EXPECT_EQ(proto_.downstream(kFlow), 6u);
+  proto_.handle_data(make_data(kSrc, kDst), 4);
+  ASSERT_EQ(host_.forwarded.size(), 1u);
+  EXPECT_EQ(host_.forwarded[0].next_hop, 6u);
+}
+
+TEST_F(BgcaTest, LqForwardWaitsForTheCsiJitter) {
+  proto_.on_control(net::make_control(net::kBroadcastId, make_lq(11)), 4);
+  EXPECT_EQ(host_.sent_count<net::BgcaLqMsg>(), 0u);
+  host_.sim().run_until(sim::milliseconds(100));
+  ASSERT_EQ(host_.sent_count<net::BgcaLqMsg>(), 1u);
+  EXPECT_GT(host_.sent.back().at, sim::Time::zero());
+}
+
+TEST_F(AbrTest, LqForwardIsSentAtOnce) {
+  net::AbrLqMsg lq;
+  lq.origin = 3;
+  lq.src = kSrc;
+  lq.dst = kDst;
+  lq.bid = 11;
+  lq.ttl = 3;
+  lq.origin_hops_to_dst = 2;
+  proto_.on_control(net::make_control(net::kBroadcastId, lq), 4);
+  ASSERT_EQ(host_.sent_count<net::AbrLqMsg>(), 1u);
+  EXPECT_EQ(host_.last_sent<net::AbrLqMsg>()->ttl, 2);
+  EXPECT_EQ(host_.sim().pending_events(), 0u);
+}
+
+TEST_F(AbrTest, SecondBreakRestartsTheQueryWithANewBid) {
+  proto_.on_control(
+      net::make_control(net::kBroadcastId,
+                        net::AbrBqMsg{kSrc, kDst, 1, 0, 0, 0}),
+      4);
+  proto_.on_control(net::make_control(5, net::AbrReplyMsg{kSrc, kDst, 1, 2}),
+                    6);
+  proto_.on_link_break(6, {});
+  const std::uint32_t first = host_.last_sent<net::AbrLqMsg>()->bid;
+  proto_.on_link_break(6, {});
+  ASSERT_EQ(host_.sent_count<net::AbrLqMsg>(), 2u);
+  const std::uint32_t second = host_.last_sent<net::AbrLqMsg>()->bid;
+  EXPECT_NE(first, second);
+  EXPECT_EQ(host_.counters["abr.lq"], 2u);
+  // Only the restarted query's replies count.
+  net::AbrLqReplyMsg reply;
+  reply.origin = 5;
+  reply.src = kSrc;
+  reply.dst = kDst;
+  reply.bid = first;
+  reply.join_hops_to_dst = 0;
+  proto_.on_control(net::make_control(5, reply), 7);
+  reply.bid = second;
+  reply.join_hops_to_dst = 1;
+  proto_.on_control(net::make_control(5, reply), 8);
+  host_.sim().run_until(sim::seconds(1));
+  EXPECT_EQ(proto_.downstream(kFlow), 8u);
+  EXPECT_EQ(host_.counters["abr.lq_success"], 1u);
+  EXPECT_EQ(host_.sent_count<net::AbrRnMsg>(), 0u);
+}
+
+TEST_F(AbrTest, FinishIsANoOpOnceTheRepairEnded) {
+  proto_.on_control(
+      net::make_control(net::kBroadcastId,
+                        net::AbrBqMsg{kSrc, kDst, 1, 0, 0, 0}),
+      4);
+  proto_.on_control(net::make_control(5, net::AbrReplyMsg{kSrc, kDst, 1, 2}),
+                    6);
+  proto_.on_link_break(6, {});
+  // A discovery reply through 7 ends the repair before the deadline.
+  proto_.on_control(net::make_control(5, net::AbrReplyMsg{kSrc, kDst, 1, 3}),
+                    7);
+  host_.sim().run_until(sim::seconds(1));
+  EXPECT_EQ(proto_.downstream(kFlow), 7u);
+  EXPECT_EQ(host_.sent_count<net::AbrRnMsg>(), 0u);
+  EXPECT_EQ(host_.counters["abr.rn"], 0u);
 }
 
 // ---------------------------------------------------------------------------
