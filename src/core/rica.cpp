@@ -19,10 +19,6 @@ constexpr sim::Time kUpdateFlagWindow = sim::milliseconds(100);
 RicaProtocol::RicaProtocol(routing::ProtocolHost& host, const RicaConfig& cfg)
     : Protocol(host), cfg_(cfg), history_(host.flood_log(), host.id()) {}
 
-sim::Time RicaProtocol::now() const {
-  return const_cast<RicaProtocol*>(this)->host().simulator().now();
-}
-
 sim::Time RicaProtocol::forward_jitter(channel::CsiClass cls) {
   const double excess = channel::csi_hop_distance(cls) - 1.0;
   const double dither = host().protocol_rng().uniform(0.0, 0.5e6);  // <=0.5ms

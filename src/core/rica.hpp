@@ -143,7 +143,6 @@ class RicaProtocol final : public routing::Protocol {
   void on_rupd(const net::RupdMsg& msg, net::NodeId from);
   void on_reer(const net::ReerMsg& msg, net::NodeId from);
 
-  [[nodiscard]] sim::Time now() const;
   /// CSI-proportional flood-forwarding delay for the link class `cls`.
   [[nodiscard]] sim::Time forward_jitter(channel::CsiClass cls);
 

@@ -7,7 +7,6 @@ namespace rica::routing {
 
 namespace {
 constexpr std::uint8_t kTagBq = 1;
-constexpr std::uint8_t kTagLq = 2;
 /// Every terminal beacons once per period.
 constexpr sim::Time kBeaconPeriod = sim::seconds(1);
 /// A neighbour unheard for this long has lost its association.
@@ -22,14 +21,19 @@ bool better_candidate(std::uint32_t a_ticks, std::uint32_t a_load,
   if (a_load != b_load) return a_load < b_load;
   return a_hops < b_hops;
 }
+
+/// The local query's pick: the join closest to the destination; the
+/// earliest of equals wins.
+const CsiCandidate& fewest_join_hops(const std::vector<CsiCandidate>& c) {
+  return *std::min_element(c.begin(), c.end(),
+                           [](const CsiCandidate& a, const CsiCandidate& b) {
+                             return a.topo_hops < b.topo_hops;
+                           });
+}
 }  // namespace
 
 AbrProtocol::AbrProtocol(ProtocolHost& host, const AbrConfig& cfg)
     : Protocol(host), cfg_(cfg), history_(host.flood_log(), host.id()) {}
-
-sim::Time AbrProtocol::now() const {
-  return const_cast<AbrProtocol*>(this)->host().simulator().now();
-}
 
 std::uint32_t AbrProtocol::ticks(net::NodeId neighbor) const {
   const auto it = neighbors_.find(neighbor);
@@ -183,7 +187,7 @@ void AbrProtocol::on_reply(const net::AbrReplyMsg& msg, net::NodeId from) {
     for (auto& p : s.release(host())) {
       host().forward_data(std::move(p), e.downstream);
     }
-    flush_repair(flow);
+    repair_pending_.release(host(), flow, e.downstream);
     return;
   }
   const auto up = history_.upstream(msg.src, msg.bid, kTagBq);
@@ -202,105 +206,45 @@ void AbrProtocol::start_local_query(net::FlowKey flow) {
   auto& e = entries_[flow];
   e.repairing = true;
   e.valid = false;
-  const std::uint32_t bid = next_bid_++;
-  e.lq_bid = bid;
-  e.lq_candidates.clear();
-  history_.seen_or_insert(host().id(), bid, kTagLq);
-  host().count("abr.lq");
-  host().trace_route("repair_start", net::flow_src(flow), net::flow_dst(flow),
-                     bid);
-
-  net::AbrLqMsg msg;
-  msg.origin = host().id();
-  msg.src = net::flow_src(flow);
-  msg.dst = net::flow_dst(flow);
-  msg.bid = bid;
-  constexpr std::int16_t kLqTtl = 3;  // the localized query's reach, hops
-  msg.ttl = kLqTtl;
-  msg.origin_hops_to_dst = e.hops_to_dst;
-  host().send_control(net::make_control(net::kBroadcastId, msg));
-
   constexpr sim::Time kLqTimeout = sim::milliseconds(150);
-  e.lq_timer.arm_after(host().simulator(), kLqTimeout,
-                       [this, flow, bid] { finish_local_query(flow, bid); });
+  queries_[flow].start<net::AbrLqMsg>(
+      host(), history_, flow, e, next_bid_++, "abr.lq", kLqTimeout,
+      [this, flow](std::uint32_t bid) { finish_local_query(flow, bid); });
 }
 
 void AbrProtocol::on_lq(const net::AbrLqMsg& msg, net::NodeId from) {
   if (msg.origin == host().id()) return;
-  if (history_.seen_or_insert(msg.origin, msg.bid, kTagLq, from)) return;
-
-  const auto topo = static_cast<std::uint16_t>(msg.topo_hops + 1);
-
-  const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
-  const auto it = entries_.find(flow);
-  const bool is_dst = msg.dst == host().id();
-  const bool on_path = it != entries_.end() && it->second.valid &&
-                       !it->second.repairing &&
-                       it->second.hops_to_dst < msg.origin_hops_to_dst;
-  if (is_dst || on_path) {
-    net::AbrLqReplyMsg reply;
-    reply.origin = msg.origin;
-    reply.src = msg.src;
-    reply.dst = msg.dst;
-    reply.bid = msg.bid;
-    reply.join_hops_to_dst = is_dst ? 0 : it->second.hops_to_dst;
-    reply.join = host().id();
-    host().send_control(net::make_control(from, reply));
+  if (history_.seen_or_insert(msg.origin, msg.bid, LocalQuery::kTag, from)) {
     return;
   }
-  if (msg.ttl <= 1) return;
-  net::AbrLqMsg fwd = msg;
-  fwd.topo_hops = topo;
-  fwd.ttl = static_cast<std::int16_t>(msg.ttl - 1);
-  host().send_control(net::make_control(net::kBroadcastId, fwd));
+  LocalQuery::answer_or_forward(
+      host(), entries_, msg, from, net::AbrLqReplyMsg{},
+      [this](const net::AbrLqMsg& fwd) {
+        host().send_control(net::make_control(net::kBroadcastId, fwd));
+      });
 }
 
 void AbrProtocol::on_lq_reply(const net::AbrLqReplyMsg& msg,
                               net::NodeId from) {
   const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
   if (msg.origin == host().id()) {
-    auto& e = entries_[flow];
-    if (msg.bid != e.lq_bid) return;
-    e.lq_candidates.push_back(
-        Candidate{from, 0, 0, msg.join_hops_to_dst});
-    return;
+    queries_[flow].collect(msg.bid,
+                           CsiCandidate{from, 0.0, msg.join_hops_to_dst});
+  } else {
+    LocalQuery::splice_reply(host(), history_, entries_[flow], msg, from);
   }
-  auto& e = entries_[flow];
-  e.valid = true;
-  e.downstream = from;
-  e.hops_to_dst = static_cast<std::uint16_t>(msg.join_hops_to_dst + 1);
-  e.repairing = false;
-  const auto up = history_.upstream(msg.origin, msg.bid, kTagLq);
-  if (!up) return;
-  e.upstream = *up;
-  net::AbrLqReplyMsg fwd = msg;
-  fwd.join_hops_to_dst = e.hops_to_dst;
-  host().send_control(net::make_control(*up, fwd));
 }
 
 void AbrProtocol::finish_local_query(net::FlowKey flow, std::uint32_t bid) {
   auto& e = entries_[flow];
-  if (e.lq_bid != bid || !e.repairing) return;
-  if (!e.lq_candidates.empty()) {
-    const auto best = std::min_element(
-        e.lq_candidates.begin(), e.lq_candidates.end(),
-        [](const Candidate& a, const Candidate& b) {
-          return a.topo_hops < b.topo_hops;
-        });
-    e.valid = true;
-    e.downstream = best->first_hop;
-    e.hops_to_dst = static_cast<std::uint16_t>(best->topo_hops + 1);
-    e.repairing = false;
-    e.lq_candidates.clear();
-    host().count("abr.lq_success");
-    host().trace_route("repaired", net::flow_src(flow), net::flow_dst(flow),
-                       bid, static_cast<double>(e.hops_to_dst));
-    flush_repair(flow);
-    return;
-  }
-  e.lq_candidates.clear();
-  e.repairing = false;
-  backtrack(flow, e);
+  if (!e.repairing) return;  // a reply already ended the repair
+  queries_[flow].finish(
+      host(), flow, e, bid, "abr.lq_success", fewest_join_hops,
+      [this, flow, &e] { repair_pending_.release(host(), flow, e.downstream); },
+      [this, flow, &e] {
+        e.repairing = false;
+        backtrack(flow, e);
+      });
 }
 
 void AbrProtocol::backtrack(net::FlowKey flow, Entry& e) {
@@ -330,18 +274,13 @@ void AbrProtocol::on_rn(const net::AbrRnMsg& msg, net::NodeId from) {
   start_local_query(flow);
 }
 
-void AbrProtocol::flush_repair(net::FlowKey flow) {
-  auto& e = entries_[flow];
-  if (!e.valid) return;
-  repair_pending_.release(host(), flow, e.downstream);
-}
-
 double AbrProtocol::table_load() const {
   double lf = history_.load_factor();
   lf = std::max(lf, neighbors_.load_factor());
   lf = std::max(lf, entries_.load_factor());
   lf = std::max(lf, sources_.load_factor());
   lf = std::max(lf, dests_.load_factor());
+  lf = std::max(lf, queries_.load_factor());
   lf = std::max(lf, repair_pending_.load_factor());
   return lf;
 }

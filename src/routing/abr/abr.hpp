@@ -64,16 +64,7 @@ class AbrProtocol final : public Protocol {
     std::uint32_t load_sum = 0;
     std::uint16_t topo_hops = 0;
   };
-  struct Entry {
-    bool valid = false;
-    net::NodeId upstream = 0;
-    net::NodeId downstream = 0;
-    std::uint16_t hops_to_dst = 0;
-    bool repairing = false;
-    std::uint32_t lq_bid = 0;
-    sim::Timer lq_timer;  ///< localized-query deadline for this entry
-    std::vector<Candidate> lq_candidates;  // tick_sum unused; topo = join hops
-  };
+  using Entry = RepairRoute;
 
   void send_beacon();
 
@@ -84,7 +75,6 @@ class AbrProtocol final : public Protocol {
   void start_local_query(net::FlowKey flow);
   void finish_local_query(net::FlowKey flow, std::uint32_t bid);
   void backtrack(net::FlowKey flow, Entry& e);
-  void flush_repair(net::FlowKey flow);
 
   void on_beacon(net::NodeId from);
   void on_bq(const net::AbrBqMsg& msg, net::NodeId from);
@@ -93,8 +83,6 @@ class AbrProtocol final : public Protocol {
   void on_lq_reply(const net::AbrLqReplyMsg& msg, net::NodeId from);
   void on_rn(const net::AbrRnMsg& msg, net::NodeId from);
 
-  [[nodiscard]] sim::Time now() const;
-
   AbrConfig cfg_;
   FloodHistory history_;
   sim::Timer beacon_timer_;  ///< the node-wide periodic beacon
@@ -102,6 +90,7 @@ class AbrProtocol final : public Protocol {
   util::FlatMap64<Entry> entries_;
   util::FlatMap64<SourceDiscovery> sources_;
   util::FlatMap64<CandidateWindow<Candidate>> dests_;  ///< BQ windows
+  util::FlatMap64<LocalQuery> queries_;  ///< the queries this node started
   RepairHold repair_pending_;
   std::uint32_t next_bid_ = 1;
 };

@@ -12,16 +12,11 @@ constexpr std::uint8_t kTagRreq = 1;
 AodvProtocol::AodvProtocol(ProtocolHost& host, const AodvConfig& cfg)
     : Protocol(host), cfg_(cfg), history_(host.flood_log(), host.id()) {}
 
-sim::Time AodvProtocol::now() const {
-  // ProtocolHost::simulator() is non-const; reading the clock is logically
-  // const.
-  return const_cast<AodvProtocol*>(this)->host().simulator().now();
-}
-
 std::optional<net::NodeId> AodvProtocol::next_hop(net::NodeId dst) const {
   const auto it = routes_.find(dst);
   if (it == routes_.end() || !it->second.valid) return std::nullopt;
-  if (now() - it->second.last_used > cfg_.route_expiry) return std::nullopt;
+  constexpr sim::Time kRouteExpiry = sim::seconds(3);  // active-route timeout
+  if (now() - it->second.last_used > kRouteExpiry) return std::nullopt;
   return it->second.next;
 }
 

@@ -21,7 +21,6 @@ namespace rica::routing {
 /// Tunables for the AODV comparator.
 struct AodvConfig {
   sim::Time discovery_timeout = sim::milliseconds(200);  ///< RREP wait
-  sim::Time route_expiry = sim::seconds(3);  ///< active-route timeout
 };
 
 class AodvProtocol final : public Protocol {
@@ -46,7 +45,6 @@ class AodvProtocol final : public Protocol {
     sim::Time last_used{};
   };
 
-  [[nodiscard]] sim::Time now() const;
   void begin_discovery(net::NodeId dst);
   /// Floods one RREQ toward `dst`; returns its broadcast id.
   std::uint32_t send_rreq(net::NodeId dst);

@@ -7,17 +7,12 @@ namespace rica::routing {
 
 namespace {
 constexpr std::uint8_t kTagRreq = 1;
-constexpr std::uint8_t kTagLq = 2;
 /// The bandwidth guard samples every route's downstream link this often.
 constexpr sim::Time kMonitorPeriod = sim::milliseconds(500);
 }  // namespace
 
 BgcaProtocol::BgcaProtocol(ProtocolHost& host, const BgcaConfig& cfg)
     : Protocol(host), cfg_(cfg), history_(host.flood_log(), host.id()) {}
-
-sim::Time BgcaProtocol::now() const {
-  return const_cast<BgcaProtocol*>(this)->host().simulator().now();
-}
 
 double BgcaProtocol::requirement_bps() const {
   // 1.5 x 41 kbps puts class D below the bar at 10 pkt/s, and C at 20.
@@ -221,122 +216,59 @@ void BgcaProtocol::start_local_query(net::FlowKey flow, bool broken) {
   if (e.repairing) return;
   e.repairing = broken;  // keep using a degraded (but live) link meanwhile
   e.last_lq = now();
-  const std::uint32_t bid = next_bid_++;
-  e.lq_bid = bid;
-  e.lq_candidates.clear();
-  history_.seen_or_insert(host().id(), bid, kTagLq);
-  host().count("bgca.lq");
-  host().trace_route("repair_start", net::flow_src(flow), net::flow_dst(flow),
-                     bid);
-
-  net::BgcaLqMsg msg;
-  msg.origin = host().id();
-  msg.src = net::flow_src(flow);
-  msg.dst = net::flow_dst(flow);
-  msg.bid = bid;
-  constexpr std::int16_t kLqTtl = 3;  // the local query's reach, hops
-  msg.ttl = kLqTtl;
-  msg.csi_hops = 0.0;
-  msg.topo_hops = 0;
-  msg.origin_hops_to_dst = e.hops_to_dst;
-  host().send_control(net::make_control(net::kBroadcastId, msg));
-
   constexpr sim::Time kLqTimeout = sim::milliseconds(100);
-  e.lq_timer.arm_after(host().simulator(), kLqTimeout,
-                       [this, flow, bid] { finish_local_query(flow, bid); });
+  queries_[flow].start<net::BgcaLqMsg>(
+      host(), history_, flow, e, next_bid_++, "bgca.lq", kLqTimeout,
+      [this, flow](std::uint32_t bid) { finish_local_query(flow, bid); });
 }
 
 void BgcaProtocol::on_lq(const net::BgcaLqMsg& msg, net::NodeId from) {
   if (msg.origin == host().id()) return;
   // Drop a duplicate before sampling the link; a copy from a sender that
   // already left our range is not recorded, so a later copy still counts.
-  if (history_.seen(msg.origin, msg.bid, kTagLq)) return;
+  if (history_.seen(msg.origin, msg.bid, LocalQuery::kTag)) return;
   const auto cls = host().link_csi(from);
   if (!cls) return;
-  history_.seen_or_insert(msg.origin, msg.bid, kTagLq, from);
+  history_.seen_or_insert(msg.origin, msg.bid, LocalQuery::kTag, from);
 
   const double csi_hops = msg.csi_hops + channel::csi_hop_distance(*cls);
-  const auto topo = static_cast<std::uint16_t>(msg.topo_hops + 1);
-
-  const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
-  const auto it = entries_.find(flow);
-  const bool is_dst = msg.dst == host().id();
-  // Join eligibility: we must be strictly closer to the destination than the
-  // querying terminal, on a live path (prevents splicing a loop).
-  const bool on_path = it != entries_.end() && it->second.valid &&
-                       !it->second.repairing &&
-                       it->second.hops_to_dst < msg.origin_hops_to_dst;
-  if (is_dst || on_path) {
-    net::BgcaLqReplyMsg reply;
-    reply.origin = msg.origin;
-    reply.src = msg.src;
-    reply.dst = msg.dst;
-    reply.bid = msg.bid;
-    reply.csi_hops = csi_hops;
-    reply.join_hops_to_dst = is_dst ? 0 : it->second.hops_to_dst;
-    reply.join = host().id();
-    host().send_control(net::make_control(from, reply));
-    return;
-  }
-  if (msg.ttl <= 1) return;
-  net::BgcaLqMsg fwd = msg;
-  fwd.csi_hops = csi_hops;
-  fwd.topo_hops = topo;
-  fwd.ttl = static_cast<std::int16_t>(msg.ttl - 1);
-  host().simulator().after(forward_jitter(*cls), [this, fwd] {
-    host().send_control(net::make_control(net::kBroadcastId, fwd));
-  });
+  net::BgcaLqReplyMsg reply;
+  reply.csi_hops = csi_hops;
+  LocalQuery::answer_or_forward(
+      host(), entries_, msg, from, reply,
+      [this, csi_hops, link = *cls](net::BgcaLqMsg fwd) {
+        fwd.csi_hops = csi_hops;
+        host().simulator().after(forward_jitter(link), [this, fwd] {
+          host().send_control(net::make_control(net::kBroadcastId, fwd));
+        });
+      });
 }
 
 void BgcaProtocol::on_lq_reply(const net::BgcaLqReplyMsg& msg,
                                net::NodeId from) {
   const net::FlowKey flow = net::flow_key(msg.src, msg.dst);
   if (msg.origin == host().id()) {
-    auto& e = entries_[flow];
-    if (msg.bid != e.lq_bid) return;  // stale reply of an older query
-    e.lq_candidates.push_back(
-        Candidate{from, msg.csi_hops, msg.join_hops_to_dst});
-    return;
+    queries_[flow].collect(
+        msg.bid, Candidate{from, msg.csi_hops, msg.join_hops_to_dst});
+  } else {
+    LocalQuery::splice_reply(host(), history_, entries_[flow], msg, from);
   }
-  // A relay on the reply path becomes part of the spliced partial route.
-  auto& e = entries_[flow];
-  e.valid = true;
-  e.downstream = from;
-  e.hops_to_dst = static_cast<std::uint16_t>(msg.join_hops_to_dst + 1);
-  e.repairing = false;
-  const auto up = history_.upstream(msg.origin, msg.bid, kTagLq);
-  if (!up) return;
-  e.upstream = *up;
-  net::BgcaLqReplyMsg fwd = msg;
-  fwd.join_hops_to_dst = e.hops_to_dst;
-  host().send_control(net::make_control(*up, fwd));
 }
 
 void BgcaProtocol::finish_local_query(net::FlowKey flow, std::uint32_t bid) {
   auto& e = entries_[flow];
-  if (e.lq_bid != bid) return;
-  if (!e.lq_candidates.empty()) {
-    const Candidate& best = csi_shortest(e.lq_candidates);
-    e.valid = true;
-    e.downstream = best.first_hop;
-    e.hops_to_dst = static_cast<std::uint16_t>(best.topo_hops + 1);
-    e.repairing = false;
-    e.lq_candidates.clear();
-    host().count("bgca.lq_success");
-    host().trace_route("repaired", net::flow_src(flow), net::flow_dst(flow),
-                       bid, static_cast<double>(e.hops_to_dst));
-    flush_pending(flow);
-    return;
-  }
-  e.lq_candidates.clear();
-  if (e.repairing) {
-    // The link is gone and local repair failed: escalate.
-    e.repairing = false;
-    e.valid = false;
-    escalate_to_source(flow, e);
-  }
-  // A guard-triggered (link still alive) query that found nothing simply
-  // keeps the degraded route; the cooldown throttles the next attempt.
+  queries_[flow].finish(
+      host(), flow, e, bid, "bgca.lq_success", csi_shortest,
+      [this, flow] { flush_pending(flow); },
+      [this, flow, &e] {
+        // A guard-triggered (link still alive) query that found nothing
+        // keeps the degraded route; the cooldown throttles the next attempt.
+        if (!e.repairing) return;
+        // The link is gone and local repair failed: escalate.
+        e.repairing = false;
+        e.valid = false;
+        escalate_to_source(flow, e);
+      });
 }
 
 void BgcaProtocol::escalate_to_source(net::FlowKey flow, Entry& e) {
@@ -376,6 +308,7 @@ double BgcaProtocol::table_load() const {
   lf = std::max(lf, entries_.load_factor());
   lf = std::max(lf, sources_.load_factor());
   lf = std::max(lf, dests_.load_factor());
+  lf = std::max(lf, queries_.load_factor());
   lf = std::max(lf, repair_pending_.load_factor());
   return lf;
 }

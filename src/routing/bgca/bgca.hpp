@@ -50,19 +50,10 @@ class BgcaProtocol final : public Protocol {
  private:
   using Candidate = CsiCandidate;
   /// Per-flow routing state; a node is source, relay, or both (never for the
-  /// same flow).  `hops_to_dst` feeds the LQ join-eligibility loop guard.
-  struct Entry {
-    bool valid = false;
-    net::NodeId upstream = 0;
-    net::NodeId downstream = 0;
-    std::uint16_t hops_to_dst = 0;
-    // local repair
-    bool repairing = false;
-    std::uint32_t lq_bid = 0;
-    sim::Timer lq_timer;  ///< local-query deadline for this entry
+  /// same flow).
+  struct Entry : RepairRoute {
     sim::Time last_lq{};
     int strikes = 0;  ///< consecutive guard violations observed
-    std::vector<Candidate> lq_candidates;  // topo_hops = join's hops to dst
   };
 
   void begin_discovery(net::FlowKey flow);
@@ -83,7 +74,6 @@ class BgcaProtocol final : public Protocol {
   void flush_pending(net::FlowKey flow);
   void forward_or_drop(net::DataPacket pkt, Entry& e);
 
-  [[nodiscard]] sim::Time now() const;
   [[nodiscard]] sim::Time forward_jitter(channel::CsiClass cls);
 
   BgcaConfig cfg_;
@@ -92,6 +82,7 @@ class BgcaProtocol final : public Protocol {
   util::FlatMap64<Entry> entries_;
   util::FlatMap64<SourceDiscovery> sources_;
   util::FlatMap64<CandidateWindow<Candidate>> dests_;  ///< RREQ windows
+  util::FlatMap64<LocalQuery> queries_;  ///< the queries this node started
   RepairHold repair_pending_;
   std::uint32_t next_bid_ = 1;
 };

@@ -129,6 +129,8 @@ class Protocol {
  protected:
   ProtocolHost& host() { return host_; }
   [[nodiscard]] const ProtocolHost& host() const { return host_; }
+  /// The simulated clock.
+  [[nodiscard]] sim::Time now() const { return host_.simulator().now(); }
 
  private:
   ProtocolHost& host_;

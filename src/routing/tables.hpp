@@ -1,10 +1,11 @@
 // Shared building blocks for the on-demand protocols (RICA, BGCA, ABR,
 // AODV): the pending-packet buffer and the §II-B discovery skeleton the
 // four protocols share — the source's retry policy, the destination's
-// candidate window, and the repair hold.  The per-flood state, each
-// terminal's history table and the relays' reverse paths, is a view of the
-// network's flood log (routing/flood_log.hpp).  DESIGN.md §15 describes
-// the policy and its order.
+// candidate window, and the repair hold — and the local query BGCA and ABR
+// repair a broken route with.  The per-flood state, each terminal's
+// history table and the relays' reverse paths, is a view of the network's
+// flood log (routing/flood_log.hpp).  DESIGN.md §15 describes the policy
+// and its order.
 #pragma once
 
 #include <algorithm>
@@ -296,6 +297,140 @@ class RepairHold {
 
  private:
   util::FlatMap64<PendingBuffer> held_;
+};
+
+/// A flow's route at a terminal that repairs it with a local query (BGCA,
+/// ABR).  `hops_to_dst` feeds the query's join-eligibility loop guard.
+struct RepairRoute {
+  bool valid = false;
+  net::NodeId upstream = 0;
+  net::NodeId downstream = 0;
+  std::uint16_t hops_to_dst = 0;
+  bool repairing = false;  ///< the route is down while a query repairs it
+};
+
+/// One terminal's local query for one flow (BGCA, ABR): a flood of kTtl hops
+/// that looks for the destination, or a terminal strictly closer to it on a
+/// live route, and splices the best answer in.  The object is the origin's
+/// state: the current bid, its deadline and the join candidates (`topo_hops`
+/// holds the join's hops to the destination).  The relay's steps are
+/// static.  Each protocol keeps its message types, its duplicate check,
+/// when it starts a query and what a failed one does (DESIGN.md §15).
+class LocalQuery {
+ public:
+  static constexpr std::int16_t kTtl = 3;  ///< the query's reach, hops
+  /// The flood-log tag of a query (the discovery floods use 1).
+  static constexpr std::uint8_t kTag = 2;
+
+  /// Starts query `bid` for `flow` from `route`: drops the older query's
+  /// candidates, records the flood, counts `stat`, traces repair_start,
+  /// broadcasts a `Msg` and calls `deadline(bid)` after `timeout`.
+  template <typename Msg, typename Deadline>
+  void start(ProtocolHost& host, FloodHistory& history, net::FlowKey flow,
+             const RepairRoute& route, std::uint32_t bid, const char* stat,
+             sim::Time timeout, Deadline deadline) {
+    bid_ = bid;
+    candidates_.clear();
+    history.seen_or_insert(host.id(), bid, kTag);
+    host.count(stat);
+    host.trace_route("repair_start", net::flow_src(flow), net::flow_dst(flow),
+                     bid);
+    Msg msg;
+    msg.origin = host.id();
+    msg.src = net::flow_src(flow);
+    msg.dst = net::flow_dst(flow);
+    msg.bid = bid;
+    msg.ttl = kTtl;
+    msg.origin_hops_to_dst = route.hops_to_dst;
+    host.send_control(net::make_control(net::kBroadcastId, msg));
+    auto expire = [deadline, bid] { deadline(bid); };
+    static_assert(sizeof(expire) <= sim::EventEngine::kInlineBytes);
+    timer_.arm_after(host.simulator(), timeout, std::move(expire));
+  }
+
+  /// A reply reached the origin: `c` counts if it answers the current query.
+  void collect(std::uint32_t bid, const CsiCandidate& c) {
+    if (bid == bid_) candidates_.push_back(c);
+  }
+
+  /// Query `bid`'s deadline, unless a newer query replaced it.  The
+  /// candidate `rank` picks becomes `route`, one hop beyond its join,
+  /// counted as `stat` and traced as repaired, and `flush()` sends the held
+  /// packets.  With no candidate, `fail()` runs.
+  template <typename Rank, typename Flush, typename Fail>
+  void finish(ProtocolHost& host, net::FlowKey flow, RepairRoute& route,
+              std::uint32_t bid, const char* stat, Rank rank, Flush flush,
+              Fail fail) {
+    if (bid != bid_) return;
+    if (candidates_.empty()) {
+      fail();
+      return;
+    }
+    const CsiCandidate& best = rank(candidates_);
+    route.valid = true;
+    route.downstream = best.first_hop;
+    route.hops_to_dst = static_cast<std::uint16_t>(best.topo_hops + 1);
+    route.repairing = false;
+    candidates_.clear();
+    host.count(stat);
+    host.trace_route("repaired", net::flow_src(flow), net::flow_dst(flow), bid,
+                     static_cast<double>(route.hops_to_dst));
+    flush();
+  }
+
+  /// A terminal heard query `msg` from `from` for the first time.  The
+  /// destination, or a terminal strictly closer to it on a live route (so
+  /// no splice makes a loop), answers with `reply`, whose own fields the
+  /// protocol has set.  Otherwise a query with hops left goes on through
+  /// `forward(fwd)`, one hop farther and one TTL shorter.
+  template <typename Route, typename Msg, typename Reply, typename Forward>
+  static void answer_or_forward(ProtocolHost& host,
+                                const util::FlatMap64<Route>& routes,
+                                const Msg& msg, net::NodeId from, Reply reply,
+                                Forward forward) {
+    const auto it = routes.find(net::flow_key(msg.src, msg.dst));
+    const bool is_dst = msg.dst == host.id();
+    const bool on_path = it != routes.end() && it->second.valid &&
+                         !it->second.repairing &&
+                         it->second.hops_to_dst < msg.origin_hops_to_dst;
+    if (is_dst || on_path) {
+      reply.origin = msg.origin;
+      reply.src = msg.src;
+      reply.dst = msg.dst;
+      reply.bid = msg.bid;
+      reply.join_hops_to_dst = is_dst ? 0 : it->second.hops_to_dst;
+      reply.join = host.id();
+      host.send_control(net::make_control(from, reply));
+      return;
+    }
+    if (msg.ttl <= 1) return;
+    Msg fwd = msg;
+    fwd.topo_hops = static_cast<std::uint16_t>(msg.topo_hops + 1);
+    fwd.ttl = static_cast<std::int16_t>(msg.ttl - 1);
+    forward(fwd);
+  }
+
+  /// A relay on reply `msg`'s path joins the spliced route: `route` leads
+  /// to `from`, one hop beyond the join, and the reply goes on to the
+  /// neighbour this relay heard the query from.
+  template <typename Reply>
+  static void splice_reply(ProtocolHost& host, const FloodHistory& history,
+                           RepairRoute& route, Reply msg, net::NodeId from) {
+    route.valid = true;
+    route.downstream = from;
+    route.hops_to_dst = static_cast<std::uint16_t>(msg.join_hops_to_dst + 1);
+    route.repairing = false;
+    const auto up = history.upstream(msg.origin, msg.bid, kTag);
+    if (!up) return;
+    route.upstream = *up;
+    msg.join_hops_to_dst = route.hops_to_dst;
+    host.send_control(net::make_control(*up, msg));
+  }
+
+ private:
+  std::uint32_t bid_ = 0;  ///< the current query
+  sim::Timer timer_;       ///< its deadline
+  std::vector<CsiCandidate> candidates_;
 };
 
 }  // namespace rica::routing
